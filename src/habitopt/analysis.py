@@ -14,10 +14,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, root
+from scipy.optimize import brentq, root  # noqa: F401 (brentq: perfbench/spans.py wraps it here)
 
 from .errors import (
-    BracketFailure,
     GenerationExhausted,
     HabitOptError,
     Infeasible,
@@ -38,10 +37,12 @@ from .preferences import (
     HabitPreferences,
     LogUtility,
     PowerUtility,
+    _as_level_values,
     theta_table,
 )
 from .solvers import (
     Solution,
+    _complete_continuation,
     has_inverse_marginal,
     solve_complete_general,
     solve_general,
@@ -127,103 +128,23 @@ def _scope_label(m: MarketModel, witness) -> tuple[str, str]:
     return "out_of_scope", cls.kind
 
 
-def _complete_continuation(m: MarketModel, p: HabitPreferences, eps_vals,
-                           spd: SPDBundle, k: int, node: int, history,
-                           w: float) -> float:
-    """Continuation consumption at a node of a complete market, in closed form.
-
-    The first-order conditions tie every later adjusted consumption to the
-    one entered at ``(k, node)`` through perturbed-deflator ratios, leaving a
-    scalar budget equation that is strictly monotone in the entry value.
-    """
-    t = m.tree
-    T = t.T
-    fam = p.family
-    atoms = [None] * (T + 1)
-    atoms[k] = np.array([node])
-    for l in range(k + 1, T + 1):
-        atoms[l] = np.flatnonzero(np.isin(t.parent[l], atoms[l - 1]))
-    mt_base = float(spd.Mtilde[k].values[node])
-
-    def plan_from_entry(z: float):
-        chat = {(k, node): z}
-        for l in range(k + 1, T + 1):
-            target = fam.du(k, z) * spd.Mtilde[l].values[atoms[l]] / mt_base
-            vals = fam.du_inv(l, target)
-            for j, a in enumerate(atoms[l]):
-                chat[(l, int(a))] = float(vals[j])
-        c = {}
-        for l in range(k, T + 1):
-            for a in atoms[l]:
-                a = int(a)
-                acc = chat[(l, a)] + p.h[l][a]
-                node_up = a
-                for lev in range(l - 1, -1, -1):
-                    node_up = int(t.parent[lev + 1][node_up])
-                    b = p.beta[l, lev]
-                    if b != 0.0:
-                        acc += b * (c[(lev, node_up)] if lev >= k else history[lev])
-                c[(l, a)] = acc
-        return c
-
-    target_budget = float(spd.M[k].values[node]) * w * t.atom_probs[k][node]
-
-    def gap(z: float) -> float:
-        c = plan_from_entry(z)
-        total = 0.0
-        for l in range(k, T + 1):
-            for a in atoms[l]:
-                a = int(a)
-                total += t.atom_probs[l][a] * spd.M[l].values[a] * (c[(l, a)] - eps_vals[l][a])
-        return total - target_budget
-
-    if fam.inada:
-        lo = 1e-12
-        glo = gap(lo)
-        while glo > 0 and lo > 1e-250:
-            lo *= 1e-4
-            glo = gap(lo)
-        if glo > 0:
-            raise Infeasible("continuation floors exceed entering wealth")
-        hi = 1.0
-    else:
-        hi = 1.0
-        lo = -1.0
-        doubles = 0
-        while gap(lo) > 0:
-            lo *= 2.0
-            doubles += 1
-            if doubles > 60:
-                raise BracketFailure("could not bracket the continuation root from below")
-    doubles = 0
-    while gap(hi) < 0:
-        hi *= 2.0
-        doubles += 1
-        if doubles > 60:
-            raise BracketFailure("could not bracket the continuation root from above")
-    z = brentq(gap, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    return plan_from_entry(z)[(k, node)]
-
-
 def _continuation_consumption(m: MarketModel, p: HabitPreferences, eps_vals,
                               k: int, node: int, history, w: float,
-                              method: str, gtol: float,
-                              spd: SPDBundle | None) -> float:
+                              method: str, gtol: float, spd: SPDBundle) -> float:
     """Consumption chosen at ``(k, node)`` when entering with wealth ``w``."""
-    if method == "closed" and spd is not None:
-        return _complete_continuation(m, p, eps_vals, spd, k, node, history, w)
+    if method == "closed":
+        return float(_complete_continuation(p, spd, eps_vals, k, node, history, w)[0][k][0])
     sub = solve_subproblem(m, p, eps_vals, k, node, history, w, gtol=gtol)
     return sub.c[(k, node)]
 
 
 def _root_consumption(m: MarketModel, p: HabitPreferences, eps_vals, eps0: float,
-                      method: str, gtol: float, spd: SPDBundle | None) -> float:
+                      method: str, gtol: float, spd: SPDBundle) -> float:
     """Time-0 consumption of the full problem with the endowment overridden."""
-    rest = [eps_vals[l] for l in range(1, len(eps_vals))]
-    if method == "closed" and spd is not None:
+    if method == "closed":
         # entering wealth replaces the time-0 endowment in the budget
-        return _complete_continuation(m, p, [eps_vals[0] * 0.0] + rest,
-                                      spd, 0, 0, [], eps0)
+        return _continuation_consumption(m, p, eps_vals, 0, 0, (), eps0, method, gtol, spd)
+    rest = [eps_vals[l] for l in range(1, len(eps_vals))]
     sol = solve_general(m, p, [eps_vals[0] * 0.0 + eps0] + rest, gtol=gtol)
     return float(sol.c.values(0)[0])
 
@@ -267,8 +188,7 @@ def monotonicity_probe(m: MarketModel, p: HabitPreferences, eps, k: int,
     compared to the deflator-ratio bound plus ``slack``.
     """
     t = m.tree
-    eps_vals = [np.broadcast_to(np.asarray(e, dtype=float), (t.n_atoms(l),))
-                for l, e in enumerate(eps)]
+    eps_vals = _as_level_values(t, eps)
     scope, kind = _scope_label(m, witness)
     spd = spd_bundle(m, p.beta)
     bound = policy_bound(spd)[k]
@@ -330,8 +250,7 @@ def concavity_probe(m: MarketModel, p: HabitPreferences, eps, k: int,
     amplification below the comparison tolerances.
     """
     t = m.tree
-    eps_vals = [np.broadcast_to(np.asarray(e, dtype=float), (t.n_atoms(l),))
-                for l, e in enumerate(eps)]
+    eps_vals = _as_level_values(t, eps)
     scope, kind = _scope_label(m, witness)
     fam = p.family
     uniform_power = fam.name == "log" or (
@@ -429,8 +348,7 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
     T = t.T
     if not 0 <= k <= T - 1:
         raise PreconditionViolated(f"the wealth response is defined for levels 0..{T - 1}")
-    eps_vals = [np.broadcast_to(np.asarray(e, dtype=float), (t.n_atoms(l),))
-                for l, e in enumerate(eps)]
+    eps_vals = _as_level_values(t, eps)
     scope, kind = _scope_label(m, witness)
     spd = spd_bundle(m, p.beta)
     theta = theta_table(p.beta)
@@ -449,7 +367,7 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
     terminal_formula = {}
     base_residual = 0.0
     for a in range(t.n_atoms(k)):
-        children = np.flatnonzero(t.parent[k + 1] == a)
+        children = t.children(k, a)
         hist = _history(t, cbase, k, a)
         ck0 = float(cbase[k][a])
         mt_ratio = spd.Mtilde[k + 1].values[children] / spd.Mtilde[k].values[a]
@@ -546,8 +464,7 @@ def envelope_check(m: MarketModel, p: HabitPreferences, eps,
     """Differentiate the value function in the endowment and compare with
     the time-0 habit-adjusted marginal utility of the optimal plan."""
     t = m.tree
-    eps_vals = [np.broadcast_to(np.asarray(e, dtype=float), (t.n_atoms(l),))
-                for l, e in enumerate(eps)]
+    eps_vals = _as_level_values(t, eps)
     base = solve_general(m, p, eps_vals, gtol=gtol)
     marginal = float(base.R.values(0)[0])
     e0 = float(eps_vals[0][0])
@@ -724,8 +641,7 @@ def wealth_sweep(m: MarketModel, p: HabitPreferences, eps, start: float,
     from .solvers import solve_auto
 
     t = m.tree
-    eps_vals = [np.broadcast_to(np.asarray(e, dtype=float), (t.n_atoms(l),))
-                for l, e in enumerate(eps)]
+    eps_vals = _as_level_values(t, eps)
     rest = [eps_vals[l] for l in range(1, t.T + 1)]
     grid = np.linspace(float(start), float(stop), int(n))
 

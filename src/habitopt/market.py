@@ -283,7 +283,7 @@ def check_no_arbitrage(m: MarketModel, objective="uniform", seed: int | None = N
     for k in range(T):
         gain = m.gain(k + 1)
         for a in range(t.n_atoms(k)):
-            children = np.flatnonzero(t.parent[k + 1] == a)
+            children = t.children(k, a)
             pa = t.atom_probs[k][a]
             for i in range(m.n_risky + 1):
                 row = np.zeros(nvar)
@@ -325,7 +325,7 @@ def check_no_arbitrage(m: MarketModel, objective="uniform", seed: int | None = N
     for k in range(T):
         gain = m.gain(k + 1)
         for a in range(t.n_atoms(k)):
-            children = np.flatnonzero(t.parent[k + 1] == a)
+            children = t.children(k, a)
             pa = t.atom_probs[k][a]
             X = (t.atom_probs[k + 1][children][None, :] * gain[children].T)
             resid = pa * vals[k][a] * m.S[k][a] - X @ vals[k + 1][children]
@@ -341,7 +341,7 @@ def check_no_arbitrage(m: MarketModel, objective="uniform", seed: int | None = N
         Rk = R.values(k)
         Rn = R.values(k + 1)
         for a in range(t.n_atoms(k)):
-            children = np.flatnonzero(t.parent[k + 1] == a)
+            children = t.children(k, a)
             pa = t.atom_probs[k][a]
             for i in range(m.n_risky + 1):
                 lhs = pa * Rk[a] * m.S[k][a, i]

@@ -262,7 +262,7 @@ def _as_level_values(tree: EventTree, c) -> list[np.ndarray]:
     if isinstance(c, AdaptedProcess):
         return [c.values(k) for k in range(tree.T + 1)]
     if len(c) != tree.T + 1:
-        raise LevelMismatch(f"expected {tree.T + 1} consumption levels, got {len(c)}")
+        raise LevelMismatch(f"expected {tree.T + 1} levels, got {len(c)}")
     return [np.broadcast_to(np.asarray(ck, dtype=float), (tree.n_atoms(k),))
             for k, ck in enumerate(c)]
 
@@ -295,6 +295,17 @@ def perturbed_consumption(p: HabitPreferences, c) -> PerturbedConsumption:
     )
 
 
+def _require_feasible(pc: PerturbedConsumption) -> PerturbedConsumption:
+    """Pass ``pc`` through, or raise DomainViolation at its first violation."""
+    if not pc.feasible:
+        k, a = pc.violations[0]
+        raise DomainViolation(
+            f"habit-adjusted consumption is not positive at level {k}, atom {a}",
+            period=k, atom=a,
+        )
+    return pc
+
+
 def utility_value(p: HabitPreferences, c, on_violation: str = "raise") -> float:
     """Total expected utility of a plan.
 
@@ -303,14 +314,9 @@ def utility_value(p: HabitPreferences, c, on_violation: str = "raise") -> float:
     """
     t = p.tree
     pc = perturbed_consumption(p, c)
-    if not pc.feasible:
-        if on_violation == "-inf":
-            return -np.inf
-        k, a = pc.violations[0]
-        raise DomainViolation(
-            f"habit-adjusted consumption is not positive at level {k}, atom {a}",
-            period=k, atom=a,
-        )
+    if not pc.feasible and on_violation == "-inf":
+        return -np.inf
+    _require_feasible(pc)
     total = 0.0
     for k in range(t.T + 1):
         total += float(np.dot(t.atom_probs[k], p.family.u(k, pc.chat.values(k))))
@@ -324,13 +330,7 @@ def habit_adjusted_marginal(p: HabitPreferences, c) -> AdaptedProcess:
     At an optimum this process prices all traded payoffs.
     """
     t = p.tree
-    pc = perturbed_consumption(p, c)
-    if not pc.feasible:
-        k, a = pc.violations[0]
-        raise DomainViolation(
-            f"habit-adjusted consumption is not positive at level {k}, atom {a}",
-            period=k, atom=a,
-        )
+    pc = _require_feasible(perturbed_consumption(p, c))
     du = [p.family.du(k, pc.chat.values(k)) for k in range(t.T + 1)]
     out = []
     for k in range(t.T + 1):
@@ -374,13 +374,7 @@ def simplified_foc_residual(m: MarketModel, p: HabitPreferences, c,
     positivity-preserving conditional expectations or risk is idiosyncratic.
     """
     t = m.tree
-    pc = perturbed_consumption(p, c)
-    if not pc.feasible:
-        k, a = pc.violations[0]
-        raise DomainViolation(
-            f"habit-adjusted consumption is not positive at level {k}, atom {a}",
-            period=k, atom=a,
-        )
+    pc = _require_feasible(perturbed_consumption(p, c))
     out = []
     for k in range(1, t.T + 1):
         du_k = p.family.du(k, pc.chat.values(k))

@@ -6,9 +6,11 @@ concave; a damped Newton ascent then converges to machine precision and its
 gradient doubles as a pricing-residual certificate.  Specialized paths cover
 complete markets (scalar root-find on time-0 consumption), power utilities
 with no future endowments (homogeneity), and exponential utilities in
-bond-only markets (explicit backward coefficient recursions).  A derivative
-free coordinate-search oracle provides an independent cross-check on small
-instances.
+bond-only markets (explicit backward coefficient recursions).  The complete
+market paths share one forward map from the adjusted consumption entered at a
+node and one bracketed root-find of the budget, which also serves continuation
+problems.  A derivative-free oracle (Powell's method in budget-whitened
+portfolio coordinates) provides an independent cross-check on small instances.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.optimize import brentq, linprog, minimize_scalar
+from scipy.optimize import brentq, linprog, minimize
 
 from .errors import (
     BracketFailure,
@@ -41,6 +43,7 @@ from .preferences import (
     ExponentialUtility,
     HabitPreferences,
     PowerUtility,
+    _as_level_values,
     habit_adjusted_marginal,
     perturbed_consumption,
     theta_table,
@@ -103,6 +106,15 @@ class SubSolution:
 # plan parametrization shared by the Newton solver and the oracle
 # ---------------------------------------------------------------------------
 
+def _subtree_atoms(t, k0: int, node: int) -> list:
+    """Atoms of each level ``k0..T`` below ``node`` (``None`` above ``k0``)."""
+    atoms = [None] * (t.T + 1)
+    atoms[k0] = np.array([node], dtype=int)
+    for l in range(k0 + 1, t.T + 1):
+        atoms[l] = np.flatnonzero(np.isin(t.parent[l], atoms[l - 1]))
+    return atoms
+
+
 class _SubtreePlan:
     """Affine map from portfolio variables to habit-adjusted consumption.
 
@@ -120,8 +132,7 @@ class _SubtreePlan:
             raise PreconditionViolated(
                 f"history must list consumption for levels 0..{k0 - 1}"
             )
-        eps_vals = [np.broadcast_to(np.asarray(e, dtype=float), (t.n_atoms(k),))
-                    for k, e in enumerate(eps)]
+        eps_vals = _as_level_values(t, eps)
         if w is None:
             if k0 != 0:
                 raise PreconditionViolated("continuation problems need entering wealth")
@@ -132,11 +143,7 @@ class _SubtreePlan:
         self.history = tuple(float(v) for v in history)
         self.eps_vals = eps_vals
 
-        atoms = [None] * (T + 1)
-        atoms[k0] = np.array([node], dtype=int)
-        for l in range(k0 + 1, T + 1):
-            keep = np.isin(t.parent[l], atoms[l - 1])
-            atoms[l] = np.flatnonzero(keep)
+        atoms = _subtree_atoms(t, k0, node)
         self.atoms = atoms
 
         nA = m.n_risky + 1
@@ -396,15 +403,7 @@ def solve_subproblem(m: MarketModel, p: HabitPreferences, eps, k: int, node: int
     """
     t = m.tree
     plan = _SubtreePlan(m, p, eps, k0=k, node=node, history=history, w=w)
-    if plan.n_x == 0:
-        x = np.zeros(0)
-        info = {"iterations": 0, "grad_norm": 0.0}
-        val = plan.utility(x)
-        if not np.isfinite(val):
-            raise Infeasible("terminal consumption is outside the utility domain")
-    else:
-        x0 = _interior_start(plan)
-        x, info = _newton_maximize(plan, x0, gtol=gtol, max_iter=max_iter)
+    x, info = _newton_maximize(plan, _interior_start(plan), gtol=gtol, max_iter=max_iter)
     cvals = plan.consumption(x)
     cmap, wmap = {}, {}
     for l in range(k, t.T + 1):
@@ -421,144 +420,163 @@ def solve_subproblem(m: MarketModel, p: HabitPreferences, eps, k: int, node: int
                        U=plan.utility(x), converged=True, diagnostics=dict(info))
 
 
-def solve_primal_oracle(m: MarketModel, p: HabitPreferences, eps, seeds=(0, 1, 2),
-                        max_dim: int = 6, min_step: float = 1e-7) -> Solution:
+_ORACLE_SEEDS = (0, 1, 2)
+_ORACLE_MAX_DIM = 6
+_ORACLE_MAX_RUNS = 20
+
+
+def solve_primal_oracle(m: MarketModel, p: HabitPreferences, eps) -> Solution:
     """Derivative-free reference solver for small instances.
 
-    Nested coordinate search: cyclic per-coordinate line searches over the
-    portfolio variables with bracket widths shrinking tenfold from 1 down to
-    ``min_step``.  Each sweep and each width stage is followed by a line
-    search along its net displacement, so the iterate travels along narrow
-    valleys instead of zigzagging across them.  The width schedule repeats
-    while it keeps improving, restarts run from jittered admissible points,
-    and the best restart is polished along the directions to the other
-    restarts' endpoints.  Independent of the Newton path; refuses instances
-    with more than ``max_dim`` portfolio variables.
+    Powell's conjugate-direction method (scipy) over the portfolio variables
+    in budget-whitened coordinates ``x = x_start + V y``: the columns of ``V``
+    are the right singular vectors of the probability-weighted budget map
+    scaled by the inverse singular values, so unit steps in ``y`` move
+    consumption by comparable amounts at every node, and directions that do
+    not move consumption (redundant assets) are dropped.  Each of three
+    jittered admissible starts is re-run from its result while the utility
+    improves, and the best start wins.  Independent of the Newton path;
+    refuses instances with more than six portfolio variables.
     """
     plan = _SubtreePlan(m, p, eps)
-    if plan.n_x > max_dim:
+    if plan.n_x > _ORACLE_MAX_DIM:
         raise InstanceTooLarge(
-            f"oracle handles at most {max_dim} portfolio variables, got {plan.n_x}"
+            f"oracle handles at most {_ORACLE_MAX_DIM} portfolio variables, got {plan.n_x}"
         )
     base = _interior_start(plan)
+    _, sv, vt = np.linalg.svd(np.sqrt(plan.wts)[:, None] * plan.A, full_matrices=False)
+    keep = sv > 1e-12 * sv[0]
+    V = vt[keep].T / sv[keep]
 
-    def line(x, fx, d, lo=0.0):
-        # maximize along the ray x + t*d; the upper bound grows until the
-        # minimizer is interior, and the search repeats while the step is big
-        while np.max(np.abs(d)) > 0:
-            def fneg(t):
-                val = plan.utility(x + t * d)
-                return -val if np.isfinite(val) else 1e300
+    best_x, best_f = base, -np.inf
+    for seed in _ORACLE_SEEDS:
+        x_start = base + 0.05 * np.random.default_rng(seed).standard_normal(plan.n_x)
+        if not np.isfinite(plan.utility(x_start)):
+            x_start = base
 
-            hi = 4.0
-            for _ in range(8):
-                res = minimize_scalar(fneg, bounds=(lo, hi), method="bounded",
-                                      options={"xatol": 1e-8 * max(hi, -lo)})
-                if res.x < 0.9 * hi:
-                    break
-                hi *= 4.0
-            if not -res.fun > fx:
+        def fneg(y, x_start=x_start):
+            val = plan.utility(x_start + V @ y)
+            return -val if np.isfinite(val) else 1e300
+
+        y, fy = np.zeros(V.shape[1]), plan.utility(x_start)
+        for _ in range(_ORACLE_MAX_RUNS):
+            res = minimize(fneg, y, method="Powell",
+                           options={"xtol": 1e-12, "ftol": 1e-15})
+            if not -res.fun > fy:
                 break
-            x = x + float(res.x) * d
-            fx = -res.fun
-            d = float(res.x) * d
-            if abs(float(res.x)) < 1e-3:
-                break
-        return x, fx
-
-    def one_cycle(x, fx):
-        width = 1.0
-        while width >= min_step:
-            xtol = width * (1e-5 if width <= 1e-3 else 1e-4)
-            stage_start = x.copy()
-            improved = True
-            sweeps = 0
-            while improved and sweeps < 80:
-                improved = False
-                sweeps += 1
-                sweep_start = x.copy()
-                for i in range(plan.n_x):
-                    xi = x[i]
-
-                    def fneg(v):
-                        x[i] = v
-                        val = plan.utility(x)
-                        x[i] = xi
-                        return -val if np.isfinite(val) else 1e300
-
-                    res = minimize_scalar(fneg, bounds=(xi - width, xi + width),
-                                          method="bounded",
-                                          options={"xatol": xtol})
-                    if -res.fun > fx:
-                        x[i] = float(res.x)
-                        fx = -res.fun
-                        improved = True
-                if improved:
-                    x, fx = line(x, fx, x - sweep_start)
-            x, fx = line(x, fx, x - stage_start)
-            width /= 10.0
-        return x, fx
-
-    def refine(x):
-        x = x.copy()
-        fx = plan.utility(x)
-        for _ in range(4):
-            f_before = fx
-            x, fx = one_cycle(x, fx)
-            if not fx > f_before:
-                break
-        return x, fx
-
-    results = []
-    for s in seeds:
-        rng = np.random.default_rng(s)
-        x0 = base + 0.05 * rng.standard_normal(plan.n_x)
-        if not np.isfinite(plan.utility(x0)):
-            x0 = base.copy()
-        results.append(refine(x0))
-    results.sort(key=lambda pair: -pair[1])
-    best_x, best_f = results[0]
-    for other_x, _ in results[1:]:
-        best_x, best_f = line(best_x, best_f, other_x - best_x, lo=-4.0)
-    for _ in range(3):
-        f_before = best_f
-        best_x, best_f = one_cycle(best_x, best_f)
-        if not best_f > f_before:
-            break
-    sol = _assemble_solution(plan, best_x, "oracle", {"utility": best_f})
-    return sol
+            y, fy = res.x, -res.fun
+        if fy > best_f:
+            best_x, best_f = x_start + V @ y, fy
+    return _assemble_solution(plan, best_x, "oracle", {"utility": best_f})
 
 
 # ---------------------------------------------------------------------------
 # complete markets
 # ---------------------------------------------------------------------------
 
-def _forward_consumption_from_c0(p: HabitPreferences, spd: SPDBundle, c0: float):
-    """Unroll consumption from time-0 consumption via the perturbed deflator."""
+def _forward_consumption(p: HabitPreferences, spd: SPDBundle, atoms, history,
+                         z: float) -> list:
+    """Consumption on a subtree from the adjusted consumption ``z`` at its root.
+
+    The first-order conditions tie every later adjusted consumption to ``z``
+    through perturbed-deflator ratios; the habits then unroll it into
+    consumption, with ``history`` giving consumption above the subtree's root
+    at level ``len(history)``.  Values per level are aligned with ``atoms``.
+    """
     t = p.tree
     fam = p.family
-    lam = float(fam.du(0, c0))
-    Mt0 = float(spd.Mtilde[0].values[0])
-    chat = [np.array([c0])]
-    for k in range(1, t.T + 1):
-        target = lam * spd.Mtilde[k].values / Mt0
-        chat.append(np.asarray(fam.du_inv(k, target), dtype=float))
-    c = []
-    for k in range(t.T + 1):
-        vals = chat[k] + p.h[k]
-        for l in range(k):
-            b = p.beta[k, l]
+    k = len(history)
+    lam = float(fam.du(k, z))
+    mt_root = float(spd.Mtilde[k].values[atoms[k][0]])
+    c = [None] * (t.T + 1)
+    for l in range(k, t.T + 1):
+        al = atoms[l]
+        chat = np.array([z]) if l == k else np.asarray(
+            fam.du_inv(l, lam * spd.Mtilde[l].values[al] / mt_root), dtype=float)
+        vals = chat + p.h[l][al]
+        anc = {}
+        up = al
+        for lev in range(l - 1, k - 1, -1):
+            up = t.parent[lev + 1][up]
+            anc[lev] = np.searchsorted(atoms[lev], up)
+        for lev in range(l):
+            b = p.beta[l, lev]
             if b != 0.0:
-                vals = vals + b * lift(RandomVariable(t, l, c[l]), k).values
-        c.append(vals)
-    return c, chat
+                vals = vals + b * (history[lev] if lev < k else c[lev][anc[lev]])
+        c[l] = vals
+    return c
 
 
-def _budget_gap(t, spd: SPDBundle, c, eps_vals) -> float:
+def _budget_gap(t, spd: SPDBundle, c, endow, atoms) -> float:
+    """Deflated cost of a subtree plan net of the subtree's endowments."""
     gap = 0.0
-    for k in range(t.T + 1):
-        gap += float(np.dot(t.atom_probs[k], spd.M[k].values * (c[k] - eps_vals[k])))
+    for l, al in enumerate(atoms):
+        if al is not None:
+            gap += float(np.dot(t.atom_probs[l][al], spd.M[l].values[al] * (c[l] - endow[l])))
     return gap
+
+
+def _budget_root(gap, inada: bool, wealth: float, tol: float = 1e-12) -> tuple:
+    """Root of a strictly increasing budget gap, and the gap left there.
+
+    Families with an Inada condition bracket from just above zero; the others
+    double a symmetric bracket of the size of ``wealth``.  Raises Infeasible
+    when even vanishing consumption overspends, and NonConvergence when the
+    gap at the root exceeds ``tol`` relative to ``wealth``.
+    """
+    hi = max(1.0, abs(wealth))
+    if inada:
+        lo = 1e-12
+        while gap(lo) > 0:
+            if lo < 1e-250:
+                raise Infeasible("exogenous floors already exhaust the available wealth")
+            lo *= 1e-4
+    else:
+        lo = -hi
+        for _ in range(61):
+            if gap(lo) <= 0:
+                break
+            lo *= 2.0
+        else:
+            raise BracketFailure("could not bracket the budget root from below")
+    for _ in range(61):
+        if gap(hi) >= 0:
+            break
+        hi *= 2.0
+    else:
+        raise BracketFailure("could not bracket the budget root from above")
+    root = brentq(gap, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    resid = gap(root)
+    if abs(resid) > tol * max(1.0, abs(wealth)):
+        raise NonConvergence(
+            f"budget gap {resid:.3e} above tolerance after root-find", best=root
+        )
+    return root, resid
+
+
+def _complete_continuation(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int,
+                           node: int, history, w: float, budget_tol: float = 1e-12):
+    """Optimal complete-market consumption below ``node`` at level ``k``.
+
+    ``history`` is consumption on the node's strict ancestors.  As in
+    ``_SubtreePlan``, the entering wealth ``w`` replaces the endowment at the
+    root of the full tree and adds to it at any other node.  Returns the
+    consumption per level, aligned with the subtree's atoms (``None`` above
+    ``k``), and the budget gap left by the root-find.
+    """
+    t = p.tree
+    atoms = _subtree_atoms(t, k, node)
+    endow = [None if al is None else eps_vals[l][al] for l, al in enumerate(atoms)]
+    endow[k] = endow[k] + w if k else np.array([float(w)])
+    wealth = sum(float(np.dot(t.atom_probs[l][al], spd.M[l].values[al] * endow[l]))
+                 for l, al in enumerate(atoms) if al is not None)
+
+    def gap(z: float) -> float:
+        return _budget_gap(t, spd, _forward_consumption(p, spd, atoms, history, z),
+                           endow, atoms)
+
+    z, resid = _budget_root(gap, p.family.inada, wealth, budget_tol)
+    return _forward_consumption(p, spd, atoms, history, z), resid
 
 
 def _replicate_portfolio(m: MarketModel, W, tol: float = 1e-7):
@@ -568,7 +586,7 @@ def _replicate_portfolio(m: MarketModel, W, tol: float = 1e-7):
     for k in range(t.T):
         rows = np.zeros((t.n_atoms(k), m.n_risky + 1))
         for a in range(t.n_atoms(k)):
-            children = np.flatnonzero(t.parent[k + 1] == a)
+            children = t.children(k, a)
             G = m.gain(k + 1)[children]
             target = W[k + 1][children]
             sol, *_ = np.linalg.lstsq(G, target, rcond=None)
@@ -616,55 +634,12 @@ def solve_complete_general(m: MarketModel, p: HabitPreferences, eps,
         raise PreconditionViolated(f"market classifies as {cls.kind}, not complete")
     if spd is None:
         spd = spd_bundle(m, p.beta)
-    eps_vals = [np.broadcast_to(np.asarray(e, dtype=float), (t.n_atoms(k),))
-                for k, e in enumerate(eps)]
-
-    def gap(c0: float) -> float:
-        c, _ = _forward_consumption_from_c0(p, spd, c0)
-        return _budget_gap(t, spd, c, eps_vals)
-
-    wealth = sum(float(np.dot(t.atom_probs[k], spd.M[k].values * eps_vals[k]))
-                 for k in range(t.T + 1))
-    if p.family.inada:
-        lo = 1e-12
-        glo = gap(lo)
-        tries = 0
-        while glo > 0 and lo > 1e-250:
-            lo *= 1e-4
-            glo = gap(lo)
-            tries += 1
-        if glo > 0:
-            raise Infeasible("exogenous floors already exhaust the available wealth")
-        hi = max(1.0, wealth)
-    else:
-        hi = max(1.0, abs(wealth))
-        lo = -hi
-        glo = gap(lo)
-        doubles = 0
-        while glo > 0:
-            lo *= 2.0
-            glo = gap(lo)
-            doubles += 1
-            if doubles > 60:
-                raise BracketFailure("could not bracket the budget root from below")
-    ghi = gap(hi)
-    doubles = 0
-    while ghi < 0:
-        hi *= 2.0
-        ghi = gap(hi)
-        doubles += 1
-        if doubles > 60:
-            raise BracketFailure("could not bracket the budget root from above")
-    c0 = brentq(gap, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    resid = gap(c0)
-    if abs(resid) > budget_tol * max(1.0, abs(wealth)):
-        raise NonConvergence(
-            f"budget gap {resid:.3e} above tolerance after root-find", best=c0
-        )
-    c, _ = _forward_consumption_from_c0(p, spd, c0)
+    eps_vals = _as_level_values(t, eps)
+    c, resid = _complete_continuation(p, spd, eps_vals, 0, 0, (), float(eps_vals[0][0]),
+                                      budget_tol)
     return _solution_from_consumption(
         m, p, eps_vals, c, spd, "complete_general",
-        {"c0": float(c0), "budget_gap": float(resid)},
+        {"c0": float(c[0][0]), "budget_gap": float(resid)},
     )
 
 
@@ -709,8 +684,7 @@ def solve_complete_power(m: MarketModel, p: HabitPreferences, eps,
         raise PreconditionViolated(f"market classifies as {cls.kind}, not complete")
     if spd is None:
         spd = spd_bundle(m, p.beta)
-    eps_vals = [np.broadcast_to(np.asarray(e, dtype=float), (t.n_atoms(k),))
-                for k, e in enumerate(eps)]
+    eps_vals = _as_level_values(t, eps)
 
     gam = np.array([fam.gamma_at(k) for k in range(T + 1)])
     q = gam[0] / gam
@@ -769,16 +743,7 @@ def solve_complete_power(m: MarketModel, p: HabitPreferences, eps,
     def gap(c0):
         return float(np.dot(f0, np.power(c0, q))) + h0 - e0
 
-    if h0 >= e0:
-        raise Infeasible("exogenous floors already exhaust the available wealth")
-    lo, hi = 1e-300, max(1.0, e0)
-    doubles = 0
-    while gap(hi) < 0:
-        hi *= 2.0
-        doubles += 1
-        if doubles > 60:
-            raise BracketFailure("could not bracket the budget root from above")
-    c0 = brentq(gap, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    c0, resid = _budget_root(gap, fam.inada, e0)
 
     c = []
     for k in range(T + 1):
@@ -810,7 +775,7 @@ def solve_complete_power(m: MarketModel, p: HabitPreferences, eps,
     )
     sol = _solution_from_consumption(
         m, p, eps_vals, c, spd, "complete_power",
-        {"c0": float(c0), "budget_gap": float(gap(c0))},
+        {"c0": float(c0), "budget_gap": float(resid)},
     )
     return sol, coeffs
 
@@ -901,8 +866,7 @@ def solve_exponential_bonds(m: MarketModel, p: HabitPreferences, eps):
                 f"habit weight too strong for these rates (X_{k} = {X[k]:g})"
             )
 
-    eps_vals = [np.broadcast_to(np.asarray(e, dtype=float), (t.n_atoms(k),))
-                for k, e in enumerate(eps)]
+    eps_vals = _as_level_values(t, eps)
     l = np.zeros(T + 1)
     mm = np.zeros(T + 1)
     n = [None] * (T + 1)

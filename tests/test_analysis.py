@@ -105,6 +105,23 @@ def test_concavity_warns_on_mixed_aversion():
     assert probe.estimates.size == 1
 
 
+@pytest.mark.filterwarnings("ignore:concavity in wealth")
+@pytest.mark.parametrize("seed, utility, habit", [(55, None, None), (56, None, None),
+                                                  (520, None, None),
+                                                  (57, "power_hetero", "one_lag")])
+@pytest.mark.parametrize("probe", [monotonicity_probe, concavity_probe])
+def test_closed_probes_match_newton(seed, utility, habit, probe):
+    # 55 draws an exponential family, 56 and 520 power families (520 with
+    # floors); only mixed aversion makes the policy nonlinear in wealth, so
+    # that its slopes depend on the consumption history of the node
+    sc = generate_scenario(seed, "complete", utility=utility, habit=habit)
+    for k in (0, 1):
+        closed = probe(sc.market, sc.prefs, sc.eps, k, method="closed")
+        newton = probe(sc.market, sc.prefs, sc.eps, k, method="newton")
+        assert closed.details["method"] == "closed"
+        assert np.allclose(closed.estimates, newton.estimates, rtol=0, atol=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # wealth response to past consumption
 # ---------------------------------------------------------------------------

@@ -141,6 +141,30 @@ def test_oracle_matches_newton(bin1):
     assert slow.U <= fast.U + 1e-9
 
 
+@pytest.mark.parametrize("seed, habit", [(16019, "one_lag"), (17023, "two_lag"),
+                                         (19015, "none")])
+def test_oracle_matches_newton_on_complete_exponential(seed, habit):
+    # a single Powell run in raw portfolio coordinates misses these by > 1e-6
+    sc = generate_scenario(seed, "complete", T=1, utility="exp", habit=habit,
+                           max_tries=1000)
+    fast = solve_general(sc.market, sc.prefs, sc.eps, gtol=1e-12)
+    slow = solve_primal_oracle(sc.market, sc.prefs, sc.eps)
+    for k in range(2):
+        assert np.allclose(cvals(fast, k), cvals(slow, k), atol=1e-6)
+
+
+def test_oracle_ignores_redundant_assets(bin1):
+    # two identical risky assets: the holdings split between them is free
+    m = MarketModel(bin1, [0.0], [np.array([[1.0, 1.0]])],
+                    [np.array([[2.0, 2.0], [0.5, 0.5]])])
+    p = HabitPreferences.one_lag(bin1, LogUtility(), 0.5)
+    eps = [np.array([1.0]), np.full(2, 0.1)]
+    closed = solve_auto(m, p, eps, method="closed")
+    slow = solve_primal_oracle(m, p, eps)
+    for k in range(2):
+        assert np.allclose(cvals(closed, k), cvals(slow, k), atol=1e-4)
+
+
 def test_oracle_refuses_large_instances():
     leaves = list(range(8))
     levels = [[leaves],
