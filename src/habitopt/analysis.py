@@ -629,14 +629,14 @@ def counterexample_51(eps0: float = 3.0, eps1=0.0,
 
 
 def wealth_sweep(m: MarketModel, p: HabitPreferences, eps, start: float,
-                 stop: float, n: int, method: str = "auto",
-                 gtol: float = 1e-12, threads: int = 1) -> list[dict]:
+                 stop: float, n: int, method: str = "auto") -> list[dict]:
     """Resolve over a grid of initial endowments for plotting.
 
     Each row carries the endowment, time-0 consumption, its central first and
     second grid differences (``None`` at endpoints or next to failed solves),
     total utility, and the per-period expected felicities.  Failed solves are
-    kept with a status message rather than dropped.
+    kept with a status message rather than dropped.  The market's deflator
+    and classification are computed once and shared by every grid point.
     """
     from .solvers import solve_auto
 
@@ -660,12 +660,7 @@ def wealth_sweep(m: MarketModel, p: HabitPreferences, eps, start: float,
             row["status"] = f"failed: {type(exc).__name__}"
         return row
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(solve_one, grid))
-    else:
-        rows = [solve_one(e0) for e0 in grid]
+    rows = [solve_one(e0) for e0 in grid]
 
     h = grid[1] - grid[0] if len(grid) > 1 else 1.0
     for i, row in enumerate(rows):

@@ -121,13 +121,6 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HABITOPT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------------------
 # file ingestion
 # ---------------------------------------------------------------------------
@@ -345,8 +338,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--range must be start:stop:count, e.g. 0.5:10:50")
     if n < 1:
         raise ValueError("--range count must be positive")
-    rows = analysis.wealth_sweep(market, prefs, eps, start, stop, n,
-                                 method=args.method, threads=_threads())
+    rows = analysis.wealth_sweep(market, prefs, eps, start, stop, n, method=args.method)
     if args.emit == "csv":
         _emit(_sweep_csv(rows, tree.T), args.out)
     else:

@@ -75,6 +75,11 @@ class MarketModel:
     of ones and dividends a leading column equal to the lifted rate (plus the
     unit redemption at the terminal date).  Assets pay nothing before level 1
     and prices vanish at the terminal level.
+
+    A model is treated as immutable once built: it caches its payoff-space
+    bases, its state-price deflators (one per LP objective) and its
+    classification (one per witness), so repeated solves on one market run
+    the no-arbitrage LP and the classification once.
     """
 
     def __init__(self, tree: EventTree, rates, risky_prices=None, risky_dividends=None,
@@ -142,6 +147,8 @@ class MarketModel:
         self.S = S
         self.d = d
         self._bases: dict[int, PayoffSpaceBasis] = {}
+        self._deflators: dict[tuple, AdaptedProcess] = {}
+        self._classes: dict[tuple | None, MarketClass] = {}
 
     @property
     def T(self) -> int:
@@ -229,12 +236,6 @@ def project(m: MarketModel, k: int, x: RandomVariable) -> RandomVariable:
     return RandomVariable(t, k, coeffs @ basis.ortho)
 
 
-def in_payoff_space(m: MarketModel, x: RandomVariable, tol: float = _PRICING_TOL) -> bool:
-    px = project(m, x.level, x)
-    scale = max(1.0, float(np.max(np.abs(x.values))))
-    return float(np.max(np.abs(px.values - x.values))) <= tol * scale
-
-
 # ---------------------------------------------------------------------------
 # state-price deflators
 # ---------------------------------------------------------------------------
@@ -264,13 +265,18 @@ def check_no_arbitrage(m: MarketModel, objective="uniform", seed: int | None = N
     Returns
     -------
     AdaptedProcess
-        Deflator with one value per atom, level by level, ``R_0 = 1``.
+        Deflator with one value per atom, level by level, ``R_0 = 1``.  Its
+        arrays are read-only: for a named objective the result is cached on
+        ``m`` per ``(objective, seed)`` and shared by later calls.
 
     Raises
     ------
     ArbitrageDetected
         If the pricing system admits no strictly positive solution.
     """
+    key = (objective, seed) if isinstance(objective, str) else None
+    if key in m._deflators:
+        return m._deflators[key]
     t = m.tree
     T = t.T
     offsets = {}
@@ -298,14 +304,16 @@ def check_no_arbitrage(m: MarketModel, objective="uniform", seed: int | None = N
                     rows.append(row)
                     rhs.append(0.0)
 
-    if objective == "uniform":
+    if key is None:
+        c = np.asarray(objective, dtype=float)
+        if c.shape != (nvar,):
+            raise ValueError(f"objective must have {nvar} entries")
+    elif objective == "uniform":
         c = np.ones(nvar)
     elif objective == "seeded":
         c = np.random.default_rng(seed).uniform(0.5, 1.5, nvar)
     else:
-        c = np.asarray(objective, dtype=float)
-        if c.shape != (nvar,):
-            raise ValueError(f"objective must have {nvar} entries")
+        raise ValueError(f"unknown objective {objective!r}")
 
     res = linprog(c, A_eq=np.array(rows), b_eq=np.array(rhs),
                   bounds=[(_SPD_FLOOR, None)] * nvar, method="highs")
@@ -351,6 +359,10 @@ def check_no_arbitrage(m: MarketModel, objective="uniform", seed: int | None = N
                         f"deflator certificate failed at level {k}, atom {a}, asset {i}: "
                         f"residual {abs(lhs - rv):.3e}"
                     )
+    for x in R.vars:
+        x.values.setflags(write=False)
+    if key is not None:
+        m._deflators[key] = R
     return R
 
 
@@ -576,19 +588,31 @@ def classify_market(m: MarketModel, witness=None) -> MarketClass:
     InvalidWitness otherwise.  The type-C test projects every atom indicator
     and accepts when all projections are non-negative, in which case the
     realizing intermediate partitions are constructed and verified.
+
+    The result is cached on ``m`` per witness (a complete market ignores the
+    witness); a witness that fails validation is not cached.
     """
     t = m.tree
+    ranks = tuple(payoff_space_basis(m, k).rank for k in range(1, t.T + 1))
+    complete = all(ranks[k - 1] == t.n_atoms(k) for k in range(1, t.T + 1))
+    key = None if complete or witness is None else tuple(tuple(map(tuple, lvl))
+                                                         for lvl in witness)
+    if key not in m._classes:
+        m._classes[key] = _classify(m, ranks, complete, key)
+    return m._classes[key]
+
+
+def _classify(m: MarketModel, ranks: tuple, complete: bool, witness) -> MarketClass:
+    t = m.tree
     T = t.T
-    ranks = tuple(payoff_space_basis(m, k).rank for k in range(1, T + 1))
     det_r = deterministic_interest(m)
 
-    if all(ranks[k - 1] == t.n_atoms(k) for k in range(1, T + 1)):
+    if complete:
         return MarketClass("complete", ranks, det_r)
 
     if witness is not None:
         _check_idiosyncratic_witness(m, witness)
-        return MarketClass("idiosyncratic", ranks, det_r,
-                           witness=tuple(tuple(map(tuple, lvl)) for lvl in witness))
+        return MarketClass("idiosyncratic", ranks, det_r, witness=witness)
 
     positive = True
     supports = []

@@ -195,9 +195,6 @@ class HabitPreferences:
     def T(self) -> int:
         return self.tree.T
 
-    def has_habit(self) -> bool:
-        return bool(np.any(self.beta != 0))
-
     def to_json(self) -> dict:
         fam = self.family
         out: dict = {"family": fam.name, "beta": [[float(v) for v in row] for row in self.beta],

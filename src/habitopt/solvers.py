@@ -580,23 +580,38 @@ def _complete_continuation(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int
 
 
 def _replicate_portfolio(m: MarketModel, W, tol: float = 1e-7):
-    """Holdings supporting a wealth process; least squares per node."""
+    """Holdings supporting a wealth process; minimum-norm least squares per node.
+
+    The nodes of a level are grouped by child count, and each group's stacked
+    gain blocks are solved with one batched pseudo-inverse.
+    """
     t = m.tree
     pi = []
     for k in range(t.T):
+        parent = t.parent[k + 1]
+        counts = np.bincount(parent, minlength=t.n_atoms(k))
+        by_parent = np.argsort(parent, kind="stable")
+        starts = np.cumsum(counts) - counts
+        gain = m.gain(k + 1)
         rows = np.zeros((t.n_atoms(k), m.n_risky + 1))
-        for a in range(t.n_atoms(k)):
-            children = t.children(k, a)
-            G = m.gain(k + 1)[children]
+        resid = np.zeros(t.n_atoms(k))
+        scale = np.ones(t.n_atoms(k))
+        for nc in np.unique(counts):
+            atoms = np.flatnonzero(counts == nc)
+            children = by_parent[starts[atoms, None] + np.arange(nc)]
+            G = gain[children]
             target = W[k + 1][children]
-            sol, *_ = np.linalg.lstsq(G, target, rcond=None)
-            resid = float(np.max(np.abs(G @ sol - target))) if children.size else 0.0
-            if resid > tol * max(1.0, float(np.max(np.abs(target)))):
-                raise PreconditionViolated(
-                    f"wealth at level {k + 1} is not attainable from atom {a} "
-                    f"(replication residual {resid:.3e})"
-                )
-            rows[a] = sol
+            sol = np.einsum("aij,aj->ai", np.linalg.pinv(G), target)
+            rows[atoms] = sol
+            resid[atoms] = np.max(np.abs(np.einsum("aij,aj->ai", G, sol) - target), axis=1)
+            scale[atoms] = np.maximum(1.0, np.max(np.abs(target), axis=1))
+        bad = np.flatnonzero(resid > tol * scale)
+        if bad.size:
+            a = int(bad[0])
+            raise PreconditionViolated(
+                f"wealth at level {k + 1} is not attainable from atom {a} "
+                f"(replication residual {resid[a]:.3e})"
+            )
         pi.append(rows)
     return pi
 

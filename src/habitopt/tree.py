@@ -45,7 +45,8 @@ class EventTree:
     Notes
     -----
     Instances are immutable; derived lookup tables (atom probabilities,
-    leaf-to-atom maps, parent links) are computed once in ``build_tree``.
+    leaf-to-atom maps, parent links, first leaf per atom) are computed once
+    in ``build_tree``.
     Construct trees through :func:`build_tree`, which validates nesting.
     """
 
@@ -54,6 +55,7 @@ class EventTree:
     leaf_to_atom: tuple[np.ndarray, ...] = field(repr=False)
     atom_probs: tuple[np.ndarray, ...] = field(repr=False)
     parent: tuple[np.ndarray, ...] = field(repr=False)
+    first_leaf: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
     def T(self) -> int:
@@ -65,9 +67,6 @@ class EventTree:
 
     def n_atoms(self, k: int) -> int:
         return len(self.levels[k])
-
-    def atom_leaves(self, k: int, a: int) -> np.ndarray:
-        return np.asarray(self.levels[k][a], dtype=int)
 
     def children(self, k: int, a: int) -> np.ndarray:
         """Indices of the level-``k+1`` atoms contained in atom ``a`` of level ``k``."""
@@ -158,8 +157,10 @@ def build_tree(levels, probs) -> EventTree:
     atom_probs = tuple(
         np.array([p[list(atom)].sum() for atom in lvl]) for lvl in lvls
     )
+    # atoms are sorted tuples, so their first entry is the smallest leaf
+    first_leaf = tuple(np.array([atom[0] for atom in lvl], dtype=int) for lvl in lvls)
     p.setflags(write=False)
-    for arr in atom_probs:
+    for arr in atom_probs + first_leaf:
         arr.setflags(write=False)
     return EventTree(
         levels=lvls,
@@ -167,6 +168,7 @@ def build_tree(levels, probs) -> EventTree:
         leaf_to_atom=tuple(leaf_to_atom),
         atom_probs=atom_probs,
         parent=tuple(parent),
+        first_leaf=first_leaf,
     )
 
 
@@ -262,9 +264,7 @@ def lift(x: RandomVariable, k: int) -> RandomVariable:
     if k == x.level:
         return x
     t = x.tree
-    leaf_vals = x.values[t.leaf_to_atom[x.level]]
-    rep = np.array([leaf_vals[t.levels[k][a][0]] for a in range(t.n_atoms(k))])
-    return RandomVariable(t, k, rep)
+    return RandomVariable(t, k, x.values[t.leaf_to_atom[x.level][t.first_leaf[k]]])
 
 
 def condexp(x: RandomVariable, k: int) -> RandomVariable:

@@ -251,12 +251,11 @@ def test_sweep_keeps_failed_rows():
                 assert rows[i + 1]["dc0"] is None
 
 
-def test_sweep_threads_match_serial():
-    sc = generate_scenario(58, "general", utility="power", habit="one_lag",
-                           floors=False)
-    one = wealth_sweep(sc.market, sc.prefs, sc.eps, 1.0, 1.5, 4, threads=1)
-    four = wealth_sweep(sc.market, sc.prefs, sc.eps, 1.0, 1.5, 4, threads=4)
-    assert one == four
+def test_sweep_runs_the_deflator_lp_once(market_lps):
+    sc = generate_scenario(41, "complete", utility="power", habit="one_lag")
+    rows = wealth_sweep(sc.market, sc.prefs, sc.eps, 1.0, 2.0, 5)
+    assert [r["status"] for r in rows] == ["ok"] * 5
+    assert len(market_lps) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -196,20 +196,6 @@ def test_sweep_csv_shape(instance, capsys):
     assert inner[2] != "" and inner[3] != ""
 
 
-def test_sweep_threads_are_byte_identical(instance, tmp_path, capsys, monkeypatch):
-    blobs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("HABITOPT_THREADS", threads)
-        path = tmp_path / f"sweep{threads}.csv"
-        code = main(["sweep", "--model", instance["model"],
-                     "--prefs", instance["prefs"], "--endow", instance["endow"],
-                     "--range", "0.8:1.6:5", "--out", str(path)])
-        assert code == 0
-        blobs.append(path.read_bytes())
-    capsys.readouterr()
-    assert blobs[0] == blobs[1]
-
-
 def test_sweep_json_mode(instance, capsys):
     code, out, _ = run(capsys, "sweep", "--model", instance["model"],
                        "--prefs", instance["prefs"], "--endow", instance["endow"],

@@ -107,6 +107,30 @@ def test_deflator_prices_assets_exactly(complete_market):
                 assert abs(lhs - rhs) < 1e-12
 
 
+def test_deflator_lp_runs_once_per_objective(complete_market, market_lps):
+    beta = np.zeros((3, 3))
+    first = spd_bundle(complete_market, beta)
+    for _ in range(3):
+        assert spd_bundle(complete_market, beta).R is first.R
+    assert len(market_lps) == 1
+    for _ in range(2):
+        for seed in (1, 2):
+            spd_bundle(complete_market, beta, objective="seeded", seed=seed)
+    assert len(market_lps) == 3
+    # an explicit objective vector is never cached
+    c = np.ones(6)
+    check_no_arbitrage(complete_market, objective=c)
+    check_no_arbitrage(complete_market, objective=c)
+    assert len(market_lps) == 5
+
+
+def test_cached_deflator_is_read_only(complete_market):
+    R = check_no_arbitrage(complete_market)
+    with pytest.raises(ValueError):
+        R.values(1)[0] = 0.0
+    assert np.allclose(check_no_arbitrage(complete_market).values(1), COMPLETE_R1, atol=1e-9)
+
+
 def test_seeded_objectives_give_distinct_deflators():
     # guards the aggregate-invariance tests against being vacuous
     sc = generate_scenario(103, "idiosyncratic")
@@ -326,6 +350,21 @@ def test_bad_witness_rejected():
     full = tuple(tuple((a,) for a in range(t.n_atoms(k))) for k in range(t.T + 1))
     with pytest.raises(InvalidWitness):
         classify_market(sc.market, full)
+    # a rejected witness is not cached: it is rejected again
+    with pytest.raises(InvalidWitness):
+        classify_market(sc.market, full)
+
+
+def test_classification_cached_per_witness():
+    sc = generate_scenario(103, "idiosyncratic")
+    with_witness = classify_market(sc.market, sc.witness)
+    without = classify_market(sc.market)
+    assert with_witness.kind == "idiosyncratic"
+    assert without.kind != "idiosyncratic"
+    # the same witness as lists hits the same cache entry
+    as_lists = [[list(b) for b in lvl] for lvl in sc.witness]
+    assert classify_market(sc.market, as_lists) is with_witness
+    assert classify_market(sc.market) is without
 
 
 def test_deterministic_interest_detection(tree2):

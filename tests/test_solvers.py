@@ -25,6 +25,7 @@ from habitopt import (
     spd_bundle,
 )
 from habitopt import CustomUtility
+from habitopt.solvers import _replicate_portfolio
 
 
 @pytest.fixture
@@ -328,6 +329,44 @@ def test_exponential_bonds_refuses_risky(bin1):
 
 
 # ---------------------------------------------------------------------------
+# portfolio replication
+# ---------------------------------------------------------------------------
+
+# level-1 atoms with 2 and 3 children, so the batched solve sees two group sizes
+UNEVEN = [[[0, 1, 2, 3, 4]], [[0, 1], [2, 3, 4]], [[0], [1], [2], [3], [4]]]
+
+
+def uneven_market(n_risky):
+    t = build_tree(UNEVEN, [0.2] * 5)
+    if n_risky == 0:
+        return MarketModel(t, [0.01, 0.02])
+    rng = np.random.default_rng(7)
+    prices = [rng.uniform(0.5, 1.5, (t.n_atoms(k), n_risky)) for k in range(2)]
+    divs = [rng.uniform(0.1, 2.0, (t.n_atoms(k), n_risky)) for k in (1, 2)]
+    return MarketModel(t, [0.01, 0.02], prices, divs)
+
+
+def test_batched_replication_matches_per_node_lstsq():
+    m = uneven_market(2)
+    t = m.tree
+    W = [np.array([1.0]), np.array([0.7, 1.3]), np.array([0.2, 0.9, 1.1, 0.4, 1.6])]
+    pi = _replicate_portfolio(m, W)
+    for k in range(t.T):
+        for a in range(t.n_atoms(k)):
+            ch = t.children(k, a)
+            ref, *_ = np.linalg.lstsq(m.gain(k + 1)[ch], W[k + 1][ch], rcond=None)
+            assert np.max(np.abs(pi[k][a] - ref)) <= 1e-12
+
+
+def test_replication_rejects_unattainable_wealth():
+    m = uneven_market(0)
+    # the bond alone cannot spread wealth across the children of level-1 atom 1
+    W = [np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0, 1.0, 2.0, 3.0, 4.0])]
+    with pytest.raises(PreconditionViolated, match="level 2 is not attainable from atom 1"):
+        _replicate_portfolio(m, W)
+
+
+# ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
@@ -335,6 +374,15 @@ def test_auto_routes_complete_power(complete_scene):
     sc = complete_scene
     sol = solve_auto(sc.market, sc.prefs, sc.eps)
     assert sol.diagnostics["method"] == "complete_power"
+
+
+def test_repeated_solves_run_the_deflator_lp_once(complete_scene, market_lps):
+    sc = complete_scene
+    first = solve_auto(sc.market, sc.prefs, sc.eps)
+    for _ in range(2):
+        again = solve_auto(sc.market, sc.prefs, sc.eps)
+        assert np.array_equal(cvals(again, 0), cvals(first, 0))
+    assert len(market_lps) == 1
 
 
 def test_auto_routes_exponential_bonds(exp_scene):
