@@ -43,6 +43,7 @@ from .preferences import (
 from .solvers import (
     Solution,
     _complete_continuation,
+    _subtree_atoms,
     has_inverse_marginal,
     solve_complete_general,
     solve_general,
@@ -128,25 +129,41 @@ def _scope_label(m: MarketModel, witness) -> tuple[str, str]:
     return "out_of_scope", cls.kind
 
 
-def _continuation_consumption(m: MarketModel, p: HabitPreferences, eps_vals,
-                              k: int, node: int, history, w: float,
-                              method: str, gtol: float, spd: SPDBundle) -> float:
-    """Consumption chosen at ``(k, node)`` when entering with wealth ``w``."""
-    if method == "closed":
-        return float(_complete_continuation(p, spd, eps_vals, k, node, history, w)[0][k][0])
-    sub = solve_subproblem(m, p, eps_vals, k, node, history, w, gtol=gtol)
-    return sub.c[(k, node)]
+def _base_holdings(base: Solution, k: int, node: int) -> np.ndarray:
+    """``base.pi`` on the subtree under ``(k, node)``, in the plan's variable order."""
+    atoms = _subtree_atoms(base.c.tree, k, node)
+    T = len(atoms) - 1
+    return np.concatenate([np.zeros(0)] + [base.pi[l][atoms[l]].ravel() for l in range(k, T)])
 
 
-def _root_consumption(m: MarketModel, p: HabitPreferences, eps_vals, eps0: float,
-                      method: str, gtol: float, spd: SPDBundle) -> float:
-    """Time-0 consumption of the full problem with the endowment overridden."""
-    if method == "closed":
-        # entering wealth replaces the time-0 endowment in the budget
-        return _continuation_consumption(m, p, eps_vals, 0, 0, (), eps0, method, gtol, spd)
-    rest = [eps_vals[l] for l in range(1, len(eps_vals))]
-    sol = solve_general(m, p, [eps_vals[0] * 0.0 + eps0] + rest, gtol=gtol)
-    return float(sol.c.values(0)[0])
+def _policy(m: MarketModel, p: HabitPreferences, eps_vals, method: str, gtol: float,
+            spd: SPDBundle | None, base: Solution):
+    """Consumption chosen at ``(k, node)`` given past consumption and entering wealth.
+
+    Every Newton re-solve starts from ``base`` restricted to the node's subtree,
+    which is the optimum at the base wealth and history; each node's plan is
+    built once and then only shifted.  The plans live as long as the returned
+    function, i.e. one probe call.
+    """
+    plans, starts = {}, {}
+
+    def consumption(k: int, node: int, history, w: float) -> float:
+        if method == "closed":
+            return float(_complete_continuation(p, spd, eps_vals, k, node, history, w)[0][k][0])
+        if (k, node) not in starts:
+            starts[(k, node)] = _base_holdings(base, k, node)
+        sub = solve_subproblem(m, p, eps_vals, k, node, history, w, gtol=gtol,
+                               x0=starts[(k, node)], plans=plans)
+        return sub.c[(k, node)]
+
+    return consumption
+
+
+def _probe_points(t: EventTree, eps_vals, base: Solution, cbase, k: int):
+    """``(atom, history, base wealth)`` per level-``k`` atom; the endowment at the root."""
+    for a in range(t.n_atoms(k)):
+        w0 = eps_vals[0][0] if k == 0 else base.W.values(k)[a]
+        yield a, _history(t, cbase, k, a), float(w0)
 
 
 def _probe_method(m: MarketModel, p: HabitPreferences) -> str:
@@ -197,43 +214,25 @@ def monotonicity_probe(m: MarketModel, p: HabitPreferences, eps, k: int,
     if base is None:
         base = solve_general(m, p, eps_vals, gtol=gtol)
     cbase = [base.c.values(l) for l in range(t.T + 1)]
+    policy = _policy(m, p, eps_vals, method, gtol, spd, base)
 
-    if k == 0:
-        w0 = float(eps_vals[0][0])
-        d = delta if delta is not None else max(1e-4, 1e-4 * abs(w0))
-        ests, rich = [], []
-        e_full = []
-        for dd in (d, d / 2):
-            cp = _root_consumption(m, p, eps_vals, w0 + dd, method, gtol, spd)
-            cm = _root_consumption(m, p, eps_vals, w0 - dd, method, gtol, spd)
-            e_full.append((cp - cm) / (2 * dd))
-        ests.append(e_full[0])
-        rich.append(abs(e_full[0] - e_full[1]) / max(abs(e_full[1]), 1e-12))
-        estimates = np.array(ests)
-    else:
-        ests, rich = [], []
-        d = delta
-        for a in range(t.n_atoms(k)):
-            hist = _history(t, cbase, k, a)
-            w0 = float(base.W.values(k)[a])
-            da = d if d is not None else max(1e-4, 1e-4 * abs(w0))
-            pair = []
-            for dd in (da, da / 2):
-                cp = _continuation_consumption(m, p, eps_vals, k, a, hist, w0 + dd,
-                                               method, gtol, spd)
-                cm = _continuation_consumption(m, p, eps_vals, k, a, hist, w0 - dd,
-                                               method, gtol, spd)
-                pair.append((cp - cm) / (2 * dd))
-            ests.append(pair[0])
-            rich.append(abs(pair[0] - pair[1]) / max(abs(pair[1]), 1e-12))
-        estimates = np.array(ests)
-        d = 0.0 if d is None else d
+    ests, rich = [], []
+    for a, hist, w0 in _probe_points(t, eps_vals, base, cbase, k):
+        da = delta if delta is not None else max(1e-4, 1e-4 * abs(w0))
+        pair = []
+        for dd in (da, da / 2):
+            cp = policy(k, a, hist, w0 + dd)
+            cm = policy(k, a, hist, w0 - dd)
+            pair.append((cp - cm) / (2 * dd))
+        ests.append(pair[0])
+        rich.append(abs(pair[0] - pair[1]) / max(abs(pair[1]), 1e-12))
+    estimates = np.array(ests)
     richardson = np.array(rich)
     within = bool(np.all(estimates > 0) and np.all(estimates <= bound + slack))
     return PolicyProbe(
         kind="slope", level=k, estimates=estimates, bounds=bound.copy(),
         within=within, scope=scope, market_kind=kind, richardson=richardson,
-        step=float(d if d else 0.0),
+        step=float(da if k == 0 else delta or 0.0),
         details={"method": method, "base_c": cbase[k].copy()},
     )
 
@@ -269,43 +268,29 @@ def concavity_probe(m: MarketModel, p: HabitPreferences, eps, k: int,
         base = solve_general(m, p, eps_vals, gtol=gtol)
     cbase = [base.c.values(l) for l in range(t.T + 1)]
 
+    policy = _policy(m, p, eps_vals, method, gtol, spd, base)
+
     def second(fn, w0, dd):
         return (fn(w0 + dd) - 2.0 * fn(w0) + fn(w0 - dd)) / (dd * dd)
 
     ests, rich, scales = [], [], []
-    if k == 0:
-        w0 = float(eps_vals[0][0])
-        d = delta if delta is not None else max(5e-3, 5e-3 * abs(w0))
+    for a, hist, w0 in _probe_points(t, eps_vals, base, cbase, k):
+        da = delta if delta is not None else max(5e-3, 5e-3 * abs(w0))
 
         def fn(w):
-            return _root_consumption(m, p, eps_vals, w, method, gtol, spd)
+            return policy(k, a, hist, w)
 
-        pair = [second(fn, w0, d), second(fn, w0, d / 2)]
+        pair = [second(fn, w0, da), second(fn, w0, da / 2)]
         ests.append(pair[0])
         rich.append(abs(pair[0] - pair[1]) / max(abs(pair[1]), 1e-9))
-        scales.append(max(1.0, abs(cbase[0][0])))
-    else:
-        for a in range(t.n_atoms(k)):
-            hist = _history(t, cbase, k, a)
-            w0 = float(base.W.values(k)[a])
-            da = delta if delta is not None else max(5e-3, 5e-3 * abs(w0))
-
-            def fn(w, _a=a, _h=hist):
-                return _continuation_consumption(m, p, eps_vals, k, _a, _h, w,
-                                                 method, gtol, spd)
-
-            pair = [second(fn, w0, da), second(fn, w0, da / 2)]
-            ests.append(pair[0])
-            rich.append(abs(pair[0] - pair[1]) / max(abs(pair[1]), 1e-9))
-            scales.append(max(1.0, abs(cbase[k][a])))
-        d = delta if delta is not None else 0.0
+        scales.append(max(1.0, abs(cbase[k][a])))
     estimates = np.array(ests)
     scales = np.array(scales)
     within = bool(np.all(estimates <= tol * scales))
     return PolicyProbe(
         kind="curvature", level=k, estimates=estimates, bounds=np.zeros_like(estimates),
         within=within, scope=scope, market_kind=kind, richardson=np.array(rich),
-        step=float(d if d else 0.0),
+        step=float(da if k == 0 else delta or 0.0),
         details={"method": method, "scales": scales},
     )
 
@@ -335,14 +320,16 @@ class BoundReport:
 
 def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
                     delta: float | None = None, witness=None,
-                    gtol: float = 1e-12, slack: float = 1e-5) -> BoundReport:
+                    gtol: float = 1e-12, slack: float = 1e-5,
+                    base: Solution | None = None) -> BoundReport:
     """Check the lower bound on how continuation wealth tracks past consumption.
 
     For each level-``k`` atom, the consistent entering wealth of the next
     period's children is defined through the habit-free first-order link
     between periods ``k`` and ``k+1``; its sensitivity to the consumption
     chosen at the parent must dominate the accumulated habit chain weights
-    priced by deflator ratios.
+    priced by deflator ratios.  A root of that link is accepted on its
+    residual, at most ``1e-10`` of the size of the link's price term.
     """
     t = m.tree
     T = t.T
@@ -352,7 +339,9 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
     scope, kind = _scope_label(m, witness)
     spd = spd_bundle(m, p.beta)
     theta = theta_table(p.beta)
-    base = solve_general(m, p, eps_vals, gtol=gtol)
+    if base is None:
+        base = solve_general(m, p, eps_vals, gtol=gtol)
+    policy = _policy(m, p, eps_vals, "newton", gtol, spd, base)
     cbase = [base.c.values(l) for l in range(t.T + 1)]
     wts = t.atom_probs[k + 1]
     gains = m.gain(k + 1)
@@ -386,9 +375,7 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
         def du_next_of(wvec, ck):
             vals = np.empty(children.size)
             for j, b in enumerate(children):
-                sub = solve_subproblem(m, p, eps_vals, k + 1, int(b),
-                                       hist + [ck], float(wvec[j]), gtol=gtol)
-                adj = sub.c[(k + 1, int(b))] - p.h[k + 1][b]
+                adj = policy(k + 1, int(b), hist + [ck], float(wvec[j])) - p.h[k + 1][b]
                 for lev in range(k + 1):
                     bcoef = p.beta[k + 1, lev]
                     if bcoef != 0.0:
@@ -407,14 +394,20 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
                             float(np.max(np.abs(bmat @ y_base - w_base))))
 
         d = delta if delta is not None else max(1e-4, 1e-4 * abs(ck0))
+        price_scale = float(np.max(np.abs(bmat.T @ (wch * mt_ratio))))
         sols = {}
         for sign in (+1, -1):
-            res = root(resid, y_base, args=(ck0 + sign * d,), method="hybr",
-                       options={"xtol": 1e-12})
-            if not res.success:
+            ck = ck0 + sign * d
+            res = root(resid, y_base, args=(ck,), method="hybr", options={"xtol": 1e-12})
+            # hybr may report no progress at a residual already at rounding level
+            worst = float(np.max(np.abs(res.fun)))
+            scale = abs(float(p.family.du(k, chat_k_of(ck)))) * price_scale
+            if not worst <= 1e-10 * scale:
                 raise NonConvergence(
-                    f"wealth-response system did not converge at level {k}, atom {a}",
-                    diagnostics={"message": res.message},
+                    f"wealth-response system did not converge at level {k}, atom {a} "
+                    f"(residual {worst:.3e}, scale {scale:.3e})",
+                    best=bmat @ res.x,
+                    diagnostics={"message": res.message, "residual": worst, "scale": scale},
                 )
             sols[sign] = bmat @ res.x
         for j, b in enumerate(children):
@@ -460,19 +453,22 @@ class EnvelopeReport:
 
 
 def envelope_check(m: MarketModel, p: HabitPreferences, eps,
-                   delta: float | None = None, gtol: float = 1e-12) -> EnvelopeReport:
+                   delta: float | None = None, gtol: float = 1e-12,
+                   base: Solution | None = None) -> EnvelopeReport:
     """Differentiate the value function in the endowment and compare with
     the time-0 habit-adjusted marginal utility of the optimal plan."""
     t = m.tree
     eps_vals = _as_level_values(t, eps)
-    base = solve_general(m, p, eps_vals, gtol=gtol)
+    if base is None:
+        base = solve_general(m, p, eps_vals, gtol=gtol)
+    x0 = _base_holdings(base, 0, 0)
     marginal = float(base.R.values(0)[0])
     e0 = float(eps_vals[0][0])
     d = delta if delta is not None else max(1e-4, 1e-4 * abs(e0))
 
     def value_at(e0v: float) -> float:
         shifted = [np.full(1, e0v)] + [eps_vals[l] for l in range(1, t.T + 1)]
-        return solve_general(m, p, shifted, gtol=gtol).U
+        return solve_general(m, p, shifted, gtol=gtol, x0=x0).U
 
     est = (value_at(e0 + d) - value_at(e0 - d)) / (2 * d)
     scale = max(1.0, abs(marginal))

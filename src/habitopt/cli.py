@@ -41,7 +41,7 @@ from .preferences import (
     foc_residual,
     simplified_foc_residual,
 )
-from .solvers import solve_auto
+from .solvers import solve_auto, solve_general
 from .tree import EventTree
 
 EXIT_OK = 0
@@ -245,11 +245,14 @@ def _run_checks(market, prefs, eps, witness, checks, tol, seed):
                 worst = max(worst, max(entry["simplified_foc_max"]))
             entry["passed"] = bool(worst <= tol)
             results["foc"] = entry
+        # one base plan serves every probe, which also warm-start from it
+        base = solve_general(market, prefs, eps, gtol=1e-12) if set(checks) - {"foc"} else None
         if "monotonicity" in checks:
             per_level = []
             ok = True
             for k in range(t.T + 1):
-                pr = analysis.monotonicity_probe(market, prefs, eps, k, witness=witness)
+                pr = analysis.monotonicity_probe(market, prefs, eps, k, witness=witness,
+                                                base=base)
                 per_level.append({"level": k, "estimates": pr.estimates,
                                   "bounds": pr.bounds, "within": pr.within,
                                   "richardson_max": float(np.max(pr.richardson))})
@@ -260,8 +263,8 @@ def _run_checks(market, prefs, eps, witness, checks, tol, seed):
             per_level = []
             ok = True
             for k in range(t.T + 1):
-                pr = analysis.concavity_probe(market, prefs, eps, k,
-                                              witness=witness, tol=tol)
+                pr = analysis.concavity_probe(market, prefs, eps, k, witness=witness,
+                                              tol=tol, base=base)
                 per_level.append({"level": k, "second_differences": pr.estimates,
                                   "within": pr.within})
                 ok = ok and pr.within
@@ -271,7 +274,8 @@ def _run_checks(market, prefs, eps, witness, checks, tol, seed):
             per_level = []
             ok = True
             for k in range(t.T):
-                rep = analysis.eta_bound_check(market, prefs, eps, k, witness=witness)
+                rep = analysis.eta_bound_check(market, prefs, eps, k, witness=witness,
+                                               base=base)
                 per_level.append({
                     "level": k,
                     "estimates": {f"{a}->{b}": v for (a, b), v in rep.estimates.items()},
@@ -283,7 +287,7 @@ def _run_checks(market, prefs, eps, witness, checks, tol, seed):
             results["eta"] = {"levels": per_level, "scope": rep.scope,
                               "passed": bool(ok)}
         if "envelope" in checks:
-            rep = analysis.envelope_check(market, prefs, eps)
+            rep = analysis.envelope_check(market, prefs, eps, base=base)
             results["envelope"] = {
                 "estimate": rep.estimate, "marginal": rep.marginal,
                 "gap": rep.gap, "scale": rep.scale,
@@ -347,7 +351,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _repro_31() -> tuple[dict, bool]:
-    from .solvers import solve_general, solve_power_no_endowment
+    from .solvers import solve_power_no_endowment
     from .preferences import PowerUtility
 
     sc = analysis.generate_scenario(31, "bond_only", utility="power",

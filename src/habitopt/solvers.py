@@ -15,6 +15,7 @@ portfolio coordinates) provides an independent cross-check on small instances.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass, field
 
@@ -169,11 +170,9 @@ class _SubtreePlan:
         A = np.zeros((nc, nx))
         b0 = np.zeros(nc)
         wts = np.zeros(nc)
-        row_level = np.zeros(nc, dtype=int)
         for l in range(k0, T + 1):
             for j, a in enumerate(atoms[l]):
                 r = c_off[l] + j
-                row_level[r] = l
                 wts[r] = t.atom_probs[l][a]
                 if l == k0:
                     b0[r] = self.w if k0 == 0 else eps_vals[l][a] + self.w
@@ -184,16 +183,17 @@ class _SubtreePlan:
                     A[r, x_off[l - 1] + jj * nA:x_off[l - 1] + (jj + 1) * nA] = m.gain(l)[a]
                 if l < T:
                     A[r, x_off[l] + j * nA:x_off[l] + (j + 1) * nA] = -m.S[l][a]
-        self.A, self.b0, self.wts, self.row_level = A, b0, wts, row_level
+        self.A, self.b0, self.wts = A, b0, wts
 
         # habit unrolling: chat = L c - hconst, with pre-k0 history folded in
+        # through hconst = floors + hist_coef @ history
         L = np.eye(nc)
-        hconst = np.zeros(nc)
-        anc = {}
+        floors = np.zeros(nc)
+        hist_coef = np.zeros((nc, k0))
         for l in range(k0, T + 1):
             for j, a in enumerate(atoms[l]):
                 r = c_off[l] + j
-                hconst[r] = p.h[l][a]
+                floors[r] = p.h[l][a]
                 node_up = a
                 for lev in range(l - 1, -1, -1):
                     node_up = int(t.parent[lev + 1][node_up])
@@ -203,10 +203,33 @@ class _SubtreePlan:
                     if lev >= k0:
                         L[r, c_off[lev] + pos[lev][node_up]] -= bcoef
                     else:
-                        hconst[r] += bcoef * self.history[lev]
-        self.L, self.hconst = L, hconst
+                        hist_coef[r, lev] = bcoef
+        self.L, self.floors, self.hist_coef = L, floors, hist_coef
         self.J = L @ A
-        self.Lb = L @ b0 - hconst
+        self._shift()
+
+    def _shift(self) -> None:
+        """Set the wealth- and history-dependent terms ``hconst`` and ``Lb``."""
+        self.hconst = self.floors + self.hist_coef @ np.asarray(self.history)
+        self.Lb = self.L @ self.b0 - self.hconst
+
+    def at(self, w: float, history) -> "_SubtreePlan":
+        """The same subtree entered with wealth ``w`` after ``history``.
+
+        Shares ``A``, ``L``, ``J``, the atoms and the weights with ``self``;
+        only ``b0``, ``hconst`` and ``Lb`` are recomputed.
+        """
+        if len(history) != self.k0:
+            raise PreconditionViolated(
+                f"history must list consumption for levels 0..{self.k0 - 1}"
+            )
+        plan = copy.copy(self)
+        plan.w = float(w)
+        plan.history = tuple(float(v) for v in history)
+        plan.b0 = self.b0.copy()
+        plan.b0[0] = plan.w if self.k0 == 0 else self.eps_vals[self.k0][self.node] + plan.w
+        plan._shift()
+        return plan
 
     # -- evaluation ---------------------------------------------------------
 
@@ -264,6 +287,15 @@ def _interior_start(plan: _SubtreePlan) -> np.ndarray:
             "no strictly admissible plan exists for these endowments and habits"
         )
     return res.x[:-1]
+
+
+def _start(plan: _SubtreePlan, x0) -> np.ndarray:
+    """``x0`` when it is strictly admissible, else the max-margin LP start."""
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        if np.isfinite(plan.utility(x0)):
+            return x0
+    return _interior_start(plan)
 
 
 def _newton_maximize(plan: _SubtreePlan, x0: np.ndarray, gtol: float = 1e-10,
@@ -382,28 +414,43 @@ def solve_general(m: MarketModel, p: HabitPreferences, eps, x0=None,
     Works on any no-arbitrage market and any concave family.  The returned
     gradient norm bounds the probability-weighted pricing residuals of the
     habit-adjusted marginal deflator, which is the optimality certificate.
+    ``x0`` warm-starts Newton as in ``solve_subproblem``.
     """
     plan = _SubtreePlan(m, p, eps)
-    if x0 is None:
-        x0 = _interior_start(plan)
-    x, info = _newton_maximize(plan, np.asarray(x0, dtype=float), gtol=gtol,
-                               max_iter=max_iter)
+    x, info = _newton_maximize(plan, _start(plan, x0), gtol=gtol, max_iter=max_iter)
     return _assemble_solution(plan, x, "newton", info)
 
 
 def solve_subproblem(m: MarketModel, p: HabitPreferences, eps, k: int, node: int,
                      history, w: float, gtol: float = 1e-11,
-                     max_iter: int = 300) -> SubSolution:
+                     max_iter: int = 300, x0=None, plans: dict | None = None) -> SubSolution:
     """Optimal continuation from ``node`` at level ``k`` with entering wealth ``w``.
 
     ``history`` prescribes consumption on the node's strict ancestors, which
     enters through the habit terms.  At ``k = 0`` the wealth parameter stands
     in for the time-0 endowment, so ``w`` equal to that endowment reproduces
     the full problem.
+
+    ``x0`` warm-starts Newton from portfolio holdings in the plan's variable
+    order: levels ``k..T-1``, the subtree's atoms in index order at each
+    level, one row of bond and risky holdings per atom -- for instance a
+    nearby optimum restricted to this subtree.  When ``x0`` is missing or not
+    strictly admissible (its utility is not finite), the max-margin LP start
+    is used instead.  Stopping rules and errors are the same either way.
+
+    ``plans`` is an optional dict, owned by the caller, of plans built by
+    earlier calls with the same ``m``, ``p`` and ``eps``, keyed by
+    ``(k, node)``: a plan found there is shifted to ``w`` and ``history``
+    instead of built anew, and a new plan is added to it.
     """
     t = m.tree
-    plan = _SubtreePlan(m, p, eps, k0=k, node=node, history=history, w=w)
-    x, info = _newton_maximize(plan, _interior_start(plan), gtol=gtol, max_iter=max_iter)
+    if plans is not None and (k, node) in plans:
+        plan = plans[(k, node)].at(w, history)
+    else:
+        plan = _SubtreePlan(m, p, eps, k0=k, node=node, history=history, w=w)
+        if plans is not None:
+            plans[(k, node)] = plan
+    x, info = _newton_maximize(plan, _start(plan, x0), gtol=gtol, max_iter=max_iter)
     cvals = plan.consumption(x)
     cmap, wmap = {}, {}
     for l in range(k, t.T + 1):

@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+import habitopt.analysis
 from habitopt import (
     GenerationExhausted,
     HabitPreferences,
     LogUtility,
     MarketModel,
+    NonConvergence,
     PowerUtility,
     Scenario,
     WrongMarketClass,
@@ -23,6 +26,7 @@ from habitopt import (
     monotonicity_probe,
     policy_bound,
     policy_bound_chain,
+    solve_general,
     spd_bundle,
     wealth_sweep,
 )
@@ -122,6 +126,42 @@ def test_closed_probes_match_newton(seed, utility, habit, probe):
         assert np.allclose(closed.estimates, newton.estimates, rtol=0, atol=1e-8)
 
 
+@pytest.mark.filterwarnings("ignore::habitopt.WrongMarketClass")
+@pytest.mark.parametrize("family, T", [("complete", 2), ("bond_only", 3), ("general", 2),
+                                       ("idiosyncratic", 2)])
+def test_warm_started_probes_match_cold_starts(monkeypatch, family, T):
+    sc = generate_scenario(3, family, T=T, utility="power", habit="one_lag")
+    args = (sc.market, sc.prefs, sc.eps, 1)
+
+    def run():
+        return (monotonicity_probe(*args, method="newton"),
+                concavity_probe(*args, method="newton"),
+                eta_bound_check(sc.market, sc.prefs, sc.eps, 0))
+
+    slope, curv, eta = run()
+    monkeypatch.setattr(habitopt.analysis, "_base_holdings", lambda base, k, node: None)
+    cold_slope, cold_curv, cold_eta = run()
+    assert np.allclose(slope.estimates, cold_slope.estimates, rtol=0, atol=1e-9)
+    assert np.all(np.abs(curv.estimates - cold_curv.estimates)
+                  <= 1e-6 * curv.details["scales"])
+    assert eta.estimates.keys() == cold_eta.estimates.keys()
+    for key, est in eta.estimates.items():
+        assert est == pytest.approx(cold_eta.estimates[key], rel=0, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::habitopt.WrongMarketClass")
+def test_slope_probe_warm_starts_without_lps(solver_lps):
+    sc = generate_scenario(1, "general", T=3, utility="power", habit="one_lag")
+    base = solve_general(sc.market, sc.prefs, sc.eps, gtol=1e-12)
+    solver_lps.clear()
+    for k in range(sc.tree.T + 1):
+        monotonicity_probe(sc.market, sc.prefs, sc.eps, k, base=base)
+    # every re-solve starts from the base plan; before warm starts: 52 LPs
+    assert len(solver_lps) == 0
+    monotonicity_probe(sc.market, sc.prefs, sc.eps, 1)
+    assert len(solver_lps) == 1
+
+
 # ---------------------------------------------------------------------------
 # wealth response to past consumption
 # ---------------------------------------------------------------------------
@@ -137,6 +177,51 @@ def test_eta_bound_satisfied_and_terminal_formula():
     for key, est in report.estimates.items():
         assert est >= report.bounds[key] - 1e-5
         assert est == pytest.approx(formula[key], rel=1e-3, abs=1e-5)
+
+
+def _stub_root(at):
+    """A stand-in for ``scipy.optimize.root`` that claims success at ``at(x0)``."""
+
+    def stub(fun, x0, args=(), **kwargs):
+        x = at(np.asarray(x0, dtype=float))
+        return OptimizeResult(x=x, fun=fun(x, *args), success=True, message="stub")
+
+    return stub
+
+
+@pytest.mark.parametrize("at", [lambda x0: x0, lambda x0: x0 + 1e-3],
+                         ids=["start-point", "wrong-point"])
+def test_eta_root_is_accepted_on_its_residual_only(monkeypatch, at):
+    sc = generate_scenario(56, "complete", utility="power", habit="one_lag",
+                           floors=False)
+    monkeypatch.setattr(habitopt.analysis, "root", _stub_root(at))
+    with pytest.raises(NonConvergence) as exc:
+        eta_bound_check(sc.market, sc.prefs, sc.eps, k=0)
+    assert exc.value.diagnostics["residual"] > 1e-10 * exc.value.diagnostics["scale"]
+
+
+def test_eta_root_without_progress_flag_is_accepted(monkeypatch):
+    sc = generate_scenario(56, "complete", utility="power", habit="one_lag",
+                           floors=False)
+    expected = eta_bound_check(sc.market, sc.prefs, sc.eps, k=0)
+    real = habitopt.analysis.root
+
+    def no_progress(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.success = False
+        res.message = "The iteration is not making good progress"
+        return res
+
+    monkeypatch.setattr(habitopt.analysis, "root", no_progress)
+    report = eta_bound_check(sc.market, sc.prefs, sc.eps, k=0)
+    assert report.estimates == expected.estimates
+
+
+def test_eta_passes_where_hybr_stalls_at_rounding_level():
+    # hybr reported no progress at a residual of ~1e-16 at level 0, atom 0
+    sc = generate_scenario(2002, "bond_only", T=4, utility="power", habit="one_lag")
+    for k in range(sc.tree.T):
+        assert eta_bound_check(sc.market, sc.prefs, sc.eps, k).satisfied
 
 
 def test_eta_bound_rejects_terminal_level():

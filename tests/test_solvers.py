@@ -25,7 +25,8 @@ from habitopt import (
     spd_bundle,
 )
 from habitopt import CustomUtility
-from habitopt.solvers import _replicate_portfolio
+from habitopt.analysis import _base_holdings
+from habitopt.solvers import _replicate_portfolio, _SubtreePlan
 
 
 @pytest.fixture
@@ -207,6 +208,62 @@ def test_subproblem_at_root_reproduces_full():
         for a in range(sc.tree.n_atoms(k)):
             assert sub.c[(k, a)] == pytest.approx(full.c.values(k)[a], abs=1e-8)
     assert sub.U == pytest.approx(full.U, abs=1e-10)
+
+
+def _continuation_at_base(seed=31):
+    """A level-1 continuation problem at the base optimum's wealth and history."""
+    sc = generate_scenario(seed, "bond_only", utility="log", habit="one_lag")
+    base = solve_general(sc.market, sc.prefs, sc.eps, gtol=1e-12)
+    k, node = 1, 1
+    hist = [float(base.c.values(0)[0])]
+    w = float(base.W.values(k)[node])
+    return sc, k, node, hist, w, _base_holdings(base, k, node)
+
+
+def test_inadmissible_warm_start_falls_back_to_lp(solver_lps):
+    sc, k, node, hist, w, x_base = _continuation_at_base()
+    args = (sc.market, sc.prefs, sc.eps, k, node, hist, w)
+    plan = _SubtreePlan(*args[:3], k0=k, node=node, history=hist, w=w)
+    bad = np.full(x_base.size, 1e3)
+    assert not np.isfinite(plan.utility(bad))
+    solver_lps.clear()
+    cold = solve_subproblem(*args, gtol=1e-12)
+    assert len(solver_lps) == 1
+    fallback = solve_subproblem(*args, gtol=1e-12, x0=bad)
+    assert len(solver_lps) == 2
+    warm = solve_subproblem(*args, gtol=1e-12, x0=x_base)
+    assert len(solver_lps) == 2
+    for key, c in cold.c.items():
+        assert fallback.c[key] == pytest.approx(c, abs=1e-10)
+        assert warm.c[key] == pytest.approx(c, abs=1e-10)
+
+
+def test_shifted_plan_matches_a_fresh_build():
+    sc, k, node, hist, w, _ = _continuation_at_base()
+    plan = _SubtreePlan(sc.market, sc.prefs, sc.eps, k0=k, node=node, history=hist, w=w)
+    for w2, hist2 in ((w + 1e-3, hist), (w, [hist[0] - 1e-3]), (0.5 * w, [2.0])):
+        shifted = plan.at(w2, hist2)
+        fresh = _SubtreePlan(sc.market, sc.prefs, sc.eps, k0=k, node=node,
+                             history=hist2, w=w2)
+        assert shifted.A is plan.A and shifted.J is plan.J and shifted.L is plan.L
+        for name in ("b0", "hconst", "Lb"):
+            assert np.allclose(getattr(shifted, name), getattr(fresh, name),
+                               rtol=0, atol=1e-15)
+    assert plan.w == w and plan.history == tuple(hist)
+    with pytest.raises(PreconditionViolated):
+        plan.at(w, [])
+
+
+def test_subproblem_reuses_plans_by_node():
+    sc, k, node, hist, w, x_base = _continuation_at_base()
+    plans = {}
+    first = solve_subproblem(sc.market, sc.prefs, sc.eps, k, node, hist, w + 1e-3,
+                             x0=x_base, plans=plans)
+    built = plans[(k, node)]
+    again = solve_subproblem(sc.market, sc.prefs, sc.eps, k, node, hist, w + 1e-3,
+                             x0=x_base, plans=plans)
+    assert list(plans) == [(k, node)] and plans[(k, node)] is built
+    assert again.c == first.c
 
 
 def test_subproblem_terminal_consumes_everything():
