@@ -36,11 +36,37 @@ __all__ = [
 ]
 
 
+def _runs(keys) -> list[tuple[int, int, object]]:
+    """Maximal runs ``(start, stop, key)`` of equal consecutive ``keys``."""
+    keys = np.asarray(keys)
+    cut = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+    return [(a, b, keys[a].item()) for a, b in zip([0, *cut], [*cut, keys.size]) if b > a]
+
+
+def _by_runs(x: np.ndarray, runs, f) -> np.ndarray:
+    """``f(x[a:b], key)`` over each run, in one call when a single run covers ``x``."""
+    if len(runs) == 1:
+        return f(x, runs[0][2])
+    out = np.empty_like(x)
+    for a, b, key in runs:
+        out[a:b] = f(x[a:b], key)
+    return out
+
+
 class PowerUtility:
     """Constant relative risk aversion felicity, possibly time-varying.
 
     ``u_k(x) = exp(-rho k) x^(1-gamma_k) / (1-gamma_k)`` with the usual
     logarithmic limit at ``gamma_k = 1``.  Defined for ``x > 0``.
+
+    Every family has the whole-plan evaluation ``on_rows(levels)``: given
+    the level of each row of a plan, it returns functions ``u(x)`` and
+    ``du_d2u(x)`` of the plan's adjusted consumption whose elements equal,
+    bit for bit, the scalar-level ``u``, ``du`` and ``d2u`` at each row's
+    level.  Here discounts and curvature factors are resolved once per row,
+    and each run of rows that shares ``gamma_k`` takes one power (or log)
+    call with a scalar exponent, as the scalar-level methods do: numpy's fast
+    paths for exponents such as -1 round differently from its array path.
     """
 
     name = "power"
@@ -79,6 +105,26 @@ class PowerUtility:
         g = self.gamma_at(k)
         return np.power(np.asarray(y, dtype=float) * np.exp(self.rho * k), -1.0 / g)
 
+    def on_rows(self, levels):
+        n = len(levels)
+        disc, curv, denom, gam = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+        for a, b, k in _runs(levels):
+            g = self.gamma_at(k)
+            d = np.exp(-self.rho * k)
+            gam[a:b], disc[a:b], curv[a:b] = g, d, -g * d
+            denom[a:b] = 1.0 if g == 1.0 else 1.0 - g
+        gruns = _runs(gam)
+
+        def u(x):
+            return disc * _by_runs(x, gruns, lambda xs, g: np.log(xs) if g == 1.0
+                                   else np.power(xs, 1.0 - g)) / denom
+
+        def du_d2u(x):
+            return (disc * _by_runs(x, gruns, lambda xs, g: np.power(xs, -g)),
+                    curv * _by_runs(x, gruns, lambda xs, g: np.power(xs, -g - 1.0)))
+
+        return u, du_d2u
+
 
 class LogUtility(PowerUtility):
     """Logarithmic felicity (unit relative risk aversion)."""
@@ -92,7 +138,9 @@ class LogUtility(PowerUtility):
 class ExponentialUtility:
     """Constant absolute risk aversion felicity on the whole real line.
 
-    ``u_k(x) = -exp(-rho k) exp(-gamma x) / gamma``.
+    ``u_k(x) = -exp(-rho k) exp(-gamma x) / gamma``.  ``on_rows(levels)``
+    (see ``PowerUtility``) resolves per-row discounts once and shares one
+    ``exp(-gamma x)`` between ``u'`` and ``u''``.
     """
 
     name = "exp"
@@ -119,9 +167,29 @@ class ExponentialUtility:
     def du_inv(self, k: int, y):
         return -np.log(np.asarray(y, float) * np.exp(self.rho * k)) / self.gamma
 
+    def on_rows(self, levels):
+        disc = np.empty(len(levels))
+        for a, b, k in _runs(levels):
+            disc[a:b] = np.exp(-self.rho * k)
+        neg, curv = -disc, -self.gamma * disc
+
+        def u(x):
+            return neg * np.exp(-self.gamma * x) / self.gamma
+
+        def du_d2u(x):
+            e = np.exp(-self.gamma * x)
+            return disc * e, curv * e
+
+        return u, du_d2u
+
 
 class CustomUtility:
-    """User-supplied felicity ``(u, du, d2u)``, shared across periods."""
+    """User-supplied felicity ``(u, du, d2u)``, shared across periods.
+
+    Each callable takes ``(k, x)``: a scalar level ``k`` and an array ``x`` of
+    adjusted consumption at that level.  ``on_rows(levels)`` (see
+    ``PowerUtility``) therefore calls them once per run of rows at one level.
+    """
 
     name = "custom"
 
@@ -142,6 +210,18 @@ class CustomUtility:
         if self._du_inv is None:
             raise NotImplementedError("this custom utility has no inverse marginal")
         return self._du_inv(k, np.asarray(y, float))
+
+    def on_rows(self, levels):
+        runs = _runs(levels)
+
+        def u(x):
+            return _by_runs(x, runs, lambda xs, k: self.u(k, xs))
+
+        def du_d2u(x):
+            return (_by_runs(x, runs, lambda xs, k: self.du(k, xs)),
+                    _by_runs(x, runs, lambda xs, k: self.d2u(k, xs)))
+
+        return u, du_d2u
 
 
 class HabitPreferences:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -107,6 +108,15 @@ class SubSolution:
 # plan parametrization shared by the Newton solver and the oracle
 # ---------------------------------------------------------------------------
 
+def _row_dots(P: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """``np.dot(P[i], G[i])`` for every row ``i``, bit for bit.
+
+    A stack of ``(1, n) @ (n, 1)`` products runs numpy's vector dot per row,
+    which ``einsum`` and ``(P * G).sum(1)`` do not round like.
+    """
+    return (P[:, None, :] @ G[:, :, None])[:, 0, 0]
+
+
 def _subtree_atoms(t, k0: int, node: int) -> list:
     """Atoms of each level ``k0..T`` below ``node`` (``None`` above ``k0``)."""
     atoms = [None] * (t.T + 1)
@@ -123,6 +133,12 @@ class _SubtreePlan:
     parameter plays the role of the time-0 endowment) or the continuation
     problem from ``node`` at level ``k0`` with past consumption ``history``
     along the node's ancestor path.
+
+    Rows are ordered by level, then by atom.  ``u_rows`` and ``du_d2u_rows``
+    are the family's whole-plan evaluation over those rows
+    (``family.on_rows``), built once per plan and shared by ``at``, so each
+    evaluation point costs one vectorized ``u`` or one ``(u', u'')`` pair;
+    ``utility`` still sums one level at a time.
     """
 
     def __init__(self, m: MarketModel, p: HabitPreferences, eps, k0: int = 0,
@@ -152,7 +168,6 @@ class _SubtreePlan:
         pos = [None] * (T + 1)
         for l in range(k0, T + 1):
             pos[l] = {int(a): j for j, a in enumerate(atoms[l])}
-        self.pos = pos
 
         x_off = {}
         nx = 0
@@ -170,7 +185,10 @@ class _SubtreePlan:
         A = np.zeros((nc, nx))
         b0 = np.zeros(nc)
         wts = np.zeros(nc)
+        # below k0, each row's parent holdings (offsets into x) and its gain
+        w_start, w_gain = [], []
         for l in range(k0, T + 1):
+            gain = m.gain(l) if l > k0 else None
             for j, a in enumerate(atoms[l]):
                 r = c_off[l] + j
                 wts[r] = t.atom_probs[l][a]
@@ -178,12 +196,21 @@ class _SubtreePlan:
                     b0[r] = self.w if k0 == 0 else eps_vals[l][a] + self.w
                 else:
                     b0[r] = eps_vals[l][a]
-                    par = int(t.parent[l][a])
-                    jj = pos[l - 1][par]
-                    A[r, x_off[l - 1] + jj * nA:x_off[l - 1] + (jj + 1) * nA] = m.gain(l)[a]
+                    jj = pos[l - 1][int(t.parent[l][a])]
+                    A[r, x_off[l - 1] + jj * nA:x_off[l - 1] + (jj + 1) * nA] = gain[a]
+                    w_start.append(x_off[l - 1] + jj * nA)
                 if l < T:
                     A[r, x_off[l] + j * nA:x_off[l] + (j + 1) * nA] = -m.S[l][a]
+            if l > k0:
+                w_gain.append(gain[atoms[l]])
         self.A, self.b0, self.wts = A, b0, wts
+        self.w_index = np.array(w_start, dtype=int)[:, None] + np.arange(nA)
+        self.w_gain = np.concatenate([np.empty((0, nA)), *w_gain])
+        self.level_wts = [(slice(c_off[l], c_off[l] + len(atoms[l])),
+                           wts[c_off[l]:c_off[l] + len(atoms[l])]) for l in range(k0, T + 1)]
+        self.u_rows, self.du_d2u_rows = p.family.on_rows(
+            np.repeat(np.arange(k0, T + 1), [len(atoms[l]) for l in range(k0, T + 1)]))
+        self.inada = p.family.inada
 
         # habit unrolling: chat = L c - hconst, with pre-k0 history folded in
         # through hconst = floors + hist_coef @ history
@@ -207,6 +234,11 @@ class _SubtreePlan:
         self.L, self.floors, self.hist_coef = L, floors, hist_coef
         self.J = L @ A
         self._shift()
+
+    @cached_property
+    def c_keys(self) -> list:
+        """``(level, atom)`` of each row, in row order."""
+        return [(l, int(a)) for l in range(self.k0, self.t.T + 1) for a in self.atoms[l]]
 
     def _shift(self) -> None:
         """Set the wealth- and history-dependent terms ``hconst`` and ``Lb``."""
@@ -236,20 +268,24 @@ class _SubtreePlan:
     def consumption(self, x: np.ndarray) -> np.ndarray:
         return self.A @ x + self.b0
 
+    def entering_wealth(self, x: np.ndarray) -> np.ndarray:
+        """Wealth brought into each row below level ``k0``: parent holdings times gains."""
+        return _row_dots(x[self.w_index], self.w_gain)
+
     def chat(self, x: np.ndarray) -> np.ndarray:
         return self.J @ x + self.Lb
 
     def feasible(self, ch: np.ndarray) -> bool:
-        return (not self.p.family.inada) or bool(np.all(ch > 0))
+        return (not self.inada) or bool((ch > 0).all())
 
     def utility(self, x: np.ndarray) -> float:
         ch = self.chat(x)
         if not self.feasible(ch):
             return -np.inf
+        u = self.u_rows(ch)
         total = 0.0
-        for l in range(self.k0, self.t.T + 1):
-            sl = slice(self.c_off[l], self.c_off[l] + len(self.atoms[l]))
-            total += float(np.dot(self.wts[sl], self.p.family.u(l, ch[sl])))
+        for sl, w in self.level_wts:
+            total += float(np.dot(w, u[sl]))
         return total
 
     def grad_hess_weights(self, x: np.ndarray):
@@ -257,12 +293,7 @@ class _SubtreePlan:
         ch = self.chat(x)
         if not self.feasible(ch):
             raise DomainViolation("plan left the utility domain during differentiation")
-        du = np.empty(self.n_c)
-        d2u = np.empty(self.n_c)
-        for l in range(self.k0, self.t.T + 1):
-            sl = slice(self.c_off[l], self.c_off[l] + len(self.atoms[l]))
-            du[sl] = self.p.family.du(l, ch[sl])
-            d2u[sl] = self.p.family.d2u(l, ch[sl])
+        du, d2u = self.du_d2u_rows(ch)
         return self.wts * du, -self.wts * d2u
 
 
@@ -289,42 +320,59 @@ def _interior_start(plan: _SubtreePlan) -> np.ndarray:
     return res.x[:-1]
 
 
-def _start(plan: _SubtreePlan, x0) -> np.ndarray:
-    """``x0`` when it is strictly admissible, else the max-margin LP start."""
+def _start(plan: _SubtreePlan, x0) -> tuple:
+    """``(x, utility at x)``: ``x0`` when strictly admissible, else the LP start."""
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
-        if np.isfinite(plan.utility(x0)):
-            return x0
-    return _interior_start(plan)
+        if x0.shape != (plan.n_x,):
+            raise PreconditionViolated(
+                f"warm start has shape {x0.shape}, expected n_x = {plan.n_x} holdings"
+            )
+        f0 = plan.utility(x0)
+        if np.isfinite(f0):
+            return x0, f0
+    x = _interior_start(plan)
+    return x, plan.utility(x)
 
 
-def _newton_maximize(plan: _SubtreePlan, x0: np.ndarray, gtol: float = 1e-10,
-                     max_iter: int = 300):
-    """Damped Newton ascent of the concave plan utility."""
-    x = np.asarray(x0, dtype=float).copy()
+def _derivatives(plan: _SubtreePlan, x: np.ndarray):
+    """Gradient of the plan utility at ``x`` and the per-row curvature weights."""
+    gw, hw = plan.grad_hess_weights(x)
+    return plan.J.T @ gw, hw
+
+
+def _newton_maximize(plan: _SubtreePlan, x0, gtol: float = 1e-10, max_iter: int = 300):
+    """Damped Newton ascent of the concave plan utility from ``_start(plan, x0)``.
+
+    Returns the maximizer, the utility there and the iteration diagnostics.
+    Each point is evaluated once and differentiated at most once.
+    """
+    x, fx = _start(plan, x0)
+    x = x.copy()
     if plan.n_x == 0:
-        val = plan.utility(x)
-        if not np.isfinite(val):
+        if not np.isfinite(fx):
             raise Infeasible("degenerate plan is outside the utility domain")
-        return x, {"iterations": 0, "grad_norm": 0.0, "ridge": 0.0}
-    fx = plan.utility(x)
+        return x, fx, {"iterations": 0, "grad_norm": 0.0, "ridge": 0.0}
     if not np.isfinite(fx):
         raise DomainViolation("starting point is not strictly admissible")
     info = {"iterations": 0, "grad_norm": np.inf, "ridge": 0.0}
+    g, hw = _derivatives(plan, x)
     for it in range(1, max_iter + 1):
-        gw, hw = plan.grad_hess_weights(x)
-        g = plan.J.T @ gw
-        gn = float(np.max(np.abs(g))) if g.size else 0.0
+        gn = float(np.abs(g).max())
         info["iterations"] = it
         info["grad_norm"] = gn
         if gn <= gtol:
-            return x, info
+            return x, fx, info
+        if not np.isfinite(hw).all():
+            raise NonConvergence("curvature weights are not finite",
+                                 best=x, diagnostics=dict(info))
         H = (plan.J.T * hw) @ plan.J
         ridge = 0.0
         while True:
             try:
-                cf = cho_factor(H + (ridge * np.eye(plan.n_x) if ridge else 0.0), lower=True)
-                step = cho_solve(cf, g)
+                cf = cho_factor(H + (ridge * np.eye(plan.n_x) if ridge else 0.0), lower=True,
+                                check_finite=False)
+                step = cho_solve(cf, g, check_finite=False)
                 break
             except LinAlgError:
                 ridge = max(ridge * 10.0, 1e-12 * max(1.0, float(np.max(np.abs(H)))))
@@ -342,32 +390,29 @@ def _newton_maximize(plan: _SubtreePlan, x0: np.ndarray, gtol: float = 1e-10,
         # accept the full step whenever it halves the gradient norm instead
         x_full = x + step
         f_full = plan.utility(x_full)
+        full = None
         if np.isfinite(f_full):
-            gw_full, _ = plan.grad_hess_weights(x_full)
-            gn_full = float(np.max(np.abs(plan.J.T @ gw_full)))
-            if gn_full <= 0.5 * gn:
-                x, fx = x_full, f_full
+            full = _derivatives(plan, x_full)
+            if float(np.abs(full[0]).max()) <= 0.5 * gn:
+                x, fx, (g, hw) = x_full, f_full, full
                 continue
-        tstep = 1.0
-        while True:
-            cand = plan.utility(x + tstep * step)
-            if cand >= fx + 1e-4 * tstep * gs:
-                x = x + tstep * step
-                fx = cand
-                break
+        tstep, cand = 1.0, f_full
+        while not cand >= fx + 1e-4 * tstep * gs:
             tstep *= 0.5
             if tstep < 1e-15:
                 if gn <= 100 * gtol:
-                    return x, info
+                    return x, fx, info
                 raise NonConvergence(
                     f"line search stalled with gradient norm {gn:.3e}",
                     best=x, diagnostics=dict(info),
                 )
-    gw, _ = plan.grad_hess_weights(x)
-    gn = float(np.max(np.abs(plan.J.T @ gw)))
+            cand = plan.utility(x + tstep * step)
+        x, fx = x + tstep * step, cand
+        g, hw = full if tstep == 1.0 else _derivatives(plan, x)
+    gn = float(np.abs(g).max())
     if gn <= 100 * gtol:
         info["grad_norm"] = gn
-        return x, info
+        return x, fx, info
     raise NonConvergence(
         f"no convergence after {max_iter} iterations (gradient norm {gn:.3e})",
         best=x, diagnostics=dict(info),
@@ -387,16 +432,9 @@ def _assemble_solution(plan: _SubtreePlan, x: np.ndarray, method: str,
     for l in range(T):
         pi.append(x[plan.x_off[l]:plan.x_off[l] + len(plan.atoms[l]) * nA]
                   .reshape(len(plan.atoms[l]), nA))
-    W = [np.zeros(1)]
-    for l in range(1, T + 1):
-        W.append(np.array([
-            float(np.dot(pi[l - 1][int(t.parent[l][a])], m.gain(l)[a]))
-            for a in range(t.n_atoms(l))
-        ]))
-    I = []
-    for l in range(T):
-        I.append(np.array([float(np.dot(pi[l][a], m.S[l][a])) for a in range(t.n_atoms(l))]))
-    I.append(np.zeros(t.n_atoms(T)))
+    W = [np.zeros(1), *np.split(plan.entering_wealth(x),
+                                [plan.c_off[l] - 1 for l in range(2, T + 1)])]
+    I = [_row_dots(pi[l], m.S[l]) for l in range(T)] + [np.zeros(t.n_atoms(T))]
     cp = AdaptedProcess(t, c)
     chat = perturbed_consumption(p, cp).chat
     R = habit_adjusted_marginal(p, cp)
@@ -417,7 +455,7 @@ def solve_general(m: MarketModel, p: HabitPreferences, eps, x0=None,
     ``x0`` warm-starts Newton as in ``solve_subproblem``.
     """
     plan = _SubtreePlan(m, p, eps)
-    x, info = _newton_maximize(plan, _start(plan, x0), gtol=gtol, max_iter=max_iter)
+    x, _, info = _newton_maximize(plan, x0, gtol=gtol, max_iter=max_iter)
     return _assemble_solution(plan, x, "newton", info)
 
 
@@ -443,28 +481,18 @@ def solve_subproblem(m: MarketModel, p: HabitPreferences, eps, k: int, node: int
     ``(k, node)``: a plan found there is shifted to ``w`` and ``history``
     instead of built anew, and a new plan is added to it.
     """
-    t = m.tree
     if plans is not None and (k, node) in plans:
         plan = plans[(k, node)].at(w, history)
     else:
         plan = _SubtreePlan(m, p, eps, k0=k, node=node, history=history, w=w)
         if plans is not None:
             plans[(k, node)] = plan
-    x, info = _newton_maximize(plan, _start(plan, x0), gtol=gtol, max_iter=max_iter)
-    cvals = plan.consumption(x)
-    cmap, wmap = {}, {}
-    for l in range(k, t.T + 1):
-        for j, a in enumerate(plan.atoms[l]):
-            cmap[(l, int(a))] = float(cvals[plan.c_off[l] + j])
-    for l in range(k, t.T):
-        sl = x[plan.x_off[l]:plan.x_off[l] + len(plan.atoms[l]) * plan.nA]
-        piL = sl.reshape(len(plan.atoms[l]), plan.nA)
-        for a in plan.atoms[l + 1]:
-            par = int(t.parent[l + 1][a])
-            wmap[(l + 1, int(a))] = float(np.dot(piL[plan.pos[l][par]], m.gain(l + 1)[a]))
+    x, fx, info = _newton_maximize(plan, x0, gtol=gtol, max_iter=max_iter)
+    cmap = dict(zip(plan.c_keys, plan.consumption(x).tolist()))
+    wmap = dict(zip(plan.c_keys[1:], plan.entering_wealth(x).tolist()))
     wmap[(k, node)] = float(w)
     return SubSolution(level=k, node=node, w=float(w), c=cmap, W=wmap,
-                       U=plan.utility(x), converged=True, diagnostics=dict(info))
+                       U=fx, converged=True, diagnostics=dict(info))
 
 
 _ORACLE_SEEDS = (0, 1, 2)

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,11 +82,11 @@ def test_generate_is_byte_deterministic(tmp_path, capsys):
 
 
 def test_generate_writes_loadable_files(instance):
-    model = json.loads(open(instance["model"]).read())
+    model = json.loads(Path(instance["model"]).read_text())
     assert {"meta", "tree", "market", "witness"} <= set(model)
-    prefs = json.loads(open(instance["prefs"]).read())
+    prefs = json.loads(Path(instance["prefs"]).read_text())
     assert "beta" in prefs and "family" in prefs
-    endow = json.loads(open(instance["endow"]).read())
+    endow = json.loads(Path(instance["endow"]).read_text())
     assert len(endow["endowments"]) == len(model["tree"]["levels"])
 
 
@@ -151,7 +152,7 @@ def test_solve_deterministic_and_verifiable(instance, tmp_path, capsys):
 
 
 def test_solve_infeasible_exits_3(instance, tmp_path, capsys):
-    endow = json.loads(open(instance["endow"]).read())
+    endow = json.loads(Path(instance["endow"]).read_text())
     endow["endowments"] = [[-50.0]] + endow["endowments"][1:]
     bad = tmp_path / "endow.json"
     bad.write_text(json.dumps(endow))

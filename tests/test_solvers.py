@@ -8,6 +8,7 @@ from habitopt import (
     InstanceTooLarge,
     LogUtility,
     MarketModel,
+    NonConvergence,
     PowerUtility,
     PreconditionViolated,
     build_tree,
@@ -273,6 +274,121 @@ def test_subproblem_terminal_consumes_everything():
     sub = solve_subproblem(sc.market, sc.prefs, sc.eps, T, 0, [5.0] * T, w=6.0)
     assert sub.c[(T, 0)] == pytest.approx(6.0 + sc.eps[T][0])
     assert sub.W[(T, 0)] == 6.0
+
+
+def test_mis_shaped_warm_start_is_a_precondition_violation():
+    sc = generate_scenario(1, "general", T=3, utility="power", habit="one_lag")
+    with pytest.raises(PreconditionViolated, match="n_x = 26"):
+        solve_general(sc.market, sc.prefs, sc.eps, x0=np.zeros(3))
+    n_x = _SubtreePlan(sc.market, sc.prefs, sc.eps, k0=1, node=0, history=[1.0], w=1.0).n_x
+    with pytest.raises(PreconditionViolated, match=f"n_x = {n_x}"):
+        solve_subproblem(sc.market, sc.prefs, sc.eps, 1, 0, [1.0], 1.0, x0=np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# whole-plan felicity evaluation
+# ---------------------------------------------------------------------------
+
+def _felicity_families():
+    return {
+        "log": LogUtility(rho=0.05),
+        "power": PowerUtility(2.5, rho=0.05, T=3),
+        # gamma = 1 (log level, u' exponent -1) and 0.5 (u exponent 0.5) hit
+        # numpy's scalar-exponent fast paths
+        "power_hetero": PowerUtility([2.5, 1.7, 0.5, 1.0], rho=0.05),
+        "exp": ExponentialUtility(1.3, rho=0.05),
+        "custom": CustomUtility(u=lambda k, x: -(k + 1.0) / x,
+                                du=lambda k, x: (k + 1.0) * x ** -2.0,
+                                d2u=lambda k, x: -2.0 * (k + 1.0) * x ** -3.0),
+    }
+
+
+def _per_level_reference(plan, x):
+    """Felicity per row, utility and derivative weights from the family's
+    scalar-level methods."""
+    fam = plan.p.family
+    ch = plan.chat(x)
+    total, u, du, d2u = 0.0, [], [], []
+    for l in range(plan.k0, plan.t.T + 1):
+        sl = slice(plan.c_off[l], plan.c_off[l] + len(plan.atoms[l]))
+        u.append(fam.u(l, ch[sl]))
+        total += float(np.dot(plan.wts[sl], u[-1]))
+        du.append(fam.du(l, ch[sl]))
+        d2u.append(fam.d2u(l, ch[sl]))
+    return (np.concatenate(u), total, plan.wts * np.concatenate(du),
+            -plan.wts * np.concatenate(d2u))
+
+
+@pytest.mark.parametrize("name", ["log", "power", "power_hetero", "exp", "custom"])
+def test_plan_felicity_equals_per_level_evaluation(name):
+    sc = generate_scenario(1, "general", T=3, utility="power", habit="one_lag")
+    prefs = HabitPreferences(sc.tree, _felicity_families()[name], sc.prefs.beta)
+    base = solve_general(sc.market, prefs, sc.eps)
+    root = _SubtreePlan(sc.market, prefs, sc.eps)
+    k, node = 1, 2
+    hist = [float(base.c.values(0)[0])]
+    w = float(base.W.values(k)[node])
+    cont = _SubtreePlan(sc.market, prefs, sc.eps, k0=k, node=node, history=hist, w=w)
+    rng = np.random.default_rng(0)
+    for plan in (root, root.at(float(sc.eps[0][0]) + 0.1, ()),
+                 cont, cont.at(w + 0.05, [hist[0] - 0.01])):
+        x = _base_holdings(base, plan.k0, plan.node)
+        for pt in [x] + [x + 1e-3 * rng.standard_normal(x.size) for _ in range(4)]:
+            assert np.isfinite(plan.utility(pt))
+            u, total, gw, hw = _per_level_reference(plan, pt)
+            got_gw, got_hw = plan.grad_hess_weights(pt)
+            assert np.array_equal(plan.u_rows(plan.chat(pt)), u)
+            assert plan.utility(pt) == total
+            assert np.array_equal(got_gw, gw) and np.array_equal(got_hw, hw)
+
+
+def test_entering_wealth_equals_per_atom_dots():
+    sc = generate_scenario(1, "general", T=3, utility="power", habit="one_lag")
+    base = solve_general(sc.market, sc.prefs, sc.eps)
+    t, m = sc.tree, sc.market
+    for k, node in ((0, 0), (1, 2), (2, 4)):
+        # holdings and gains alone set the entering wealth; wealth and history do not
+        plan = _SubtreePlan(m, sc.prefs, sc.eps, k0=k, node=node, history=[1.0] * k, w=1.0)
+        x = _base_holdings(base, k, node)
+        ref = []
+        for l in range(k + 1, t.T + 1):
+            for a in plan.atoms[l]:
+                j = int(np.searchsorted(plan.atoms[l - 1], t.parent[l][a]))
+                pi = x[plan.x_off[l - 1] + j * plan.nA:plan.x_off[l - 1] + (j + 1) * plan.nA]
+                ref.append(float(np.dot(pi, m.gain(l)[a])))
+        assert np.array_equal(plan.entering_wealth(x), np.array(ref))
+
+
+def test_no_accepted_point_is_differentiated_twice(monkeypatch):
+    sc = generate_scenario(1, "general", T=3, utility="power", habit="one_lag")
+    seen = []
+    original = _SubtreePlan.grad_hess_weights
+
+    def spy(self, x):
+        seen.append(np.array(x, copy=True))
+        return original(self, x)
+
+    monkeypatch.setattr(_SubtreePlan, "grad_hess_weights", spy)
+    sol = solve_general(sc.market, sc.prefs, sc.eps)
+    for i in range(len(seen)):
+        for j in range(i):
+            assert not np.array_equal(seen[i], seen[j])
+    # one differentiation at the start and one per step: 10 steps, 11 iterations
+    assert sol.diagnostics["iterations"] == 11
+    assert len(seen) == 11
+
+
+def test_non_finite_curvature_is_a_non_convergence(monkeypatch):
+    sc = generate_scenario(1, "general", T=3, utility="power", habit="one_lag")
+    original = _SubtreePlan.grad_hess_weights
+
+    def overflowing(self, x):
+        gw, hw = original(self, x)
+        return gw, np.where(np.arange(hw.size) == 0, np.inf, hw)
+
+    monkeypatch.setattr(_SubtreePlan, "grad_hess_weights", overflowing)
+    with pytest.raises(NonConvergence, match="not finite"):
+        solve_general(sc.market, sc.prefs, sc.eps)
 
 
 # ---------------------------------------------------------------------------
