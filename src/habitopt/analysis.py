@@ -108,12 +108,7 @@ def policy_bound_chain(tree: EventTree, spd: SPDBundle, beta: np.ndarray) -> lis
 
 def _history(t: EventTree, c_levels, k: int, a: int) -> list[float]:
     """Consumption along the strict ancestors of atom ``a`` at level ``k``."""
-    path = []
-    node = a
-    for lev in range(k - 1, -1, -1):
-        node = int(t.parent[lev + 1][node])
-        path.insert(0, float(c_levels[lev][node]))
-    return path
+    return [float(c_levels[lev][t.ancestor(k, lev)[a]]) for lev in range(k)]
 
 
 def _scope_label(m: MarketModel, witness) -> tuple[str, str]:

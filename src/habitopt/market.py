@@ -25,7 +25,8 @@ from .errors import (
     NotInPayoffSpace,
     VanishingAggregateSPD,
 )
-from .tree import AdaptedProcess, EventTree, RandomVariable, build_tree, condexp, lift
+from .tree import (AdaptedProcess, EventTree, HabitOperator, RandomVariable, build_tree,
+                   condexp, lift)
 
 __all__ = [
     "MarketModel",
@@ -397,19 +398,11 @@ def perturbed_aggregate_spd(tree: EventTree, M, beta: np.ndarray):
 
     ``Mt_T = M_T`` and ``Mt_k = M_k + sum over m > k of beta[m, k] E[Mt_m | level k]``.
     ``beta[m, k]`` is the weight with which period-``k`` consumption enters the
-    period-``m`` habit level.
+    period-``m`` habit level.  This is the habit operator's adjoint solved
+    for ``M``.
     """
-    T = tree.T
-    Mt = [None] * (T + 1)
-    Mt[T] = M[T]
-    for k in range(T - 1, -1, -1):
-        vals = M[k].values.copy()
-        for mm in range(k + 1, T + 1):
-            b = float(beta[mm, k])
-            if b != 0.0:
-                vals = vals + b * condexp(Mt[mm], k).values
-        Mt[k] = RandomVariable(tree, k, vals)
-    return Mt
+    Mt = HabitOperator(tree, beta).adjoint_solve([x.values for x in M])
+    return [RandomVariable(tree, k, v) for k, v in enumerate(Mt)]
 
 
 @dataclass(frozen=True)
@@ -696,18 +689,27 @@ def consumption_to_wealth(m: MarketModel, M, c: AdaptedProcess, eps: AdaptedProc
     ``W_k = (1 / M_k) * sum over l >= k of E[M_l (c_l - eps_l) | level k]``.
     """
     t = m.tree
-    T = t.T
-    W = [None] * (T + 1)
-    tail = RandomVariable(t, T, np.zeros(t.n_atoms(T)))
+    W = _deflated_value(t, M, [c.values(k) - eps.values(k) for k in range(t.T + 1)])
+    return AdaptedProcess(t, W)
+
+
+def _deflated_value(tree: EventTree, M, x) -> list:
+    """``(1 / M_k) * sum over l >= k of E[M_l x_l | level k]``, one array per level.
+
+    The backward recursion carries the undeflated tail; raises
+    DivisionByZeroSPD where ``M_k`` vanishes.
+    """
+    T = tree.T
+    out = [None] * (T + 1)
+    tail = np.zeros(tree.n_atoms(T))
     for k in range(T, -1, -1):
-        net = RandomVariable(t, k, c.values(k) - eps.values(k))
-        tail_k = condexp(tail, k) if tail.level > k else tail
-        total = M[k].values * net.values + tail_k.values
+        if k < T:
+            tail = condexp(RandomVariable(tree, k + 1, tail), k).values
+        tail = M[k].values * x[k] + tail
         if np.any(np.abs(M[k].values) < 1e-14):
             raise DivisionByZeroSPD(f"aggregate deflator vanishes at level {k}")
-        W[k] = RandomVariable(t, k, total / M[k].values)
-        tail = RandomVariable(t, k, total)
-    return AdaptedProcess(t, W)
+        out[k] = tail / M[k].values
+    return out
 
 
 def wealth_to_consumption(m: MarketModel, M, W: AdaptedProcess, eps: AdaptedProcess):

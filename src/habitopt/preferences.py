@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainViolation, LevelMismatch
 from .market import MarketModel, SPDBundle, project
-from .tree import AdaptedProcess, EventTree, RandomVariable, condexp, lift
+from .tree import AdaptedProcess, EventTree, HabitOperator, RandomVariable, lift
 
 __all__ = [
     "PowerUtility",
@@ -237,6 +237,10 @@ class HabitPreferences:
         triangle and diagonal must be zero.  Defaults to no habit.
     h : sequence, optional
         Adapted non-negative floors, one array per level (level 0 must be 0).
+
+    A per-level risk aversion (``family.gamma`` with more than one entry)
+    and ``h`` must each list exactly ``T+1`` levels (LevelMismatch).
+    ``habit`` is the :class:`~habitopt.tree.HabitOperator` of ``beta``.
     """
 
     def __init__(self, tree: EventTree, family, beta=None, h=None):
@@ -250,8 +254,13 @@ class HabitPreferences:
             raise ValueError("habit weights must be non-negative")
         if np.any(np.triu(beta) != 0):
             raise ValueError("beta must be strictly lower triangular")
+        gamma = np.atleast_1d(getattr(family, "gamma", 0.0))
+        if gamma.size > 1 and gamma.size != T + 1:
+            raise LevelMismatch(f"expected {T + 1} levels of risk aversion, got {gamma.size}")
         if h is None:
             h = [np.zeros(tree.n_atoms(k)) for k in range(T + 1)]
+        if len(h) != T + 1:
+            raise LevelMismatch(f"expected {T + 1} levels of floors, got {len(h)}")
         h = [np.broadcast_to(np.asarray(h[k], dtype=float), (tree.n_atoms(k),)).copy()
              for k in range(T + 1)]
         if np.any(h[0] != 0):
@@ -263,6 +272,7 @@ class HabitPreferences:
         self.family = family
         self.beta = beta
         self.h = h
+        self.habit = HabitOperator(tree, beta)
 
     @classmethod
     def one_lag(cls, tree: EventTree, family, b: float, h=None) -> "HabitPreferences":
@@ -351,17 +361,10 @@ def perturbed_consumption(p: HabitPreferences, c) -> PerturbedConsumption:
     them as infinite penalties.
     """
     t = p.tree
-    cv = _as_level_values(t, c)
-    chat = []
+    chat = p.habit.apply(_as_level_values(t, c))
     violations = []
-    for k in range(t.T + 1):
-        vals = cv[k].astype(float).copy()
-        for l in range(k):
-            b = p.beta[k, l]
-            if b != 0.0:
-                vals -= b * lift(RandomVariable(t, l, cv[l]), k).values
+    for k, vals in enumerate(chat):
         vals -= p.h[k]
-        chat.append(vals)
         if p.family.inada and np.any(vals <= 0):
             for a in np.flatnonzero(vals <= 0):
                 violations.append((k, int(a)))
@@ -409,15 +412,7 @@ def habit_adjusted_marginal(p: HabitPreferences, c) -> AdaptedProcess:
     t = p.tree
     pc = _require_feasible(perturbed_consumption(p, c))
     du = [p.family.du(k, pc.chat.values(k)) for k in range(t.T + 1)]
-    out = []
-    for k in range(t.T + 1):
-        vals = du[k].copy()
-        for mm in range(k + 1, t.T + 1):
-            b = p.beta[mm, k]
-            if b != 0.0:
-                vals -= b * condexp(RandomVariable(t, mm, du[mm]), k).values
-        out.append(RandomVariable(t, k, vals))
-    return AdaptedProcess(t, out)
+    return AdaptedProcess(t, p.habit.adjoint(du))
 
 
 def foc_residual(m: MarketModel, p: HabitPreferences, c, spd: SPDBundle) -> list[np.ndarray]:

@@ -36,6 +36,7 @@ from .errors import (
 from .market import (
     MarketModel,
     SPDBundle,
+    _deflated_value,
     classify_market,
     consumption_to_wealth,
     deterministic_interest,
@@ -122,7 +123,7 @@ def _subtree_atoms(t, k0: int, node: int) -> list:
     atoms = [None] * (t.T + 1)
     atoms[k0] = np.array([node], dtype=int)
     for l in range(k0 + 1, t.T + 1):
-        atoms[l] = np.flatnonzero(np.isin(t.parent[l], atoms[l - 1]))
+        atoms[l] = np.flatnonzero(t.ancestor(l, k0) == node)
     return atoms
 
 
@@ -165,72 +166,51 @@ class _SubtreePlan:
 
         nA = m.n_risky + 1
         self.nA = nA
-        pos = [None] * (T + 1)
-        for l in range(k0, T + 1):
-            pos[l] = {int(a): j for j, a in enumerate(atoms[l])}
-
-        x_off = {}
-        nx = 0
-        for l in range(k0, T):
-            x_off[l] = nx
-            nx += len(atoms[l]) * nA
-        c_off = {}
-        nc = 0
-        for l in range(k0, T + 1):
-            c_off[l] = nc
-            nc += len(atoms[l])
+        sizes = [len(atoms[l]) for l in range(k0, T + 1)]
+        c_off = dict(zip(range(k0, T + 1), np.cumsum([0, *sizes]).tolist()))
+        x_off = {l: nA * c_off[l] for l in range(k0, T)}
+        nc, nx = sum(sizes), nA * c_off[T]
         self.n_x, self.n_c = nx, nc
         self.x_off, self.c_off = x_off, c_off
 
-        A = np.zeros((nc, nx))
-        b0 = np.zeros(nc)
-        wts = np.zeros(nc)
-        # below k0, each row's parent holdings (offsets into x) and its gain
-        w_start, w_gain = [], []
+        # A holds, per row, the gains on the parent's holdings and minus the
+        # prices of the row's own holdings; the habit operator's lags give L
+        # (chat = L c - hconst) with pre-k0 history folded in through
+        # hconst = floors + hist_coef @ history
+        habit = p.habit
+        A, L, hist_coef = np.zeros((nc, nx)), np.eye(nc), np.zeros((nc, k0))
+        b0, wts, floors = np.zeros(nc), np.zeros(nc), np.zeros(nc)
+        cols = np.arange(nA)
+        w_start, w_gain = [np.zeros(0, dtype=int)], [np.empty((0, nA))]
         for l in range(k0, T + 1):
-            gain = m.gain(l) if l > k0 else None
-            for j, a in enumerate(atoms[l]):
-                r = c_off[l] + j
-                wts[r] = t.atom_probs[l][a]
-                if l == k0:
-                    b0[r] = self.w if k0 == 0 else eps_vals[l][a] + self.w
+            al = atoms[l]
+            rows = c_off[l] + np.arange(len(al))
+            wts[rows] = t.atom_probs[l][al]
+            floors[rows] = p.h[l][al]
+            if l == k0:
+                b0[rows] = self.w if k0 == 0 else eps_vals[l][al] + self.w
+            else:
+                b0[rows] = eps_vals[l][al]
+                start = x_off[l - 1] + nA * habit.positions(atoms, l, l - 1)
+                w_start.append(start)
+                w_gain.append(m.gain(l)[al])
+                A[rows[:, None], start[:, None] + cols] = w_gain[-1]
+            if l < T:
+                A[rows[:, None], (x_off[l] + nA * np.arange(len(al)))[:, None] + cols] = \
+                    -m.S[l][al]
+            for lev, b in habit.lags[l]:
+                if lev >= k0:
+                    L[rows, c_off[lev] + habit.positions(atoms, l, lev)] = -b
                 else:
-                    b0[r] = eps_vals[l][a]
-                    jj = pos[l - 1][int(t.parent[l][a])]
-                    A[r, x_off[l - 1] + jj * nA:x_off[l - 1] + (jj + 1) * nA] = gain[a]
-                    w_start.append(x_off[l - 1] + jj * nA)
-                if l < T:
-                    A[r, x_off[l] + j * nA:x_off[l] + (j + 1) * nA] = -m.S[l][a]
-            if l > k0:
-                w_gain.append(gain[atoms[l]])
+                    hist_coef[rows, lev] = b
         self.A, self.b0, self.wts = A, b0, wts
-        self.w_index = np.array(w_start, dtype=int)[:, None] + np.arange(nA)
-        self.w_gain = np.concatenate([np.empty((0, nA)), *w_gain])
+        self.w_index = np.concatenate(w_start)[:, None] + cols
+        self.w_gain = np.concatenate(w_gain)
         self.level_wts = [(slice(c_off[l], c_off[l] + len(atoms[l])),
                            wts[c_off[l]:c_off[l] + len(atoms[l])]) for l in range(k0, T + 1)]
         self.u_rows, self.du_d2u_rows = p.family.on_rows(
-            np.repeat(np.arange(k0, T + 1), [len(atoms[l]) for l in range(k0, T + 1)]))
+            np.repeat(np.arange(k0, T + 1), sizes))
         self.inada = p.family.inada
-
-        # habit unrolling: chat = L c - hconst, with pre-k0 history folded in
-        # through hconst = floors + hist_coef @ history
-        L = np.eye(nc)
-        floors = np.zeros(nc)
-        hist_coef = np.zeros((nc, k0))
-        for l in range(k0, T + 1):
-            for j, a in enumerate(atoms[l]):
-                r = c_off[l] + j
-                floors[r] = p.h[l][a]
-                node_up = a
-                for lev in range(l - 1, -1, -1):
-                    node_up = int(t.parent[lev + 1][node_up])
-                    bcoef = p.beta[l, lev]
-                    if bcoef == 0.0:
-                        continue
-                    if lev >= k0:
-                        L[r, c_off[lev] + pos[lev][node_up]] -= bcoef
-                    else:
-                        hist_coef[r, lev] = bcoef
         self.L, self.floors, self.hist_coef = L, floors, hist_coef
         self.J = L @ A
         self._shift()
@@ -425,24 +405,23 @@ def _assemble_solution(plan: _SubtreePlan, x: np.ndarray, method: str,
     if plan.k0 != 0:
         raise PreconditionViolated("full solutions exist only for root plans")
     T = t.T
-    nA = plan.nA
-    cvals = plan.consumption(x)
-    c = [cvals[plan.c_off[l]:plan.c_off[l] + len(plan.atoms[l])] for l in range(T + 1)]
-    pi = []
-    for l in range(T):
-        pi.append(x[plan.x_off[l]:plan.x_off[l] + len(plan.atoms[l]) * nA]
-                  .reshape(len(plan.atoms[l]), nA))
+    c = np.split(plan.consumption(x), [plan.c_off[l] for l in range(1, T + 1)])
+    pi = [xl.reshape(-1, plan.nA) for xl in np.split(x, [plan.x_off[l] for l in range(1, T)])]
     W = [np.zeros(1), *np.split(plan.entering_wealth(x),
                                 [plan.c_off[l] - 1 for l in range(2, T + 1)])]
     I = [_row_dots(pi[l], m.S[l]) for l in range(T)] + [np.zeros(t.n_atoms(T))]
+    return _solution(p, c, W, I, pi, method, info)
+
+
+def _solution(p: HabitPreferences, c, W, I, pi, method: str, diag: dict) -> Solution:
+    """A converged ``Solution`` from per-level consumption, wealth and investment."""
+    t = p.tree
     cp = AdaptedProcess(t, c)
-    chat = perturbed_consumption(p, cp).chat
-    R = habit_adjusted_marginal(p, cp)
-    U = utility_value(p, cp)
-    diag = dict(info)
-    diag["method"] = method
-    return Solution(c=cp, chat=chat, W=AdaptedProcess(t, W), I=AdaptedProcess(t, I),
-                    pi=pi, R=R, U=U, converged=True, diagnostics=diag)
+    return Solution(
+        c=cp, chat=perturbed_consumption(p, cp).chat, W=AdaptedProcess(t, W),
+        I=AdaptedProcess(t, I), pi=pi, R=habit_adjusted_marginal(p, cp),
+        U=utility_value(p, cp), converged=True, diagnostics=dict(diag, method=method),
+    )
 
 
 def solve_general(m: MarketModel, p: HabitPreferences, eps, x0=None,
@@ -563,23 +542,12 @@ def _forward_consumption(p: HabitPreferences, spd: SPDBundle, atoms, history,
     k = len(history)
     lam = float(fam.du(k, z))
     mt_root = float(spd.Mtilde[k].values[atoms[k][0]])
-    c = [None] * (t.T + 1)
-    for l in range(k, t.T + 1):
-        al = atoms[l]
-        chat = np.array([z]) if l == k else np.asarray(
-            fam.du_inv(l, lam * spd.Mtilde[l].values[al] / mt_root), dtype=float)
-        vals = chat + p.h[l][al]
-        anc = {}
-        up = al
-        for lev in range(l - 1, k - 1, -1):
-            up = t.parent[lev + 1][up]
-            anc[lev] = np.searchsorted(atoms[lev], up)
-        for lev in range(l):
-            b = p.beta[l, lev]
-            if b != 0.0:
-                vals = vals + b * (history[lev] if lev < k else c[lev][anc[lev]])
-        c[l] = vals
-    return c
+    y = [None] * (t.T + 1)       # adjusted consumption plus floors
+    y[k] = np.array([z]) + p.h[k][atoms[k]]
+    for l in range(k + 1, t.T + 1):
+        chat = fam.du_inv(l, lam * spd.Mtilde[l].values[atoms[l]] / mt_root)
+        y[l] = np.asarray(chat, dtype=float) + p.h[l][atoms[l]]
+    return p.habit.solve(y, atoms, history)
 
 
 def _budget_gap(t, spd: SPDBundle, c, endow, atoms) -> float:
@@ -694,18 +662,12 @@ def _replicate_portfolio(m: MarketModel, W, tol: float = 1e-7):
 def _solution_from_consumption(m: MarketModel, p: HabitPreferences, eps_vals, c,
                                spd: SPDBundle, method: str, diag: dict) -> Solution:
     t = m.tree
-    cp = AdaptedProcess(t, [np.asarray(ck, dtype=float) for ck in c])
-    epsp = AdaptedProcess(t, eps_vals)
-    W = consumption_to_wealth(m, spd.M, cp, epsp)
+    cp = AdaptedProcess(t, c)
+    W = consumption_to_wealth(m, spd.M, cp, AdaptedProcess(t, eps_vals))
     Ivals = [eps_vals[k] + W.values(k) - cp.values(k) for k in range(t.T + 1)]
     Ivals[t.T] = np.zeros(t.n_atoms(t.T))
     pi = _replicate_portfolio(m, [W.values(k) for k in range(t.T + 1)])
-    chat = perturbed_consumption(p, cp).chat
-    return Solution(
-        c=cp, chat=chat, W=W, I=AdaptedProcess(t, Ivals), pi=pi,
-        R=habit_adjusted_marginal(p, cp), U=utility_value(p, cp),
-        converged=True, diagnostics=dict(diag, method=method),
-    )
+    return _solution(p, cp.vars, W.vars, Ivals, pi, method, diag)
 
 
 def solve_complete_general(m: MarketModel, p: HabitPreferences, eps,
@@ -783,12 +745,8 @@ def solve_complete_power(m: MarketModel, p: HabitPreferences, eps,
     Mt0 = float(spd.Mtilde[0].values[0])
 
     # e_i: level-i block values with chat_i = e_i * c0 ** q_i
-    e = []
-    for i in range(T + 1):
-        vals = np.exp(-fam.rho * i / gam[i]) * np.power(
-            spd.Mtilde[i].values / Mt0, -1.0 / gam[i]
-        )
-        e.append(vals)
+    e = [np.exp(-fam.rho * i / gam[i]) * np.power(spd.Mtilde[i].values / Mt0, -1.0 / gam[i])
+         for i in range(T + 1)]
 
     d = {}
     for k in range(T + 1):
@@ -797,34 +755,22 @@ def solve_complete_power(m: MarketModel, p: HabitPreferences, eps,
                 d[(i, k)] = theta_ext[k, i] * lift(RandomVariable(t, i, e[i]), k).values
 
     # f[(i, k)] = sum over j >= max(i, k) of E[(M_j / M_k) d[(i, j)] | level k]
+    zeros = [np.zeros(t.n_atoms(k)) for k in range(T + 1)]
     f = {}
     for i in range(T + 1):
-        tail = RandomVariable(t, T, np.zeros(t.n_atoms(T)))
-        for k in range(T, -1, -1):
-            acc = condexp(tail, k).values if tail.level > k else tail.values
-            if (i, k) in d:
-                acc = acc + spd.M[k].values * d[(i, k)]
-            tail = RandomVariable(t, k, acc)
-            f[(i, k)] = acc / spd.M[k].values
+        tail = _deflated_value(t, spd.M, [d.get((i, k), zeros[k]) for k in range(T + 1)])
+        f.update(((i, k), v) for k, v in enumerate(tail))
 
-    floor_wealth = []
-    endow_wealth = []
-    tail_h = RandomVariable(t, T, np.zeros(t.n_atoms(T)))
-    tail_e = RandomVariable(t, T, np.zeros(t.n_atoms(T)))
-    for k in range(T, -1, -1):
-        hfull = np.zeros(t.n_atoms(k))
+    hfull = []
+    for k in range(T + 1):
+        vals = np.zeros(t.n_atoms(k))
         for i in range(k + 1):
             coef = theta_ext[k, i]
             if coef != 0.0:
-                hfull += coef * lift(RandomVariable(t, i, p.h[i]), k).values
-        acc_h = (condexp(tail_h, k).values if tail_h.level > k else tail_h.values) \
-            + spd.M[k].values * hfull
-        acc_e = (condexp(tail_e, k).values if tail_e.level > k else tail_e.values) \
-            + spd.M[k].values * eps_vals[k]
-        tail_h = RandomVariable(t, k, acc_h)
-        tail_e = RandomVariable(t, k, acc_e)
-        floor_wealth.insert(0, acc_h / spd.M[k].values)
-        endow_wealth.insert(0, acc_e / spd.M[k].values)
+                vals += coef * lift(RandomVariable(t, i, p.h[i]), k).values
+        hfull.append(vals)
+    floor_wealth = _deflated_value(t, spd.M, hfull)
+    endow_wealth = _deflated_value(t, spd.M, eps_vals)
 
     f0 = np.array([f[(i, 0)][0] for i in range(T + 1)])
     h0 = float(floor_wealth[0][0])
@@ -936,11 +882,9 @@ def solve_exponential_bonds(m: MarketModel, p: HabitPreferences, eps):
         raise PreconditionViolated("this path requires a bond-only market")
     if not deterministic_interest(m):
         raise PreconditionViolated("this path requires deterministic interest rates")
-    for mm_ in range(1, T + 1):
-        for l_ in range(mm_ - 1):
-            if p.beta[mm_, l_] != 0:
-                raise PreconditionViolated("this path requires a one-lag habit")
-    lags = [p.beta[k, k - 1] for k in range(1, T + 1)]
+    if np.any(np.tril(p.beta, -2) != 0):
+        raise PreconditionViolated("this path requires a one-lag habit")
+    lags = np.diagonal(p.beta, -1)
     if np.ptp(lags) > 0:
         raise PreconditionViolated("this path requires one shared habit weight")
     b = float(lags[0])
@@ -984,17 +928,10 @@ def solve_exponential_bonds(m: MarketModel, p: HabitPreferences, eps):
         W.append(Wk)
         c.append(ck)
 
-    cp = AdaptedProcess(t, c)
     Ivals = [eps_vals[k] + W[k] - c[k] for k in range(T + 1)]
     Ivals[T] = np.zeros(t.n_atoms(T))
     pi = [Ivals[k].reshape(-1, 1).copy() for k in range(T)]
-    chat = perturbed_consumption(p, cp).chat
-    sol = Solution(
-        c=cp, chat=chat, W=AdaptedProcess(t, W), I=AdaptedProcess(t, Ivals),
-        pi=pi, R=habit_adjusted_marginal(p, cp), U=utility_value(p, cp),
-        converged=True,
-        diagnostics={"method": "exponential_bonds"},
-    )
+    sol = _solution(p, c, W, Ivals, pi, "exponential_bonds", {})
     return sol, ExponentialCoefficients(x=X, l=l, mm=mm, n=n)
 
 

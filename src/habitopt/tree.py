@@ -74,6 +74,10 @@ class EventTree:
             raise LevelMismatch(f"level {k} has no children on a depth-{self.T} tree")
         return np.flatnonzero(self.parent[k + 1] == a)
 
+    def ancestor(self, k: int, l: int) -> np.ndarray:
+        """The level-``l`` atom containing each level-``k`` atom (``l <= k``)."""
+        return self.leaf_to_atom[l][self.first_leaf[k]]
+
     def to_json(self) -> dict:
         return {
             "T": self.T,
@@ -263,8 +267,7 @@ def lift(x: RandomVariable, k: int) -> RandomVariable:
         raise LevelMismatch(f"cannot lift from level {x.level} down to level {k}")
     if k == x.level:
         return x
-    t = x.tree
-    return RandomVariable(t, k, x.values[t.leaf_to_atom[x.level][t.first_leaf[k]]])
+    return RandomVariable(x.tree, k, x.values[x.tree.ancestor(k, x.level)])
 
 
 def condexp(x: RandomVariable, k: int) -> RandomVariable:
@@ -293,3 +296,63 @@ def inner(x: RandomVariable, y: RandomVariable) -> float:
     if x.tree is not y.tree:
         raise LevelMismatch("random variables live on different trees")
     return float(np.dot(x.tree.probs, x.leaf_values() * y.leaf_values()))
+
+
+
+class HabitOperator:
+    """The habit map ``c -> c_k - sum over l < k of beta[k, l] c_l`` and its adjoint.
+
+    ``apply`` reads ``c_l`` at the level-``l`` ancestor of each level-``k``
+    atom, on the whole tree or on the subtree with per-level sorted ``atoms``
+    and the plan's ``history`` above its root; ``solve`` inverts it.
+    ``adjoint`` is the transpose under ``sum over k of E[y_k x_k]``,
+    ``y_k - sum over m > k of beta[m, k] E[y_m | level k]``; ``adjoint_solve``
+    inverts it.  Terms are added in place in increasing lag order, and
+    ``x - b y`` as ``x + (-b) y``, which rounds the same.
+    """
+
+    def __init__(self, tree: EventTree, beta):
+        self.tree = tree
+        n = tree.T + 1
+        # lags[k]: the nonzero (l, beta[k, l]); leads[l]: the nonzero (k, beta[k, l])
+        self.lags = tuple(tuple((l, float(beta[k][l])) for l in range(k) if beta[k][l] != 0.0)
+                          for k in range(n))
+        self.leads = tuple(tuple((k, b) for k in range(l + 1, n) for j, b in self.lags[k]
+                                 if j == l) for l in range(n))
+
+    def positions(self, atoms, k: int, l: int) -> np.ndarray:
+        """Index in ``atoms[l]`` of the level-``l`` ancestor of each of ``atoms[k]``
+        (the ancestor itself when ``atoms`` is ``None``, the whole tree)."""
+        anc = self.tree.ancestor(k, l)
+        return anc if atoms is None else np.searchsorted(atoms[l], anc[atoms[k]])
+
+    def _unroll(self, x, atoms, history, sign: float) -> list:
+        out = [None] * (self.tree.T + 1)
+        past = x if sign < 0 else out        # apply lags the plan, solve its result
+        for k in range(len(history), self.tree.T + 1):
+            out[k] = np.array(x[k], dtype=float)
+            for l, b in self.lags[k]:
+                out[k] += sign * b * (history[l] if l < len(history)
+                                      else past[l][self.positions(atoms, k, l)])
+        return out
+
+    def _condition(self, y, sign: float) -> list:
+        out = [None] * (self.tree.T + 1)
+        future = y if sign < 0 else out      # adjoint leads y, adjoint_solve its result
+        for l in range(self.tree.T, -1, -1):
+            out[l] = np.array(y[l], dtype=float)
+            for k, b in self.leads[l]:
+                out[l] += sign * b * condexp(RandomVariable(self.tree, k, future[k]), l).values
+        return out
+
+    def apply(self, c, atoms=None, history=()) -> list:
+        return self._unroll(c, atoms, history, -1.0)
+
+    def solve(self, chat, atoms=None, history=()) -> list:
+        return self._unroll(chat, atoms, history, 1.0)
+
+    def adjoint(self, y) -> list:
+        return self._condition(y, -1.0)
+
+    def adjoint_solve(self, y) -> list:
+        return self._condition(y, 1.0)

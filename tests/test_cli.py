@@ -162,6 +162,24 @@ def test_solve_infeasible_exits_3(instance, tmp_path, capsys):
     assert "solver failure" in err
 
 
+@pytest.mark.parametrize("edit", ["short_h", "long_h", "short_gamma"])
+def test_malformed_preferences_exit_2(instance, tmp_path, capsys, edit):
+    prefs = json.loads(Path(instance["prefs"]).read_text())
+    T = len(prefs["h"]) - 1
+    if edit == "short_h":
+        prefs["h"] = prefs["h"][:-1]
+    elif edit == "long_h":
+        prefs["h"] = prefs["h"] + [prefs["h"][-1]]
+    else:
+        prefs["gamma"] = [2.0] * T
+    bad = tmp_path / "prefs.json"
+    bad.write_text(json.dumps(prefs))
+    code, out, err = run(capsys, "solve", "--model", instance["model"],
+                         "--prefs", str(bad), "--endow", instance["endow"])
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input: LevelMismatch: expected")
+
+
 def test_verify_fails_at_absurd_tolerance(instance, capsys):
     code, out, _ = run(capsys, "verify", "--model", instance["model"],
                        "--prefs", instance["prefs"], "--endow", instance["endow"],

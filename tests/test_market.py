@@ -428,3 +428,49 @@ def test_unattainable_wealth_rejected(bond_market):
                            np.array([1.0, 1.0, 2.0, 2.0])])
     with pytest.raises(NotInPayoffSpace):
         wealth_to_consumption(bond_market, spd.M, W, eps)
+
+
+def _backward_wealth(t, M, c, eps):
+    """Reference: the deflated-value recursion written out with random variables."""
+    W = [None] * (t.T + 1)
+    tail = RandomVariable(t, t.T, np.zeros(t.n_atoms(t.T)))
+    for k in range(t.T, -1, -1):
+        net = RandomVariable(t, k, c.values(k) - eps.values(k))
+        tail_k = condexp(tail, k) if tail.level > k else tail
+        total = M[k].values * net.values + tail_k.values
+        W[k] = total / M[k].values
+        tail = RandomVariable(t, k, total)
+    return W
+
+
+def _backward_perturbed(t, M, beta):
+    """Reference: the perturbed deflator with one conditional expectation per lag."""
+    Mt = [None] * (t.T + 1)
+    Mt[t.T] = M[t.T]
+    for k in range(t.T - 1, -1, -1):
+        vals = M[k].values.copy()
+        for mm in range(k + 1, t.T + 1):
+            b = float(beta[mm, k])
+            if b != 0.0:
+                vals = vals + b * condexp(Mt[mm], k).values
+        Mt[k] = RandomVariable(t, k, vals)
+    return Mt
+
+
+@pytest.mark.parametrize("family", ["complete", "bond_only", "general", "idiosyncratic"])
+def test_deflated_values_equal_the_written_out_recursions(family):
+    sc = generate_scenario(61, family, T=3, utility="power", habit="two_lag")
+    t = sc.tree
+    spd = spd_bundle(sc.market, sc.prefs.beta)
+    rng = np.random.default_rng(8)
+    eps = AdaptedProcess(t, [np.broadcast_to(np.asarray(e, float), (t.n_atoms(k),))
+                             for k, e in enumerate(sc.eps)])
+    c = AdaptedProcess(t, [eps.values(k) + rng.normal(0, 0.3, t.n_atoms(k))
+                           for k in range(t.T + 1)])
+    W = consumption_to_wealth(sc.market, spd.M, c, eps)
+    Mt = perturbed_aggregate_spd(t, spd.M, sc.prefs.beta)
+    for k, (w_ref, mt_ref) in enumerate(zip(_backward_wealth(t, spd.M, c, eps),
+                                            _backward_perturbed(t, spd.M, sc.prefs.beta))):
+        assert np.array_equal(W.values(k), w_ref)
+        assert np.array_equal(Mt[k].values, mt_ref.values)
+        assert np.array_equal(spd.Mtilde[k].values, mt_ref.values)

@@ -6,14 +6,17 @@ from habitopt import (
     DomainViolation,
     ExponentialUtility,
     HabitPreferences,
+    LevelMismatch,
     LogUtility,
     MarketModel,
     PowerUtility,
     build_tree,
+    condexp,
     expect,
     foc_residual,
     generate_scenario,
     habit_adjusted_marginal,
+    lift,
     perturbed_consumption,
     simplified_foc_residual,
     solve_general,
@@ -21,6 +24,7 @@ from habitopt import (
     theta_table,
     utility_value,
 )
+from habitopt.tree import RandomVariable
 
 ONE_PERIOD = [[[0]], [[0]]]
 
@@ -288,3 +292,52 @@ def test_custom_family_not_serializable(det1):
     p = HabitPreferences(det1, fam)
     with pytest.raises(ValueError):
         p.to_json()
+
+
+@pytest.mark.parametrize("h", [[np.zeros(1)], [np.zeros(1), np.zeros(2), np.zeros(2)]])
+def test_floors_must_list_every_level(h):
+    t = build_tree([[[0, 1]], [[0], [1]]], [0.5, 0.5])
+    with pytest.raises(LevelMismatch, match="2 levels of floors"):
+        HabitPreferences(t, LogUtility(), h=h)
+
+
+def test_per_level_risk_aversion_must_list_every_level():
+    t = build_tree([[[0]], [[0]], [[0]], [[0]]], [1.0])
+    with pytest.raises(LevelMismatch, match="4 levels of risk aversion, got 2"):
+        HabitPreferences(t, PowerUtility([2.0, 3.0]))
+    obj = HabitPreferences(t, PowerUtility(2.0, T=3)).to_json()
+    obj["gamma"] = [2.0, 3.0]
+    with pytest.raises(LevelMismatch):
+        HabitPreferences.from_json(t, obj)
+    assert HabitPreferences(t, PowerUtility([2.0, 3.0, 1.0, 0.5])).family.gamma.size == 4
+
+
+# ---------------------------------------------------------------------------
+# habit map against the per-lag loops it replaced
+# ---------------------------------------------------------------------------
+
+def test_habit_map_equals_the_per_lag_loops(shuffled_prefs):
+    p = shuffled_prefs
+    t = p.tree
+    c = [np.full(1, 2.0)] + [np.random.default_rng(k).uniform(2.0, 3.0, t.n_atoms(k))
+                             for k in (1, 2, 3)]
+    chat = []
+    for k in range(t.T + 1):
+        vals = c[k].copy()
+        for l in range(k):
+            if p.beta[k, l] != 0.0:
+                vals -= p.beta[k, l] * lift(RandomVariable(t, l, c[l]), k).values
+        chat.append(vals - p.h[k])
+    du = [p.family.du(k, chat[k]) for k in range(t.T + 1)]
+    R = []
+    for k in range(t.T + 1):
+        vals = du[k].copy()
+        for mm in range(k + 1, t.T + 1):
+            if p.beta[mm, k] != 0.0:
+                vals -= p.beta[mm, k] * condexp(RandomVariable(t, mm, du[mm]), k).values
+        R.append(vals)
+    pc = perturbed_consumption(p, c)
+    marginal = habit_adjusted_marginal(p, c)
+    for k in range(t.T + 1):
+        assert np.array_equal(pc.chat.values(k), chat[k])
+        assert np.array_equal(marginal.values(k), R[k])

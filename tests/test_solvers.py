@@ -11,10 +11,14 @@ from habitopt import (
     NonConvergence,
     PowerUtility,
     PreconditionViolated,
+    RandomVariable,
+    Scenario,
     build_tree,
+    condexp,
     consumption_to_wealth,
     generate_scenario,
     has_inverse_marginal,
+    lift,
     solve_auto,
     solve_complete_general,
     solve_complete_power,
@@ -27,7 +31,7 @@ from habitopt import (
 )
 from habitopt import CustomUtility
 from habitopt.analysis import _base_holdings
-from habitopt.solvers import _replicate_portfolio, _SubtreePlan
+from habitopt.solvers import _replicate_portfolio, _SubtreePlan, _subtree_atoms
 
 
 @pytest.fixture
@@ -255,6 +259,94 @@ def test_shifted_plan_matches_a_fresh_build():
         plan.at(w, [])
 
 
+def _isin_subtree_atoms(t, k0, node):
+    """Reference: the subtree's atoms by chaining parent membership."""
+    atoms = [None] * (t.T + 1)
+    atoms[k0] = np.array([node], dtype=int)
+    for l in range(k0 + 1, t.T + 1):
+        atoms[l] = np.flatnonzero(np.isin(t.parent[l], atoms[l - 1]))
+    return atoms
+
+
+def _per_row_plan_arrays(m, p, eps_vals, k0, node, w):
+    """Reference: the plan's coefficient arrays by walking each row's ancestors."""
+    t = m.tree
+    T = t.T
+    atoms = _isin_subtree_atoms(t, k0, node)
+    nA = m.n_risky + 1
+    pos = [None] * (T + 1)
+    for l in range(k0, T + 1):
+        pos[l] = {int(a): j for j, a in enumerate(atoms[l])}
+    x_off, nx, c_off, nc = {}, 0, {}, 0
+    for l in range(k0, T):
+        x_off[l] = nx
+        nx += len(atoms[l]) * nA
+    for l in range(k0, T + 1):
+        c_off[l] = nc
+        nc += len(atoms[l])
+    A, b0, wts = np.zeros((nc, nx)), np.zeros(nc), np.zeros(nc)
+    L, floors, hist_coef = np.eye(nc), np.zeros(nc), np.zeros((nc, k0))
+    w_start = []
+    for l in range(k0, T + 1):
+        gain = m.gain(l) if l > k0 else None
+        for j, a in enumerate(atoms[l]):
+            r = c_off[l] + j
+            wts[r] = t.atom_probs[l][a]
+            floors[r] = p.h[l][a]
+            if l == k0:
+                b0[r] = w if k0 == 0 else eps_vals[l][a] + w
+            else:
+                b0[r] = eps_vals[l][a]
+                jj = pos[l - 1][int(t.parent[l][a])]
+                A[r, x_off[l - 1] + jj * nA:x_off[l - 1] + (jj + 1) * nA] = gain[a]
+                w_start.append(x_off[l - 1] + jj * nA)
+            if l < T:
+                A[r, x_off[l] + j * nA:x_off[l] + (j + 1) * nA] = -m.S[l][a]
+            node_up = a
+            for lev in range(l - 1, -1, -1):
+                node_up = int(t.parent[lev + 1][node_up])
+                bcoef = p.beta[l, lev]
+                if bcoef == 0.0:
+                    continue
+                if lev >= k0:
+                    L[r, c_off[lev] + pos[lev][node_up]] -= bcoef
+                else:
+                    hist_coef[r, lev] = bcoef
+    w_index = np.array(w_start, dtype=int)[:, None] + np.arange(nA)
+    return {"A": A, "b0": b0, "wts": wts, "L": L, "floors": floors,
+            "hist_coef": hist_coef, "w_index": w_index}
+
+
+def _pinned_instances(shuffled_prefs):
+    t = shuffled_prefs.tree
+    eps = [np.array([2.0])] + [np.linspace(0.1, 0.3, t.n_atoms(k)) for k in (1, 2, 3)]
+    return [generate_scenario(seed, family, T=3, utility="power", habit="two_lag", floors=True)
+            for seed, family in ((41, "general"), (42, "bond_only"), (43, "complete"),
+                                 (44, "idiosyncratic"))] + \
+        [Scenario(t, bond(t, 0.02), shuffled_prefs, eps, None, {})]
+
+
+def test_plan_arrays_equal_the_per_row_ancestor_walk(shuffled_prefs):
+    for sc in _pinned_instances(shuffled_prefs):
+        t = sc.tree
+        eps_vals = [np.broadcast_to(np.asarray(e, float), (t.n_atoms(k),))
+                    for k, e in enumerate(sc.eps)]
+        for k0 in range(t.T + 1):
+            for node in range(t.n_atoms(k0)):
+                assert all(np.array_equal(a, b) for a, b in
+                           zip(_subtree_atoms(t, k0, node)[k0:],
+                               _isin_subtree_atoms(t, k0, node)[k0:]))
+                w = float(eps_vals[0][0]) if k0 == 0 else 0.7
+                history = [1.0 + 0.1 * l for l in range(k0)]
+                plan = _SubtreePlan(sc.market, sc.prefs, sc.eps, k0=k0, node=node,
+                                    history=history, w=w)
+                ref = _per_row_plan_arrays(sc.market, sc.prefs, eps_vals, k0, node, w)
+                for name, value in ref.items():
+                    got = getattr(plan, name)
+                    assert got.shape == value.shape and got.dtype == value.dtype, name
+                    assert np.array_equal(got, value), (name, k0, node)
+
+
 def test_subproblem_reuses_plans_by_node():
     sc, k, node, hist, w, x_base = _continuation_at_base()
     plans = {}
@@ -419,6 +511,36 @@ def test_complete_power_mpc_structure(complete_scene):
         assert np.all(coeffs.mpc[k] > 0)
         assert np.all(coeffs.mpc[k] <= 1.0 + 1e-12)
     assert coeffs.linear  # uniform risk aversion
+
+
+@pytest.mark.parametrize("utility", ["power", "power_hetero"])
+def test_complete_power_tails_equal_the_written_out_recursions(utility):
+    sc = generate_scenario(71, "complete", T=3, utility=utility, habit="two_lag", floors=True)
+    t, p, T = sc.tree, sc.prefs, sc.tree.T
+    _, coeffs = solve_complete_power(sc.market, p, sc.eps)
+    M = spd_bundle(sc.market, p.beta).M
+    theta_ext = coeffs.theta + np.eye(T + 1)
+
+    def backward(x):
+        """Reference: ``sum over l >= k of E[M_l x_l | k] / M_k``, skipping absent terms."""
+        out, tail = [None] * (T + 1), RandomVariable(t, T, np.zeros(t.n_atoms(T)))
+        for k in range(T, -1, -1):
+            acc = condexp(tail, k).values if tail.level > k else tail.values
+            if x[k] is not None:
+                acc = acc + M[k].values * x[k]
+            tail = RandomVariable(t, k, acc)
+            out[k] = acc / M[k].values
+        return out
+
+    for i in range(T + 1):
+        f_i = backward([coeffs.d.get((i, k)) for k in range(T + 1)])
+        assert all(np.array_equal(coeffs.f[(i, k)], f_i[k]) for k in range(T + 1))
+    hfull = [sum((theta_ext[k, i] * lift(RandomVariable(t, i, p.h[i]), k).values
+                  for i in range(k + 1) if theta_ext[k, i] != 0.0), np.zeros(t.n_atoms(k)))
+             for k in range(T + 1)]
+    eps = [np.broadcast_to(np.asarray(e, float), (t.n_atoms(k),)) for k, e in enumerate(sc.eps)]
+    for got, want in ((coeffs.floor_wealth, backward(hfull)), (coeffs.endow_wealth, backward(eps))):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_complete_general_agrees_with_power(complete_scene):

@@ -13,6 +13,7 @@ from habitopt import (
     inner,
     lift,
 )
+from habitopt.tree import HabitOperator
 
 BINARY2 = [[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1], [2], [3]]]
 
@@ -190,3 +191,95 @@ def test_expect_matches_inner_with_one():
     x = RandomVariable(t, 2, [1.0, 2.0, 3.0, 4.0])
     one = RandomVariable(t, 0, [1.0])
     assert expect(x) == pytest.approx(inner(x, one), abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# ancestor map and habit operator
+# ---------------------------------------------------------------------------
+
+def walk_up(t, k, a, l):
+    for lev in range(k - 1, l - 1, -1):
+        a = int(t.parent[lev + 1][a])
+    return a
+
+
+def plan_on(t, rng):
+    return [rng.uniform(0.5, 2.0, t.n_atoms(k)) for k in range(t.T + 1)]
+
+
+def pairing(t, y, x):
+    return sum(float(np.dot(t.atom_probs[k], y[k] * x[k])) for k in range(t.T + 1))
+
+
+def test_ancestor_matches_parent_walk(shuffled_prefs):
+    t = shuffled_prefs.tree
+    assert list(t.parent[2]) == [1, 0, 1, 0]
+    for k in range(t.T + 1):
+        for l in range(k + 1):
+            assert list(t.ancestor(k, l)) == [walk_up(t, k, a, l) for a in range(t.n_atoms(k))]
+
+
+def test_habit_solve_inverts_apply_on_the_whole_tree(shuffled_prefs):
+    t, beta = shuffled_prefs.tree, shuffled_prefs.beta
+    habit = HabitOperator(t, beta)
+    assert habit.lags[3] == ((1, 0.15), (2, 0.4)) and habit.leads[1] == ((2, 0.4), (3, 0.15))
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        c = plan_on(t, rng)
+        chat = habit.apply(c)
+        by_walk = [c[k] - sum(beta[k, l] * c[l][[walk_up(t, k, a, l) for a in range(t.n_atoms(k))]]
+                              for l in range(k)) for k in range(t.T + 1)]
+        for k in range(t.T + 1):
+            np.testing.assert_allclose(chat[k], by_walk[k], rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(habit.solve(chat)[k], c[k], rtol=1e-14, atol=0)
+
+
+def test_habit_operator_on_subtrees_with_history(shuffled_prefs):
+    from habitopt.solvers import _subtree_atoms
+
+    t = shuffled_prefs.tree
+    habit = HabitOperator(t, shuffled_prefs.beta)
+    c = plan_on(t, np.random.default_rng(4))
+    whole = habit.apply(c)
+    for k0 in range(t.T + 1):
+        for node in range(t.n_atoms(k0)):
+            atoms = _subtree_atoms(t, k0, node)
+            history = [float(c[l][walk_up(t, k0, node, l)]) for l in range(k0)]
+            sub = [None] * k0 + [c[l][atoms[l]] for l in range(k0, t.T + 1)]
+            chat = habit.apply(sub, atoms, history)
+            assert chat[:k0] == [None] * k0
+            for l in range(k0, t.T + 1):
+                # the same terms as on the whole tree, so the same bits
+                assert np.array_equal(chat[l], whole[l][atoms[l]])
+                np.testing.assert_allclose(habit.solve(chat, atoms, history)[l], sub[l],
+                                           rtol=1e-14, atol=0)
+
+
+def test_habit_adjoint_is_the_transpose(shuffled_prefs):
+    t = shuffled_prefs.tree
+    habit = HabitOperator(t, shuffled_prefs.beta)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        x, y = plan_on(t, rng), plan_on(t, rng)
+        assert pairing(t, y, habit.apply(x)) == pytest.approx(
+            pairing(t, habit.adjoint(y), x), rel=1e-14, abs=1e-14)
+
+
+def test_habit_adjoint_solve_inverts_adjoint(shuffled_prefs):
+    t = shuffled_prefs.tree
+    habit = HabitOperator(t, shuffled_prefs.beta)
+    y = plan_on(t, np.random.default_rng(6))
+    z = habit.adjoint_solve(y)
+    for k in range(t.T + 1):
+        np.testing.assert_allclose(habit.adjoint(z)[k], y[k], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(habit.adjoint_solve(habit.adjoint(y))[k], y[k],
+                                   rtol=1e-14, atol=0)
+
+
+def test_habit_operator_without_habit_is_the_identity(shuffled_prefs):
+    t = shuffled_prefs.tree
+    habit = HabitOperator(t, np.zeros((4, 4)))
+    c = plan_on(t, np.random.default_rng(7))
+    for op in (habit.apply, habit.solve, habit.adjoint, habit.adjoint_solve):
+        out = op(c)
+        assert all(np.array_equal(a, b) and a is not b for a, b in zip(out, c))
