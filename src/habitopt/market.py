@@ -13,9 +13,11 @@ maps between consumption and wealth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
 from .errors import (
     ArbitrageDetected,
@@ -78,9 +80,9 @@ class MarketModel:
     and prices vanish at the terminal level.
 
     A model is treated as immutable once built: it caches its payoff-space
-    bases, its state-price deflators (one per LP objective) and its
-    classification (one per witness), so repeated solves on one market run
-    the no-arbitrage LP and the classification once.
+    bases, its aggregate deflator, its state-price deflators (one per LP
+    objective) and its classification (one per witness), so repeated solves
+    on one market run the no-arbitrage LP and the classification once.
     """
 
     def __init__(self, tree: EventTree, rates, risky_prices=None, risky_dividends=None,
@@ -148,6 +150,7 @@ class MarketModel:
         self.S = S
         self.d = d
         self._bases: dict[int, PayoffSpaceBasis] = {}
+        self._aggregate: tuple | None = None
         self._deflators: dict[tuple, AdaptedProcess] = {}
         self._classes: dict[tuple | None, MarketClass] = {}
 
@@ -177,44 +180,76 @@ class MarketModel:
         return MarketModel(tree, obj["r"], obj["S"], obj["d"], strict=strict)
 
 
+class _Block(NamedTuple):
+    """One group of ``tree.child_blocks``: parents with equal child count.
+
+    For the weighted gain block ``G sqrt(p) = U S V^T`` of each parent
+    (``G`` its children's gains, assets by children, ``p`` the children's
+    probabilities), ``rows = V^T / sqrt(p)`` is the block's basis, orthonormal
+    under the probability-weighted pairing, and ``pinv = S^+ U^T``; ``keep``
+    marks the singular values above the level's rank threshold.  Rows and
+    ``pinv`` are zero where ``keep`` is false.
+    """
+
+    children: np.ndarray      # (g, nc)
+    rows: np.ndarray          # (g, r, nc)
+    pinv: np.ndarray          # (g, r, nA)
+    keep: np.ndarray          # (g, r)
+
+
 @dataclass(frozen=True)
 class PayoffSpaceBasis:
     """Orthonormalized basis of the one-period attainable payoffs at a level.
 
-    ``generators`` stacks the raw spanning payoffs (one per prior atom and
-    asset slot); ``ortho`` holds ``rank`` rows orthonormal under the
-    probability-weighted pairing.
+    The level-``k`` payoffs split into one block per level-``k-1`` atom,
+    spanned by its children's gains; ``blocks`` holds them grouped as
+    ``tree.child_blocks[k-1]``.  ``ortho`` stacks the ``rank`` basis rows
+    over the whole level, orthonormal under the probability-weighted
+    pairing.
     """
 
     level: int
-    generators: np.ndarray
-    ortho: np.ndarray
     rank: int
+    blocks: tuple
+
+    @property
+    def ortho(self) -> np.ndarray:
+        Q = np.zeros((self.rank, sum(b.children.size for b in self.blocks)))
+        j = 0
+        for b in self.blocks:
+            g, r = np.nonzero(b.keep)
+            Q[j + np.arange(g.size)[:, None], b.children[g]] = b.rows[g, r]
+            j += g.size
+        return Q
 
 
 def payoff_space_basis(m: MarketModel, k: int) -> PayoffSpaceBasis:
-    """Basis and rank of the level-``k`` attainable payoff space, ``k = 1..T``."""
+    """Basis and rank of the level-``k`` attainable payoff space, ``k = 1..T``.
+
+    One SVD per level-``k-1`` atom of its probability-weighted gain block,
+    batched by child count.  A singular value counts towards the rank when it
+    exceeds ``_RANK_TOL`` times the largest one of the level.
+    """
     if not 1 <= k <= m.T:
         raise LevelMismatch(f"payoff spaces exist for levels 1..{m.T}, got {k}")
     if k in m._bases:
         return m._bases[k]
     t = m.tree
     gain = m.gain(k)
-    na = t.n_atoms(k)
-    gens = []
-    for b in range(t.n_atoms(k - 1)):
-        mask = t.parent[k] == b
-        for i in range(m.n_risky + 1):
-            row = np.zeros(na)
-            row[mask] = gain[mask, i]
-            gens.append(row)
-    G = np.array(gens)
-    w = t.atom_probs[k]
-    sw = np.sqrt(w)
-    _, sv, vt = np.linalg.svd(G * sw, full_matrices=False)
-    rank = int(np.sum(sv > _RANK_TOL * (sv[0] if sv.size else 1.0)))
-    Q = vt[:rank] / sw
-    basis = PayoffSpaceBasis(level=k, generators=G, ortho=Q, rank=rank)
+    sw = np.sqrt(t.atom_probs[k])
+    svds = []
+    for _, children in t.child_blocks[k - 1]:
+        G = np.swapaxes(gain[children], 1, 2) * sw[children][:, None, :]
+        svds.append((children, *np.linalg.svd(G, full_matrices=False)))
+    tol = _RANK_TOL * max(float(sv.max()) for _, _, sv, _ in svds)
+    blocks = []
+    for children, u, sv, vt in svds:
+        keep = sv > tol
+        inv_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
+        blocks.append(_Block(children, vt * keep[..., None] / sw[children][:, None, :],
+                             np.swapaxes(u, 1, 2) * inv_sv[..., None], keep))
+    basis = PayoffSpaceBasis(level=k, rank=int(sum(b.keep.sum() for b in blocks)),
+                             blocks=tuple(blocks))
     m._bases[k] = basis
     return basis
 
@@ -225,16 +260,19 @@ def project(m: MarketModel, k: int, x: RandomVariable) -> RandomVariable:
     ``x`` may live at any level: it is lifted if coarser than ``k`` and
     replaced by its level-``k`` conditional expectation if finer (legitimate
     because the payoff space consists of level-``k`` measurable claims).
+    The projection runs block by block.
     """
     t = m.tree
     if x.level < k:
         x = lift(x, k)
     elif x.level > k:
         x = condexp(x, k)
-    basis = payoff_space_basis(m, k)
-    w = t.atom_probs[k]
-    coeffs = basis.ortho @ (w * x.values)
-    return RandomVariable(t, k, coeffs @ basis.ortho)
+    xw = t.atom_probs[k] * x.values
+    out = np.empty(t.n_atoms(k))
+    for b in payoff_space_basis(m, k).blocks:
+        coeffs = b.rows @ xw[b.children][..., None]
+        out[b.children] = (np.swapaxes(coeffs, 1, 2) @ b.rows)[:, 0]
+    return RandomVariable(t, k, out)
 
 
 # ---------------------------------------------------------------------------
@@ -280,30 +318,10 @@ def check_no_arbitrage(m: MarketModel, objective="uniform", seed: int | None = N
         return m._deflators[key]
     t = m.tree
     T = t.T
-    offsets = {}
-    nvar = 0
-    for k in range(1, T + 1):
-        offsets[k] = nvar
-        nvar += t.n_atoms(k)
-
-    rows, rhs = [], []
-    for k in range(T):
-        gain = m.gain(k + 1)
-        for a in range(t.n_atoms(k)):
-            children = t.children(k, a)
-            pa = t.atom_probs[k][a]
-            for i in range(m.n_risky + 1):
-                row = np.zeros(nvar)
-                for b in children:
-                    row[offsets[k + 1] + b] = t.atom_probs[k + 1][b] * gain[b, i]
-                if k == 0:
-                    # R_0 is pinned to 1, so it moves to the right-hand side
-                    rows.append(row)
-                    rhs.append(pa * m.S[k][a, i])
-                else:
-                    row[offsets[k] + a] = -pa * m.S[k][a, i]
-                    rows.append(row)
-                    rhs.append(0.0)
+    # the level-l values R_l, l >= 1, are the columns offsets[l]..offsets[l+1]
+    offsets = np.cumsum([0, 0] + [t.n_atoms(k) for k in range(1, T + 1)])
+    nvar = int(offsets[T + 1])
+    A_eq, b_eq = _pricing_system(m, offsets)
 
     if key is None:
         c = np.asarray(objective, dtype=float)
@@ -316,7 +334,7 @@ def check_no_arbitrage(m: MarketModel, objective="uniform", seed: int | None = N
     else:
         raise ValueError(f"unknown objective {objective!r}")
 
-    res = linprog(c, A_eq=np.array(rows), b_eq=np.array(rhs),
+    res = linprog(c, A_eq=A_eq, b_eq=b_eq,
                   bounds=[(_SPD_FLOOR, None)] * nvar, method="highs")
     if not res.success:
         raise ArbitrageDetected(
@@ -325,7 +343,7 @@ def check_no_arbitrage(m: MarketModel, objective="uniform", seed: int | None = N
 
     vals = [np.ones(1)]
     for k in range(1, T + 1):
-        vals.append(res.x[offsets[k]:offsets[k] + t.n_atoms(k)].copy())
+        vals.append(res.x[offsets[k]:offsets[k + 1]].copy())
 
     # The LP meets the equalities only to solver tolerance (~1e-10 absolute),
     # which downstream ratio computations can amplify when deflator values are
@@ -344,22 +362,7 @@ def check_no_arbitrage(m: MarketModel, objective="uniform", seed: int | None = N
                 vals[k + 1][children] = fixed
     R = AdaptedProcess(t, vals)
 
-    # certify the solution rather than trust LP status blindly
-    for k in range(T):
-        gain = m.gain(k + 1)
-        Rk = R.values(k)
-        Rn = R.values(k + 1)
-        for a in range(t.n_atoms(k)):
-            children = t.children(k, a)
-            pa = t.atom_probs[k][a]
-            for i in range(m.n_risky + 1):
-                lhs = pa * Rk[a] * m.S[k][a, i]
-                rv = sum(t.atom_probs[k + 1][b] * Rn[b] * gain[b, i] for b in children)
-                if abs(lhs - rv) > _PRICING_TOL * max(1.0, abs(lhs)):
-                    raise ArbitrageDetected(
-                        f"deflator certificate failed at level {k}, atom {a}, asset {i}: "
-                        f"residual {abs(lhs - rv):.3e}"
-                    )
+    _certify(m, R)    # rather than trust LP status blindly
     for x in R.vars:
         x.values.setflags(write=False)
     if key is not None:
@@ -367,30 +370,93 @@ def check_no_arbitrage(m: MarketModel, objective="uniform", seed: int | None = N
     return R
 
 
-def aggregate_spd(m: MarketModel, R: AdaptedProcess):
-    """Aggregate deflator ``M_k = M_{k-1} * proj_k(R_k / R_{k-1})``, ``M_0 = 1``.
+def _certify(m: MarketModel, R: AdaptedProcess) -> None:
+    """Raise ArbitrageDetected where ``R`` misprices an asset at an atom by more
+    than ``_PRICING_TOL``; each child sum runs in child order."""
+    t = m.tree
+    for k in range(t.T):
+        lhs = (t.atom_probs[k] * R.values(k))[:, None] * m.S[k]
+        value = (t.atom_probs[k + 1] * R.values(k + 1))[:, None] * m.gain(k + 1)
+        rv = np.stack([np.bincount(t.parent[k + 1], weights=col, minlength=t.n_atoms(k))
+                       for col in value.T], axis=1)
+        bad = np.argwhere(np.abs(lhs - rv) > _PRICING_TOL * np.maximum(1.0, np.abs(lhs)))
+        if bad.size:
+            a, i = bad[0]
+            raise ArbitrageDetected(
+                f"deflator certificate failed at level {k}, atom {a}, asset {i}: "
+                f"residual {abs(lhs[a, i] - rv[a, i]):.3e}"
+            )
 
-    Each factor is the projection of the one-period deflator ratio onto the
-    attainable payoff space; the product stays inside that space because the
-    previous term is measurable at the prior level.  Raises
-    VanishingAggregateSPD as soon as an atom value hits zero, since deflated
-    budget constraints then lose meaning.
+
+def _pricing_system(m: MarketModel, offsets: np.ndarray):
+    """Sparse pricing identities of :func:`check_no_arbitrage` and their right side.
+
+    One row per pre-terminal atom and asset slot, level by level, atom by
+    atom; the level-``l`` values occupy columns ``offsets[l]..offsets[l+1]``
+    (``R_0 = 1`` is moved to the right-hand side).
     """
     t = m.tree
-    M = [RandomVariable(t, 0, np.ones(1))]
-    for k in range(1, t.T + 1):
-        ratio = RandomVariable(
-            t, k, R.vars[k].values / lift(R.vars[k - 1], k).values
-        )
-        factor = project(m, k, ratio)
-        vals = lift(M[k - 1], k).values * factor.values
-        if np.any(np.abs(vals) < 1e-12):
-            a = int(np.argmin(np.abs(vals)))
-            raise VanishingAggregateSPD(
-                f"aggregate deflator vanishes at level {k}, atom {a}"
-            )
-        M.append(RandomVariable(t, k, vals))
-    return M
+    nA = m.n_risky + 1
+    row_off = np.cumsum([0] + [nA * t.n_atoms(k) for k in range(t.T)])
+    rows, cols, vals, rhs = [], [], [], []
+    for k in range(t.T):
+        parent = t.parent[k + 1]
+        rows.append(row_off[k] + nA * parent[:, None] + np.arange(nA))
+        cols.append(np.repeat(offsets[k + 1] + np.arange(t.n_atoms(k + 1))[:, None], nA, 1))
+        vals.append(t.atom_probs[k + 1][:, None] * m.gain(k + 1))
+        price = t.atom_probs[k][:, None] * m.S[k]
+        if k == 0:
+            rhs.append(price.ravel())
+        else:
+            rows.append(row_off[k] + np.arange(nA * t.n_atoms(k)).reshape(-1, nA))
+            cols.append(np.repeat(offsets[k] + np.arange(t.n_atoms(k))[:, None], nA, 1))
+            vals.append(-t.atom_probs[k][:, None] * m.S[k])
+            rhs.append(np.zeros(price.size))
+    vals, rows, cols = (np.concatenate([a.ravel() for a in part]) for part in (vals, rows, cols))
+    nz = vals != 0.0                   # the zeros a dense matrix would not pass on
+    A = coo_array((vals[nz], (rows[nz], cols[nz])),
+                  shape=(int(row_off[-1]), int(offsets[t.T + 1])))
+    return A, np.concatenate(rhs)
+
+
+def aggregate_spd(m: MarketModel) -> list:
+    """Aggregate deflator ``M_k = M_{k-1} * q_k``, ``M_0 = 1``.
+
+    On the children of each level-``k-1`` atom ``a``, the factor ``q_k`` is
+    the minimum-norm stochastic discount factor: the unique payoff in the
+    span of the children's gains that prices every asset at ``a``,
+
+        q = W^{-1/2} pinv(G W^{1/2}) S_{k-1}(a),   W = diag(p_b / p_a),
+
+    with ``G`` the children's gains (assets by children), computed from the
+    payoff-space SVD of the block.  It equals the projection of the
+    one-period ratio ``R_k / R_{k-1}`` of every state-price deflator ``R``,
+    so ``M`` does not depend on which deflator the no-arbitrage LP returns;
+    the market is assumed free of arbitrage (see :func:`check_no_arbitrage`).
+    Raises VanishingAggregateSPD as soon as an atom value hits zero, since
+    deflated budget constraints then lose meaning.  The result is cached on
+    ``m`` and its arrays are read-only.
+    """
+    if m._aggregate is None:
+        t = m.tree
+        M = [np.ones(1)]
+        for k in range(1, t.T + 1):
+            q = np.empty(t.n_atoms(k))
+            for (parents, _), b in zip(t.child_blocks[k - 1], payoff_space_basis(m, k).blocks):
+                y = b.pinv @ m.S[k - 1][parents][..., None]
+                q[b.children] = (t.atom_probs[k - 1][parents][:, None]
+                                 * (np.swapaxes(y, 1, 2) @ b.rows)[:, 0])
+            vals = M[k - 1][t.parent[k]] * q
+            if np.any(np.abs(vals) < 1e-12):
+                a = int(np.argmin(np.abs(vals)))
+                raise VanishingAggregateSPD(
+                    f"aggregate deflator vanishes at level {k}, atom {a}"
+                )
+            M.append(vals)
+        for v in M:
+            v.setflags(write=False)
+        m._aggregate = tuple(RandomVariable(t, k, v) for k, v in enumerate(M))
+    return list(m._aggregate)
 
 
 def perturbed_aggregate_spd(tree: EventTree, M, beta: np.ndarray):
@@ -417,7 +483,7 @@ class SPDBundle:
 def spd_bundle(m: MarketModel, beta: np.ndarray, objective="uniform",
                seed: int | None = None) -> SPDBundle:
     R = check_no_arbitrage(m, objective=objective, seed=seed)
-    M = aggregate_spd(m, R)
+    M = aggregate_spd(m)
     Mt = perturbed_aggregate_spd(m.tree, M, beta)
     return SPDBundle(R=R, M=M, Mtilde=Mt)
 
@@ -596,8 +662,6 @@ def classify_market(m: MarketModel, witness=None) -> MarketClass:
 
 
 def _classify(m: MarketModel, ranks: tuple, complete: bool, witness) -> MarketClass:
-    t = m.tree
-    T = t.T
     det_r = deterministic_interest(m)
 
     if complete:
@@ -607,76 +671,46 @@ def _classify(m: MarketModel, ranks: tuple, complete: bool, witness) -> MarketCl
         _check_idiosyncratic_witness(m, witness)
         return MarketClass("idiosyncratic", ranks, det_r, witness=witness)
 
-    positive = True
-    supports = []
-    for k in range(1, T + 1):
-        na = t.n_atoms(k)
-        sup_k = []
-        for a in range(na):
-            ind = np.zeros(na)
-            ind[a] = 1.0
-            pr = project(m, k, RandomVariable(t, k, ind)).values
-            if np.any(pr < -1e-10):
-                positive = False
-                break
-            sup_k.append(np.flatnonzero(pr > 1e-10))
-        if not positive:
-            break
-        supports.append(sup_k)
-
-    if positive:
-        blocks_per_level = []
-        ok = True
-        for k in range(1, T + 1):
-            na = t.n_atoms(k)
-            lab = np.arange(na)
-
-            def find(x):
-                while lab[x] != x:
-                    lab[x] = lab[lab[x]]
-                    x = lab[x]
-                return x
-
-            for a in range(na):
-                for b in supports[k - 1][a]:
-                    ra, rb = find(a), find(int(b))
-                    if ra != rb:
-                        lab[ra] = rb
-            roots = {}
-            blocks = []
-            for a in range(na):
-                rt = find(a)
-                if rt not in roots:
-                    roots[rt] = len(blocks)
-                    blocks.append([])
-                blocks[roots[rt]].append(a)
-            # the intermediate partition must coarsen the level yet refine the prior one
-            for blk in blocks:
-                parents = {int(t.parent[k][a]) for a in blk}
-                if len(parents) != 1:
-                    ok = False
-            # verify the projection equals conditional expectation on the blocks
-            if ok:
-                w = t.atom_probs[k]
-                for a in range(na):
-                    ind = np.zeros(na)
-                    ind[a] = 1.0
-                    pr = project(m, k, RandomVariable(t, k, ind)).values
-                    ce = np.zeros(na)
-                    for blk in blocks:
-                        sel = np.array(blk)
-                        if a in blk:
-                            ce[sel] = w[a] / w[sel].sum()
-                    if np.max(np.abs(pr - ce)) > 1e-10:
-                        ok = False
-                        break
-            if not ok:
-                break
-            blocks_per_level.append(tuple(tuple(b) for b in blocks))
-        if ok:
-            return MarketClass("type_c", ranks, det_r, witness=tuple(blocks_per_level))
-
+    blocks = _type_c_blocks(m)
+    if blocks is not None:
+        return MarketClass("type_c", ranks, det_r, witness=blocks)
     return MarketClass("general", ranks, det_r)
+
+
+def _type_c_blocks(m: MarketModel):
+    """Per level, the partition on whose blocks every projection is a
+    conditional expectation, or ``None`` when there is none.
+
+    The projection of an atom's indicator lives on the atom's siblings:
+    column ``j`` of the block matrix ``P`` below.  Every projection must be
+    non-negative; the atoms that one projection reaches (above ``1e-10``) are
+    joined into one block, and each projection must then equal the
+    conditional expectation of the indicator given its block.  Blocks are
+    listed by their smallest atom, with the atoms in increasing order.
+    """
+    t = m.tree
+    per_level = []
+    for k in range(1, t.T + 1):
+        w = t.atom_probs[k]
+        label = np.empty(t.n_atoms(k), dtype=int)
+        checks = []
+        for b in payoff_space_basis(m, k).blocks:
+            wc = w[b.children][:, None, :]
+            P = (np.swapaxes(b.rows, 1, 2) @ b.rows) * wc
+            if np.any(P < -1e-10):
+                return None
+            # atoms joined by a projection's support; where every projection
+            # is a conditional expectation these are already the blocks, and
+            # a relation that is not transitive fails the check below
+            reach = (P > 1e-10) | np.swapaxes(P > 1e-10, 1, 2) | np.eye(P.shape[1], dtype=bool)
+            label[b.children] = np.take_along_axis(b.children, np.argmax(reach, axis=1), axis=1)
+            checks.append((P, reach * wc / np.sum(reach * wc, axis=2, keepdims=True)))
+        if any(np.max(np.abs(P - ce)) > 1e-10 for P, ce in checks):
+            return None
+        order = np.argsort(label, kind="stable")
+        cuts = np.flatnonzero(np.diff(label[order])) + 1
+        per_level.append(tuple(tuple(int(a) for a in blk) for blk in np.split(order, cuts)))
+    return tuple(per_level)
 
 
 # ---------------------------------------------------------------------------

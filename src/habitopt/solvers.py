@@ -23,6 +23,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import brentq, linprog, minimize
+from scipy.sparse import coo_array
 
 from .errors import (
     BracketFailure,
@@ -135,7 +136,10 @@ class _SubtreePlan:
     problem from ``node`` at level ``k0`` with past consumption ``history``
     along the node's ancestor path.
 
-    Rows are ordered by level, then by atom.  ``u_rows`` and ``du_d2u_rows``
+    Rows are ordered by level, then by atom.  ``J = L A`` is built from its
+    known row pattern (``_jacobian_blocks``), which also gives the Newton
+    Hessian by scattering each row's outer product (``hessian``).
+    ``u_rows`` and ``du_d2u_rows``
     are the family's whole-plan evaluation over those rows
     (``family.on_rows``), built once per plan and shared by ``at``, so each
     evaluation point costs one vectorized ``u`` or one ``(u', u'')`` pair;
@@ -181,7 +185,8 @@ class _SubtreePlan:
         A, L, hist_coef = np.zeros((nc, nx)), np.eye(nc), np.zeros((nc, k0))
         b0, wts, floors = np.zeros(nc), np.zeros(nc), np.zeros(nc)
         cols = np.arange(nA)
-        w_start, w_gain = [np.zeros(0, dtype=int)], [np.empty((0, nA))]
+        w_start, w_gain = [np.zeros(0, dtype=int)], [np.zeros((1, nA))]
+        prices = []
         for l in range(k0, T + 1):
             al = atoms[l]
             rows = c_off[l] + np.arange(len(al))
@@ -196,8 +201,9 @@ class _SubtreePlan:
                 w_gain.append(m.gain(l)[al])
                 A[rows[:, None], start[:, None] + cols] = w_gain[-1]
             if l < T:
+                prices.append(m.S[l][al])
                 A[rows[:, None], (x_off[l] + nA * np.arange(len(al)))[:, None] + cols] = \
-                    -m.S[l][al]
+                    -prices[-1]
             for lev, b in habit.lags[l]:
                 if lev >= k0:
                     L[rows, c_off[lev] + habit.positions(atoms, l, lev)] = -b
@@ -205,14 +211,28 @@ class _SubtreePlan:
                     hist_coef[rows, lev] = b
         self.A, self.b0, self.wts = A, b0, wts
         self.w_index = np.concatenate(w_start)[:, None] + cols
-        self.w_gain = np.concatenate(w_gain)
+        gains = np.concatenate(w_gain)          # row 0, the plan's root, has no parent
+        self.w_gain = gains[1:]
         self.level_wts = [(slice(c_off[l], c_off[l] + len(atoms[l])),
                            wts[c_off[l]:c_off[l] + len(atoms[l])]) for l in range(k0, T + 1)]
-        self.u_rows, self.du_d2u_rows = p.family.on_rows(
-            np.repeat(np.arange(k0, T + 1), sizes))
+        row_level = np.repeat(np.arange(k0, T + 1), sizes)
+        self.u_rows, self.du_d2u_rows = p.family.on_rows(row_level)
         self.inada = p.family.inada
         self.L, self.floors, self.hist_coef = L, floors, hist_coef
-        self.J = L @ A
+
+        # J from its row pattern, and per row the outer product J_r J_r^T on
+        # its stored columns, with each entry's row and flat index into H; a
+        # plan at a terminal node holds nothing
+        self.J = np.zeros((nc, nx))
+        self._h_scatter = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+        if nx:
+            jcols, jvals, keep = _jacobian_blocks(
+                p.beta, k0, row_level, np.concatenate([[0], self.w_index[:, 0] // nA]),
+                np.concatenate([*prices, np.zeros((sizes[-1], nA))]), gains)
+            r, i = np.nonzero(keep)
+            self.J[r, jcols[r, i]] = jvals[r, i]
+            r, i, j = np.nonzero(keep[:, :, None] & keep[:, None, :])
+            self._h_scatter = (r, jcols[r, i] * nx + jcols[r, j], jvals[r, i] * jvals[r, j])
         self._shift()
 
     @cached_property
@@ -268,6 +288,12 @@ class _SubtreePlan:
             total += float(np.dot(w, u[sl]))
         return total
 
+    def hessian(self, hw: np.ndarray) -> np.ndarray:
+        """``J^T diag(hw) J``, summed row by row over each row's nonzero columns."""
+        row, index, outer = self._h_scatter
+        return np.bincount(index, weights=hw[row] * outer,
+                           minlength=self.n_x * self.n_x).reshape(self.n_x, self.n_x)
+
     def grad_hess_weights(self, x: np.ndarray):
         """Per-row first and (negated) second felicity weights at ``x``."""
         ch = self.chat(x)
@@ -275,6 +301,44 @@ class _SubtreePlan:
             raise DomainViolation("plan left the utility domain during differentiation")
         du, d2u = self.du_d2u_rows(ch)
         return self.wts * du, -self.wts * d2u
+
+
+def _jacobian_blocks(beta: np.ndarray, k0: int, row_level, parent_row, prices, gains):
+    """The blocks of ``J = L A``, one per row and ancestor depth.
+
+    The holdings of row ``q`` (a row above level ``T``) are the columns
+    ``nA q .. nA q + nA - 1``.  Row ``r`` of ``A`` holds minus its prices
+    ``S_r`` on its own holdings and its gains ``g_r`` on its parent's, and
+    ``L`` subtracts ``beta[l, j]`` times the row of its level-``j`` ancestor.
+    On the holdings of its level-``j`` ancestor ``q_j`` (``k0 <= j < T``), row
+    ``r`` at level ``l`` therefore holds
+
+        [j = l] (-S_r) + [j = l - 1] g_r + beta[l, j] S_{q_j} - beta[l, j + 1] g_{q_{j+1}},
+
+    which vanishes unless ``j >= l - 1`` or one of the weights is nonzero.
+    ``parent_row`` maps the plan's root row to itself; ``prices`` is zero on
+    level ``T`` and ``gains`` on the root row.  Returns, per row and depth
+    ``l - j`` in ``0..D``, the columns and values of the block, flattened to
+    ``(nc, (D + 1) nA)``, and whether the block exists.
+    """
+    T = len(beta) - 1
+    nc, nA = prices.shape
+    width = max([1, *(l - j + 1 for l in range(T + 1) for j in range(l) if beta[l, j])]) + 1
+    anc = np.empty((nc, width), dtype=int)          # ancestor row at each depth
+    anc[:, 0] = np.arange(nc)
+    for d in range(1, width):
+        anc[:, d] = parent_row[anc[:, d - 1]]
+    # weights on the ancestor's prices and on its child's gains; a zero column
+    # pads beta so that the levels above the plan index harmlessly
+    j = row_level[:, None] - np.arange(width)
+    padded = np.hstack([beta, np.zeros((T + 1, 1))])
+    now, up = padded[row_level[:, None], j], padded[row_level[:, None], j + 1]
+    now[:, 0], up[:, 0], up[:, 1] = -1.0, 0.0, -1.0
+    child = np.hstack([anc[:, :1], anc[:, :-1]])
+    vals = now[..., None] * prices[anc] - up[..., None] * gains[child]
+    keep = (j >= k0) & (j < T) & ((now != 0.0) | (up != 0.0))
+    return ((nA * anc[..., None] + np.arange(nA)).reshape(nc, -1), vals.reshape(nc, -1),
+            np.repeat(keep, nA, axis=1))
 
 
 def _interior_start(plan: _SubtreePlan) -> np.ndarray:
@@ -286,8 +350,11 @@ def _interior_start(plan: _SubtreePlan) -> np.ndarray:
         if np.any(ch <= 0):
             raise Infeasible("no admissible plan: adjusted consumption is forced non-positive")
         return np.zeros(0)
-    nx = plan.n_x
-    A_ub = np.hstack([-plan.J, np.ones((plan.n_c, 1))])
+    nx, nc = plan.n_x, plan.n_c
+    rows, cols = np.nonzero(plan.J)
+    A_ub = coo_array((np.concatenate([-plan.J[rows, cols], np.ones(nc)]),
+                      (np.concatenate([rows, np.arange(nc)]),
+                       np.concatenate([cols, np.full(nc, nx)]))), shape=(nc, nx + 1))
     b_ub = plan.Lb
     cvec = np.zeros(nx + 1)
     cvec[-1] = -1.0
@@ -346,7 +413,7 @@ def _newton_maximize(plan: _SubtreePlan, x0, gtol: float = 1e-10, max_iter: int 
         if not np.isfinite(hw).all():
             raise NonConvergence("curvature weights are not finite",
                                  best=x, diagnostics=dict(info))
-        H = (plan.J.T * hw) @ plan.J
+        H = plan.hessian(hw)
         ridge = 0.0
         while True:
             try:
@@ -625,23 +692,18 @@ def _complete_continuation(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int
 def _replicate_portfolio(m: MarketModel, W, tol: float = 1e-7):
     """Holdings supporting a wealth process; minimum-norm least squares per node.
 
-    The nodes of a level are grouped by child count, and each group's stacked
-    gain blocks are solved with one batched pseudo-inverse.
+    The nodes of a level are grouped by child count (``tree.child_blocks``),
+    and each group's stacked gain blocks are solved with one batched
+    pseudo-inverse.
     """
     t = m.tree
     pi = []
     for k in range(t.T):
-        parent = t.parent[k + 1]
-        counts = np.bincount(parent, minlength=t.n_atoms(k))
-        by_parent = np.argsort(parent, kind="stable")
-        starts = np.cumsum(counts) - counts
         gain = m.gain(k + 1)
         rows = np.zeros((t.n_atoms(k), m.n_risky + 1))
         resid = np.zeros(t.n_atoms(k))
         scale = np.ones(t.n_atoms(k))
-        for nc in np.unique(counts):
-            atoms = np.flatnonzero(counts == nc)
-            children = by_parent[starts[atoms, None] + np.arange(nc)]
+        for atoms, children in t.child_blocks[k]:
             G = gain[children]
             target = W[k + 1][children]
             sol = np.einsum("aij,aj->ai", np.linalg.pinv(G), target)

@@ -45,8 +45,13 @@ class EventTree:
     Notes
     -----
     Instances are immutable; derived lookup tables (atom probabilities,
-    leaf-to-atom maps, parent links, first leaf per atom) are computed once
-    in ``build_tree``.
+    leaf-to-atom maps, parent links, first leaf per atom, per-node child
+    blocks) are computed once in ``build_tree``.
+
+    ``child_blocks[k]`` groups the level-``k`` atoms by their number of
+    children: one ``(parents, children)`` pair per child count, in increasing
+    count order, where ``parents`` lists the group's atoms in index order and
+    row ``j`` of ``children`` the children of ``parents[j]`` in index order.
     Construct trees through :func:`build_tree`, which validates nesting.
     """
 
@@ -56,6 +61,7 @@ class EventTree:
     atom_probs: tuple[np.ndarray, ...] = field(repr=False)
     parent: tuple[np.ndarray, ...] = field(repr=False)
     first_leaf: tuple[np.ndarray, ...] = field(repr=False)
+    child_blocks: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...] = field(repr=False)
 
     @property
     def T(self) -> int:
@@ -163,9 +169,14 @@ def build_tree(levels, probs) -> EventTree:
     )
     # atoms are sorted tuples, so their first entry is the smallest leaf
     first_leaf = tuple(np.array([atom[0] for atom in lvl], dtype=int) for lvl in lvls)
+    child_blocks = tuple(_child_blocks(parent[k + 1], len(lvls[k]))
+                         for k in range(len(lvls) - 1))
     p.setflags(write=False)
     for arr in atom_probs + first_leaf:
         arr.setflags(write=False)
+    for groups in child_blocks:
+        for arr in (a for group in groups for a in group):
+            arr.setflags(write=False)
     return EventTree(
         levels=lvls,
         probs=p,
@@ -173,7 +184,20 @@ def build_tree(levels, probs) -> EventTree:
         atom_probs=atom_probs,
         parent=tuple(parent),
         first_leaf=first_leaf,
+        child_blocks=child_blocks,
     )
+
+
+def _child_blocks(parent: np.ndarray, n_parents: int) -> tuple:
+    """``(parents, children)`` per child count, from the children's parent links."""
+    counts = np.bincount(parent, minlength=n_parents)
+    by_parent = np.argsort(parent, kind="stable")
+    starts = np.cumsum(counts) - counts
+    groups = []
+    for nc in np.unique(counts):
+        atoms = np.flatnonzero(counts == nc)
+        groups.append((atoms, by_parent[starts[atoms, None] + np.arange(nc)]))
+    return tuple(groups)
 
 
 @dataclass(frozen=True)

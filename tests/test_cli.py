@@ -188,6 +188,37 @@ def test_verify_fails_at_absurd_tolerance(instance, capsys):
     assert json.loads(out)["passed"] is False
 
 
+def _generate(tmp_path, capsys, *argv):
+    out = tmp_path / "gen"
+    assert main(["generate", *argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    return [flag for name in ("model", "prefs", "endow")
+            for flag in (f"--{name}", str(out / f"{name}.json"))]
+
+
+def test_verify_ignores_out_of_scope_failures_in_the_exit_code(tmp_path, capsys):
+    # the concavity probe fails here, on a market where its bound is not guaranteed
+    files = _generate(tmp_path, capsys, "--seed", "7928", "--family", "complete", "--T", "2",
+                      "--utility", "power_hetero", "--habit", "one_lag")
+    code, out, _ = run(capsys, "verify", *files, "--checks", "concavity,foc")
+    report = json.loads(out)
+    assert report["checks"]["concavity"]["scope"] == "out_of_scope"
+    assert report["checks"]["concavity"]["passed"] is False
+    assert report["checks"]["foc"]["passed"] is True
+    assert report["passed"] is True
+    assert code == 0
+
+
+def test_verify_deflator_repro_passes_foc(tmp_path, capsys):
+    # the aggregate deflator no longer carries the no-arbitrage LP's tolerance
+    files = _generate(tmp_path, capsys, "--seed", "3", "--family", "general", "--T", "4",
+                      "--utility", "power", "--habit", "one_lag")
+    code, out, _ = run(capsys, "verify", *files, "--checks", "foc")
+    report = json.loads(out)
+    assert code == 0
+    assert max(report["checks"]["foc"]["full_foc_max"]) <= 1e-10
+
+
 def test_verify_rejects_unknown_check(instance, capsys):
     code, _, err = run(capsys, "verify", "--model", instance["model"],
                        "--prefs", instance["prefs"], "--endow", instance["endow"],

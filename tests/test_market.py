@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import habitopt.market
 from habitopt import (
     AdaptedProcess,
     ArbitrageDetected,
@@ -241,7 +242,7 @@ def test_projection_identity_suite(mi):
 
 def test_bond_only_aggregate(bond_market):
     R = check_no_arbitrage(bond_market)
-    M = aggregate_spd(bond_market, R)
+    M = aggregate_spd(bond_market)
     assert M[0].values[0] == 1.0
     assert np.allclose(M[1].values, 1.1 ** -1, atol=1e-9)
     assert np.allclose(M[2].values, 1.1 ** -2, atol=1e-9)
@@ -249,7 +250,7 @@ def test_bond_only_aggregate(bond_market):
 
 def test_complete_aggregate_equals_deflator(complete_market):
     R = check_no_arbitrage(complete_market)
-    M = aggregate_spd(complete_market, R)
+    M = aggregate_spd(complete_market)
     for k in range(3):
         assert np.allclose(M[k].values, R.values(k), atol=1e-9)
 
@@ -262,15 +263,15 @@ def test_aggregate_invariant_under_deflator_choice(seed):
     m = sc.market
     r1 = check_no_arbitrage(m, objective="seeded", seed=11)
     r2 = check_no_arbitrage(m, objective="seeded", seed=77)
-    m1 = aggregate_spd(m, r1)
-    m2 = aggregate_spd(m, r2)
+    m1 = aggregate_spd(m)
+    m2 = aggregate_spd(m)
     for k in range(sc.tree.T + 1):
         assert np.allclose(m1[k].values, m2[k].values, atol=1e-10)
 
 
 def test_aggregate_lives_in_payoff_space(complete_market, bond_market):
     for m in (complete_market, bond_market):
-        M = aggregate_spd(m, check_no_arbitrage(m))
+        M = aggregate_spd(m)
         for k in range(1, m.T + 1):
             pm = project(m, k, M[k])
             assert np.allclose(pm.values, M[k].values, atol=1e-9)
@@ -280,7 +281,7 @@ def test_perturbed_aggregate_hand_values():
     # T=1: Mt_0 = 1 + b E[M_1]; T=2 one-lag: Mt_0 = 1 + b E[M_1] + b^2 E[M_2]
     t1 = build_tree([[[0, 1]], [[0], [1]]], [0.4, 0.6])
     m1 = MarketModel(t1, [0.25])
-    M = aggregate_spd(m1, check_no_arbitrage(m1))
+    M = aggregate_spd(m1)
     b = 0.7
     beta = np.array([[0.0, 0.0], [b, 0.0]])
     Mt = perturbed_aggregate_spd(t1, M, beta)
@@ -290,7 +291,7 @@ def test_perturbed_aggregate_hand_values():
 
     t2 = build_tree(BINARY2, [0.25] * 4)
     m2 = MarketModel(t2, [0.05, 0.05])
-    M = aggregate_spd(m2, check_no_arbitrage(m2))
+    M = aggregate_spd(m2)
     beta = np.zeros((3, 3))
     beta[1, 0] = beta[2, 1] = b
     Mt = perturbed_aggregate_spd(t2, M, beta)
@@ -300,7 +301,7 @@ def test_perturbed_aggregate_hand_values():
 
 
 def test_no_habit_perturbation_is_identity(complete_market):
-    M = aggregate_spd(complete_market, check_no_arbitrage(complete_market))
+    M = aggregate_spd(complete_market)
     Mt = perturbed_aggregate_spd(complete_market.tree, M, np.zeros((3, 3)))
     for k in range(3):
         assert np.array_equal(Mt[k].values, M[k].values)
@@ -474,3 +475,261 @@ def test_deflated_values_equal_the_written_out_recursions(family):
         assert np.array_equal(W.values(k), w_ref)
         assert np.array_equal(Mt[k].values, mt_ref.values)
         assert np.array_equal(spd.Mtilde[k].values, mt_ref.values)
+
+
+# ---------------------------------------------------------------------------
+# per-node blocks against the dense per-level references
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _dense_basis(m, k):
+    """Reference: one SVD of the level's zero-padded generators (one per parent
+    atom and asset slot), ranked against the level's largest singular value."""
+    t = m.tree
+    gain = m.gain(k)
+    gens = []
+    for b in range(t.n_atoms(k - 1)):
+        mask = t.parent[k] == b
+        for i in range(m.n_risky + 1):
+            row = np.zeros(t.n_atoms(k))
+            row[mask] = gain[mask, i]
+            gens.append(row)
+    sw = np.sqrt(t.atom_probs[k])
+    _, sv, vt = np.linalg.svd(np.array(gens) * sw, full_matrices=False)
+    rank = int(np.sum(sv > 1e-10 * sv[0]))
+    return rank, vt[:rank] / sw
+
+
+def _basis_markets():
+    t = build_tree(BINARY2, [0.25] * 4)
+    prices = [np.array([[1.0]]), np.array([[1.0], [1.0]])]
+    dividends = [np.array([[1.6], [0.5]]), np.array([[1.7], [0.4], [1.8], [0.3]])]
+    duplicated = MarketModel(t, [0.0, 0.0], [np.hstack([p, p]) for p in prices],
+                             [np.hstack([d, d]) for d in dividends])
+    return random_markets_for_identities() + [
+        duplicated,
+        generate_scenario(104, "general", branching=4).market,
+        generate_scenario(3, "general", T=4, utility="power", habit="one_lag").market,
+    ]
+
+
+@pytest.mark.parametrize("mi", range(8))
+def test_block_basis_matches_the_dense_level_svd(mi):
+    m = _basis_markets()[mi]
+    t = m.tree
+    for k in range(1, t.T + 1):
+        w = t.atom_probs[k]
+        tol = 64 * t.n_atoms(k) * _EPS
+        rank, Q_ref = _dense_basis(m, k)
+        basis = payoff_space_basis(m, k)
+        Q = basis.ortho
+        assert basis.rank == rank
+        assert Q.shape == Q_ref.shape
+        assert np.max(np.abs((Q * w) @ Q.T - np.eye(rank))) <= tol
+        P, P_ref = Q.T @ (Q * w), Q_ref.T @ (Q_ref * w)
+        assert np.max(np.abs(P - P_ref)) <= tol * max(1.0, float(np.max(np.abs(P_ref))))
+        x = np.random.default_rng(k).normal(size=t.n_atoms(k))
+        assert np.max(np.abs(project(m, k, RandomVariable(t, k, x)).values - P_ref @ x)) \
+            <= tol * max(1.0, float(np.max(np.abs(P_ref)))) * np.max(np.abs(x))
+
+
+def _projected_ratio_aggregate(m, R):
+    """Reference: ``M_k = M_{k-1} proj_k(R_k / R_{k-1})`` with the dense projector."""
+    t = m.tree
+    M = [np.ones(1)]
+    for k in range(1, t.T + 1):
+        _, Q = _dense_basis(m, k)
+        ratio = R.values(k) / R.values(k - 1)[t.parent[k]]
+        M.append(M[k - 1][t.parent[k]] * (Q.T @ (Q @ (t.atom_probs[k] * ratio))))
+    return M
+
+
+@pytest.mark.parametrize("family", ["complete", "bond_only"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_aggregate_is_the_projected_deflator_ratio(family, seed):
+    m = generate_scenario(seed, family, T=3).market
+    M = aggregate_spd(m)
+    for objective, lp_seed in (("uniform", None), ("seeded", 5)):
+        ref = _projected_ratio_aggregate(m, check_no_arbitrage(m, objective, lp_seed))
+        for k in range(m.T + 1):
+            tol = 64 * m.tree.n_atoms(k) * _EPS
+            assert np.max(np.abs(M[k].values - ref[k])) <= tol * np.max(np.abs(ref[k]))
+
+
+def _fresh(market):
+    """The same market as a new model, with nothing cached."""
+    return MarketModel.from_json(market.tree, market.to_json(), strict=False)
+
+
+@pytest.mark.parametrize("seed, family, T", [(103, "idiosyncratic", 2), (101, "general", 2),
+                                             (3, "general", 4)])
+def test_aggregate_does_not_depend_on_the_lp_objective(seed, family, T):
+    sc = generate_scenario(seed, family, T=T, utility="power", habit="one_lag")
+    bundles = [spd_bundle(_fresh(sc.market), sc.prefs.beta, objective=obj, seed=s)
+               for obj, s in (("uniform", None), ("seeded", 11), ("seeded", 77))]
+    for other in bundles[1:]:
+        for k in range(sc.tree.T + 1):
+            assert np.array_equal(other.M[k].values, bundles[0].M[k].values)
+            assert np.array_equal(other.Mtilde[k].values, bundles[0].Mtilde[k].values)
+
+
+def test_cached_aggregate_is_read_only(complete_market):
+    M = aggregate_spd(complete_market)
+    assert aggregate_spd(complete_market)[1] is M[1]
+    with pytest.raises(ValueError):
+        M[1].values[0] = 0.0
+
+
+def _dense_pricing_system(m, offsets):
+    """Reference: the pricing identities as dense rows, one per atom and asset."""
+    t = m.tree
+    nvar = int(offsets[t.T + 1])
+    rows, rhs = [], []
+    for k in range(t.T):
+        gain = m.gain(k + 1)
+        for a in range(t.n_atoms(k)):
+            children = t.children(k, a)
+            pa = t.atom_probs[k][a]
+            for i in range(m.n_risky + 1):
+                row = np.zeros(nvar)
+                for b in children:
+                    row[offsets[k + 1] + b] = t.atom_probs[k + 1][b] * gain[b, i]
+                if k == 0:
+                    rows.append(row)
+                    rhs.append(pa * m.S[k][a, i])
+                else:
+                    row[offsets[k] + a] = -pa * m.S[k][a, i]
+                    rows.append(row)
+                    rhs.append(0.0)
+    return np.array(rows), np.array(rhs)
+
+
+@pytest.mark.parametrize("objective, seed", [("uniform", None), ("seeded", 11), ("seeded", 77)])
+def test_sparse_pricing_rows_give_the_dense_row_deflator(monkeypatch, objective, seed):
+    for market in [mkt for mkt, _ in seeded_markets()] + [
+            generate_scenario(3, "general", T=4, utility="power", habit="one_lag").market]:
+        t = market.tree
+        offsets = np.cumsum([0, 0] + [t.n_atoms(k) for k in range(1, t.T + 1)])
+        A, b = habitopt.market._pricing_system(market, offsets)
+        A_ref, b_ref = _dense_pricing_system(market, offsets)
+        assert np.array_equal(A.toarray(), A_ref) and np.array_equal(b, b_ref)
+        R = check_no_arbitrage(_fresh(market), objective, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(habitopt.market, "_pricing_system", _dense_pricing_system)
+            R_ref = check_no_arbitrage(_fresh(market), objective, seed)
+        for k in range(t.T + 1):
+            assert np.array_equal(R.values(k), R_ref.values(k))
+
+
+def _dense_type_c_blocks(m):
+    """Reference: the type-C partitions from one dense projection per atom
+    indicator and a union-find over their supports (``None`` if not type C)."""
+    t = m.tree
+    projections = []
+    for k in range(1, t.T + 1):
+        _, Q = _dense_basis(m, k)
+        w = t.atom_probs[k]
+        cols = [Q.T @ (Q @ (w * np.eye(t.n_atoms(k))[a])) for a in range(t.n_atoms(k))]
+        if any(np.any(pr < -1e-10) for pr in cols):
+            return None
+        projections.append(cols)
+    out = []
+    for k in range(1, t.T + 1):
+        na, w = t.n_atoms(k), t.atom_probs[k]
+        lab = np.arange(na)
+
+        def find(x):
+            while lab[x] != x:
+                x = lab[x]
+            return x
+
+        for a in range(na):
+            for b in np.flatnonzero(projections[k - 1][a] > 1e-10):
+                ra, rb = find(a), find(int(b))
+                if ra != rb:
+                    lab[ra] = rb
+        roots, blocks = {}, []
+        for a in range(na):
+            rt = find(a)
+            if rt not in roots:
+                roots[rt] = len(blocks)
+                blocks.append([])
+            blocks[roots[rt]].append(a)
+        if any(len({int(t.parent[k][a]) for a in blk}) != 1 for blk in blocks):
+            return None
+        for blk in blocks:
+            sel = np.array(blk)
+            for a in blk:
+                ce = np.zeros(na)
+                ce[sel] = w[a] / w[sel].sum()
+                if np.max(np.abs(projections[k - 1][a] - ce)) > 1e-10:
+                    return None
+        out.append(tuple(tuple(b) for b in blocks))
+    return tuple(out)
+
+
+def _classification_markets():
+    markets = _basis_markets()
+    for seed in range(6):
+        for family, T in (("bond_only", 3), ("general", 2), ("general", 3), ("idiosyncratic", 2)):
+            markets.append(generate_scenario(200 + seed, family, T=T).market)
+    return markets
+
+
+def test_block_type_c_test_matches_the_dense_projections():
+    kinds = set()
+    for m in _classification_markets():
+        cls = classify_market(_fresh(m))
+        kinds.add(cls.kind)
+        if cls.kind == "complete":
+            continue
+        ref = _dense_type_c_blocks(m)
+        assert cls.kind == ("general" if ref is None else "type_c")
+        assert cls.witness == ref
+    assert {"type_c", "general"} <= kinds
+
+
+def _loop_certify(m, R):
+    """Reference: the deflator certificate as one sum per atom and asset."""
+    t = m.tree
+    for k in range(t.T):
+        gain = m.gain(k + 1)
+        Rk, Rn = R.values(k), R.values(k + 1)
+        for a in range(t.n_atoms(k)):
+            children = t.children(k, a)
+            pa = t.atom_probs[k][a]
+            for i in range(m.n_risky + 1):
+                lhs = pa * Rk[a] * m.S[k][a, i]
+                rv = sum(t.atom_probs[k + 1][b] * Rn[b] * gain[b, i] for b in children)
+                if abs(lhs - rv) > 1e-9 * max(1.0, abs(lhs)):
+                    raise ArbitrageDetected(
+                        f"deflator certificate failed at level {k}, atom {a}, asset {i}: "
+                        f"residual {abs(lhs - rv):.3e}"
+                    )
+
+
+def _certificate_outcome(certify, m, R):
+    try:
+        certify(m, R)
+    except ArbitrageDetected as exc:
+        return str(exc)
+    return None
+
+
+def test_certificate_equals_the_per_atom_loop():
+    rng = np.random.default_rng(4)
+    outcomes = set()
+    for market in [mkt for mkt, _ in seeded_markets()]:
+        t = market.tree
+        R = check_no_arbitrage(_fresh(market))
+        for _ in range(20):
+            vals = [R.values(k).copy() for k in range(t.T + 1)]
+            k = int(rng.integers(1, t.T + 1))
+            vals[k][rng.integers(t.n_atoms(k))] *= 1.0 + rng.choice([0.0, 1e-10, 1e-8, 1e-3])
+            bumped = AdaptedProcess(t, vals)
+            got = _certificate_outcome(habitopt.market._certify, market, bumped)
+            assert got == _certificate_outcome(_loop_certify, market, bumped)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}

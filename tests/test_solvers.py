@@ -347,6 +347,30 @@ def test_plan_arrays_equal_the_per_row_ancestor_walk(shuffled_prefs):
                     assert np.array_equal(got, value), (name, k0, node)
 
 
+def test_pattern_jacobian_and_scattered_hessian_equal_the_dense_products(shuffled_prefs):
+    # |fl(x . y) - x . y| <= n eps |x| . |y| for an n-term dot product; both
+    # sides are rounded, and the Hessian inherits the rounding of J
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(5)
+    for sc in _pinned_instances(shuffled_prefs):
+        t = sc.tree
+        for k0 in range(t.T + 1):
+            for node in range(t.n_atoms(k0)):
+                w = None if k0 == 0 else 0.7
+                history = [1.0 + 0.1 * l for l in range(k0)]
+                plan = _SubtreePlan(sc.market, sc.prefs, sc.eps, k0=k0, node=node,
+                                    history=history, w=w)
+                nc = plan.n_c
+                J = plan.L @ plan.A
+                J_abs = np.abs(plan.L) @ np.abs(plan.A)
+                assert np.all(np.abs(plan.J - J) <= 2 * nc * eps * J_abs)
+                hw = rng.uniform(0.1, 10.0, nc)
+                H = (J.T * hw) @ J
+                assert np.all(np.abs(plan.hessian(hw) - H)
+                              <= 8 * nc * eps * ((J_abs.T * hw) @ J_abs))
+                assert np.array_equal(plan.hessian(hw), plan.hessian(hw).T)
+
+
 def test_subproblem_reuses_plans_by_node():
     sc, k, node, hist, w, x_base = _continuation_at_base()
     plans = {}
