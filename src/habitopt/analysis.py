@@ -49,7 +49,7 @@ from .solvers import (
     solve_general,
     solve_subproblem,
 )
-from .tree import EventTree, RandomVariable, build_tree, condexp
+from .tree import EventTree, _condexp, build_tree
 
 __all__ = [
     "PolicyProbe",
@@ -69,6 +69,9 @@ __all__ = [
     "wealth_sweep",
     "generate_scenario",
 ]
+
+# Newton tolerance of the base plans and re-solves behind every probe
+_GTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +100,7 @@ def policy_bound_chain(tree: EventTree, spd: SPDBundle, beta: np.ndarray) -> lis
         for j in range(k + 1, T + 1):
             coef = theta[j, k]
             if coef != 0.0:
-                acc = acc + coef * condexp(spd.M[j], k).values / spd.M[k].values
+                acc = acc + coef * _condexp(tree, spd.M[j].values, j, k) / spd.M[k].values
         out.append(1.0 / acc)
     return out
 
@@ -131,7 +134,7 @@ def _base_holdings(base: Solution, k: int, node: int) -> np.ndarray:
     return np.concatenate([np.zeros(0)] + [base.pi[l][atoms[l]].ravel() for l in range(k, T)])
 
 
-def _policy(m: MarketModel, p: HabitPreferences, eps_vals, method: str, gtol: float,
+def _policy(m: MarketModel, p: HabitPreferences, eps_vals, method: str,
             spd: SPDBundle | None, base: Solution):
     """Consumption chosen at ``(k, node)`` given past consumption and entering wealth.
 
@@ -147,7 +150,7 @@ def _policy(m: MarketModel, p: HabitPreferences, eps_vals, method: str, gtol: fl
             return float(_complete_continuation(p, spd, eps_vals, k, node, history, w)[0][k][0])
         if (k, node) not in starts:
             starts[(k, node)] = _base_holdings(base, k, node)
-        sub = solve_subproblem(m, p, eps_vals, k, node, history, w, gtol=gtol,
+        sub = solve_subproblem(m, p, eps_vals, k, node, history, w, gtol=_GTOL,
                                x0=starts[(k, node)], plans=plans)
         return sub.c[(k, node)]
 
@@ -184,20 +187,17 @@ class PolicyProbe:
     scope: str
     market_kind: str
     richardson: np.ndarray
-    step: float
     details: dict = field(default_factory=dict)
 
 
 def monotonicity_probe(m: MarketModel, p: HabitPreferences, eps, k: int,
-                       delta: float | None = None, witness=None,
-                       method: str = "auto", gtol: float = 1e-12,
-                       base: Solution | None = None,
-                       slack: float = 1e-4) -> PolicyProbe:
+                       witness=None, method: str = "auto",
+                       base: Solution | None = None) -> PolicyProbe:
     """Check that consumption responds to wealth with slope in ``(0, B_k]``.
 
     Central differences of re-solved continuation problems around the optimal
     wealth at each level-``k`` node (around the endowment itself at ``k = 0``),
-    compared to the deflator-ratio bound plus ``slack``.
+    compared to the deflator-ratio bound plus ``1e-4``.
     """
     t = m.tree
     eps_vals = _as_level_values(t, eps)
@@ -207,13 +207,13 @@ def monotonicity_probe(m: MarketModel, p: HabitPreferences, eps, k: int,
     if method == "auto":
         method = _probe_method(m, p)
     if base is None:
-        base = solve_general(m, p, eps_vals, gtol=gtol)
+        base = solve_general(m, p, eps_vals, gtol=_GTOL)
     cbase = [base.c.values(l) for l in range(t.T + 1)]
-    policy = _policy(m, p, eps_vals, method, gtol, spd, base)
+    policy = _policy(m, p, eps_vals, method, spd, base)
 
     ests, rich = [], []
     for a, hist, w0 in _probe_points(t, eps_vals, base, cbase, k):
-        da = delta if delta is not None else max(1e-4, 1e-4 * abs(w0))
+        da = max(1e-4, 1e-4 * abs(w0))
         pair = []
         for dd in (da, da / 2):
             cp = policy(k, a, hist, w0 + dd)
@@ -223,18 +223,16 @@ def monotonicity_probe(m: MarketModel, p: HabitPreferences, eps, k: int,
         rich.append(abs(pair[0] - pair[1]) / max(abs(pair[1]), 1e-12))
     estimates = np.array(ests)
     richardson = np.array(rich)
-    within = bool(np.all(estimates > 0) and np.all(estimates <= bound + slack))
+    within = bool(np.all(estimates > 0) and np.all(estimates <= bound + 1e-4))
     return PolicyProbe(
         kind="slope", level=k, estimates=estimates, bounds=bound.copy(),
         within=within, scope=scope, market_kind=kind, richardson=richardson,
-        step=float(da if k == 0 else delta or 0.0),
         details={"method": method, "base_c": cbase[k].copy()},
     )
 
 
 def concavity_probe(m: MarketModel, p: HabitPreferences, eps, k: int,
-                    delta: float | None = None, witness=None,
-                    method: str = "auto", gtol: float = 1e-12,
+                    witness=None, method: str = "auto",
                     base: Solution | None = None,
                     tol: float = 1e-6) -> PolicyProbe:
     """Second differences of the consumption policy in wealth (should be <= 0).
@@ -260,17 +258,17 @@ def concavity_probe(m: MarketModel, p: HabitPreferences, eps, k: int,
     if method == "auto":
         method = _probe_method(m, p)
     if base is None:
-        base = solve_general(m, p, eps_vals, gtol=gtol)
+        base = solve_general(m, p, eps_vals, gtol=_GTOL)
     cbase = [base.c.values(l) for l in range(t.T + 1)]
 
-    policy = _policy(m, p, eps_vals, method, gtol, spd, base)
+    policy = _policy(m, p, eps_vals, method, spd, base)
 
     def second(fn, w0, dd):
         return (fn(w0 + dd) - 2.0 * fn(w0) + fn(w0 - dd)) / (dd * dd)
 
     ests, rich, scales = [], [], []
     for a, hist, w0 in _probe_points(t, eps_vals, base, cbase, k):
-        da = delta if delta is not None else max(5e-3, 5e-3 * abs(w0))
+        da = max(5e-3, 5e-3 * abs(w0))
 
         def fn(w):
             return policy(k, a, hist, w)
@@ -285,7 +283,6 @@ def concavity_probe(m: MarketModel, p: HabitPreferences, eps, k: int,
     return PolicyProbe(
         kind="curvature", level=k, estimates=estimates, bounds=np.zeros_like(estimates),
         within=within, scope=scope, market_kind=kind, richardson=np.array(rich),
-        step=float(da if k == 0 else delta or 0.0),
         details={"method": method, "scales": scales},
     )
 
@@ -314,17 +311,15 @@ class BoundReport:
 
 
 def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
-                    delta: float | None = None, witness=None,
-                    gtol: float = 1e-12, slack: float = 1e-5,
-                    base: Solution | None = None) -> BoundReport:
+                    witness=None, base: Solution | None = None) -> BoundReport:
     """Check the lower bound on how continuation wealth tracks past consumption.
 
     For each level-``k`` atom, the consistent entering wealth of the next
     period's children is defined through the habit-free first-order link
     between periods ``k`` and ``k+1``; its sensitivity to the consumption
     chosen at the parent must dominate the accumulated habit chain weights
-    priced by deflator ratios.  A root of that link is accepted on its
-    residual, at most ``1e-10`` of the size of the link's price term.
+    priced by deflator ratios, less ``1e-5``.  A root of that link is accepted
+    on its residual, at most ``1e-10`` of the size of the link's price term.
     """
     t = m.tree
     T = t.T
@@ -335,8 +330,8 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
     spd = spd_bundle(m, p.beta)
     theta = theta_table(p.beta)
     if base is None:
-        base = solve_general(m, p, eps_vals, gtol=gtol)
-    policy = _policy(m, p, eps_vals, "newton", gtol, spd, base)
+        base = solve_general(m, p, eps_vals, gtol=_GTOL)
+    policy = _policy(m, p, eps_vals, "newton", spd, base)
     cbase = [base.c.values(l) for l in range(t.T + 1)]
     wts = t.atom_probs[k + 1]
     gains = m.gain(k + 1)
@@ -345,7 +340,7 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
     for j in range(k + 1, T + 1):
         coef = theta[j, k]
         if coef != 0.0:
-            bound_lvl += coef * condexp(spd.M[j], k + 1).values / spd.M[k + 1].values
+            bound_lvl += coef * _condexp(t, spd.M[j].values, j, k + 1) / spd.M[k + 1].values
 
     estimates, bounds = {}, {}
     terminal_formula = {}
@@ -388,7 +383,7 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
         base_residual = max(base_residual, float(np.max(np.abs(resid(y_base, ck0)))),
                             float(np.max(np.abs(bmat @ y_base - w_base))))
 
-        d = delta if delta is not None else max(1e-4, 1e-4 * abs(ck0))
+        d = max(1e-4, 1e-4 * abs(ck0))
         price_scale = float(np.max(np.abs(bmat.T @ (wch * mt_ratio))))
         sols = {}
         for sign in (+1, -1):
@@ -424,11 +419,11 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
                     p.beta[T, T - 1] + mt_ratio[j] * du2_here / proj_du2[j]
                 )
 
-    satisfied = all(estimates[key] >= bounds[key] - slack for key in estimates)
+    satisfied = all(estimates[key] >= bounds[key] - 1e-5 for key in estimates)
     return BoundReport(
         level=k, estimates=estimates, bounds=bounds, satisfied=satisfied,
         scope=scope, market_kind=kind, base_residual=base_residual,
-        details={"delta": delta, "terminal_formula": terminal_formula},
+        details={"terminal_formula": terminal_formula},
     )
 
 
@@ -448,22 +443,21 @@ class EnvelopeReport:
 
 
 def envelope_check(m: MarketModel, p: HabitPreferences, eps,
-                   delta: float | None = None, gtol: float = 1e-12,
                    base: Solution | None = None) -> EnvelopeReport:
     """Differentiate the value function in the endowment and compare with
     the time-0 habit-adjusted marginal utility of the optimal plan."""
     t = m.tree
     eps_vals = _as_level_values(t, eps)
     if base is None:
-        base = solve_general(m, p, eps_vals, gtol=gtol)
+        base = solve_general(m, p, eps_vals, gtol=_GTOL)
     x0 = _base_holdings(base, 0, 0)
     marginal = float(base.R.values(0)[0])
     e0 = float(eps_vals[0][0])
-    d = delta if delta is not None else max(1e-4, 1e-4 * abs(e0))
+    d = max(1e-4, 1e-4 * abs(e0))
 
     def value_at(e0v: float) -> float:
         shifted = [np.full(1, e0v)] + [eps_vals[l] for l in range(1, t.T + 1)]
-        return solve_general(m, p, shifted, gtol=gtol, x0=x0).U
+        return solve_general(m, p, shifted, gtol=_GTOL, x0=x0).U
 
     est = (value_at(e0 + d) - value_at(e0 - d)) / (2 * d)
     scale = max(1.0, abs(marginal))
@@ -480,13 +474,13 @@ class LinearityReport:
 
 
 def linearity_law_check(gammas=(0.5, 1.0, 2.0, 4.0),
-                        gross_rates=(0.25, 1.0, 4.0),
-                        eps0: float = 1.0, gtol: float = 1e-12) -> LinearityReport:
+                        gross_rates=(0.25, 1.0, 4.0)) -> LinearityReport:
     """Optimal time-0 consumption is proportional to the endowment when a
     single bond with gross return ``r`` carries savings for one period.
 
     The predicted share is ``r**(1 - 1/gamma) / (1 + r**(1 - 1/gamma))``,
-    independent of the endowment, and exactly one half for log utility.
+    independent of the endowment (one here), and exactly one half for log
+    utility.
     """
     t = build_tree([[[0]], [[0]]], [1.0])
     rows = []
@@ -495,8 +489,8 @@ def linearity_law_check(gammas=(0.5, 1.0, 2.0, 4.0),
         for r in gross_rates:
             m = MarketModel(t, [r - 1.0], strict=False)
             p = HabitPreferences(t, PowerUtility(g, 0.0))
-            sol = solve_general(m, p, [np.array([eps0]), np.zeros(1)], gtol=gtol)
-            share = float(sol.c.values(0)[0]) / eps0
+            sol = solve_general(m, p, [np.array([1.0]), np.zeros(1)], gtol=_GTOL)
+            share = float(sol.c.values(0)[0])
             x = r ** (1.0 - 1.0 / g)
             predicted = x / (1.0 + x)
             gap = abs(share - predicted)
@@ -719,9 +713,8 @@ def _priced_market(rng, tree: EventTree, rates, n_risky: int) -> MarketModel:
     R = [None] * (T + 1)
     R[T] = rng.uniform(0.6, 1.5, tree.n_leaves)
     for k in range(T - 1, -1, -1):
-        nxt = RandomVariable(tree, k + 1, R[k + 1])
         R[k] = (1.0 + np.broadcast_to(rates[k], (tree.n_atoms(k),))) \
-            * condexp(nxt, k).values
+            * _condexp(tree, R[k + 1], k + 1, k)
     scale = R[0][0]
     R = [vals / scale for vals in R]
     if n_risky == 0:
@@ -733,7 +726,7 @@ def _priced_market(rng, tree: EventTree, rates, n_risky: int) -> MarketModel:
         cum = nxt_price + divs[k]
         vals = np.empty((tree.n_atoms(k), n_risky))
         for i in range(n_risky):
-            num = condexp(RandomVariable(tree, k + 1, R[k + 1] * cum[:, i]), k).values
+            num = _condexp(tree, R[k + 1] * cum[:, i], k + 1, k)
             vals[:, i] = num / R[k]
         prices[k] = vals
         nxt_price = vals

@@ -226,10 +226,9 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _run_checks(market, prefs, eps, witness, checks, tol, seed):
+def _run_checks(market, prefs, eps, witness, checks, tol):
     t = market.tree
-    objective = "uniform" if seed is None else "seeded"
-    spd = spd_bundle(market, prefs.beta, objective=objective, seed=seed)
+    spd = spd_bundle(market, prefs.beta)
     cls = classify_market(market, witness)
     results = {}
     with warnings.catch_warnings():
@@ -303,7 +302,7 @@ def _cmd_verify(args) -> int:
     unknown = set(checks) - known
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)} (choose from {sorted(known)})")
-    results, cls = _run_checks(market, prefs, eps, witness, checks, args.tol, args.seed)
+    results, cls = _run_checks(market, prefs, eps, witness, checks, args.tol)
     # out-of-scope probes only warn: their bounds are not guaranteed there
     passed = all(entry["passed"] for entry in results.values()
                  if entry.get("scope") != "out_of_scope")
@@ -515,8 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--endow", required=True)
     vf.add_argument("--checks", default="monotonicity,eta,concavity,envelope,foc")
     vf.add_argument("--tol", type=float, default=1e-6)
-    vf.add_argument("--seed", type=int, default=None,
-                    help="seed the deflator objective used by the checks")
     vf.add_argument("--report", default=None)
     vf.set_defaults(fn=_cmd_verify)
 

@@ -27,8 +27,8 @@ from .errors import (
     NotInPayoffSpace,
     VanishingAggregateSPD,
 )
-from .tree import (AdaptedProcess, EventTree, HabitOperator, RandomVariable, build_tree,
-                   condexp, lift)
+from .tree import (AdaptedProcess, EventTree, HabitOperator, RandomVariable, _condexp,
+                   build_tree, condexp, lift)
 
 __all__ = [
     "MarketModel",
@@ -260,19 +260,23 @@ def project(m: MarketModel, k: int, x: RandomVariable) -> RandomVariable:
     ``x`` may live at any level: it is lifted if coarser than ``k`` and
     replaced by its level-``k`` conditional expectation if finer (legitimate
     because the payoff space consists of level-``k`` measurable claims).
-    The projection runs block by block.
+    The projection runs block by block (:func:`_project`).
     """
-    t = m.tree
     if x.level < k:
         x = lift(x, k)
     elif x.level > k:
         x = condexp(x, k)
-    xw = t.atom_probs[k] * x.values
-    out = np.empty(t.n_atoms(k))
+    return RandomVariable(m.tree, k, _project(m, k, x.values))
+
+
+def _project(m: MarketModel, k: int, x: np.ndarray) -> np.ndarray:
+    """Array core of :func:`project` for level-``k`` values ``x``."""
+    xw = m.tree.atom_probs[k] * x
+    out = np.empty(m.tree.n_atoms(k))
     for b in payoff_space_basis(m, k).blocks:
         coeffs = b.rows @ xw[b.children][..., None]
         out[b.children] = (np.swapaxes(coeffs, 1, 2) @ b.rows)[:, 0]
-    return RandomVariable(t, k, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +367,8 @@ def check_no_arbitrage(m: MarketModel, objective="uniform", seed: int | None = N
     R = AdaptedProcess(t, vals)
 
     _certify(m, R)    # rather than trust LP status blindly
-    for x in R.vars:
-        x.values.setflags(write=False)
+    for v in vals:
+        v.setflags(write=False)
     if key is not None:
         m._deflators[key] = R
     return R
@@ -515,9 +519,9 @@ class MarketClass:
         return self.kind == "type_c" and self.interest_deterministic
 
 
-def deterministic_interest(m: MarketModel, tol: float = 1e-12) -> bool:
+def deterministic_interest(m: MarketModel) -> bool:
     return all(
-        float(np.max(m.r[k]) - np.min(m.r[k])) <= tol for k in range(1, m.T + 1)
+        float(np.max(m.r[k]) - np.min(m.r[k])) <= 1e-12 for k in range(1, m.T + 1)
     )
 
 
@@ -623,13 +627,13 @@ def _check_idiosyncratic_witness(m: MarketModel, flt) -> None:
     # witness level for every witness-measurable next-period indicator
     for k in range(T):
         for j in range(len(flt[k + 1])):
-            x = RandomVariable(t, T, (leaf_lab[k + 1] == j).astype(float))
-            via_g = condexp(x, k).values
+            x = (leaf_lab[k + 1] == j).astype(float)
+            via_g = _condexp(t, x, T, k)
             via_f = np.empty_like(via_g)
             for jj in range(len(flt[k])):
                 sel_leaves = leaf_lab[k] == jj
                 mass = t.probs[sel_leaves].sum()
-                val = float(np.dot(t.probs[sel_leaves], x.values[sel_leaves])) / mass
+                val = float(np.dot(t.probs[sel_leaves], x[sel_leaves])) / mass
                 via_f[atom_of[k] == jj] = val
             if np.max(np.abs(via_g - via_f)) > 1e-12:
                 raise InvalidWitness(
@@ -738,7 +742,7 @@ def _deflated_value(tree: EventTree, M, x) -> list:
     tail = np.zeros(tree.n_atoms(T))
     for k in range(T, -1, -1):
         if k < T:
-            tail = condexp(RandomVariable(tree, k + 1, tail), k).values
+            tail = _condexp(tree, tail, k + 1, k)
         tail = M[k].values * x[k] + tail
         if np.any(np.abs(M[k].values) < 1e-14):
             raise DivisionByZeroSPD(f"aggregate deflator vanishes at level {k}")
@@ -755,9 +759,9 @@ def wealth_to_consumption(m: MarketModel, M, W: AdaptedProcess, eps: AdaptedProc
     t = m.tree
     T = t.T
     for k in range(1, T + 1):
-        wk = RandomVariable(t, k, W.values(k))
-        resid = project(m, k, wk).values - wk.values
-        if np.max(np.abs(resid)) > 1e-8 * max(1.0, float(np.max(np.abs(wk.values)))):
+        wk = W.values(k)
+        resid = _project(m, k, wk) - wk
+        if np.max(np.abs(resid)) > 1e-8 * max(1.0, float(np.max(np.abs(wk)))):
             raise NotInPayoffSpace(
                 f"wealth at level {k} lies outside the attainable payoff space"
             )
@@ -767,7 +771,6 @@ def wealth_to_consumption(m: MarketModel, M, W: AdaptedProcess, eps: AdaptedProc
             raise DivisionByZeroSPD(f"aggregate deflator vanishes at level {k}")
         val = eps.values(k) + W.values(k)
         if k < T:
-            nxt = condexp(RandomVariable(t, k + 1, M[k + 1].values * W.values(k + 1)), k)
-            val = val - nxt.values / M[k].values
-        c.append(RandomVariable(t, k, val))
+            val = val - _condexp(t, M[k + 1].values * W.values(k + 1), k + 1, k) / M[k].values
+        c.append(val)
     return AdaptedProcess(t, c)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation, LevelMismatch
-from .market import MarketModel, SPDBundle, project
-from .tree import AdaptedProcess, EventTree, HabitOperator, RandomVariable, lift
+from .market import MarketModel, SPDBundle, _project
+from .tree import AdaptedProcess, EventTree, HabitOperator
 
 __all__ = [
     "PowerUtility",
@@ -34,6 +34,14 @@ __all__ = [
     "foc_residual",
     "simplified_foc_residual",
 ]
+
+
+def _finite(name: str, x) -> np.ndarray:
+    """``x`` as a float array; ValueError naming ``name`` where an entry is not finite."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
+    return x
 
 
 def _runs(keys) -> list[tuple[int, int, object]]:
@@ -73,13 +81,13 @@ class PowerUtility:
     inada = True
 
     def __init__(self, gamma, rho: float = 0.0, T: int | None = None):
-        g = np.atleast_1d(np.asarray(gamma, dtype=float))
+        g = np.atleast_1d(_finite("relative risk aversion", gamma))
         if np.any(g <= 0):
             raise ValueError("relative risk aversion must be positive")
         if g.size == 1 and T is not None:
             g = np.full(T + 1, g[0])
         self.gamma = g
-        self.rho = float(rho)
+        self.rho = float(_finite("discount rate rho", rho))
 
     def gamma_at(self, k: int) -> float:
         return float(self.gamma[min(k, self.gamma.size - 1)])
@@ -147,10 +155,10 @@ class ExponentialUtility:
     inada = False
 
     def __init__(self, gamma: float, rho: float = 0.0):
-        if gamma <= 0:
+        if _finite("absolute risk aversion", gamma) <= 0:
             raise ValueError("absolute risk aversion must be positive")
         self.gamma = float(gamma)
-        self.rho = float(rho)
+        self.rho = float(_finite("discount rate rho", rho))
 
     def gamma_at(self, k: int) -> float:
         return self.gamma
@@ -247,7 +255,7 @@ class HabitPreferences:
         T = tree.T
         if beta is None:
             beta = np.zeros((T + 1, T + 1))
-        beta = np.asarray(beta, dtype=float)
+        beta = _finite("habit weights beta", beta)
         if beta.shape != (T + 1, T + 1):
             raise LevelMismatch(f"beta must be {(T + 1, T + 1)}, got {beta.shape}")
         if np.any(beta < 0):
@@ -261,8 +269,7 @@ class HabitPreferences:
             h = [np.zeros(tree.n_atoms(k)) for k in range(T + 1)]
         if len(h) != T + 1:
             raise LevelMismatch(f"expected {T + 1} levels of floors, got {len(h)}")
-        h = [np.broadcast_to(np.asarray(h[k], dtype=float), (tree.n_atoms(k),)).copy()
-             for k in range(T + 1)]
+        h = [hk.copy() for hk in _as_level_values(tree, h, "floor")]
         if np.any(h[0] != 0):
             raise ValueError("the exogenous floor at time 0 must vanish")
         if any(np.any(hk < 0) for hk in h):
@@ -345,13 +352,21 @@ class PerturbedConsumption:
     violations: tuple
 
 
-def _as_level_values(tree: EventTree, c) -> list[np.ndarray]:
+def _as_level_values(tree: EventTree, c, name: str = "endowment") -> list[np.ndarray]:
+    """One array per level of a process given per level as a scalar or one
+    finite value per atom; LevelMismatch or ValueError names ``name``."""
     if isinstance(c, AdaptedProcess):
         return [c.values(k) for k in range(tree.T + 1)]
     if len(c) != tree.T + 1:
         raise LevelMismatch(f"expected {tree.T + 1} levels, got {len(c)}")
-    return [np.broadcast_to(np.asarray(ck, dtype=float), (tree.n_atoms(k),))
-            for k, ck in enumerate(c)]
+    out = []
+    for k, ck in enumerate(c):
+        v = _finite(f"{name} at level {k}", ck)
+        if v.ndim > 1 or v.size not in (1, tree.n_atoms(k)):
+            raise LevelMismatch(f"{name} at level {k} has {v.size} values "
+                                f"for {tree.n_atoms(k)} atoms")
+        out.append(np.broadcast_to(v, (tree.n_atoms(k),)))
+    return out
 
 
 def perturbed_consumption(p: HabitPreferences, c) -> PerturbedConsumption:
@@ -361,7 +376,7 @@ def perturbed_consumption(p: HabitPreferences, c) -> PerturbedConsumption:
     them as infinite penalties.
     """
     t = p.tree
-    chat = p.habit.apply(_as_level_values(t, c))
+    chat = p.habit.apply(_as_level_values(t, c, "consumption"))
     violations = []
     for k, vals in enumerate(chat):
         vals -= p.h[k]
@@ -424,14 +439,13 @@ def foc_residual(m: MarketModel, p: HabitPreferences, c, spd: SPDBundle) -> list
     R = habit_adjusted_marginal(p, c)
     out = []
     for k in range(1, t.T + 1):
-        prev = lift(R.vars[k - 1], k).values
+        prev = R.values(k - 1)[t.parent[k]]
         if np.any(np.abs(prev) < 1e-14):
             raise DomainViolation(
                 f"habit-adjusted marginal vanishes at level {k - 1}", period=k - 1
             )
-        ratio = RandomVariable(t, k, R.values(k) / prev)
-        lhs = project(m, k, ratio).values
-        rhs = spd.M[k].values / lift(spd.M[k - 1], k).values
+        lhs = _project(m, k, R.values(k) / prev)
+        rhs = spd.M[k].values / spd.M[k - 1].values[t.parent[k]]
         out.append(lhs - rhs)
     return out
 
@@ -451,8 +465,8 @@ def simplified_foc_residual(m: MarketModel, p: HabitPreferences, c,
     for k in range(1, t.T + 1):
         du_k = p.family.du(k, pc.chat.values(k))
         du_prev = p.family.du(k - 1, pc.chat.values(k - 1))
-        lhs = project(m, k, RandomVariable(t, k, du_k)).values
-        ratio = spd.Mtilde[k].values / lift(spd.Mtilde[k - 1], k).values
-        rhs = ratio * lift(RandomVariable(t, k - 1, du_prev), k).values
+        lhs = _project(m, k, du_k)
+        ratio = spd.Mtilde[k].values / spd.Mtilde[k - 1].values[t.parent[k]]
+        rhs = ratio * du_prev[t.parent[k]]
         out.append(lhs - rhs)
     return out

@@ -39,7 +39,6 @@ from .market import (
     SPDBundle,
     _deflated_value,
     classify_market,
-    consumption_to_wealth,
     deterministic_interest,
     spd_bundle,
 )
@@ -53,7 +52,7 @@ from .preferences import (
     theta_table,
     utility_value,
 )
-from .tree import AdaptedProcess, RandomVariable, condexp, lift
+from .tree import AdaptedProcess, RandomVariable, _condexp
 
 __all__ = [
     "Solution",
@@ -388,7 +387,10 @@ def _derivatives(plan: _SubtreePlan, x: np.ndarray):
     return plan.J.T @ gw, hw
 
 
-def _newton_maximize(plan: _SubtreePlan, x0, gtol: float = 1e-10, max_iter: int = 300):
+_MAX_ITER = 300
+
+
+def _newton_maximize(plan: _SubtreePlan, x0, gtol: float):
     """Damped Newton ascent of the concave plan utility from ``_start(plan, x0)``.
 
     Returns the maximizer, the utility there and the iteration diagnostics.
@@ -404,7 +406,7 @@ def _newton_maximize(plan: _SubtreePlan, x0, gtol: float = 1e-10, max_iter: int 
         raise DomainViolation("starting point is not strictly admissible")
     info = {"iterations": 0, "grad_norm": np.inf, "ridge": 0.0}
     g, hw = _derivatives(plan, x)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         gn = float(np.abs(g).max())
         info["iterations"] = it
         info["grad_norm"] = gn
@@ -461,7 +463,7 @@ def _newton_maximize(plan: _SubtreePlan, x0, gtol: float = 1e-10, max_iter: int 
         info["grad_norm"] = gn
         return x, fx, info
     raise NonConvergence(
-        f"no convergence after {max_iter} iterations (gradient norm {gn:.3e})",
+        f"no convergence after {_MAX_ITER} iterations (gradient norm {gn:.3e})",
         best=x, diagnostics=dict(info),
     )
 
@@ -492,7 +494,7 @@ def _solution(p: HabitPreferences, c, W, I, pi, method: str, diag: dict) -> Solu
 
 
 def solve_general(m: MarketModel, p: HabitPreferences, eps, x0=None,
-                  gtol: float = 1e-11, max_iter: int = 300) -> Solution:
+                  gtol: float = 1e-11) -> Solution:
     """Maximize total habit utility over self-financing plans.
 
     Works on any no-arbitrage market and any concave family.  The returned
@@ -501,13 +503,13 @@ def solve_general(m: MarketModel, p: HabitPreferences, eps, x0=None,
     ``x0`` warm-starts Newton as in ``solve_subproblem``.
     """
     plan = _SubtreePlan(m, p, eps)
-    x, _, info = _newton_maximize(plan, x0, gtol=gtol, max_iter=max_iter)
+    x, _, info = _newton_maximize(plan, x0, gtol)
     return _assemble_solution(plan, x, "newton", info)
 
 
 def solve_subproblem(m: MarketModel, p: HabitPreferences, eps, k: int, node: int,
-                     history, w: float, gtol: float = 1e-11,
-                     max_iter: int = 300, x0=None, plans: dict | None = None) -> SubSolution:
+                     history, w: float, gtol: float = 1e-11, x0=None,
+                     plans: dict | None = None) -> SubSolution:
     """Optimal continuation from ``node`` at level ``k`` with entering wealth ``w``.
 
     ``history`` prescribes consumption on the node's strict ancestors, which
@@ -533,7 +535,7 @@ def solve_subproblem(m: MarketModel, p: HabitPreferences, eps, k: int, node: int
         plan = _SubtreePlan(m, p, eps, k0=k, node=node, history=history, w=w)
         if plans is not None:
             plans[(k, node)] = plan
-    x, fx, info = _newton_maximize(plan, x0, gtol=gtol, max_iter=max_iter)
+    x, fx, info = _newton_maximize(plan, x0, gtol)
     cmap = dict(zip(plan.c_keys, plan.consumption(x).tolist()))
     wmap = dict(zip(plan.c_keys[1:], plan.entering_wealth(x).tolist()))
     wmap[(k, node)] = float(w)
@@ -626,13 +628,13 @@ def _budget_gap(t, spd: SPDBundle, c, endow, atoms) -> float:
     return gap
 
 
-def _budget_root(gap, inada: bool, wealth: float, tol: float = 1e-12) -> tuple:
+def _budget_root(gap, inada: bool, wealth: float) -> tuple:
     """Root of a strictly increasing budget gap, and the gap left there.
 
     Families with an Inada condition bracket from just above zero; the others
     double a symmetric bracket of the size of ``wealth``.  Raises Infeasible
     when even vanishing consumption overspends, and NonConvergence when the
-    gap at the root exceeds ``tol`` relative to ``wealth``.
+    gap at the root exceeds ``1e-12`` relative to ``wealth``.
     """
     hi = max(1.0, abs(wealth))
     if inada:
@@ -657,7 +659,7 @@ def _budget_root(gap, inada: bool, wealth: float, tol: float = 1e-12) -> tuple:
         raise BracketFailure("could not bracket the budget root from above")
     root = brentq(gap, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     resid = gap(root)
-    if abs(resid) > tol * max(1.0, abs(wealth)):
+    if abs(resid) > 1e-12 * max(1.0, abs(wealth)):
         raise NonConvergence(
             f"budget gap {resid:.3e} above tolerance after root-find", best=root
         )
@@ -665,7 +667,7 @@ def _budget_root(gap, inada: bool, wealth: float, tol: float = 1e-12) -> tuple:
 
 
 def _complete_continuation(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int,
-                           node: int, history, w: float, budget_tol: float = 1e-12):
+                           node: int, history, w: float):
     """Optimal complete-market consumption below ``node`` at level ``k``.
 
     ``history`` is consumption on the node's strict ancestors.  As in
@@ -685,11 +687,11 @@ def _complete_continuation(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int
         return _budget_gap(t, spd, _forward_consumption(p, spd, atoms, history, z),
                            endow, atoms)
 
-    z, resid = _budget_root(gap, p.family.inada, wealth, budget_tol)
+    z, resid = _budget_root(gap, p.family.inada, wealth)
     return _forward_consumption(p, spd, atoms, history, z), resid
 
 
-def _replicate_portfolio(m: MarketModel, W, tol: float = 1e-7):
+def _replicate_portfolio(m: MarketModel, W):
     """Holdings supporting a wealth process; minimum-norm least squares per node.
 
     The nodes of a level are grouped by child count (``tree.child_blocks``),
@@ -710,7 +712,7 @@ def _replicate_portfolio(m: MarketModel, W, tol: float = 1e-7):
             rows[atoms] = sol
             resid[atoms] = np.max(np.abs(np.einsum("aij,aj->ai", G, sol) - target), axis=1)
             scale[atoms] = np.maximum(1.0, np.max(np.abs(target), axis=1))
-        bad = np.flatnonzero(resid > tol * scale)
+        bad = np.flatnonzero(resid > 1e-7 * scale)
         if bad.size:
             a = int(bad[0])
             raise PreconditionViolated(
@@ -724,17 +726,13 @@ def _replicate_portfolio(m: MarketModel, W, tol: float = 1e-7):
 def _solution_from_consumption(m: MarketModel, p: HabitPreferences, eps_vals, c,
                                spd: SPDBundle, method: str, diag: dict) -> Solution:
     t = m.tree
-    cp = AdaptedProcess(t, c)
-    W = consumption_to_wealth(m, spd.M, cp, AdaptedProcess(t, eps_vals))
-    Ivals = [eps_vals[k] + W.values(k) - cp.values(k) for k in range(t.T + 1)]
-    Ivals[t.T] = np.zeros(t.n_atoms(t.T))
-    pi = _replicate_portfolio(m, [W.values(k) for k in range(t.T + 1)])
-    return _solution(p, cp.vars, W.vars, Ivals, pi, method, diag)
+    W = _deflated_value(t, spd.M, [c[k] - eps_vals[k] for k in range(t.T + 1)])
+    Ivals = [eps_vals[k] + W[k] - c[k] for k in range(t.T)] + [np.zeros(t.n_atoms(t.T))]
+    return _solution(p, c, W, Ivals, _replicate_portfolio(m, W), method, diag)
 
 
 def solve_complete_general(m: MarketModel, p: HabitPreferences, eps,
-                           spd: SPDBundle | None = None,
-                           budget_tol: float = 1e-12) -> Solution:
+                           spd: SPDBundle | None = None) -> Solution:
     """Complete-market solver for any family with an invertible marginal.
 
     Given time-0 consumption, the first-order conditions pin down every later
@@ -749,8 +747,7 @@ def solve_complete_general(m: MarketModel, p: HabitPreferences, eps,
     if spd is None:
         spd = spd_bundle(m, p.beta)
     eps_vals = _as_level_values(t, eps)
-    c, resid = _complete_continuation(p, spd, eps_vals, 0, 0, (), float(eps_vals[0][0]),
-                                      budget_tol)
+    c, resid = _complete_continuation(p, spd, eps_vals, 0, 0, (), float(eps_vals[0][0]))
     return _solution_from_consumption(
         m, p, eps_vals, c, spd, "complete_general",
         {"c0": float(c[0][0]), "budget_gap": float(resid)},
@@ -780,8 +777,7 @@ class CompletePowerCoefficients:
     linear: bool
 
 
-def solve_complete_power(m: MarketModel, p: HabitPreferences, eps,
-                         spd: SPDBundle | None = None):
+def solve_complete_power(m: MarketModel, p: HabitPreferences, eps):
     """Complete-market solver specialized to power families.
 
     Returns the solution together with the coefficient bundle expressing
@@ -796,8 +792,7 @@ def solve_complete_power(m: MarketModel, p: HabitPreferences, eps,
     cls = classify_market(m)
     if cls.kind != "complete":
         raise PreconditionViolated(f"market classifies as {cls.kind}, not complete")
-    if spd is None:
-        spd = spd_bundle(m, p.beta)
+    spd = spd_bundle(m, p.beta)
     eps_vals = _as_level_values(t, eps)
 
     gam = np.array([fam.gamma_at(k) for k in range(T + 1)])
@@ -810,11 +805,8 @@ def solve_complete_power(m: MarketModel, p: HabitPreferences, eps,
     e = [np.exp(-fam.rho * i / gam[i]) * np.power(spd.Mtilde[i].values / Mt0, -1.0 / gam[i])
          for i in range(T + 1)]
 
-    d = {}
-    for k in range(T + 1):
-        for i in range(k + 1):
-            if theta_ext[k, i] != 0.0:
-                d[(i, k)] = theta_ext[k, i] * lift(RandomVariable(t, i, e[i]), k).values
+    d = {(i, k): theta_ext[k, i] * e[i][t.ancestor(k, i)]
+         for k in range(T + 1) for i in range(k + 1) if theta_ext[k, i] != 0.0}
 
     # f[(i, k)] = sum over j >= max(i, k) of E[(M_j / M_k) d[(i, j)] | level k]
     zeros = [np.zeros(t.n_atoms(k)) for k in range(T + 1)]
@@ -823,15 +815,15 @@ def solve_complete_power(m: MarketModel, p: HabitPreferences, eps,
         tail = _deflated_value(t, spd.M, [d.get((i, k), zeros[k]) for k in range(T + 1)])
         f.update(((i, k), v) for k, v in enumerate(tail))
 
-    hfull = []
-    for k in range(T + 1):
-        vals = np.zeros(t.n_atoms(k))
+    def plus_floors(vals, k):
+        """``vals`` plus the floors that the habit chain carries into level ``k``."""
         for i in range(k + 1):
-            coef = theta_ext[k, i]
-            if coef != 0.0:
-                vals += coef * lift(RandomVariable(t, i, p.h[i]), k).values
-        hfull.append(vals)
-    floor_wealth = _deflated_value(t, spd.M, hfull)
+            if theta_ext[k, i] != 0.0:
+                vals += theta_ext[k, i] * p.h[i][t.ancestor(k, i)]
+        return vals
+
+    floor_wealth = _deflated_value(t, spd.M, [plus_floors(np.zeros(t.n_atoms(k)), k)
+                                              for k in range(T + 1)])
     endow_wealth = _deflated_value(t, spd.M, eps_vals)
 
     f0 = np.array([f[(i, 0)][0] for i in range(T + 1)])
@@ -849,11 +841,7 @@ def solve_complete_power(m: MarketModel, p: HabitPreferences, eps,
         for i in range(k + 1):
             if (i, k) in d:
                 vals += d[(i, k)] * c0 ** q[i]
-        for i in range(k + 1):
-            coef = theta_ext[k, i]
-            if coef != 0.0:
-                vals += coef * lift(RandomVariable(t, i, p.h[i]), k).values
-        c.append(vals)
+        c.append(plus_floors(vals, k))
 
     mpc = []
     for k in range(T + 1):
@@ -882,8 +870,7 @@ def solve_complete_power(m: MarketModel, p: HabitPreferences, eps,
 # scaling solver: power utility, no future endowments
 # ---------------------------------------------------------------------------
 
-def solve_power_no_endowment(m: MarketModel, p: HabitPreferences, eps0: float,
-                             gtol: float = 1e-11):
+def solve_power_no_endowment(m: MarketModel, p: HabitPreferences, eps0: float):
     """Power-utility solver exploiting degree-one homogeneity in ``eps0``.
 
     Requires a uniform power family, no exogenous floors, and no endowments
@@ -902,7 +889,7 @@ def solve_power_no_endowment(m: MarketModel, p: HabitPreferences, eps0: float,
         raise PreconditionViolated("initial endowment must be positive")
     eps = [np.zeros(t.n_atoms(k)) for k in range(t.T + 1)]
     eps[0][0] = eps0
-    sol = solve_general(m, p, eps, gtol=gtol)
+    sol = solve_general(m, p, eps)
     A = [np.array([sol.c.values(0)[0] / eps0])]
     for k in range(1, t.T + 1):
         A.append(sol.c.values(k) / sol.W.values(k))
@@ -967,26 +954,25 @@ def solve_exponential_bonds(m: MarketModel, p: HabitPreferences, eps):
     mm = np.zeros(T + 1)
     n = [None] * (T + 1)
     l[T], mm[T] = 1.0, 0.0
-    n[T] = RandomVariable(t, T, eps_vals[T].copy())
+    n[T] = eps_vals[T].copy()
     for k in range(T - 1, -1, -1):
         gross = 1.0 + rate[k]
         delta = 1.0 + b - mm[k + 1] + l[k + 1] * gross
         l[k] = l[k + 1] * gross / delta
         mm[k] = b / delta
-        inner_arg = np.exp(-gamma * (n[k + 1].values - p.h[k + 1]))
-        log_mgf = np.log(condexp(RandomVariable(t, k + 1, inner_arg), k).values)
-        nk = (l[k + 1] * gross * eps_vals[k] + p.h[k]
-              + (rho - np.log(X[k + 1]) - log_mgf) / gamma) / delta
-        n[k] = RandomVariable(t, k, nk)
+        inner_arg = np.exp(-gamma * (n[k + 1] - p.h[k + 1]))
+        log_mgf = np.log(_condexp(t, inner_arg, k + 1, k))
+        n[k] = (l[k + 1] * gross * eps_vals[k] + p.h[k]
+                + (rho - np.log(X[k + 1]) - log_mgf) / gamma) / delta
     if np.any(l[:T] >= 1.0):
         warnings.warn("a pre-horizon wealth slope reached 1", WrongUtilityFamily)
 
-    c = [np.array([n[0].values[0]])]
+    c = [np.array([n[0][0]])]
     W = [np.zeros(1)]
     for k in range(1, T + 1):
         carry = (W[k - 1] + eps_vals[k - 1] - c[k - 1]) * (1.0 + rate[k - 1])
         Wk = carry[t.parent[k]]
-        ck = l[k] * Wk + mm[k] * c[k - 1][t.parent[k]] + n[k].values
+        ck = l[k] * Wk + mm[k] * c[k - 1][t.parent[k]] + n[k]
         W.append(Wk)
         c.append(ck)
 
@@ -994,6 +980,7 @@ def solve_exponential_bonds(m: MarketModel, p: HabitPreferences, eps):
     Ivals[T] = np.zeros(t.n_atoms(T))
     pi = [Ivals[k].reshape(-1, 1).copy() for k in range(T)]
     sol = _solution(p, c, W, Ivals, pi, "exponential_bonds", {})
+    n = [RandomVariable(t, k, v) for k, v in enumerate(n)]
     return sol, ExponentialCoefficients(x=X, l=l, mm=mm, n=n)
 
 
@@ -1008,8 +995,7 @@ def has_inverse_marginal(family) -> bool:
     return hasattr(family, "du_inv")
 
 
-def solve_auto(m: MarketModel, p: HabitPreferences, eps, method: str = "auto",
-               **kwargs) -> Solution:
+def solve_auto(m: MarketModel, p: HabitPreferences, eps, method: str = "auto") -> Solution:
     """Route an instance to the most specialized applicable solver.
 
     ``method`` forces a path: ``newton``, ``oracle``, or ``closed`` (one of
@@ -1017,9 +1003,9 @@ def solve_auto(m: MarketModel, p: HabitPreferences, eps, method: str = "auto",
     fits).  ``auto`` tries closed forms first and falls back to Newton.
     """
     if method == "newton":
-        return solve_general(m, p, eps, **kwargs)
+        return solve_general(m, p, eps)
     if method == "oracle":
-        return solve_primal_oracle(m, p, eps, **kwargs)
+        return solve_primal_oracle(m, p, eps)
     if method in ("auto", "closed"):
         cls = classify_market(m)
         if cls.kind == "complete":
@@ -1036,5 +1022,5 @@ def solve_auto(m: MarketModel, p: HabitPreferences, eps, method: str = "auto",
                     raise
         if method == "closed":
             raise PreconditionViolated("no closed-form path covers this instance")
-        return solve_general(m, p, eps, **kwargs)
+        return solve_general(m, p, eps)
     raise ValueError(f"unknown method {method!r}")

@@ -200,6 +200,19 @@ def _child_blocks(parent: np.ndarray, n_parents: int) -> tuple:
     return tuple(groups)
 
 
+def _level_values(tree: EventTree, level: int, values) -> np.ndarray:
+    """``values`` as a float array with one entry per level-``level`` atom."""
+    v = np.asarray(values, dtype=float)
+    if not (0 <= level <= tree.T):
+        raise LevelMismatch(f"level {level} outside 0..{tree.T}")
+    if v.shape != (tree.n_atoms(level),):
+        raise LevelMismatch(
+            f"level {level} has {tree.n_atoms(level)} atoms, "
+            f"got {v.shape[0] if v.ndim == 1 else v.shape} values"
+        )
+    return v
+
+
 @dataclass(frozen=True)
 class RandomVariable:
     """A level-``k`` measurable quantity: one value per atom of the level-``k`` partition."""
@@ -209,15 +222,7 @@ class RandomVariable:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if not (0 <= self.level <= self.tree.T):
-            raise LevelMismatch(f"level {self.level} outside 0..{self.tree.T}")
-        if v.shape != (self.tree.n_atoms(self.level),):
-            raise LevelMismatch(
-                f"level {self.level} has {self.tree.n_atoms(self.level)} atoms, "
-                f"got {v.shape[0] if v.ndim == 1 else v.shape} values"
-            )
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _level_values(self.tree, self.level, self.values))
 
     def leaf_values(self) -> np.ndarray:
         return self.values[self.tree.leaf_to_atom[self.level]]
@@ -259,7 +264,11 @@ class RandomVariable:
 
 
 class AdaptedProcess:
-    """A time-indexed family ``X_0, ..., X_T`` with ``X_k`` measurable at level ``k``."""
+    """A time-indexed family ``X_0, ..., X_T`` with ``X_k`` measurable at level ``k``.
+
+    Stores one validated array per level: ``values(k)`` returns it, and
+    ``X[k]`` and ``vars`` wrap it in a :class:`RandomVariable` on demand.
+    """
 
     def __init__(self, tree: EventTree, per_level_values):
         if len(per_level_values) != tree.T + 1:
@@ -267,22 +276,27 @@ class AdaptedProcess:
                 f"expected {tree.T + 1} levels of values, got {len(per_level_values)}"
             )
         self.tree = tree
-        self.vars = tuple(
-            x if isinstance(x, RandomVariable) else RandomVariable(tree, k, np.asarray(x, float))
+        self._values = tuple(
+            x.values if isinstance(x, RandomVariable) else _level_values(tree, k, x)
             for k, x in enumerate(per_level_values)
         )
-        for k, x in enumerate(self.vars):
-            if x.level != k:
+        for k, x in enumerate(per_level_values):
+            if isinstance(x, RandomVariable) and x.level != k:
                 raise LevelMismatch(f"process entry {k} is attached to level {x.level}")
 
     def __getitem__(self, k: int) -> RandomVariable:
-        return self.vars[k]
+        k = range(len(self._values))[k]
+        return RandomVariable(self.tree, k, self._values[k])
 
     def __len__(self) -> int:
-        return len(self.vars)
+        return len(self._values)
+
+    @property
+    def vars(self) -> tuple:
+        return tuple(self)
 
     def values(self, k: int) -> np.ndarray:
-        return self.vars[k].values
+        return self._values[k]
 
 
 def lift(x: RandomVariable, k: int) -> RandomVariable:
@@ -304,10 +318,14 @@ def condexp(x: RandomVariable, k: int) -> RandomVariable:
         raise LevelMismatch(
             f"conditional expectation onto level {k} needs level <= {x.level}"
         )
-    t = x.tree
-    leaf_vals = x.values[t.leaf_to_atom[x.level]]
-    num = np.bincount(t.leaf_to_atom[k], weights=t.probs * leaf_vals, minlength=t.n_atoms(k))
-    return RandomVariable(t, k, num / t.atom_probs[k])
+    return RandomVariable(x.tree, k, _condexp(x.tree, x.values, x.level, k))
+
+
+def _condexp(tree: EventTree, values: np.ndarray, level: int, k: int) -> np.ndarray:
+    """Array core of :func:`condexp` for level-``level`` ``values`` (``k <= level``)."""
+    weights = tree.probs * values[tree.leaf_to_atom[level]]
+    num = np.bincount(tree.leaf_to_atom[k], weights=weights, minlength=tree.n_atoms(k))
+    return num / tree.atom_probs[k]
 
 
 def expect(x: RandomVariable) -> float:
@@ -320,7 +338,6 @@ def inner(x: RandomVariable, y: RandomVariable) -> float:
     if x.tree is not y.tree:
         raise LevelMismatch("random variables live on different trees")
     return float(np.dot(x.tree.probs, x.leaf_values() * y.leaf_values()))
-
 
 
 class HabitOperator:
@@ -366,7 +383,7 @@ class HabitOperator:
         for l in range(self.tree.T, -1, -1):
             out[l] = np.array(y[l], dtype=float)
             for k, b in self.leads[l]:
-                out[l] += sign * b * condexp(RandomVariable(self.tree, k, future[k]), l).values
+                out[l] += sign * b * _condexp(self.tree, future[k], k, l)
         return out
 
     def apply(self, c, atoms=None, history=()) -> list:

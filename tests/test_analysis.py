@@ -383,3 +383,25 @@ def test_generation_exhausts_on_impossible_ask():
     # produce a genuinely incomplete "general" market
     with pytest.raises(GenerationExhausted):
         generate_scenario(63, "general", branching=2, max_tries=3)
+
+
+@pytest.mark.parametrize("family, utility", [("complete", "power"), ("complete", "exp"),
+                                             ("bond_only", "exp")])
+def test_wealth_sweep_wraps_few_random_variables(monkeypatch, family, utility):
+    # processes stay per-level arrays inside the library; only public return
+    # values (the deflator bundle, closed-form coefficients) wrap them
+    from habitopt.tree import RandomVariable
+
+    sc = generate_scenario(7, family, T=3, utility=utility, habit="one_lag")
+    built = []
+    init = RandomVariable.__post_init__
+
+    def counted(self):
+        built.append(self.level)
+        init(self)
+
+    monkeypatch.setattr(RandomVariable, "__post_init__", counted)
+    n = 5
+    rows = wealth_sweep(sc.market, sc.prefs, sc.eps, 0.5, 2.0, n)
+    assert all(row["status"] == "ok" for row in rows)
+    assert len(built) <= 2 * (sc.tree.T + 1) * n

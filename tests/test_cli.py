@@ -285,3 +285,52 @@ def test_repro_convexity_example(capsys):
     assert report["closed_form_gap"] < 1e-8
     assert report["published_form_gap"] > 0.15
     assert report["grid_convex"] is True
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs: validation errors (exit 2), never solver failures
+# ---------------------------------------------------------------------------
+
+def _edit(path, edit):
+    obj = json.loads(Path(path).read_text())
+    edit(obj)
+    Path(path).write_text(json.dumps(obj))
+
+
+def _set(*keys, value):
+    def edit(obj):
+        for key in keys[:-1]:
+            obj = obj[key]
+        obj[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["solve", "--method", "newton"],
+                                  ["sweep", "--range", "0.5:2:3"]])
+def test_non_finite_endowment_exits_as_invalid_input(tmp_path, capsys, argv):
+    files = _generate(tmp_path, capsys, "--seed", "22", "--family", "complete", "--T", "2",
+                      "--utility", "exp", "--habit", "one_lag")
+    _edit(files[5], _set("endowments", 2, 1, value=float("nan")))
+    code, out, err = run(capsys, argv[0], *files, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "invalid input: ValueError: endowment at level 2 must be finite" in err
+
+
+@pytest.mark.parametrize("which, edit, message", ids=[
+    "nan_endowment", "short_endowment", "nan_floor", "nan_beta", "nan_gamma"], argvalues=[
+    (5, _set("endowments", 1, 0, value=float("nan")), "endowment at level 1 must be finite"),
+    (5, lambda obj: obj["endowments"][2].pop(),
+     "LevelMismatch: endowment at level 2 has 8 values for 9 atoms"),
+    (3, _set("h", 1, 0, value=float("nan")), "floor at level 1 must be finite"),
+    (3, _set("beta", 1, 0, value=float("nan")), "habit weights beta must be finite"),
+    (3, _set("gamma", value=float("nan")), "relative risk aversion must be finite"),
+])
+def test_malformed_general_instance_exits_as_invalid_input(tmp_path, capsys, which, edit,
+                                                           message):
+    files = _generate(tmp_path, capsys, "--seed", "21", "--family", "general", "--T", "2",
+                      "--utility", "power", "--habit", "one_lag")
+    _edit(files[which], edit)
+    code, _, err = run(capsys, "solve", *files)
+    assert code == 2
+    assert message in err

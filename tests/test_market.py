@@ -733,3 +733,19 @@ def test_certificate_equals_the_per_atom_loop():
             assert got == _certificate_outcome(_loop_certify, market, bumped)
             outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+def test_array_cores_equal_the_wrapped_operations(shuffled_prefs):
+    from habitopt.analysis import _priced_market
+    from habitopt.market import _project
+    from habitopt.tree import _condexp
+
+    t = shuffled_prefs.tree
+    m = _priced_market(np.random.default_rng(3), t, [0.01, 0.02, 0.0], 1)
+    rng = np.random.default_rng(12)
+    for level in range(t.T + 1):
+        x = RandomVariable(t, level, rng.normal(size=t.n_atoms(level)))
+        for k in range(level + 1):
+            assert np.array_equal(_condexp(t, x.values, level, k), condexp(x, k).values)
+        if level:
+            assert np.array_equal(_project(m, level, x.values), project(m, level, x).values)

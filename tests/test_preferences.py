@@ -341,3 +341,55 @@ def test_habit_map_equals_the_per_lag_loops(shuffled_prefs):
     for k in range(t.T + 1):
         assert np.array_equal(pc.chat.values(k), chat[k])
         assert np.array_equal(marginal.values(k), R[k])
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs
+# ---------------------------------------------------------------------------
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make, message", ids=[
+    "power_gamma", "power_gamma_level", "power_rho", "log_rho", "exp_gamma", "exp_rho",
+    "beta", "floor"], argvalues=[
+    (lambda t: PowerUtility(NAN), "relative risk aversion must be finite"),
+    (lambda t: PowerUtility([2.0, NAN, 2.0]), "relative risk aversion must be finite"),
+    (lambda t: PowerUtility(2.0, rho=float("inf")), "discount rate rho must be finite"),
+    (lambda t: LogUtility(rho=NAN), "discount rate rho must be finite"),
+    (lambda t: ExponentialUtility(NAN), "absolute risk aversion must be finite"),
+    (lambda t: ExponentialUtility(1.0, rho=NAN), "discount rate rho must be finite"),
+    (lambda t: HabitPreferences(t, LogUtility(), beta=[[0, 0, 0], [NAN, 0, 0], [0, 0.5, 0]]),
+     "habit weights beta must be finite"),
+    (lambda t: HabitPreferences(t, LogUtility(), h=[0.0, [0.1, NAN], 0.0]),
+     "floor at level 1 must be finite"),
+])
+def test_non_finite_preferences_are_rejected_by_field(make, message):
+    t = build_tree([[[0, 1]], [[0], [1]], [[0], [1]]], [0.5, 0.5])
+    with pytest.raises(ValueError, match=message):
+        make(t)
+
+
+def test_floor_level_of_the_wrong_length_names_its_level():
+    t = build_tree([[[0, 1, 2]], [[0], [1, 2]], [[0], [1], [2]]], [0.2, 0.3, 0.5])
+    with pytest.raises(LevelMismatch, match="floor at level 2 has 2 values for 3 atoms"):
+        HabitPreferences(t, LogUtility(), h=[0.0, 0.0, [0.1, 0.1]])
+
+
+def test_non_finite_or_mis_sized_endowments_never_reach_a_solver(solver_lps):
+    sc = generate_scenario(21, "general", T=2, utility="power", habit="one_lag")
+    nan_eps = [e.copy() for e in sc.eps]
+    nan_eps[2][1] = NAN
+    short_eps = [e.copy() for e in sc.eps]
+    short_eps[2] = short_eps[2][:-1]
+    solver_lps.clear()            # the generator's own admissibility LP
+    with pytest.raises(ValueError, match="endowment at level 2 must be finite"):
+        solve_general(sc.market, sc.prefs, nan_eps)
+    with pytest.raises(LevelMismatch, match="endowment at level 2 has 8 values for 9 atoms"):
+        solve_general(sc.market, sc.prefs, short_eps)
+    assert solver_lps == []
+    # scalars still broadcast over a level
+    assert utility_value(sc.prefs, [sc.eps[0], 2.0, 4.0]) == \
+        utility_value(sc.prefs, [sc.eps[0], np.full(3, 2.0), np.full(9, 4.0)])
+    with pytest.raises(ValueError, match="consumption at level 1 must be finite"):
+        utility_value(sc.prefs, [sc.eps[0], NAN, 4.0])

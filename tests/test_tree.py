@@ -283,3 +283,35 @@ def test_habit_operator_without_habit_is_the_identity(shuffled_prefs):
     for op in (habit.apply, habit.solve, habit.adjoint, habit.adjoint_solve):
         out = op(c)
         assert all(np.array_equal(a, b) and a is not b for a, b in zip(out, c))
+
+
+# ---------------------------------------------------------------------------
+# adapted processes: one validated array per level
+# ---------------------------------------------------------------------------
+
+def test_adapted_process_rejects_malformed_levels():
+    from habitopt import AdaptedProcess
+
+    t = binary2()
+    with pytest.raises(LevelMismatch, match="expected 3 levels of values, got 2"):
+        AdaptedProcess(t, [np.ones(1), np.ones(2)])
+    with pytest.raises(LevelMismatch, match="process entry 1 is attached to level 2"):
+        AdaptedProcess(t, [np.ones(1), RandomVariable(t, 2, np.ones(4)), np.ones(4)])
+    with pytest.raises(LevelMismatch, match="level 2 has 4 atoms, got 3 values"):
+        AdaptedProcess(t, [np.ones(1), np.ones(2), np.ones(3)])
+
+
+def test_process_entries_are_random_variables_on_the_stored_arrays():
+    from habitopt import AdaptedProcess
+
+    t = binary2()
+    X = AdaptedProcess(t, [[1.0], np.array([2.0, 3.0]), RandomVariable(t, 2, np.arange(4.0))])
+    assert len(X) == 3
+    for k in range(3):
+        assert X.values(k).dtype == float
+        for x in (X[k], X.vars[k]):
+            assert isinstance(x, RandomVariable)
+            assert x.tree is t and x.level == k
+            assert x.values is X.values(k)
+    assert X[-1].level == 2
+    assert [x.level for x in X] == [0, 1, 2]
