@@ -3,9 +3,10 @@
 Everything here interrogates solved plans rather than producing them: finite
 difference slopes and curvatures of consumption policies against their
 theoretical bounds, the wealth response of continuation plans to past
-consumption, envelope and scaling laws, the closed-form counterexample
-showing optimal time-0 consumption is a strictly convex function of the
-endowment, and a reproducible generator of test instances by market family.
+consumption (an implicit derivative at the base plan), envelope and scaling
+laws, the closed-form counterexample showing optimal time-0 consumption is a
+strictly convex function of the endowment, and a reproducible generator of
+test instances by market family.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, root  # noqa: F401 (brentq: perfbench/spans.py wraps it here)
+from scipy.optimize import brentq  # noqa: F401 (perfbench/spans.py wraps it here)
 
 from .errors import (
     GenerationExhausted,
@@ -43,6 +44,7 @@ from .preferences import (
 from .solvers import (
     Solution,
     _complete_continuation,
+    _continuation_response,
     _subtree_atoms,
     has_inverse_marginal,
     solve_complete_general,
@@ -296,8 +298,13 @@ class BoundReport:
     """Sensitivity of continuation wealth to one prior consumption choice.
 
     ``estimates[(a, b)]`` is the response of the consistent entering wealth at
-    child ``b`` to consumption at its level-``k`` parent atom ``a``;
+    child ``b`` to consumption at its level-``k`` parent atom ``a``, the
+    derivative of the first-order link at the base plan;
     ``bounds[(a, b)]`` is the habit-chain lower bound it must dominate.
+    ``base_residual`` is the largest projected link residual at the base
+    plan, or the largest gap between the base wealths and their projection
+    on the children's payoff space.  ``details["terminal_formula"]`` holds,
+    at ``k = T - 1``, the closed form the estimates equal on in-scope markets.
     """
 
     level: int
@@ -318,8 +325,14 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
     period's children is defined through the habit-free first-order link
     between periods ``k`` and ``k+1``; its sensitivity to the consumption
     chosen at the parent must dominate the accumulated habit chain weights
-    priced by deflator ratios, less ``1e-5``.  A root of that link is accepted
-    on its residual, at most ``1e-10`` of the size of the link's price term.
+    priced by deflator ratios, less ``1e-5``.
+
+    The sensitivity is the implicit derivative of that link at the base
+    plan.  Each child's continuation is solved once, at its base wealth, and
+    differentiated there (``solvers._continuation_response``); the link,
+    projected on the children's payoff space, then gives one rank-by-rank
+    linear system per atom.  NonConvergence, with the system's condition
+    number, is raised where that system is singular or not finite.
     """
     t = m.tree
     T = t.T
@@ -329,9 +342,9 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
     scope, kind = _scope_label(m, witness)
     spd = spd_bundle(m, p.beta)
     theta = theta_table(p.beta)
+    fam = p.family
     if base is None:
         base = solve_general(m, p, eps_vals, gtol=_GTOL)
-    policy = _policy(m, p, eps_vals, "newton", spd, base)
     cbase = [base.c.values(l) for l in range(t.T + 1)]
     wts = t.atom_probs[k + 1]
     gains = m.gain(k + 1)
@@ -359,61 +372,51 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
         rank = int(np.sum(s > 1e-10 * max(s[0], 1e-300)))
         bmat = u_svd[:, :rank] / sq[:, None]
 
-        def chat_k_of(ck):
-            return ck - sum(p.beta[k, l] * hist[l] for l in range(k)) - p.h[k][a]
-
-        def du_next_of(wvec, ck):
-            vals = np.empty(children.size)
-            for j, b in enumerate(children):
-                adj = policy(k + 1, int(b), hist + [ck], float(wvec[j])) - p.h[k + 1][b]
-                for lev in range(k + 1):
-                    bcoef = p.beta[k + 1, lev]
-                    if bcoef != 0.0:
-                        adj -= bcoef * (ck if lev == k else hist[lev])
-                vals[j] = p.family.du(k + 1, adj)
-            return vals
-
-        def resid(y, ck):
-            wvec = bmat @ y
-            gap = du_next_of(wvec, ck) - mt_ratio * p.family.du(k, chat_k_of(ck))
-            return bmat.T @ (wch * gap)
-
+        # the link gap_b = u'_{k+1}(adj_b) - mt_ratio_b u'_k(chat_k) and its
+        # derivatives in each child's wealth and in c_k, from one solve per child
         w_base = base.W.values(k + 1)[children]
+        c_next, dc_dw, dc_dc = np.array([
+            _continuation_response(m, p, eps_vals, k + 1, int(b), hist + [ck0], float(wb),
+                                   _GTOL, x0=_base_holdings(base, k + 1, int(b)))
+            for b, wb in zip(children, w_base)]).T
+        adj = c_next - p.h[k + 1][children]
+        for lev in range(k + 1):
+            bcoef = p.beta[k + 1, lev]
+            if bcoef != 0.0:
+                adj -= bcoef * (ck0 if lev == k else hist[lev])
+        chat_k = ck0 - sum(p.beta[k, l] * hist[l] for l in range(k)) - p.h[k][a]
+        du2_next = fam.d2u(k + 1, adj)
+        du2_here = fam.d2u(k, chat_k)
+        gap = fam.du(k + 1, adj) - mt_ratio * fam.du(k, chat_k)
+
         y_base = bmat.T @ (wch * w_base)
-        base_residual = max(base_residual, float(np.max(np.abs(resid(y_base, ck0)))),
+        base_residual = max(base_residual, float(np.max(np.abs(bmat.T @ (wch * gap)))),
                             float(np.max(np.abs(bmat @ y_base - w_base))))
 
-        d = max(1e-4, 1e-4 * abs(ck0))
-        price_scale = float(np.max(np.abs(bmat.T @ (wch * mt_ratio))))
-        sols = {}
-        for sign in (+1, -1):
-            ck = ck0 + sign * d
-            res = root(resid, y_base, args=(ck,), method="hybr", options={"xtol": 1e-12})
-            # hybr may report no progress at a residual already at rounding level
-            worst = float(np.max(np.abs(res.fun)))
-            scale = abs(float(p.family.du(k, chat_k_of(ck)))) * price_scale
-            if not worst <= 1e-10 * scale:
-                raise NonConvergence(
-                    f"wealth-response system did not converge at level {k}, atom {a} "
-                    f"(residual {worst:.3e}, scale {scale:.3e})",
-                    best=bmat @ res.x,
-                    diagnostics={"message": res.message, "residual": worst, "scale": scale},
-                )
-            sols[sign] = bmat @ res.x
+        # d(bmat^T diag(wch) gap)/dy dy + d(...)/dc_k = 0, with wealth bmat y
+        jac = bmat.T @ ((wch * du2_next * dc_dw)[:, None] * bmat)
+        rhs = bmat.T @ (wch * (du2_next * (dc_dc - p.beta[k + 1, k]) - mt_ratio * du2_here))
+        cond = float(np.linalg.cond(jac)) if np.isfinite(jac).all() else np.inf
+        if not (np.isfinite(rhs).all() and cond < 1.0 / np.finfo(float).eps):
+            raise NonConvergence(
+                f"wealth-response system is singular at level {k}, atom {a} "
+                f"(condition number {cond:.3e})",
+                diagnostics={"level": k, "atom": a, "condition": cond,
+                             "jacobian": jac, "rhs": rhs},
+            )
+        response = bmat @ -np.linalg.solve(jac, rhs)
         for j, b in enumerate(children):
-            est = (sols[+1][j] - sols[-1][j]) / (2 * d)
-            estimates[(a, int(b))] = float(est)
+            estimates[(a, int(b))] = float(response[j])
             bounds[(a, int(b))] = float(bound_lvl[b])
 
         if k == T - 1:
-            du2_next = p.family.d2u(T, np.array([
+            du2_terminal = fam.d2u(T, np.array([
                 cbase[T][int(b)] - p.h[T][int(b)]
                 - sum(p.beta[T, lev] * (ck0 if lev == k else hist[lev])
                       for lev in range(k + 1))
                 for b in children
             ]))
-            proj_du2 = bmat @ (bmat.T @ (wch * du2_next))
-            du2_here = p.family.d2u(k, chat_k_of(ck0))
+            proj_du2 = bmat @ (bmat.T @ (wch * du2_terminal))
             for j, b in enumerate(children):
                 terminal_formula[(a, int(b))] = float(
                     p.beta[T, T - 1] + mt_ratio[j] * du2_here / proj_du2[j]

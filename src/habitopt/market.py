@@ -151,6 +151,7 @@ class MarketModel:
         self.d = d
         self._bases: dict[int, PayoffSpaceBasis] = {}
         self._aggregate: tuple | None = None
+        self._perturbed: dict[tuple, tuple] = {}
         self._deflators: dict[tuple, AdaptedProcess] = {}
         self._classes: dict[tuple | None, MarketClass] = {}
 
@@ -486,10 +487,21 @@ class SPDBundle:
 
 def spd_bundle(m: MarketModel, beta: np.ndarray, objective="uniform",
                seed: int | None = None) -> SPDBundle:
+    """``R`` from the no-arbitrage LP, and ``M`` and ``Mtilde`` from the caches on ``m``.
+
+    ``Mtilde`` is computed once per market and habit matrix (keyed by
+    ``beta``'s shape and bytes); like ``M``, its arrays are read-only.
+    """
     R = check_no_arbitrage(m, objective=objective, seed=seed)
     M = aggregate_spd(m)
-    Mt = perturbed_aggregate_spd(m.tree, M, beta)
-    return SPDBundle(R=R, M=M, Mtilde=Mt)
+    beta = np.asarray(beta, dtype=float)
+    key = (beta.shape, beta.tobytes())
+    if key not in m._perturbed:
+        Mt = perturbed_aggregate_spd(m.tree, M, beta)
+        for x in Mt:
+            x.values.setflags(write=False)
+        m._perturbed[key] = tuple(Mt)
+    return SPDBundle(R=R, M=M, Mtilde=list(m._perturbed[key]))
 
 
 # ---------------------------------------------------------------------------

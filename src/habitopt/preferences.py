@@ -390,6 +390,25 @@ def perturbed_consumption(p: HabitPreferences, c) -> PerturbedConsumption:
     )
 
 
+def _chat_levels(pc: PerturbedConsumption) -> list[np.ndarray]:
+    """The arrays of ``pc.chat``, one per level."""
+    return [pc.chat.values(k) for k in range(len(pc.chat))]
+
+
+def _utility_of(p: HabitPreferences, chat) -> float:
+    """Total expected utility from per-level habit-adjusted consumption."""
+    t = p.tree
+    total = 0.0
+    for k in range(t.T + 1):
+        total += float(np.dot(t.atom_probs[k], p.family.u(k, chat[k])))
+    return total
+
+
+def _marginal_of(p: HabitPreferences, chat) -> list[np.ndarray]:
+    """Per-level habit-adjusted marginal from per-level habit-adjusted consumption."""
+    return p.habit.adjoint([p.family.du(k, chat[k]) for k in range(p.tree.T + 1)])
+
+
 def _require_feasible(pc: PerturbedConsumption) -> PerturbedConsumption:
     """Pass ``pc`` through, or raise DomainViolation at its first violation."""
     if not pc.feasible:
@@ -407,15 +426,10 @@ def utility_value(p: HabitPreferences, c, on_violation: str = "raise") -> float:
     ``on_violation`` selects between raising DomainViolation and returning
     ``-inf`` when the habit-adjusted plan leaves the utility domain.
     """
-    t = p.tree
     pc = perturbed_consumption(p, c)
     if not pc.feasible and on_violation == "-inf":
         return -np.inf
-    _require_feasible(pc)
-    total = 0.0
-    for k in range(t.T + 1):
-        total += float(np.dot(t.atom_probs[k], p.family.u(k, pc.chat.values(k))))
-    return total
+    return _utility_of(p, _chat_levels(_require_feasible(pc)))
 
 
 def habit_adjusted_marginal(p: HabitPreferences, c) -> AdaptedProcess:
@@ -424,10 +438,8 @@ def habit_adjusted_marginal(p: HabitPreferences, c) -> AdaptedProcess:
     ``R_k = u'_k(chat_k) - sum over m > k of beta[m, k] E[u'_m(chat_m) | level k]``.
     At an optimum this process prices all traded payoffs.
     """
-    t = p.tree
     pc = _require_feasible(perturbed_consumption(p, c))
-    du = [p.family.du(k, pc.chat.values(k)) for k in range(t.T + 1)]
-    return AdaptedProcess(t, p.habit.adjoint(du))
+    return AdaptedProcess(p.tree, _marginal_of(p, _chat_levels(pc)))
 
 
 def foc_residual(m: MarketModel, p: HabitPreferences, c, spd: SPDBundle) -> list[np.ndarray]:

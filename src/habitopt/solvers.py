@@ -47,10 +47,12 @@ from .preferences import (
     HabitPreferences,
     PowerUtility,
     _as_level_values,
-    habit_adjusted_marginal,
+    _chat_levels,
+    _marginal_of,
+    _require_feasible,
+    _utility_of,
     perturbed_consumption,
     theta_table,
-    utility_value,
 )
 from .tree import AdaptedProcess, RandomVariable, _condexp
 
@@ -387,6 +389,23 @@ def _derivatives(plan: _SubtreePlan, x: np.ndarray):
     return plan.J.T @ gw, hw
 
 
+def _ridged_cholesky(H: np.ndarray):
+    """Cholesky factor of ``H + ridge I`` with the first ridge that factors, and the ridge.
+
+    The ridges tried are 0, then ``1e-12 max(1, max|H|)`` growing tenfold; the
+    factor is None once the ridge passes ``1e40``.
+    """
+    ridge = 0.0
+    while True:
+        try:
+            return cho_factor(H + (ridge * np.eye(len(H)) if ridge else 0.0), lower=True,
+                              check_finite=False), ridge
+        except LinAlgError:
+            ridge = max(ridge * 10.0, 1e-12 * max(1.0, float(np.max(np.abs(H)))))
+            if ridge > 1e40:
+                return None, ridge
+
+
 _MAX_ITER = 300
 
 
@@ -415,21 +434,11 @@ def _newton_maximize(plan: _SubtreePlan, x0, gtol: float):
         if not np.isfinite(hw).all():
             raise NonConvergence("curvature weights are not finite",
                                  best=x, diagnostics=dict(info))
-        H = plan.hessian(hw)
-        ridge = 0.0
-        while True:
-            try:
-                cf = cho_factor(H + (ridge * np.eye(plan.n_x) if ridge else 0.0), lower=True,
-                                check_finite=False)
-                step = cho_solve(cf, g, check_finite=False)
-                break
-            except LinAlgError:
-                ridge = max(ridge * 10.0, 1e-12 * max(1.0, float(np.max(np.abs(H)))))
-                if ridge > 1e40:
-                    raise NonConvergence(
-                        "curvature matrix is irreparably singular",
-                        diagnostics=dict(info),
-                    )
+        cf, ridge = _ridged_cholesky(plan.hessian(hw))
+        if cf is None:
+            raise NonConvergence("curvature matrix is irreparably singular",
+                                 diagnostics=dict(info))
+        step = cho_solve(cf, g, check_finite=False)
         info["ridge"] = max(info["ridge"], ridge)
         gs = float(np.dot(g, step))
         if gs <= 0:
@@ -486,10 +495,12 @@ def _solution(p: HabitPreferences, c, W, I, pi, method: str, diag: dict) -> Solu
     """A converged ``Solution`` from per-level consumption, wealth and investment."""
     t = p.tree
     cp = AdaptedProcess(t, c)
+    pc = _require_feasible(perturbed_consumption(p, cp))
+    chat = _chat_levels(pc)
     return Solution(
-        c=cp, chat=perturbed_consumption(p, cp).chat, W=AdaptedProcess(t, W),
-        I=AdaptedProcess(t, I), pi=pi, R=habit_adjusted_marginal(p, cp),
-        U=utility_value(p, cp), converged=True, diagnostics=dict(diag, method=method),
+        c=cp, chat=pc.chat, W=AdaptedProcess(t, W),
+        I=AdaptedProcess(t, I), pi=pi, R=AdaptedProcess(t, _marginal_of(p, chat)),
+        U=_utility_of(p, chat), converged=True, diagnostics=dict(diag, method=method),
     )
 
 
@@ -541,6 +552,36 @@ def solve_subproblem(m: MarketModel, p: HabitPreferences, eps, k: int, node: int
     wmap[(k, node)] = float(w)
     return SubSolution(level=k, node=node, w=float(w), c=cmap, W=wmap,
                        U=fx, converged=True, diagnostics=dict(info))
+
+
+def _continuation_response(m: MarketModel, p: HabitPreferences, eps, k: int, node: int,
+                           history, w: float, gtol: float, x0=None) -> tuple:
+    """Consumption at ``(k, node)`` and its derivatives in ``w`` and ``history[-1]``.
+
+    Solves the continuation problem as ``solve_subproblem`` does, then
+    differentiates its optimality condition ``J^T (wts u'(J x + Lb)) = 0``
+    (Fiacco, 1983): with ``hw`` the curvature weights at the optimum ``x``,
+    ``H dx = -J^T (hw * dLb)`` for each parameter, where ``Lb`` moves by
+    ``L[:, 0]`` per unit of entering wealth and by ``-hist_coef[:, -1]`` per
+    unit of the last history entry.  One two-column solve on the Newton
+    factor gives both; consumption at the node moves by ``A[0] @ dx``, plus
+    one for wealth.  A node with no holdings to choose consumes its wealth,
+    so its derivatives are ``(1, 0)``.  Returns ``(c, dc/dw, dc/dhistory[-1])``.
+    """
+    plan = _SubtreePlan(m, p, eps, k0=k, node=node, history=history, w=w)
+    x, _, info = _newton_maximize(plan, x0, gtol)
+    c = float(plan.consumption(x)[0])
+    if plan.n_x == 0:
+        return c, 1.0, 0.0
+    _, hw = plan.grad_hess_weights(x)
+    cf, ridge = _ridged_cholesky(plan.hessian(hw))
+    if cf is None:
+        raise NonConvergence("curvature matrix is irreparably singular at the optimum",
+                             best=x, diagnostics=dict(info, ridge=ridge))
+    dlb = np.column_stack([plan.L[:, 0], -plan.hist_coef[:, -1]])
+    dx = cho_solve(cf, -(plan.J.T @ (hw[:, None] * dlb)), check_finite=False)
+    dc = plan.A[0] @ dx
+    return c, float(dc[0]) + 1.0, float(dc[1])
 
 
 _ORACLE_SEEDS = (0, 1, 2)

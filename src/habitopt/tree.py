@@ -281,6 +281,8 @@ class AdaptedProcess:
             for k, x in enumerate(per_level_values)
         )
         for k, x in enumerate(per_level_values):
+            if isinstance(x, RandomVariable) and x.tree is not tree:
+                raise LevelMismatch(f"process entry {k} lives on another tree")
             if isinstance(x, RandomVariable) and x.level != k:
                 raise LevelMismatch(f"process entry {k} is attached to level {x.level}")
 

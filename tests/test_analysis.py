@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy.optimize import root
 
 import habitopt.analysis
+from habitopt.analysis import _base_holdings
 from habitopt import (
     GenerationExhausted,
     HabitPreferences,
@@ -27,6 +28,7 @@ from habitopt import (
     policy_bound,
     policy_bound_chain,
     solve_general,
+    solve_subproblem,
     spd_bundle,
     wealth_sweep,
 )
@@ -179,42 +181,105 @@ def test_eta_bound_satisfied_and_terminal_formula():
         assert est == pytest.approx(formula[key], rel=1e-3, abs=1e-5)
 
 
-def _stub_root(at):
-    """A stand-in for ``scipy.optimize.root`` that claims success at ``at(x0)``."""
+def _eta_by_root_finding(m, p, eps, k, base):
+    """Reference wealth response: central differences of the roots of the link.
 
-    def stub(fun, x0, args=(), **kwargs):
-        x = at(np.asarray(x0, dtype=float))
-        return OptimizeResult(x=x, fun=fun(x, *args), success=True, message="stub")
+    For each level-``k`` atom, ``root(hybr)`` solves the projected link for
+    the children's wealth at ``c_k +- d``, re-solving every child's
+    continuation problem inside each residual evaluation.
+    """
+    t = m.tree
+    spd = spd_bundle(m, p.beta)
+    cbase = [base.c.values(l) for l in range(t.T + 1)]
+    plans = {}
 
-    return stub
+    def policy(node, history, w):
+        sub = solve_subproblem(m, p, eps, k + 1, node, history, w, gtol=1e-12,
+                               x0=_base_holdings(base, k + 1, node), plans=plans)
+        return sub.c[(k + 1, node)]
+
+    estimates = {}
+    for a in range(t.n_atoms(k)):
+        children = t.children(k, a)
+        hist = [float(cbase[lev][t.ancestor(k, lev)[a]]) for lev in range(k)]
+        ck0 = float(cbase[k][a])
+        mt_ratio = spd.Mtilde[k + 1].values[children] / spd.Mtilde[k].values[a]
+        wch = t.atom_probs[k + 1][children]
+        sq = np.sqrt(wch)
+        u_svd, s, _ = np.linalg.svd(sq[:, None] * m.gain(k + 1)[children],
+                                    full_matrices=False)
+        bmat = u_svd[:, :int(np.sum(s > 1e-10 * s[0]))] / sq[:, None]
+
+        def resid(y, ck):
+            adj = np.array([policy(int(b), hist + [ck], float(w)) for b, w
+                            in zip(children, bmat @ y)]) - p.h[k + 1][children]
+            adj -= sum(p.beta[k + 1, lev] * (ck if lev == k else hist[lev])
+                       for lev in range(k + 1))
+            chat_k = ck - sum(p.beta[k, l] * hist[l] for l in range(k)) - p.h[k][a]
+            gap = p.family.du(k + 1, adj) - mt_ratio * p.family.du(k, chat_k)
+            return bmat.T @ (wch * gap)
+
+        y_base = bmat.T @ (wch * base.W.values(k + 1)[children])
+        d = max(1e-4, 1e-4 * abs(ck0))
+        sols = [bmat @ root(resid, y_base, args=(ck0 + sign * d,), method="hybr",
+                            options={"xtol": 1e-12}).x for sign in (1, -1)]
+        for j, b in enumerate(children):
+            estimates[(a, int(b))] = (sols[0][j] - sols[1][j]) / (2 * d)
+    return estimates
 
 
-@pytest.mark.parametrize("at", [lambda x0: x0, lambda x0: x0 + 1e-3],
-                         ids=["start-point", "wrong-point"])
-def test_eta_root_is_accepted_on_its_residual_only(monkeypatch, at):
+@pytest.mark.filterwarnings("ignore::habitopt.WrongMarketClass")
+def test_eta_estimates_match_root_finding_on_pinned_markets(shuffled_prefs):
+    # two-lag habits with floors on every family, and a tree whose atoms are
+    # not in parent order; the finite differences carry ~1e-9 relative error
+    t = shuffled_prefs.tree
+    eps = [np.array([2.0])] + [np.linspace(0.1, 0.3, t.n_atoms(k)) for k in (1, 2, 3)]
+    instances = [generate_scenario(seed, family, T=3, utility="power", habit="two_lag",
+                                   floors=True)
+                 for seed, family in ((41, "general"), (42, "bond_only"), (43, "complete"),
+                                      (44, "idiosyncratic"))]
+    instances.append(Scenario(t, MarketModel(t, [0.02] * t.T), shuffled_prefs, eps, None, {}))
+    for sc in instances:
+        base = solve_general(sc.market, sc.prefs, sc.eps, gtol=1e-12)
+        for k in range(sc.tree.T):
+            report = eta_bound_check(sc.market, sc.prefs, sc.eps, k, base=base)
+            reference = _eta_by_root_finding(sc.market, sc.prefs, sc.eps, k, base)
+            assert report.estimates.keys() == reference.keys()
+            for key, est in report.estimates.items():
+                assert est == pytest.approx(reference[key], rel=1e-6)
+
+
+@pytest.mark.parametrize("seed, family, T", [(3, "complete", 3), (3, "bond_only", 4),
+                                             (2002, "bond_only", 4), (3, "idiosyncratic", 2)])
+def test_eta_terminal_estimates_equal_the_terminal_formula(seed, family, T):
+    # finite differences of root-finds met the closed form to 1.7e-9 on bond_only seed 3
+    sc = generate_scenario(seed, family, T=T, utility="power", habit="one_lag")
+    report = eta_bound_check(sc.market, sc.prefs, sc.eps, T - 1, witness=sc.witness)
+    assert report.scope == "in_scope"
+    formula = report.details["terminal_formula"]
+    assert formula.keys() == report.estimates.keys()
+    for key, est in report.estimates.items():
+        assert est == pytest.approx(formula[key], rel=1e-12, abs=0)
+
+
+def test_eta_singular_link_system_raises_with_diagnostics(monkeypatch):
+    # children whose consumption ignores their wealth leave the link without
+    # a wealth direction to solve for
     sc = generate_scenario(56, "complete", utility="power", habit="one_lag",
                            floors=False)
-    monkeypatch.setattr(habitopt.analysis, "root", _stub_root(at))
+    real = habitopt.analysis._continuation_response
+
+    def wealth_blind(*args, **kwargs):
+        c, _, dc_dc = real(*args, **kwargs)
+        return c, 0.0, dc_dc
+
+    monkeypatch.setattr(habitopt.analysis, "_continuation_response", wealth_blind)
     with pytest.raises(NonConvergence) as exc:
         eta_bound_check(sc.market, sc.prefs, sc.eps, k=0)
-    assert exc.value.diagnostics["residual"] > 1e-10 * exc.value.diagnostics["scale"]
-
-
-def test_eta_root_without_progress_flag_is_accepted(monkeypatch):
-    sc = generate_scenario(56, "complete", utility="power", habit="one_lag",
-                           floors=False)
-    expected = eta_bound_check(sc.market, sc.prefs, sc.eps, k=0)
-    real = habitopt.analysis.root
-
-    def no_progress(*args, **kwargs):
-        res = real(*args, **kwargs)
-        res.success = False
-        res.message = "The iteration is not making good progress"
-        return res
-
-    monkeypatch.setattr(habitopt.analysis, "root", no_progress)
-    report = eta_bound_check(sc.market, sc.prefs, sc.eps, k=0)
-    assert report.estimates == expected.estimates
+    diag = exc.value.diagnostics
+    assert (diag["level"], diag["atom"]) == (0, 0)
+    assert not np.isfinite(diag["condition"])
+    assert np.all(diag["jacobian"] == 0.0)
 
 
 def test_eta_passes_where_hybr_stalls_at_rounding_level():

@@ -219,6 +219,27 @@ def test_verify_deflator_repro_passes_foc(tmp_path, capsys):
     assert max(report["checks"]["foc"]["full_foc_max"]) <= 1e-10
 
 
+# perfbench's verify_small instance set at workload seed 1 (instance seeds
+# 1000 + i) and the deflator repro: there a verify that raises or exits
+# non-zero counts as a failed command
+_VERIFY_SMALL = [("1000", "general", "3"), ("1001", "complete", "3"),
+                 ("1002", "bond_only", "4"), ("1003", "idiosyncratic", "2"),
+                 ("3", "general", "4")]
+
+
+@pytest.mark.parametrize("seed, family, T", _VERIFY_SMALL,
+                         ids=[f"{f}-T{T}-seed{s}" for s, f, T in _VERIFY_SMALL])
+def test_verify_every_check_exits_zero_on_the_benchmark_instances(tmp_path, capsys,
+                                                                   seed, family, T):
+    files = _generate(tmp_path, capsys, "--seed", seed, "--family", family, "--T", T,
+                      "--utility", "power", "--habit", "one_lag")
+    code, out, _ = run(capsys, "verify", *files,
+                       "--checks", "monotonicity,eta,concavity,envelope,foc")
+    report = json.loads(out)
+    assert code == 0
+    assert set(report["checks"]) == {"monotonicity", "eta", "concavity", "envelope", "foc"}
+
+
 def test_verify_rejects_unknown_check(instance, capsys):
     code, _, err = run(capsys, "verify", "--model", instance["model"],
                        "--prefs", instance["prefs"], "--endow", instance["endow"],

@@ -582,6 +582,26 @@ def test_cached_aggregate_is_read_only(complete_market):
         M[1].values[0] = 0.0
 
 
+def test_cached_perturbed_aggregate_equals_the_recomputed_one(complete_market):
+    m = complete_market
+    one = np.zeros((3, 3))
+    one[1, 0] = one[2, 1] = 0.5
+    two = one.copy()
+    two[2, 0] = 0.25
+    first = spd_bundle(m, one)
+    again = spd_bundle(m, one.copy())
+    other = spd_bundle(m, two)
+    for k in range(3):
+        assert again.Mtilde[k] is first.Mtilde[k]
+        for beta, bundle in ((one, first), (two, other)):
+            fresh = perturbed_aggregate_spd(m.tree, aggregate_spd(m), beta)[k].values
+            assert np.array_equal(bundle.Mtilde[k].values, fresh)
+            with pytest.raises(ValueError):
+                bundle.Mtilde[k].values[0] = 0.0
+    assert not np.array_equal(first.Mtilde[0].values, other.Mtilde[0].values)
+    assert len(m._perturbed) == 2
+
+
 def _dense_pricing_system(m, offsets):
     """Reference: the pricing identities as dense rows, one per atom and asset."""
     t = m.tree

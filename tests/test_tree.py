@@ -301,6 +301,18 @@ def test_adapted_process_rejects_malformed_levels():
         AdaptedProcess(t, [np.ones(1), np.ones(2), np.ones(3)])
 
 
+def test_adapted_process_rejects_random_variables_from_another_tree():
+    from habitopt import AdaptedProcess
+
+    t1 = build_tree([[[0, 1]], [[0], [1]]], [0.5, 0.5])
+    t2 = build_tree([[[0, 1]], [[0], [1]]], [0.5, 0.5])
+    with pytest.raises(LevelMismatch, match="process entry 0 lives on another tree"):
+        AdaptedProcess(t2, [RandomVariable(t1, 0, [1.0]), np.ones(2)])
+    with pytest.raises(LevelMismatch, match="process entry 1 lives on another tree"):
+        AdaptedProcess(t2, [[1.0], RandomVariable(t1, 1, np.ones(2))])
+    assert AdaptedProcess(t1, [RandomVariable(t1, 0, [1.0]), np.ones(2)])[0].tree is t1
+
+
 def test_process_entries_are_random_variables_on_the_stored_arrays():
     from habitopt import AdaptedProcess
 
