@@ -1,8 +1,9 @@
 """Structural probes, law checks, and the seeded instance generator.
 
-Everything here interrogates solved plans rather than producing them: finite
-difference slopes and curvatures of consumption policies against their
-theoretical bounds, the wealth response of continuation plans to past
+Everything here interrogates solved plans rather than producing them: slopes
+and curvatures of consumption policies in wealth against their theoretical
+bounds (implicit derivatives of continuation optima, or differences of the
+closed form), the wealth response of continuation plans to past
 consumption (an implicit derivative at the base plan), envelope and scaling
 laws, the closed-form counterexample showing optimal time-0 consumption is a
 strictly convex function of the endowment, and a reproducible generator of
@@ -45,11 +46,14 @@ from .solvers import (
     Solution,
     _complete_continuation,
     _continuation_response,
+    _interior_start,
+    _newton_maximize,
+    _plan_response,
     _subtree_atoms,
+    _SubtreePlan,
     has_inverse_marginal,
     solve_complete_general,
     solve_general,
-    solve_subproblem,
 )
 from .tree import EventTree, _condexp, build_tree
 
@@ -136,49 +140,96 @@ def _base_holdings(base: Solution, k: int, node: int) -> np.ndarray:
     return np.concatenate([np.zeros(0)] + [base.pi[l][atoms[l]].ravel() for l in range(k, T)])
 
 
-def _policy(m: MarketModel, p: HabitPreferences, eps_vals, method: str,
-            spd: SPDBundle | None, base: Solution):
-    """Consumption chosen at ``(k, node)`` given past consumption and entering wealth.
+def _newton_point(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k: int,
+                  node: int, history, w0: float, d: float, pair_slopes: bool):
+    """The response ``(c, dc/dw, dc/dhistory[-1], d2c/dw2)`` at a Newton probe
+    point, and ``(c, dc/dw)`` at ``w0 +- d`` (slopes only with ``pair_slopes``).
 
-    Every Newton re-solve starts from ``base`` restricted to the node's subtree,
-    which is the optimum at the base wealth and history; each node's plan is
-    built once and then only shifted.  The plans live as long as the returned
-    function, i.e. one probe call.
+    One plan is built, solved at ``w0`` from ``base`` and shifted by ``+-d``
+    for the pair, which starts from the tangent points ``x +- d dx/dw``.  A
+    leaf consumes its endowment plus its wealth and needs no plan.
     """
-    plans, starts = {}, {}
+    if k == m.tree.T:
+        c = [float(eps_vals[k][node] + w) for w in (w0, w0 + d, w0 - d)]
+        return (c[0], 1.0, 0.0, 0.0), [(c[1], 1.0), (c[2], 1.0)]
+    plan = _SubtreePlan(m, p, eps_vals, k0=k, node=node, history=history, w=w0)
+    x, dx, response = _plan_response(plan, _base_holdings(base, k, node), _GTOL)
+    pair = []
+    for sign in (1.0, -1.0):
+        shifted, start = plan.at(w0 + sign * d, history), x + sign * d * dx
+        if pair_slopes:
+            pair.append(_plan_response(shifted, start, _GTOL)[2][:2])
+        else:
+            xs = _newton_maximize(shifted, start, _GTOL)[0]
+            pair.append((float(shifted.consumption(xs)[0]), None))
+    return response, pair
 
-    def consumption(k: int, node: int, history, w: float) -> float:
-        if method == "closed":
-            return float(_complete_continuation(p, spd, eps_vals, k, node, history, w)[0][k][0])
-        if (k, node) not in starts:
-            starts[(k, node)] = _base_holdings(base, k, node)
-        sub = solve_subproblem(m, p, eps_vals, k, node, history, w, gtol=_GTOL,
-                               x0=starts[(k, node)], plans=plans)
-        return sub.c[(k, node)]
 
-    return consumption
+def _policy_derivatives(m: MarketModel, p: HabitPreferences, eps, k: int, method: str,
+                        base: Solution | None, curvature: bool):
+    """Slope or curvature in wealth per level-``k`` node, and its ``richardson``.
 
+    Nodes are probed at their optimal wealth ``w`` (the endowment at the
+    root) with step ``d = max(r, r |w|)``, ``r`` = 1e-4 for the slope and
+    5e-3 for the curvature (second differences amplify noise by ``d^-2``).
+    Newton points differentiate the continuation optimum (the curvature of
+    a family without ``d3u`` differences the analytic slope at
+    ``w +- d``).  Closed-form points difference the closed form at steps
+    ``d`` and ``d / 2``; the curvature is ``(4 D(d / 2) - D(d)) / 3`` from
+    the second differences ``D``, without their ``d^2`` error term.  Leaves
+    take the Newton path under either method, which solves nothing there.
+    Returns the estimates, ``richardson`` (``PolicyProbe``), the method, the
+    deflators and the base consumption at level ``k``.
+    """
+    t = m.tree
+    eps_vals = _as_level_values(t, eps)
+    spd = spd_bundle(m, p.beta)
+    if method == "auto":
+        method = "closed" if classify_market(m).kind == "complete" \
+            and has_inverse_marginal(p.family) else "newton"
+    if base is None:
+        base = solve_general(m, p, eps_vals, gtol=_GTOL)
+    cbase = [base.c.values(l) for l in range(t.T + 1)]
+    rel, floor = (5e-3, 1e-9) if curvature else (1e-4, 1e-12)
+    pair_slopes = curvature and not hasattr(p.family, "d3u")
 
-def _probe_points(t: EventTree, eps_vals, base: Solution, cbase, k: int):
-    """``(atom, history, base wealth)`` per level-``k`` atom; the endowment at the root."""
+    def difference(cp, c0, cm, dd):
+        return (cp - 2.0 * c0 + cm) / (dd * dd) if curvature else (cp - cm) / (2 * dd)
+
+    ests, rich = [], []
     for a in range(t.n_atoms(k)):
-        w0 = eps_vals[0][0] if k == 0 else base.W.values(k)[a]
-        yield a, _history(t, cbase, k, a), float(w0)
+        hist = _history(t, cbase, k, a)
+        w0 = float(eps_vals[0][0] if k == 0 else base.W.values(k)[a])
+        d = max(rel, rel * abs(w0))
+        if method == "closed" and k < t.T:
+            def fn(w):
+                return float(_complete_continuation(p, spd, eps_vals, k, a, hist, w)[0][k][0])
 
-
-def _probe_method(m: MarketModel, p: HabitPreferences) -> str:
-    if classify_market(m).kind == "complete" and has_inverse_marginal(p.family):
-        return "closed"
-    return "newton"
+            c0 = fn(w0) if curvature else None
+            coarse, ref = [difference(fn(w0 + dd), c0, fn(w0 - dd), dd) for dd in (d, d / 2)]
+            est = (4.0 * ref - coarse) / 3.0 if curvature else coarse
+            rich.append(abs(coarse - ref) / max(abs(ref), floor))
+        else:
+            response, ((cp, sp), (cm, sm)) = _newton_point(m, p, eps_vals, base, k, a, hist,
+                                                           w0, d, pair_slopes)
+            est = response[3] if curvature else response[1]
+            if pair_slopes:
+                est = (sp - sm) / (2 * d)
+            ref = difference(cp, response[0], cm, d)
+            rich.append(abs(est - ref) / max(abs(ref), floor))
+        ests.append(est)
+    return np.array(ests), np.array(rich), method, spd, cbase[k]
 
 
 @dataclass
 class PolicyProbe:
-    """Finite-difference slope or curvature of a consumption policy.
+    """Slope or curvature of a consumption policy in wealth, per probed node.
 
-    ``estimates`` and ``bounds`` are listed per probed node; ``richardson``
-    holds the relative change of each estimate when the step is halved (a
-    large value flags unreliable differencing).
+    With ``details["method"] == "newton"`` the estimates are implicit
+    derivatives of each node's continuation optimum, and ``richardson`` is
+    their relative gap to one finite-difference pair of re-solves; with
+    ``"closed"`` (complete markets) they difference the closed form, and
+    ``richardson`` is the relative change when the step is halved.
     """
 
     kind: str
@@ -197,39 +248,18 @@ def monotonicity_probe(m: MarketModel, p: HabitPreferences, eps, k: int,
                        base: Solution | None = None) -> PolicyProbe:
     """Check that consumption responds to wealth with slope in ``(0, B_k]``.
 
-    Central differences of re-solved continuation problems around the optimal
-    wealth at each level-``k`` node (around the endowment itself at ``k = 0``),
-    compared to the deflator-ratio bound plus ``1e-4``.
+    The slope ``dc/dw`` at each level-``k`` node (``_policy_derivatives``)
+    is compared to the deflator-ratio bound plus ``1e-4``.
     """
-    t = m.tree
-    eps_vals = _as_level_values(t, eps)
     scope, kind = _scope_label(m, witness)
-    spd = spd_bundle(m, p.beta)
+    estimates, richardson, method, spd, cbase = _policy_derivatives(m, p, eps, k, method,
+                                                                    base, curvature=False)
     bound = policy_bound(spd)[k]
-    if method == "auto":
-        method = _probe_method(m, p)
-    if base is None:
-        base = solve_general(m, p, eps_vals, gtol=_GTOL)
-    cbase = [base.c.values(l) for l in range(t.T + 1)]
-    policy = _policy(m, p, eps_vals, method, spd, base)
-
-    ests, rich = [], []
-    for a, hist, w0 in _probe_points(t, eps_vals, base, cbase, k):
-        da = max(1e-4, 1e-4 * abs(w0))
-        pair = []
-        for dd in (da, da / 2):
-            cp = policy(k, a, hist, w0 + dd)
-            cm = policy(k, a, hist, w0 - dd)
-            pair.append((cp - cm) / (2 * dd))
-        ests.append(pair[0])
-        rich.append(abs(pair[0] - pair[1]) / max(abs(pair[1]), 1e-12))
-    estimates = np.array(ests)
-    richardson = np.array(rich)
     within = bool(np.all(estimates > 0) and np.all(estimates <= bound + 1e-4))
     return PolicyProbe(
         kind="slope", level=k, estimates=estimates, bounds=bound.copy(),
         within=within, scope=scope, market_kind=kind, richardson=richardson,
-        details={"method": method, "base_c": cbase[k].copy()},
+        details={"method": method, "base_c": cbase.copy()},
     )
 
 
@@ -237,14 +267,11 @@ def concavity_probe(m: MarketModel, p: HabitPreferences, eps, k: int,
                     witness=None, method: str = "auto",
                     base: Solution | None = None,
                     tol: float = 1e-6) -> PolicyProbe:
-    """Second differences of the consumption policy in wealth (should be <= 0).
+    """Curvature ``d2c/dw2`` of the consumption policy in wealth (should be <= 0).
 
-    Uses a wider step than the slope probe: second differences amplify solver
-    noise by the inverse squared step, so the step is chosen to keep that
-    amplification below the comparison tolerances.
+    Each level-``k`` node's estimate (``_policy_derivatives``) must be at
+    most ``tol`` times ``max(1, |c|)``.
     """
-    t = m.tree
-    eps_vals = _as_level_values(t, eps)
     scope, kind = _scope_label(m, witness)
     fam = p.family
     uniform_power = fam.name == "log" or (
@@ -256,35 +283,13 @@ def concavity_probe(m: MarketModel, p: HabitPreferences, eps, k: int,
             WrongUtilityFamily,
         )
         scope = "out_of_scope"
-    spd = spd_bundle(m, p.beta)
-    if method == "auto":
-        method = _probe_method(m, p)
-    if base is None:
-        base = solve_general(m, p, eps_vals, gtol=_GTOL)
-    cbase = [base.c.values(l) for l in range(t.T + 1)]
-
-    policy = _policy(m, p, eps_vals, method, spd, base)
-
-    def second(fn, w0, dd):
-        return (fn(w0 + dd) - 2.0 * fn(w0) + fn(w0 - dd)) / (dd * dd)
-
-    ests, rich, scales = [], [], []
-    for a, hist, w0 in _probe_points(t, eps_vals, base, cbase, k):
-        da = max(5e-3, 5e-3 * abs(w0))
-
-        def fn(w):
-            return policy(k, a, hist, w)
-
-        pair = [second(fn, w0, da), second(fn, w0, da / 2)]
-        ests.append(pair[0])
-        rich.append(abs(pair[0] - pair[1]) / max(abs(pair[1]), 1e-9))
-        scales.append(max(1.0, abs(cbase[k][a])))
-    estimates = np.array(ests)
-    scales = np.array(scales)
+    estimates, richardson, method, _, cbase = _policy_derivatives(m, p, eps, k, method,
+                                                                  base, curvature=True)
+    scales = np.maximum(1.0, np.abs(cbase))
     within = bool(np.all(estimates <= tol * scales))
     return PolicyProbe(
         kind="curvature", level=k, estimates=estimates, bounds=np.zeros_like(estimates),
-        within=within, scope=scope, market_kind=kind, richardson=np.array(rich),
+        within=within, scope=scope, market_kind=kind, richardson=richardson,
         details={"method": method, "scales": scales},
     )
 
@@ -373,12 +378,16 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
         bmat = u_svd[:, :rank] / sq[:, None]
 
         # the link gap_b = u'_{k+1}(adj_b) - mt_ratio_b u'_k(chat_k) and its
-        # derivatives in each child's wealth and in c_k, from one solve per child
+        # derivatives in each child's wealth and in c_k, from one solve per
+        # child; a leaf child consumes its endowment plus its wealth
         w_base = base.W.values(k + 1)[children]
-        c_next, dc_dw, dc_dc = np.array([
-            _continuation_response(m, p, eps_vals, k + 1, int(b), hist + [ck0], float(wb),
-                                   _GTOL, x0=_base_holdings(base, k + 1, int(b)))
-            for b, wb in zip(children, w_base)]).T
+        if k + 1 == T:
+            c_next, dc_dw, dc_dc = eps_vals[T][children] + w_base, np.ones(len(children)), 0.0
+        else:
+            c_next, dc_dw, dc_dc = np.array([
+                _continuation_response(m, p, eps_vals, k + 1, int(b), hist + [ck0], float(wb),
+                                       _GTOL, x0=_base_holdings(base, k + 1, int(b)))[:3]
+                for b, wb in zip(children, w_base)]).T
         adj = c_next - p.h[k + 1][children]
         for lev in range(k + 1):
             bcoef = p.beta[k + 1, lev]
@@ -743,58 +752,23 @@ def _product_scenario(rng, T: int, fam, beta, floors: bool):
     base_market = _priced_market(rng, base_tree, rates, 1)
     if classify_market(base_market).kind != "complete":
         return None
-    nf = base_tree.n_leaves
     noise_probs = rng.dirichlet(np.full(2 ** T, 8.0))
 
-    n = nf * (2 ** T)
-
-    def leaf(fi, ni):
-        return fi * (2 ** T) + ni
-
+    # leaf fi 2**T + ni pairs base leaf fi with noise leaf ni, and atom
+    # fa 2**k + na at level k pairs base atom fa with noise atom na
     levels = []
     for k in range(T + 1):
-        atoms = []
         fw = 2 ** (T - k)
-        for fa in range(2 ** k):
-            f_leaves = range(fa * fw, (fa + 1) * fw)
-            for na in range(2 ** k):
-                n_leaves_rng = range(na * fw, (na + 1) * fw)
-                atoms.append([leaf(fi, ni) for fi in f_leaves for ni in n_leaves_rng])
-        levels.append(atoms)
-    probs = np.empty(n)
-    for fi in range(nf):
-        for ni in range(2 ** T):
-            probs[leaf(fi, ni)] = base_tree.probs[fi] * noise_probs[ni]
-    tree = build_tree(levels, probs)
-
-    # positions: atom index at level k is fa * 2**k + na
-    def g_atom(k, fa, na):
-        return fa * (2 ** k) + na
-
-    rates_g = rates
-    prices = []
-    divs = []
-    for k in range(T):
-        vals = np.empty((tree.n_atoms(k), 1))
-        for fa in range(2 ** k):
-            for na in range(2 ** k):
-                vals[g_atom(k, fa, na), 0] = base_market.S[k][fa, 1]
-        prices.append(vals)
-    for k in range(1, T + 1):
-        vals = np.empty((tree.n_atoms(k), 1))
-        for fa in range(2 ** k):
-            for na in range(2 ** k):
-                vals[g_atom(k, fa, na), 0] = base_market.d[k][fa, 1]
-        divs.append(vals)
-    market = MarketModel(tree, rates_g, prices, divs)
-
-    witness = []
-    for k in range(T + 1):
-        witness.append(tuple(
-            tuple(g_atom(k, fa, na) for na in range(2 ** k))
-            for fa in range(2 ** k)
-        ))
-    witness = tuple(witness)
+        levels.append([[fi * 2 ** T + ni for fi in range(fa * fw, (fa + 1) * fw)
+                        for ni in range(na * fw, (na + 1) * fw)]
+                       for fa in range(2 ** k) for na in range(2 ** k)])
+    tree = build_tree(levels, np.outer(base_tree.probs, noise_probs).ravel())
+    market = MarketModel(tree, rates,
+                         [np.repeat(base_market.S[k][:, 1], 2 ** k)[:, None] for k in range(T)],
+                         [np.repeat(base_market.d[k][:, 1], 2 ** k)[:, None]
+                          for k in range(1, T + 1)])
+    witness = tuple(tuple(tuple(range(fa * 2 ** k, (fa + 1) * 2 ** k)) for fa in range(2 ** k))
+                    for k in range(T + 1))
 
     eps = [np.array([float(rng.uniform(1.0, 2.0))])]
     for k in range(1, T + 1):
@@ -900,7 +874,6 @@ def generate_scenario(seed: int, family: str = "complete", T: int = 2,
                                      for k in range(1, T + 1)]
             prefs = HabitPreferences(tree, fam, beta, h)
         try:
-            from .solvers import _SubtreePlan, _interior_start
             _interior_start(_SubtreePlan(market, prefs, eps))
         except Infeasible:
             continue

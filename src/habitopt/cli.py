@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -65,7 +66,10 @@ _SOLVER_ERRORS = (
 # ---------------------------------------------------------------------------
 
 def dumps_canonical(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    A list writes its plain floats and ints itself, without a call per value.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -86,8 +90,11 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        body = ",\n".join(inner + dumps_canonical(v, indent + 1) for v in obj)
-        return "[\n" + body + "\n" + pad + "]"
+        if not all(math.isfinite(v) for v in obj if type(v) is float):
+            raise ValueError("non-finite float in output")
+        parts = [format(v, ".17g") if type(v) is float else str(v) if type(v) is int
+                 else dumps_canonical(v, indent + 1) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -226,6 +233,19 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _probe_levels(probe, market, prefs, eps, witness, entry, **kwargs) -> dict:
+    """``probe`` at every level: per level the ``entry`` fields, ``level`` and
+    ``within``; the probe's scope; and whether every level is within."""
+    probes = [probe(market, prefs, eps, k, witness=witness, **kwargs)
+              for k in range(market.tree.T + 1)]
+    return {"levels": [dict(entry(pr), level=k, within=pr.within) for k, pr in enumerate(probes)],
+            "scope": probes[-1].scope, "passed": all(pr.within for pr in probes)}
+
+
+def _curvatures(pr) -> dict:
+    return {"second_differences": pr.estimates}
+
+
 def _run_checks(market, prefs, eps, witness, checks, tol):
     t = market.tree
     spd = spd_bundle(market, prefs.beta)
@@ -247,28 +267,13 @@ def _run_checks(market, prefs, eps, witness, checks, tol):
         # one base plan serves every probe, which also warm-start from it
         base = solve_general(market, prefs, eps, gtol=1e-12) if set(checks) - {"foc"} else None
         if "monotonicity" in checks:
-            per_level = []
-            ok = True
-            for k in range(t.T + 1):
-                pr = analysis.monotonicity_probe(market, prefs, eps, k, witness=witness,
-                                                base=base)
-                per_level.append({"level": k, "estimates": pr.estimates,
-                                  "bounds": pr.bounds, "within": pr.within,
-                                  "richardson_max": float(np.max(pr.richardson))})
-                ok = ok and pr.within
-            results["monotonicity"] = {"levels": per_level, "scope": pr.scope,
-                                       "passed": bool(ok)}
+            results["monotonicity"] = _probe_levels(
+                analysis.monotonicity_probe, market, prefs, eps, witness,
+                lambda pr: {"estimates": pr.estimates, "bounds": pr.bounds,
+                            "richardson_max": float(np.max(pr.richardson))}, base=base)
         if "concavity" in checks:
-            per_level = []
-            ok = True
-            for k in range(t.T + 1):
-                pr = analysis.concavity_probe(market, prefs, eps, k, witness=witness,
-                                              tol=tol, base=base)
-                per_level.append({"level": k, "second_differences": pr.estimates,
-                                  "within": pr.within})
-                ok = ok and pr.within
-            results["concavity"] = {"levels": per_level, "scope": pr.scope,
-                                    "passed": bool(ok)}
+            results["concavity"] = _probe_levels(analysis.concavity_probe, market, prefs, eps,
+                                                 witness, _curvatures, tol=tol, base=base)
         if "eta" in checks:
             per_level = []
             ok = True
@@ -422,14 +427,10 @@ def _repro_52() -> tuple[dict, bool]:
             sc = analysis.generate_scenario(seed, family, utility="power",
                                             habit="one_lag", floors=False)
             prefs = HabitPreferences.one_lag(sc.tree, PowerUtility(2.0, 0.0), 0.5)
-            levels = []
-            for k in range(sc.tree.T + 1):
-                pr = analysis.concavity_probe(sc.market, prefs, sc.eps, k,
-                                              witness=sc.witness)
-                levels.append({"level": k, "second_differences": pr.estimates,
-                               "within": pr.within})
-                ok = ok and pr.within
-            out[label] = levels
+            probed = _probe_levels(analysis.concavity_probe, sc.market, prefs, sc.eps,
+                                   sc.witness, _curvatures)
+            out[label] = probed["levels"]
+            ok = ok and probed["passed"]
     report = {
         "scenario": "consumption concave in wealth for power utility",
         "markets": out,

@@ -61,6 +61,16 @@ def _by_runs(x: np.ndarray, runs, f) -> np.ndarray:
     return out
 
 
+def _per_level(f, levels):
+    """``x -> f(k, x)`` at each row's level ``k``, one call per run of rows at one level.
+
+    This is the whole-plan evaluation of the families' ``d3u`` and of a
+    ``CustomUtility``.
+    """
+    runs = _runs(levels)
+    return lambda x: _by_runs(x, runs, lambda xs, k: f(k, xs))
+
+
 class PowerUtility:
     """Constant relative risk aversion felicity, possibly time-varying.
 
@@ -107,6 +117,10 @@ class PowerUtility:
     def d2u(self, k: int, x):
         g = self.gamma_at(k)
         return -g * np.exp(-self.rho * k) * np.power(np.asarray(x, dtype=float), -g - 1.0)
+
+    def d3u(self, k: int, x):
+        g = self.gamma_at(k)
+        return g * (g + 1.0) * np.exp(-self.rho * k) * np.power(np.asarray(x, float), -g - 2.0)
 
     def du_inv(self, k: int, y):
         """Inverse marginal felicity, used by the complete-market recursions."""
@@ -172,6 +186,9 @@ class ExponentialUtility:
     def d2u(self, k: int, x):
         return -self.gamma * np.exp(-self.rho * k) * np.exp(-self.gamma * np.asarray(x, float))
 
+    def d3u(self, k: int, x):
+        return self.gamma ** 2 * np.exp(-self.rho * k) * np.exp(-self.gamma * np.asarray(x, float))
+
     def du_inv(self, k: int, y):
         return -np.log(np.asarray(y, float) * np.exp(self.rho * k)) / self.gamma
 
@@ -197,6 +214,7 @@ class CustomUtility:
     Each callable takes ``(k, x)``: a scalar level ``k`` and an array ``x`` of
     adjusted consumption at that level.  ``on_rows(levels)`` (see
     ``PowerUtility``) therefore calls them once per run of rows at one level.
+    There is no third derivative: curvature probes difference the slope.
     """
 
     name = "custom"
@@ -220,16 +238,8 @@ class CustomUtility:
         return self._du_inv(k, np.asarray(y, float))
 
     def on_rows(self, levels):
-        runs = _runs(levels)
-
-        def u(x):
-            return _by_runs(x, runs, lambda xs, k: self.u(k, xs))
-
-        def du_d2u(x):
-            return (_by_runs(x, runs, lambda xs, k: self.du(k, xs)),
-                    _by_runs(x, runs, lambda xs, k: self.d2u(k, xs)))
-
-        return u, du_d2u
+        u, du, d2u = (_per_level(f, levels) for f in (self.u, self.du, self.d2u))
+        return u, lambda x: (du(x), d2u(x))
 
 
 class HabitPreferences:

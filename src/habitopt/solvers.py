@@ -49,6 +49,7 @@ from .preferences import (
     _as_level_values,
     _chat_levels,
     _marginal_of,
+    _per_level,
     _require_feasible,
     _utility_of,
     perturbed_consumption,
@@ -216,7 +217,7 @@ class _SubtreePlan:
         self.w_gain = gains[1:]
         self.level_wts = [(slice(c_off[l], c_off[l] + len(atoms[l])),
                            wts[c_off[l]:c_off[l] + len(atoms[l])]) for l in range(k0, T + 1)]
-        row_level = np.repeat(np.arange(k0, T + 1), sizes)
+        self.row_level = row_level = np.repeat(np.arange(k0, T + 1), sizes)
         self.u_rows, self.du_d2u_rows = p.family.on_rows(row_level)
         self.inada = p.family.inada
         self.L, self.floors, self.hist_coef = L, floors, hist_coef
@@ -519,8 +520,7 @@ def solve_general(m: MarketModel, p: HabitPreferences, eps, x0=None,
 
 
 def solve_subproblem(m: MarketModel, p: HabitPreferences, eps, k: int, node: int,
-                     history, w: float, gtol: float = 1e-11, x0=None,
-                     plans: dict | None = None) -> SubSolution:
+                     history, w: float, gtol: float = 1e-11, x0=None) -> SubSolution:
     """Optimal continuation from ``node`` at level ``k`` with entering wealth ``w``.
 
     ``history`` prescribes consumption on the node's strict ancestors, which
@@ -534,18 +534,8 @@ def solve_subproblem(m: MarketModel, p: HabitPreferences, eps, k: int, node: int
     nearby optimum restricted to this subtree.  When ``x0`` is missing or not
     strictly admissible (its utility is not finite), the max-margin LP start
     is used instead.  Stopping rules and errors are the same either way.
-
-    ``plans`` is an optional dict, owned by the caller, of plans built by
-    earlier calls with the same ``m``, ``p`` and ``eps``, keyed by
-    ``(k, node)``: a plan found there is shifted to ``w`` and ``history``
-    instead of built anew, and a new plan is added to it.
     """
-    if plans is not None and (k, node) in plans:
-        plan = plans[(k, node)].at(w, history)
-    else:
-        plan = _SubtreePlan(m, p, eps, k0=k, node=node, history=history, w=w)
-        if plans is not None:
-            plans[(k, node)] = plan
+    plan = _SubtreePlan(m, p, eps, k0=k, node=node, history=history, w=w)
     x, fx, info = _newton_maximize(plan, x0, gtol)
     cmap = dict(zip(plan.c_keys, plan.consumption(x).tolist()))
     wmap = dict(zip(plan.c_keys[1:], plan.entering_wealth(x).tolist()))
@@ -554,34 +544,49 @@ def solve_subproblem(m: MarketModel, p: HabitPreferences, eps, k: int, node: int
                        U=fx, converged=True, diagnostics=dict(info))
 
 
-def _continuation_response(m: MarketModel, p: HabitPreferences, eps, k: int, node: int,
-                           history, w: float, gtol: float, x0=None) -> tuple:
-    """Consumption at ``(k, node)`` and its derivatives in ``w`` and ``history[-1]``.
+def _plan_response(plan: _SubtreePlan, x0, gtol: float) -> tuple:
+    """``(x, dx/dw, (c, dc/dw, dc/dhistory[-1], d2c/dw2))`` at the optimum of ``plan``.
 
-    Solves the continuation problem as ``solve_subproblem`` does, then
-    differentiates its optimality condition ``J^T (wts u'(J x + Lb)) = 0``
-    (Fiacco, 1983): with ``hw`` the curvature weights at the optimum ``x``,
-    ``H dx = -J^T (hw * dLb)`` for each parameter, where ``Lb`` moves by
-    ``L[:, 0]`` per unit of entering wealth and by ``-hist_coef[:, -1]`` per
-    unit of the last history entry.  One two-column solve on the Newton
-    factor gives both; consumption at the node moves by ``A[0] @ dx``, plus
-    one for wealth.  A node with no holdings to choose consumes its wealth,
-    so its derivatives are ``(1, 0)``.  Returns ``(c, dc/dw, dc/dhistory[-1])``.
+    Newton solves from ``x0``; then the optimality condition
+    ``J^T (wts u'(J x + Lb)) = 0`` is differentiated (Fiacco, 1983).  With
+    ``hw`` the curvature weights, ``H dx = -J^T (hw * dLb)``, where ``Lb``
+    moves by ``L[:, 0]`` per unit of entering wealth and by
+    ``-hist_coef[:, -1]`` per unit of the last history entry (not at all at
+    the root).  Once more in wealth, with ``s = J dx + L[:, 0]``,
+    ``H d2x = J^T (wts u''' s^2)``.  The solves share one factor of ``H``;
+    ``c`` moves by ``A[0] @ dx`` plus one and curves by ``A[0] @ d2x`` (None
+    for a family without ``d3u``).  A plan with no holdings consumes its wealth.
     """
-    plan = _SubtreePlan(m, p, eps, k0=k, node=node, history=history, w=w)
     x, _, info = _newton_maximize(plan, x0, gtol)
     c = float(plan.consumption(x)[0])
     if plan.n_x == 0:
-        return c, 1.0, 0.0
+        return x, x, (c, 1.0, 0.0, 0.0)
     _, hw = plan.grad_hess_weights(x)
     cf, ridge = _ridged_cholesky(plan.hessian(hw))
     if cf is None:
         raise NonConvergence("curvature matrix is irreparably singular at the optimum",
                              best=x, diagnostics=dict(info, ridge=ridge))
-    dlb = np.column_stack([plan.L[:, 0], -plan.hist_coef[:, -1]])
+    dhist = -plan.hist_coef[:, -1] if plan.k0 else np.zeros(plan.n_c)
+    dlb = np.column_stack([plan.L[:, 0], dhist])
     dx = cho_solve(cf, -(plan.J.T @ (hw[:, None] * dlb)), check_finite=False)
-    dc = plan.A[0] @ dx
-    return c, float(dc[0]) + 1.0, float(dc[1])
+    dc, d2c, fam = plan.A[0] @ dx, None, plan.p.family
+    if hasattr(fam, "d3u"):
+        s = plan.J @ dx[:, 0] + plan.L[:, 0]
+        u3 = _per_level(fam.d3u, plan.row_level)(plan.chat(x))
+        d2c = float(plan.A[0] @ cho_solve(cf, plan.J.T @ (plan.wts * u3 * s * s),
+                                          check_finite=False))
+    return x, dx[:, 0], (c, float(dc[0]) + 1.0, float(dc[1]), d2c)
+
+
+def _continuation_response(m: MarketModel, p: HabitPreferences, eps, k: int, node: int,
+                           history, w: float, gtol: float, x0=None) -> tuple:
+    """``(c, dc/dw, dc/dhistory[-1], d2c/dw2)`` at ``(k, node)`` (``_plan_response``).
+
+    The continuation problem is the one ``solve_subproblem`` solves; at
+    ``k = 0`` there is no history, and ``dc/dhistory[-1]`` is 0.
+    """
+    plan = _SubtreePlan(m, p, eps, k0=k, node=node, history=history, w=w)
+    return _plan_response(plan, x0, gtol)[2]
 
 
 _ORACLE_SEEDS = (0, 1, 2)

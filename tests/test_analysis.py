@@ -5,8 +5,10 @@ import pytest
 from scipy.optimize import root
 
 import habitopt.analysis
+import habitopt.solvers
 from habitopt.analysis import _base_holdings
 from habitopt import (
+    CustomUtility,
     GenerationExhausted,
     HabitPreferences,
     LogUtility,
@@ -32,6 +34,7 @@ from habitopt import (
     spd_bundle,
     wealth_sweep,
 )
+from test_solvers import _pinned_instances
 
 
 @pytest.fixture
@@ -164,6 +167,94 @@ def test_slope_probe_warm_starts_without_lps(solver_lps):
     assert len(solver_lps) == 1
 
 
+def _probe_by_differences(m, p, eps, k, base, curvature):
+    """Reference probe estimates: differences of re-solved continuation plans.
+
+    Each level-``k`` node is re-solved, warm-started from ``base``, at
+    ``w +- d`` with ``d = max(1e-4, 1e-4 |w|)`` for the central difference of
+    the slope, or at ``w`` and ``w +- d`` with ``d = max(5e-3, 5e-3 |w|)`` for
+    the second difference.
+    """
+    t = m.tree
+    cbase = [base.c.values(l) for l in range(t.T + 1)]
+    out = []
+    for a in range(t.n_atoms(k)):
+        hist = [float(cbase[lev][t.ancestor(k, lev)[a]]) for lev in range(k)]
+        w = float(eps[0][0]) if k == 0 else float(base.W.values(k)[a])
+
+        def c(wealth):
+            return solve_subproblem(m, p, eps, k, a, hist, wealth, gtol=1e-12,
+                                    x0=_base_holdings(base, k, a)).c[(k, a)]
+
+        if curvature:
+            d = max(5e-3, 5e-3 * abs(w))
+            out.append((c(w + d) - 2.0 * c(w) + c(w - d)) / (d * d))
+        else:
+            d = max(1e-4, 1e-4 * abs(w))
+            out.append((c(w + d) - c(w - d)) / (2 * d))
+    return np.array(out)
+
+
+@pytest.mark.filterwarnings("ignore::habitopt.WrongMarketClass")
+def test_analytic_probes_match_finite_differences_on_pinned_markets(shuffled_prefs):
+    # two-lag habits with floors on every family, and a tree whose atoms are
+    # not in parent order
+    for sc in _pinned_instances(shuffled_prefs):
+        base = solve_general(sc.market, sc.prefs, sc.eps, gtol=1e-12)
+        for k in range(sc.tree.T + 1):
+            slope = monotonicity_probe(sc.market, sc.prefs, sc.eps, k, method="newton",
+                                       base=base)
+            curv = concavity_probe(sc.market, sc.prefs, sc.eps, k, method="newton", base=base)
+            assert np.allclose(slope.estimates,
+                               _probe_by_differences(sc.market, sc.prefs, sc.eps, k, base,
+                                                     curvature=False), rtol=1e-8, atol=0)
+            assert np.all(np.abs(curv.estimates - _probe_by_differences(
+                sc.market, sc.prefs, sc.eps, k, base, curvature=True))
+                <= 1e-5 * curv.details["scales"])
+            # richardson is the relative gap to the probe's own difference pair
+            assert np.all(slope.richardson < 1e-7)
+
+
+@pytest.mark.filterwarnings("ignore::habitopt.WrongMarketClass", "ignore:concavity in wealth")
+@pytest.mark.parametrize("family", ["general", "bond_only"])
+def test_curvature_without_a_third_derivative_differences_the_analytic_slope(family):
+    # the custom family is the power family with gamma = 2 and no d3u
+    sc = generate_scenario(5, family, T=3, utility="power", habit="one_lag", floors=False)
+    power = HabitPreferences(sc.tree, PowerUtility(2.0), sc.prefs.beta)
+    custom = HabitPreferences(sc.tree, CustomUtility(
+        u=lambda k, x: -1.0 / x, du=lambda k, x: np.power(x, -2.0),
+        d2u=lambda k, x: -2.0 * np.power(x, -3.0)), sc.prefs.beta)
+    for k in range(sc.tree.T + 1):
+        analytic = concavity_probe(sc.market, power, sc.eps, k, method="newton")
+        differenced = concavity_probe(sc.market, custom, sc.eps, k, method="newton")
+        assert np.all(np.abs(differenced.estimates - analytic.estimates)
+                      <= 1e-5 * analytic.details["scales"])
+
+
+@pytest.mark.filterwarnings("ignore::habitopt.WrongMarketClass")
+def test_probes_run_no_lps_and_at_most_three_solves_per_point(monkeypatch, solver_lps):
+    sc = generate_scenario(1, "general", T=3, utility="power", habit="one_lag")
+    base = solve_general(sc.market, sc.prefs, sc.eps, gtol=1e-12)
+    solves = []
+    for module in (habitopt.solvers, habitopt.analysis):
+        def counted(*args, real=module._newton_maximize, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "_newton_maximize", counted)
+    solver_lps.clear()
+    for probe in (monotonicity_probe, concavity_probe):
+        for k in range(sc.tree.T + 1):
+            solves.clear()
+            result = probe(sc.market, sc.prefs, sc.eps, k, base=base)
+            assert result.details["method"] == "newton"
+            # finite differences took 4 (slope) or 6 (curvature) solves per
+            # point; leaves consume their wealth and take none
+            points = 0 if k == sc.tree.T else sc.tree.n_atoms(k)
+            assert len(solves) <= 3 * points
+    assert len(solver_lps) == 0
+
+
 # ---------------------------------------------------------------------------
 # wealth response to past consumption
 # ---------------------------------------------------------------------------
@@ -191,11 +282,10 @@ def _eta_by_root_finding(m, p, eps, k, base):
     t = m.tree
     spd = spd_bundle(m, p.beta)
     cbase = [base.c.values(l) for l in range(t.T + 1)]
-    plans = {}
 
     def policy(node, history, w):
         sub = solve_subproblem(m, p, eps, k + 1, node, history, w, gtol=1e-12,
-                               x0=_base_holdings(base, k + 1, node), plans=plans)
+                               x0=_base_holdings(base, k + 1, node))
         return sub.c[(k + 1, node)]
 
     estimates = {}
@@ -270,8 +360,8 @@ def test_eta_singular_link_system_raises_with_diagnostics(monkeypatch):
     real = habitopt.analysis._continuation_response
 
     def wealth_blind(*args, **kwargs):
-        c, _, dc_dc = real(*args, **kwargs)
-        return c, 0.0, dc_dc
+        c, _, dc_dc, d2c = real(*args, **kwargs)
+        return c, 0.0, dc_dc, d2c
 
     monkeypatch.setattr(habitopt.analysis, "_continuation_response", wealth_blind)
     with pytest.raises(NonConvergence) as exc:

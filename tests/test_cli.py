@@ -58,6 +58,71 @@ def test_dumps_stable_across_insertion_order():
     assert a == b
 
 
+def _dumps_recursive(obj, indent: int = 0) -> str:
+    """The one-call-per-value serializer that ``dumps_canonical`` replaced, as reference."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        if v != v or v in (float("inf"), float("-inf")):
+            raise ValueError("non-finite float in output")
+        return format(v, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = ",\n".join(inner + _dumps_recursive(v, indent + 1) for v in obj)
+        return "[\n" + body + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = ",\n".join(
+            f"{inner}{json.dumps(str(k))}: {_dumps_recursive(obj[k], indent + 1)}"
+            for k in sorted(obj, key=str)
+        )
+        return "{\n" + body + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+@pytest.mark.parametrize("obj", [
+    [],
+    {},
+    [[], {}, ()],
+    [0.1, -0.0, 0.0, 5e-324, -5e-324, 1e22, 1e-7, 123456789.125, 2.0 ** 60],
+    [1, -2, 0, 10 ** 30, 3.5],
+    (1.0, 2, 3.25),
+    [True, False, 1, 0.0],
+    [np.float64(0.1), 0.2, np.int64(3), np.float32(0.5)],
+    [1.0, None, 2.0, "x"],
+    np.array([[0.1, -0.0], [5e-324, 1e22]]),
+    np.arange(4),
+    np.array([True, False]),
+    {"b": [1.5, [2.5, {"q": [0.1, 3]}]], "a": {"z": [], "y": {}}, 3: np.float64(-0.0)},
+    {"nested": [[1.0, 2.0], [3, 4], [[5e-324]], [np.int32(7), 8.0]]},
+])
+def test_dumps_flat_lists_match_the_recursive_reference(obj):
+    for indent in (0, 2):
+        assert dumps_canonical(obj, indent) == _dumps_recursive(obj, indent)
+
+
+@pytest.mark.parametrize("obj", [[1.0, float("nan")], [2, float("-inf")],
+                                 [[0.5], [float("inf")]], [np.float64("nan"), 1.0]])
+def test_dumps_flat_lists_reject_non_finite(obj):
+    with pytest.raises(ValueError, match="non-finite"):
+        _dumps_recursive(obj)
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps_canonical(obj)
+
+
 def test_atomic_write_replaces_and_cleans_up(tmp_path):
     target = tmp_path / "out.json"
     atomic_write(str(target), "first")
@@ -219,12 +284,13 @@ def test_verify_deflator_repro_passes_foc(tmp_path, capsys):
     assert max(report["checks"]["foc"]["full_foc_max"]) <= 1e-10
 
 
-# perfbench's verify_small instance set at workload seed 1 (instance seeds
-# 1000 + i) and the deflator repro: there a verify that raises or exits
+# perfbench's verify_small instance set at workload seeds 1-3 (instance seeds
+# 1000 s + i) and the deflator repro: there a verify that raises or exits
 # non-zero counts as a failed command
-_VERIFY_SMALL = [("1000", "general", "3"), ("1001", "complete", "3"),
-                 ("1002", "bond_only", "4"), ("1003", "idiosyncratic", "2"),
-                 ("3", "general", "4")]
+_VERIFY_SMALL = [(str(1000 * s + i), family, T) for s in (1, 2, 3)
+                 for i, (family, T) in enumerate((("general", "3"), ("complete", "3"),
+                                                  ("bond_only", "4"), ("idiosyncratic", "2")))] \
+    + [("3", "general", "4")]
 
 
 @pytest.mark.parametrize("seed, family, T", _VERIFY_SMALL,

@@ -24,6 +24,7 @@ from habitopt import (
     theta_table,
     utility_value,
 )
+from habitopt.preferences import _per_level
 from habitopt.tree import RandomVariable
 
 ONE_PERIOD = [[[0]], [[0]]]
@@ -84,6 +85,29 @@ def test_custom_family_dispatch():
     assert fam.du(0, np.array([2.0]))[0] == pytest.approx(0.25)
     with pytest.raises(NotImplementedError):
         fam.du_inv(0, np.array([1.0]))
+
+
+@pytest.mark.parametrize("fam", [PowerUtility(2.5, rho=0.05), LogUtility(rho=0.05),
+                                 PowerUtility([2.5, 1.0, 0.5], rho=0.05),
+                                 ExponentialUtility(1.3, rho=0.05)],
+                         ids=["power", "log", "power_hetero", "exp"])
+def test_third_derivative_matches_a_central_difference_of_the_second(fam):
+    x = np.array([-0.5, 0.3, 1.0, 2.7]) if fam.name == "exp" else np.array([0.3, 1.0, 2.7])
+    h = 1e-5
+    for k in range(3):
+        fd = (fam.d2u(k, x + h) - fam.d2u(k, x - h)) / (2 * h)
+        assert np.allclose(fam.d3u(k, x), fd, rtol=1e-7, atol=0)
+    # the whole-plan evaluation is the per-level method, row by row
+    levels = np.array([0, 0, 1, 2, 2, 2])
+    xs = np.linspace(0.4, 2.0, levels.size)
+    rows = _per_level(fam.d3u, levels)(xs)
+    assert np.array_equal(rows, np.concatenate([fam.d3u(k, xs[levels == k]) for k in range(3)]))
+
+
+def test_custom_family_has_no_third_derivative():
+    fam = CustomUtility(u=lambda k, x: -1.0 / x, du=lambda k, x: np.power(x, -2.0),
+                        d2u=lambda k, x: -2.0 * np.power(x, -3.0))
+    assert not hasattr(fam, "d3u")
 
 
 # ---------------------------------------------------------------------------

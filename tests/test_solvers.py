@@ -31,7 +31,12 @@ from habitopt import (
 )
 from habitopt import CustomUtility
 from habitopt.analysis import _base_holdings
-from habitopt.solvers import _replicate_portfolio, _SubtreePlan, _subtree_atoms
+from habitopt.solvers import (
+    _continuation_response,
+    _replicate_portfolio,
+    _SubtreePlan,
+    _subtree_atoms,
+)
 
 
 @pytest.fixture
@@ -371,16 +376,25 @@ def test_pattern_jacobian_and_scattered_hessian_equal_the_dense_products(shuffle
                 assert np.array_equal(plan.hessian(hw), plan.hessian(hw).T)
 
 
-def test_subproblem_reuses_plans_by_node():
-    sc, k, node, hist, w, x_base = _continuation_at_base()
-    plans = {}
-    first = solve_subproblem(sc.market, sc.prefs, sc.eps, k, node, hist, w + 1e-3,
-                             x0=x_base, plans=plans)
-    built = plans[(k, node)]
-    again = solve_subproblem(sc.market, sc.prefs, sc.eps, k, node, hist, w + 1e-3,
-                             x0=x_base, plans=plans)
-    assert list(plans) == [(k, node)] and plans[(k, node)] is built
-    assert again.c == first.c
+def test_continuation_response_at_the_root():
+    # the root has no history entry to differentiate in, so dc/dhistory[-1] is 0
+    sc = generate_scenario(1, "general", T=3, utility="power", habit="one_lag")
+    base = solve_general(sc.market, sc.prefs, sc.eps, gtol=1e-12)
+    w = float(sc.eps[0][0])
+    c, dc_dw, dc_dh, d2c = _continuation_response(sc.market, sc.prefs, sc.eps, 0, 0, (), w,
+                                                  1e-12, x0=_base_holdings(base, 0, 0))
+    assert c == pytest.approx(base.c.values(0)[0], rel=1e-12)
+    assert dc_dh == 0.0
+
+    def c_at(wealth):
+        return solve_subproblem(sc.market, sc.prefs, sc.eps, 0, 0, (), wealth,
+                                gtol=1e-12).c[(0, 0)]
+
+    d = 1e-4
+    assert dc_dw == pytest.approx((c_at(w + d) - c_at(w - d)) / (2 * d), rel=1e-8)
+    d = 5e-3
+    assert d2c == pytest.approx((c_at(w + d) - 2.0 * c + c_at(w - d)) / d ** 2,
+                                rel=0, abs=1e-5)
 
 
 def test_subproblem_terminal_consumes_everything():
