@@ -31,6 +31,7 @@ from .market import (
     MarketModel,
     SPDBundle,
     classify_market,
+    payoff_space_basis,
     spd_bundle,
 )
 from .preferences import (
@@ -45,13 +46,13 @@ from .preferences import (
 from .solvers import (
     Solution,
     _complete_continuation,
-    _continuation_response,
     _interior_start,
     _newton_maximize,
     _plan_response,
     _subtree_atoms,
     _SubtreePlan,
     has_inverse_marginal,
+    solve_auto,
     solve_complete_general,
     solve_general,
 )
@@ -76,7 +77,7 @@ __all__ = [
     "generate_scenario",
 ]
 
-# Newton tolerance of the base plans and re-solves behind every probe
+# Newton tolerance of the continuation solves and re-solves behind every probe
 _GTOL = 1e-12
 
 
@@ -140,22 +141,34 @@ def _base_holdings(base: Solution, k: int, node: int) -> np.ndarray:
     return np.concatenate([np.zeros(0)] + [base.pi[l][atoms[l]].ravel() for l in range(k, T)])
 
 
+def _node_response(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k: int,
+                   node: int, history, w: float) -> tuple:
+    """``(plan, x, dx/dw, (c, dc/dw, dc/dhistory[-1], d2c/dw2))`` of the
+    continuation from ``(k, node)`` entered with wealth ``w`` after ``history``,
+    solved from ``base`` (``solvers._plan_response``).  A leaf consumes its
+    endowment plus its wealth: ``(None, None, None, (eps + w, 1, 0, 0))``.
+    """
+    if k == m.tree.T:
+        return None, None, None, (float(eps_vals[k][node] + w), 1.0, 0.0, 0.0)
+    plan = _SubtreePlan(m, p, eps_vals, k0=k, node=node, history=history, w=w)
+    return (plan, *_plan_response(plan, _base_holdings(base, k, node), _GTOL))
+
+
 def _newton_point(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k: int,
                   node: int, history, w0: float, d: float, pair_slopes: bool):
     """The response ``(c, dc/dw, dc/dhistory[-1], d2c/dw2)`` at a Newton probe
-    point, and ``(c, dc/dw)`` at ``w0 +- d`` (slopes only with ``pair_slopes``).
+    point (``_node_response``), and ``(c, dc/dw)`` at ``w0 +- d`` (slopes only
+    with ``pair_slopes``).
 
-    One plan is built, solved at ``w0`` from ``base`` and shifted by ``+-d``
-    for the pair, which starts from the tangent points ``x +- d dx/dw``.  A
-    leaf consumes its endowment plus its wealth and needs no plan.
+    The pair solves the node's plan shifted by ``+-d``, starting from the
+    tangent points ``x +- d dx/dw``.
     """
-    if k == m.tree.T:
-        c = [float(eps_vals[k][node] + w) for w in (w0, w0 + d, w0 - d)]
-        return (c[0], 1.0, 0.0, 0.0), [(c[1], 1.0), (c[2], 1.0)]
-    plan = _SubtreePlan(m, p, eps_vals, k0=k, node=node, history=history, w=w0)
-    x, dx, response = _plan_response(plan, _base_holdings(base, k, node), _GTOL)
+    plan, x, dx, response = _node_response(m, p, eps_vals, base, k, node, history, w0)
     pair = []
     for sign in (1.0, -1.0):
+        if plan is None:          # a leaf consumes its endowment plus its wealth
+            pair.append((float(eps_vals[k][node] + (w0 + sign * d)), 1.0))
+            continue
         shifted, start = plan.at(w0 + sign * d, history), x + sign * d * dx
         if pair_slopes:
             pair.append(_plan_response(shifted, start, _GTOL)[2][:2])
@@ -188,7 +201,7 @@ def _policy_derivatives(m: MarketModel, p: HabitPreferences, eps, k: int, method
         method = "closed" if classify_market(m).kind == "complete" \
             and has_inverse_marginal(p.family) else "newton"
     if base is None:
-        base = solve_general(m, p, eps_vals, gtol=_GTOL)
+        base = solve_auto(m, p, eps_vals)
     cbase = [base.c.values(l) for l in range(t.T + 1)]
     rel, floor = (5e-3, 1e-9) if curvature else (1e-4, 1e-12)
     pair_slopes = curvature and not hasattr(p.family, "d3u")
@@ -334,10 +347,10 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
 
     The sensitivity is the implicit derivative of that link at the base
     plan.  Each child's continuation is solved once, at its base wealth, and
-    differentiated there (``solvers._continuation_response``); the link,
-    projected on the children's payoff space, then gives one rank-by-rank
-    linear system per atom.  NonConvergence, with the system's condition
-    number, is raised where that system is singular or not finite.
+    differentiated there (``_node_response``); the link, projected on the
+    children's payoff space (``market.payoff_space_basis``), then gives one
+    rank-by-rank linear system per atom.  NonConvergence, with the system's
+    condition number, is raised where that system is singular or not finite.
     """
     t = m.tree
     T = t.T
@@ -349,10 +362,14 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
     theta = theta_table(p.beta)
     fam = p.family
     if base is None:
-        base = solve_general(m, p, eps_vals, gtol=_GTOL)
+        base = solve_auto(m, p, eps_vals)
     cbase = [base.c.values(l) for l in range(t.T + 1)]
+    chat_here, chat_next = base.chat.values(k), base.chat.values(k + 1)
     wts = t.atom_probs[k + 1]
-    gains = m.gain(k + 1)
+    # per level-k atom, its children and a basis of their attainable wealths
+    links = {int(a): (blk.children[g], blk.rows[g][blk.keep[g]].T)
+             for blk, (atoms, _) in zip(payoff_space_basis(m, k + 1).blocks, t.child_blocks[k])
+             for g, a in enumerate(atoms)}
 
     bound_lvl = np.zeros(t.n_atoms(k + 1))
     for j in range(k + 1, T + 1):
@@ -364,39 +381,19 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
     terminal_formula = {}
     base_residual = 0.0
     for a in range(t.n_atoms(k)):
-        children = t.children(k, a)
-        hist = _history(t, cbase, k, a)
-        ck0 = float(cbase[k][a])
+        children, bmat = links[a]
+        hist = _history(t, cbase, k, a) + [float(cbase[k][a])]
         mt_ratio = spd.Mtilde[k + 1].values[children] / spd.Mtilde[k].values[a]
-        wch = wts[children]
+        wch, w_base = wts[children], base.W.values(k + 1)[children]
 
-        # attainable wealths over the children form the payoff-space block;
-        # parametrize the response in a weighted-orthonormal basis of it
-        sq = np.sqrt(wch)
-        u_svd, s, _ = np.linalg.svd(sq[:, None] * gains[children], full_matrices=False)
-        rank = int(np.sum(s > 1e-10 * max(s[0], 1e-300)))
-        bmat = u_svd[:, :rank] / sq[:, None]
-
-        # the link gap_b = u'_{k+1}(adj_b) - mt_ratio_b u'_k(chat_k) and its
-        # derivatives in each child's wealth and in c_k, from one solve per
-        # child; a leaf child consumes its endowment plus its wealth
-        w_base = base.W.values(k + 1)[children]
-        if k + 1 == T:
-            c_next, dc_dw, dc_dc = eps_vals[T][children] + w_base, np.ones(len(children)), 0.0
-        else:
-            c_next, dc_dw, dc_dc = np.array([
-                _continuation_response(m, p, eps_vals, k + 1, int(b), hist + [ck0], float(wb),
-                                       _GTOL, x0=_base_holdings(base, k + 1, int(b)))[:3]
-                for b, wb in zip(children, w_base)]).T
-        adj = c_next - p.h[k + 1][children]
-        for lev in range(k + 1):
-            bcoef = p.beta[k + 1, lev]
-            if bcoef != 0.0:
-                adj -= bcoef * (ck0 if lev == k else hist[lev])
-        chat_k = ck0 - sum(p.beta[k, l] * hist[l] for l in range(k)) - p.h[k][a]
-        du2_next = fam.d2u(k + 1, adj)
-        du2_here = fam.d2u(k, chat_k)
-        gap = fam.du(k + 1, adj) - mt_ratio * fam.du(k, chat_k)
+        # the link gap_b = u'_{k+1}(chat_b) - mt_ratio_b u'_k(chat_k) and the
+        # derivatives of each child's consumption in its wealth and in c_k
+        dc_dw, dc_dc = np.array([
+            _node_response(m, p, eps_vals, base, k + 1, int(b), hist, float(wb))[3][1:3]
+            for b, wb in zip(children, w_base)]).T
+        du2_next = fam.d2u(k + 1, chat_next[children])
+        du2_here = fam.d2u(k, chat_here[a])
+        gap = fam.du(k + 1, chat_next[children]) - mt_ratio * fam.du(k, chat_here[a])
 
         y_base = bmat.T @ (wch * w_base)
         base_residual = max(base_residual, float(np.max(np.abs(bmat.T @ (wch * gap)))),
@@ -419,13 +416,7 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
             bounds[(a, int(b))] = float(bound_lvl[b])
 
         if k == T - 1:
-            du2_terminal = fam.d2u(T, np.array([
-                cbase[T][int(b)] - p.h[T][int(b)]
-                - sum(p.beta[T, lev] * (ck0 if lev == k else hist[lev])
-                      for lev in range(k + 1))
-                for b in children
-            ]))
-            proj_du2 = bmat @ (bmat.T @ (wch * du2_terminal))
+            proj_du2 = bmat @ (bmat.T @ (wch * du2_next))
             for j, b in enumerate(children):
                 terminal_formula[(a, int(b))] = float(
                     p.beta[T, T - 1] + mt_ratio[j] * du2_here / proj_du2[j]
@@ -461,7 +452,7 @@ def envelope_check(m: MarketModel, p: HabitPreferences, eps,
     t = m.tree
     eps_vals = _as_level_values(t, eps)
     if base is None:
-        base = solve_general(m, p, eps_vals, gtol=_GTOL)
+        base = solve_auto(m, p, eps_vals)
     x0 = _base_holdings(base, 0, 0)
     marginal = float(base.R.values(0)[0])
     e0 = float(eps_vals[0][0])
@@ -635,8 +626,6 @@ def wealth_sweep(m: MarketModel, p: HabitPreferences, eps, start: float,
     kept with a status message rather than dropped.  The market's deflator
     and classification are computed once and shared by every grid point.
     """
-    from .solvers import solve_auto
-
     t = m.tree
     eps_vals = _as_level_values(t, eps)
     rest = [eps_vals[l] for l in range(1, t.T + 1)]
@@ -821,8 +810,16 @@ def generate_scenario(seed: int, family: str = "complete", T: int = 2,
     ``idiosyncratic`` (complete base market extended by independent noise that
     only endowments see, with the accepting witness attached).  All draws come
     from ``numpy.random.default_rng(seed)``, so equal seeds give equal
-    scenarios byte for byte.
+    scenarios byte for byte.  ``branching`` (at least 1) sets the children
+    per node of the complete, bond-only and general trees; the idiosyncratic
+    family's trees are binary and take none.
     """
+    if T < 1:
+        raise ValueError(f"T must be at least 1, got {T}")
+    if branching is not None and family == "idiosyncratic":
+        raise ValueError("branching does not apply to the idiosyncratic family")
+    if branching is not None and branching < 1:
+        raise ValueError(f"branching must be at least 1, got {branching}")
     rng = np.random.default_rng(seed)
     if utility is None:
         utility = str(rng.choice(["log", "power", "power_hetero", "exp"]))

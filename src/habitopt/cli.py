@@ -192,11 +192,19 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _foc_residuals(m, p, c, spd, in_scope: bool) -> dict:
+    """Largest full first-order residual of the plan ``c`` per level, and the
+    simplified one where the policy bounds are in scope."""
+    out = {"full_foc_max": [float(np.max(np.abs(r))) for r in foc_residual(m, p, c, spd)]}
+    if in_scope:
+        out["simplified_foc_max"] = [float(np.max(np.abs(r)))
+                                     for r in simplified_foc_residual(m, p, c, spd)]
+    return out
+
+
 def _solution_payload(m, p, sol) -> dict:
     t = m.tree
-    spd = spd_bundle(m, p.beta)
-    full = foc_residual(m, p, sol.c, spd)
-    payload = {
+    return {
         "converged": bool(sol.converged),
         "utility": float(sol.U),
         "diagnostics": {k: (float(v) if isinstance(v, (int, float, np.floating))
@@ -211,17 +219,9 @@ def _solution_payload(m, p, sol) -> dict:
         "negative_consumption": bool(
             any(np.any(sol.c.values(k) < 0) for k in range(t.T + 1))
         ),
-        "residuals": {
-            "full_foc_max": [float(np.max(np.abs(r))) for r in full],
-        },
+        "residuals": _foc_residuals(m, p, sol.c, spd_bundle(m, p.beta),
+                                    classify_market(m).bounds_in_scope),
     }
-    cls = classify_market(m)
-    if cls.bounds_in_scope:
-        simp = simplified_foc_residual(m, p, sol.c, spd)
-        payload["residuals"]["simplified_foc_max"] = [
-            float(np.max(np.abs(r))) for r in simp
-        ]
-    return payload
 
 
 def _cmd_solve(args) -> int:
@@ -253,19 +253,12 @@ def _run_checks(market, prefs, eps, witness, checks, tol):
     results = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
+        # one plan serves the foc check and every probe, which warm-start from it
+        base = solve_auto(market, prefs, eps)
         if "foc" in checks:
-            sol = solve_auto(market, prefs, eps)
-            full = foc_residual(market, prefs, sol.c, spd)
-            entry = {"full_foc_max": [float(np.max(np.abs(r))) for r in full]}
-            worst = max(entry["full_foc_max"])
-            if cls.bounds_in_scope:
-                simp = simplified_foc_residual(market, prefs, sol.c, spd)
-                entry["simplified_foc_max"] = [float(np.max(np.abs(r))) for r in simp]
-                worst = max(worst, max(entry["simplified_foc_max"]))
-            entry["passed"] = bool(worst <= tol)
+            entry = _foc_residuals(market, prefs, base.c, spd, cls.bounds_in_scope)
+            entry["passed"] = bool(max(max(v) for v in entry.values()) <= tol)
             results["foc"] = entry
-        # one base plan serves every probe, which also warm-start from it
-        base = solve_general(market, prefs, eps, gtol=1e-12) if set(checks) - {"foc"} else None
         if "monotonicity" in checks:
             results["monotonicity"] = _probe_levels(
                 analysis.monotonicity_probe, market, prefs, eps, witness,
@@ -304,6 +297,8 @@ def _cmd_verify(args) -> int:
     tree, market, witness, prefs, eps = _load_instance(args)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     known = {"monotonicity", "eta", "concavity", "envelope", "foc"}
+    if not checks:
+        raise ValueError(f"--checks names no check (choose from {sorted(known)})")
     unknown = set(checks) - known
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)} (choose from {sorted(known)})")

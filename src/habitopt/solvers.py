@@ -136,7 +136,8 @@ class _SubtreePlan:
     Covers either the full problem (``k0 = 0``, where the entering wealth
     parameter plays the role of the time-0 endowment) or the continuation
     problem from ``node`` at level ``k0`` with past consumption ``history``
-    along the node's ancestor path.
+    along the node's ancestor path.  ``eps_vals`` are the endowments per
+    level, already validated (``preferences._as_level_values``).
 
     Rows are ordered by level, then by atom.  ``J = L A`` is built from its
     known row pattern (``_jacobian_blocks``), which also gives the Newton
@@ -148,7 +149,7 @@ class _SubtreePlan:
     ``utility`` still sums one level at a time.
     """
 
-    def __init__(self, m: MarketModel, p: HabitPreferences, eps, k0: int = 0,
+    def __init__(self, m: MarketModel, p: HabitPreferences, eps_vals, k0: int = 0,
                  node: int = 0, history=(), w: float | None = None):
         t = m.tree
         T = t.T
@@ -156,7 +157,6 @@ class _SubtreePlan:
             raise PreconditionViolated(
                 f"history must list consumption for levels 0..{k0 - 1}"
             )
-        eps_vals = _as_level_values(t, eps)
         if w is None:
             if k0 != 0:
                 raise PreconditionViolated("continuation problems need entering wealth")
@@ -514,7 +514,7 @@ def solve_general(m: MarketModel, p: HabitPreferences, eps, x0=None,
     habit-adjusted marginal deflator, which is the optimality certificate.
     ``x0`` warm-starts Newton as in ``solve_subproblem``.
     """
-    plan = _SubtreePlan(m, p, eps)
+    plan = _SubtreePlan(m, p, _as_level_values(m.tree, eps))
     x, _, info = _newton_maximize(plan, x0, gtol)
     return _assemble_solution(plan, x, "newton", info)
 
@@ -535,7 +535,8 @@ def solve_subproblem(m: MarketModel, p: HabitPreferences, eps, k: int, node: int
     strictly admissible (its utility is not finite), the max-margin LP start
     is used instead.  Stopping rules and errors are the same either way.
     """
-    plan = _SubtreePlan(m, p, eps, k0=k, node=node, history=history, w=w)
+    plan = _SubtreePlan(m, p, _as_level_values(m.tree, eps), k0=k, node=node,
+                        history=history, w=w)
     x, fx, info = _newton_maximize(plan, x0, gtol)
     cmap = dict(zip(plan.c_keys, plan.consumption(x).tolist()))
     wmap = dict(zip(plan.c_keys[1:], plan.entering_wealth(x).tolist()))
@@ -555,12 +556,10 @@ def _plan_response(plan: _SubtreePlan, x0, gtol: float) -> tuple:
     the root).  Once more in wealth, with ``s = J dx + L[:, 0]``,
     ``H d2x = J^T (wts u''' s^2)``.  The solves share one factor of ``H``;
     ``c`` moves by ``A[0] @ dx`` plus one and curves by ``A[0] @ d2x`` (None
-    for a family without ``d3u``).  A plan with no holdings consumes its wealth.
+    for a family without ``d3u``).  The plan must hold something (``k0 < T``).
     """
     x, _, info = _newton_maximize(plan, x0, gtol)
     c = float(plan.consumption(x)[0])
-    if plan.n_x == 0:
-        return x, x, (c, 1.0, 0.0, 0.0)
     _, hw = plan.grad_hess_weights(x)
     cf, ridge = _ridged_cholesky(plan.hessian(hw))
     if cf is None:
@@ -576,17 +575,6 @@ def _plan_response(plan: _SubtreePlan, x0, gtol: float) -> tuple:
         d2c = float(plan.A[0] @ cho_solve(cf, plan.J.T @ (plan.wts * u3 * s * s),
                                           check_finite=False))
     return x, dx[:, 0], (c, float(dc[0]) + 1.0, float(dc[1]), d2c)
-
-
-def _continuation_response(m: MarketModel, p: HabitPreferences, eps, k: int, node: int,
-                           history, w: float, gtol: float, x0=None) -> tuple:
-    """``(c, dc/dw, dc/dhistory[-1], d2c/dw2)`` at ``(k, node)`` (``_plan_response``).
-
-    The continuation problem is the one ``solve_subproblem`` solves; at
-    ``k = 0`` there is no history, and ``dc/dhistory[-1]`` is 0.
-    """
-    plan = _SubtreePlan(m, p, eps, k0=k, node=node, history=history, w=w)
-    return _plan_response(plan, x0, gtol)[2]
 
 
 _ORACLE_SEEDS = (0, 1, 2)
@@ -607,7 +595,7 @@ def solve_primal_oracle(m: MarketModel, p: HabitPreferences, eps) -> Solution:
     improves, and the best start wins.  Independent of the Newton path;
     refuses instances with more than six portfolio variables.
     """
-    plan = _SubtreePlan(m, p, eps)
+    plan = _SubtreePlan(m, p, _as_level_values(m.tree, eps))
     if plan.n_x > _ORACLE_MAX_DIM:
         raise InstanceTooLarge(
             f"oracle handles at most {_ORACLE_MAX_DIM} portfolio variables, got {plan.n_x}"

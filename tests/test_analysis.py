@@ -357,13 +357,13 @@ def test_eta_singular_link_system_raises_with_diagnostics(monkeypatch):
     # a wealth direction to solve for
     sc = generate_scenario(56, "complete", utility="power", habit="one_lag",
                            floors=False)
-    real = habitopt.analysis._continuation_response
+    real = habitopt.analysis._node_response
 
     def wealth_blind(*args, **kwargs):
-        c, _, dc_dc, d2c = real(*args, **kwargs)
-        return c, 0.0, dc_dc, d2c
+        plan, x, dx, (c, _, dc_dc, d2c) = real(*args, **kwargs)
+        return plan, x, dx, (c, 0.0, dc_dc, d2c)
 
-    monkeypatch.setattr(habitopt.analysis, "_continuation_response", wealth_blind)
+    monkeypatch.setattr(habitopt.analysis, "_node_response", wealth_blind)
     with pytest.raises(NonConvergence) as exc:
         eta_bound_check(sc.market, sc.prefs, sc.eps, k=0)
     diag = exc.value.diagnostics

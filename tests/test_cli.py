@@ -5,6 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import habitopt.analysis
+import habitopt.cli
+import habitopt.solvers
 from habitopt import MarketModel, build_tree
 from habitopt.cli import atomic_write, dumps_canonical, main
 
@@ -144,6 +147,18 @@ def test_generate_is_byte_deterministic(tmp_path, capsys):
     for name in ("model.json", "prefs.json", "endow.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--T", "-1"], "T"),
+    (["--branching", "0"], "branching"),
+    (["--family", "idiosyncratic", "--branching", "3"], "branching"),
+], ids=["negative-T", "zero-branching", "idiosyncratic-branching"])
+def test_generate_rejects_invalid_arguments(tmp_path, capsys, argv, name):
+    code, _, err = run(capsys, "generate", "--seed", "1", *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert err.startswith("invalid input: ValueError") and name in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_generate_writes_loadable_files(instance):
@@ -312,6 +327,37 @@ def test_verify_rejects_unknown_check(instance, capsys):
                        "--checks", "foc,frobnicate")
     assert code == 2
     assert "frobnicate" in err
+
+
+@pytest.mark.parametrize("checks", ["", " , "])
+def test_verify_rejects_an_empty_check_list(instance, capsys, checks):
+    # an empty list used to pass without running any check
+    code, out, err = run(capsys, "verify", "--model", instance["model"],
+                         "--prefs", instance["prefs"], "--endow", instance["endow"],
+                         "--checks", checks)
+    assert code == 2
+    assert out == "" and "--checks" in err
+
+
+def test_verify_solves_the_base_plan_once(tmp_path, capsys, monkeypatch, solver_lps):
+    # foc and every probe share one plan; the envelope check re-solves twice
+    files = _generate(tmp_path, capsys, "--seed", "1", "--family", "general", "--T", "2",
+                      "--utility", "power", "--habit", "one_lag")
+    solves = []
+    real = habitopt.solvers.solve_general
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return real(*args, **kwargs)
+
+    for module in (habitopt.solvers, habitopt.analysis, habitopt.cli):
+        monkeypatch.setattr(module, "solve_general", counted)
+    solver_lps.clear()
+    code, _, _ = run(capsys, "verify", *files,
+                     "--checks", "monotonicity,eta,concavity,envelope,foc")
+    assert code == 0
+    assert len(solves) == 3
+    assert len(solver_lps) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from habitopt import (
 from habitopt import CustomUtility
 from habitopt.analysis import _base_holdings
 from habitopt.solvers import (
-    _continuation_response,
+    _plan_response,
     _replicate_portfolio,
     _SubtreePlan,
     _subtree_atoms,
@@ -381,8 +381,8 @@ def test_continuation_response_at_the_root():
     sc = generate_scenario(1, "general", T=3, utility="power", habit="one_lag")
     base = solve_general(sc.market, sc.prefs, sc.eps, gtol=1e-12)
     w = float(sc.eps[0][0])
-    c, dc_dw, dc_dh, d2c = _continuation_response(sc.market, sc.prefs, sc.eps, 0, 0, (), w,
-                                                  1e-12, x0=_base_holdings(base, 0, 0))
+    plan = _SubtreePlan(sc.market, sc.prefs, sc.eps, k0=0, node=0, history=(), w=w)
+    c, dc_dw, dc_dh, d2c = _plan_response(plan, _base_holdings(base, 0, 0), 1e-12)[2]
     assert c == pytest.approx(base.c.values(0)[0], rel=1e-12)
     assert dc_dh == 0.0
 
