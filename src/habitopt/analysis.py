@@ -2,9 +2,9 @@
 
 Everything here interrogates solved plans rather than producing them: slopes
 and curvatures of consumption policies in wealth against their theoretical
-bounds (implicit derivatives of continuation optima, or differences of the
-closed form), the wealth response of continuation plans to past
-consumption (an implicit derivative at the base plan), envelope and scaling
+bounds and the wealth response of continuation plans to past consumption
+(implicit derivatives of each node's continuation optimum or of the closed
+form's budget root, kept in one table per base plan), envelope and scaling
 laws, the closed-form counterexample showing optimal time-0 consumption is a
 strictly convex function of the endowment, and a reproducible generator of
 test instances by market family.
@@ -35,7 +35,6 @@ from .market import (
     spd_bundle,
 )
 from .preferences import (
-    CustomUtility,
     ExponentialUtility,
     HabitPreferences,
     LogUtility,
@@ -46,6 +45,7 @@ from .preferences import (
 from .solvers import (
     Solution,
     _complete_continuation,
+    _complete_response,
     _interior_start,
     _newton_maximize,
     _plan_response,
@@ -99,27 +99,23 @@ def policy_bound_chain(tree: EventTree, spd: SPDBundle, beta: np.ndarray) -> lis
 
     ``B_k = 1 / (1 + sum over j > k of theta[j, k] E[M_j / M_k | level k])``.
     """
-    T = tree.T
     theta = theta_table(beta)
-    out = []
-    for k in range(T + 1):
-        acc = np.ones(tree.n_atoms(k))
-        for j in range(k + 1, T + 1):
-            coef = theta[j, k]
-            if coef != 0.0:
-                acc = acc + coef * _condexp(tree, spd.M[j].values, j, k) / spd.M[k].values
-        out.append(1.0 / acc)
-    return out
+    return [1.0 / _chain_weights(tree, spd, theta, k, k, np.ones(tree.n_atoms(k)))
+            for k in range(tree.T + 1)]
+
+
+def _chain_weights(tree: EventTree, spd: SPDBundle, theta, k: int, level: int, acc):
+    """``acc`` plus ``sum over j > k of theta[j, k] E[M_j | level] / M_level``."""
+    for j in range(k + 1, tree.T + 1):
+        coef = theta[j, k]
+        if coef != 0.0:
+            acc = acc + coef * _condexp(tree, spd.M[j].values, j, level) / spd.M[level].values
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # probe plumbing
 # ---------------------------------------------------------------------------
-
-def _history(t: EventTree, c_levels, k: int, a: int) -> list[float]:
-    """Consumption along the strict ancestors of atom ``a`` at level ``k``."""
-    return [float(c_levels[lev][t.ancestor(k, lev)[a]]) for lev in range(k)]
-
 
 def _scope_label(m: MarketModel, witness) -> tuple[str, str]:
     cls = classify_market(m, witness)
@@ -141,108 +137,113 @@ def _base_holdings(base: Solution, k: int, node: int) -> np.ndarray:
     return np.concatenate([np.zeros(0)] + [base.pi[l][atoms[l]].ravel() for l in range(k, T)])
 
 
+def _resolve_method(m: MarketModel, p: HabitPreferences, method: str) -> str:
+    """``auto``: ``closed`` on complete markets with an inverse marginal, else ``newton``."""
+    if method != "auto":
+        return method
+    return "closed" if classify_market(m).kind == "complete" \
+        and has_inverse_marginal(p.family) else "newton"
+
+
 def _node_response(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k: int,
-                   node: int, history, w: float) -> tuple:
+                   node: int, history, w: float, method: str) -> tuple:
     """``(plan, x, dx/dw, (c, dc/dw, dc/dhistory[-1], d2c/dw2))`` of the
-    continuation from ``(k, node)`` entered with wealth ``w`` after ``history``,
-    solved from ``base`` (``solvers._plan_response``).  A leaf consumes its
-    endowment plus its wealth: ``(None, None, None, (eps + w, 1, 0, 0))``.
+    continuation from ``(k, node)`` entered with wealth ``w`` after ``history``:
+    ``newton`` solves the node's plan from ``base`` (``solvers._plan_response``),
+    and ``closed`` differentiates the closed form (``solvers._complete_response``)
+    with no plan.  A leaf consumes its endowment plus its wealth under either
+    method: ``(None, None, None, (eps + w, 1, 0, 0))``.
     """
     if k == m.tree.T:
         return None, None, None, (float(eps_vals[k][node] + w), 1.0, 0.0, 0.0)
+    if method == "closed":
+        return None, None, None, _complete_response(p, spd_bundle(m, p.beta), eps_vals, k,
+                                                    node, history, w)
     plan = _SubtreePlan(m, p, eps_vals, k0=k, node=node, history=history, w=w)
     return (plan, *_plan_response(plan, _base_holdings(base, k, node), _GTOL))
 
 
-def _newton_point(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k: int,
-                  node: int, history, w0: float, d: float, pair_slopes: bool):
-    """The response ``(c, dc/dw, dc/dhistory[-1], d2c/dw2)`` at a Newton probe
-    point (``_node_response``), and ``(c, dc/dw)`` at ``w0 +- d`` (slopes only
-    with ``pair_slopes``).
-
-    The pair solves the node's plan shifted by ``+-d``, starting from the
-    tangent points ``x +- d dx/dw``.
+def _responses(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k: int,
+               method: str) -> list:
+    """``(history, w, *_node_response)`` of every level-``k`` node, entered with
+    its base wealth (the endowment at the root) after the base consumption of
+    its ancestors.  Computed once per method and level and kept on ``base``,
+    keyed by the market and preferences (by identity) and the endowments (by
+    value), so a plan reused with another instance never reads a stale table.
     """
-    plan, x, dx, response = _node_response(m, p, eps_vals, base, k, node, history, w0)
-    pair = []
-    for sign in (1.0, -1.0):
-        if plan is None:          # a leaf consumes its endowment plus its wealth
-            pair.append((float(eps_vals[k][node] + (w0 + sign * d)), 1.0))
-            continue
-        shifted, start = plan.at(w0 + sign * d, history), x + sign * d * dx
-        if pair_slopes:
-            pair.append(_plan_response(shifted, start, _GTOL)[2][:2])
-        else:
-            xs = _newton_maximize(shifted, start, _GTOL)[0]
-            pair.append((float(shifted.consumption(xs)[0]), None))
-    return response, pair
+    key = (m, p, tuple(v.tobytes() for v in eps_vals), method, k)
+    if key not in base._responses:
+        t, c = m.tree, base.c
+        wealth = eps_vals[0] if k == 0 else base.W.values(k)
+        rows = []
+        for a, w in enumerate(wealth.tolist()):
+            hist = [float(c.values(lev)[t.ancestor(k, lev)[a]]) for lev in range(k)]
+            rows.append((hist, w, *_node_response(m, p, eps_vals, base, k, a, hist, w, method)))
+        base._responses[key] = rows
+    return base._responses[key]
 
 
 def _policy_derivatives(m: MarketModel, p: HabitPreferences, eps, k: int, method: str,
                         base: Solution | None, curvature: bool):
     """Slope or curvature in wealth per level-``k`` node, and its ``richardson``.
 
-    Nodes are probed at their optimal wealth ``w`` (the endowment at the
-    root) with step ``d = max(r, r |w|)``, ``r`` = 1e-4 for the slope and
-    5e-3 for the curvature (second differences amplify noise by ``d^-2``).
-    Newton points differentiate the continuation optimum (the curvature of
-    a family without ``d3u`` differences the analytic slope at
-    ``w +- d``).  Closed-form points difference the closed form at steps
-    ``d`` and ``d / 2``; the curvature is ``(4 D(d / 2) - D(d)) / 3`` from
-    the second differences ``D``, without their ``d^2`` error term.  Leaves
-    take the Newton path under either method, which solves nothing there.
-    Returns the estimates, ``richardson`` (``PolicyProbe``), the method, the
-    deflators and the base consumption at level ``k``.
+    The estimates are ``dc/dw`` or ``d2c/dw2`` from the base plan's table
+    (``_responses``); a family without ``d3u`` takes the central difference
+    of the analytic slope at ``w +- d`` for the curvature.  ``richardson`` is
+    their relative gap to one finite-difference pair at ``w +- d``,
+    ``d = max(r, r |w|)``, ``r`` = 1e-4 for the slope and 5e-3 for the
+    curvature (second differences amplify noise by ``d^-2``): Newton
+    re-solves the node's plan from its tangent points, and the closed form
+    runs ``_complete_continuation``.  Returns the estimates, ``richardson``,
+    the method, the deflators and the base consumption at level ``k``.
     """
     t = m.tree
     eps_vals = _as_level_values(t, eps)
     spd = spd_bundle(m, p.beta)
-    if method == "auto":
-        method = "closed" if classify_market(m).kind == "complete" \
-            and has_inverse_marginal(p.family) else "newton"
+    method = _resolve_method(m, p, method)
     if base is None:
         base = solve_auto(m, p, eps_vals)
-    cbase = [base.c.values(l) for l in range(t.T + 1)]
     rel, floor = (5e-3, 1e-9) if curvature else (1e-4, 1e-12)
     pair_slopes = curvature and not hasattr(p.family, "d3u")
 
-    def difference(cp, c0, cm, dd):
-        return (cp - 2.0 * c0 + cm) / (dd * dd) if curvature else (cp - cm) / (2 * dd)
-
     ests, rich = [], []
-    for a in range(t.n_atoms(k)):
-        hist = _history(t, cbase, k, a)
-        w0 = float(eps_vals[0][0] if k == 0 else base.W.values(k)[a])
+    for a, (hist, w0, plan, x, dx, response) in enumerate(
+            _responses(m, p, eps_vals, base, k, method)):
         d = max(rel, rel * abs(w0))
-        if method == "closed" and k < t.T:
-            def fn(w):
-                return float(_complete_continuation(p, spd, eps_vals, k, a, hist, w)[0][k][0])
-
-            c0 = fn(w0) if curvature else None
-            coarse, ref = [difference(fn(w0 + dd), c0, fn(w0 - dd), dd) for dd in (d, d / 2)]
-            est = (4.0 * ref - coarse) / 3.0 if curvature else coarse
-            rich.append(abs(coarse - ref) / max(abs(ref), floor))
+        pair = []
+        for sign in (1.0, -1.0):
+            w = w0 + sign * d
+            if plan is None and (k == t.T or pair_slopes):   # a leaf, or closed-form slopes
+                pair.append(_node_response(m, p, eps_vals, base, k, a, hist, w, method)[3][:2])
+            elif plan is None:
+                c = _complete_continuation(p, spd, eps_vals, k, a, hist, w)[0][k][0]
+                pair.append((float(c), None))
+            elif pair_slopes:
+                pair.append(_plan_response(plan.at(w, hist), x + sign * d * dx, _GTOL)[2][:2])
+            else:
+                shifted = plan.at(w, hist)
+                xs = _newton_maximize(shifted, x + sign * d * dx, _GTOL)[0]
+                pair.append((float(shifted.consumption(xs)[0]), None))
+        (cp, sp), (cm, sm) = pair
+        if curvature:
+            est = (sp - sm) / (2 * d) if pair_slopes else response[3]
+            ref = (cp - 2.0 * response[0] + cm) / (d * d)
         else:
-            response, ((cp, sp), (cm, sm)) = _newton_point(m, p, eps_vals, base, k, a, hist,
-                                                           w0, d, pair_slopes)
-            est = response[3] if curvature else response[1]
-            if pair_slopes:
-                est = (sp - sm) / (2 * d)
-            ref = difference(cp, response[0], cm, d)
-            rich.append(abs(est - ref) / max(abs(ref), floor))
+            est, ref = response[1], (cp - cm) / (2 * d)
         ests.append(est)
-    return np.array(ests), np.array(rich), method, spd, cbase[k]
+        rich.append(abs(est - ref) / max(abs(ref), floor))
+    return np.array(ests), np.array(rich), method, spd, base.c.values(k)
 
 
 @dataclass
 class PolicyProbe:
     """Slope or curvature of a consumption policy in wealth, per probed node.
 
-    With ``details["method"] == "newton"`` the estimates are implicit
-    derivatives of each node's continuation optimum, and ``richardson`` is
-    their relative gap to one finite-difference pair of re-solves; with
-    ``"closed"`` (complete markets) they difference the closed form, and
-    ``richardson`` is the relative change when the step is halved.
+    The estimates are implicit derivatives at each node's base wealth: of
+    its continuation optimum with ``details["method"] == "newton"``, or of
+    the budget root of the closed form with ``"closed"`` (complete markets).
+    Under either method ``richardson`` is their relative gap to one
+    finite-difference pair at ``w +- d``.
     """
 
     kind: str
@@ -346,11 +347,13 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
     priced by deflator ratios, less ``1e-5``.
 
     The sensitivity is the implicit derivative of that link at the base
-    plan.  Each child's continuation is solved once, at its base wealth, and
-    differentiated there (``_node_response``); the link, projected on the
-    children's payoff space (``market.payoff_space_basis``), then gives one
-    rank-by-rank linear system per atom.  NonConvergence, with the system's
-    condition number, is raised where that system is singular or not finite.
+    plan.  The children's responses to their wealth and to ``c_k`` come from
+    level ``k+1`` of the base plan's table (``_responses``: the closed form
+    on complete markets with an inverse marginal, else Newton); the link,
+    projected on the children's payoff space (``market.payoff_space_basis``),
+    then gives one rank-by-rank linear system per atom.  NonConvergence, with
+    the system's condition number, is raised where that system is singular
+    or not finite.
     """
     t = m.tree
     T = t.T
@@ -363,7 +366,7 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
     fam = p.family
     if base is None:
         base = solve_auto(m, p, eps_vals)
-    cbase = [base.c.values(l) for l in range(t.T + 1)]
+    table = _responses(m, p, eps_vals, base, k + 1, _resolve_method(m, p, "auto"))
     chat_here, chat_next = base.chat.values(k), base.chat.values(k + 1)
     wts = t.atom_probs[k + 1]
     # per level-k atom, its children and a basis of their attainable wealths
@@ -371,26 +374,19 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
              for blk, (atoms, _) in zip(payoff_space_basis(m, k + 1).blocks, t.child_blocks[k])
              for g, a in enumerate(atoms)}
 
-    bound_lvl = np.zeros(t.n_atoms(k + 1))
-    for j in range(k + 1, T + 1):
-        coef = theta[j, k]
-        if coef != 0.0:
-            bound_lvl += coef * _condexp(t, spd.M[j].values, j, k + 1) / spd.M[k + 1].values
+    bound_lvl = _chain_weights(t, spd, theta, k, k + 1, np.zeros(t.n_atoms(k + 1)))
 
     estimates, bounds = {}, {}
     terminal_formula = {}
     base_residual = 0.0
     for a in range(t.n_atoms(k)):
         children, bmat = links[a]
-        hist = _history(t, cbase, k, a) + [float(cbase[k][a])]
         mt_ratio = spd.Mtilde[k + 1].values[children] / spd.Mtilde[k].values[a]
         wch, w_base = wts[children], base.W.values(k + 1)[children]
 
         # the link gap_b = u'_{k+1}(chat_b) - mt_ratio_b u'_k(chat_k) and the
         # derivatives of each child's consumption in its wealth and in c_k
-        dc_dw, dc_dc = np.array([
-            _node_response(m, p, eps_vals, base, k + 1, int(b), hist, float(wb))[3][1:3]
-            for b, wb in zip(children, w_base)]).T
+        dc_dw, dc_dc = np.array([table[b][-1][1:3] for b in children]).T
         du2_next = fam.d2u(k + 1, chat_next[children])
         du2_here = fam.d2u(k, chat_here[a])
         gap = fam.du(k + 1, chat_next[children]) - mt_ratio * fam.du(k, chat_here[a])
@@ -410,17 +406,13 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
                 diagnostics={"level": k, "atom": a, "condition": cond,
                              "jacobian": jac, "rhs": rhs},
             )
-        response = bmat @ -np.linalg.solve(jac, rhs)
-        for j, b in enumerate(children):
-            estimates[(a, int(b))] = float(response[j])
-            bounds[(a, int(b))] = float(bound_lvl[b])
-
+        keys = [(a, b) for b in children.tolist()]
+        estimates.update(zip(keys, (bmat @ -np.linalg.solve(jac, rhs)).tolist()))
+        bounds.update(zip(keys, bound_lvl[children].tolist()))
         if k == T - 1:
             proj_du2 = bmat @ (bmat.T @ (wch * du2_next))
-            for j, b in enumerate(children):
-                terminal_formula[(a, int(b))] = float(
-                    p.beta[T, T - 1] + mt_ratio[j] * du2_here / proj_du2[j]
-                )
+            terminal_formula.update(zip(keys, (p.beta[T, T - 1]
+                                               + mt_ratio * du2_here / proj_du2).tolist()))
 
     satisfied = all(estimates[key] >= bounds[key] - 1e-5 for key in estimates)
     return BoundReport(
@@ -503,24 +495,6 @@ def linearity_law_check(gammas=(0.5, 1.0, 2.0, 4.0),
     return LinearityReport(rows=rows, max_gap=max_gap)
 
 
-def _log_over_reciprocal_family() -> CustomUtility:
-    """Log felicity today, negative-reciprocal felicity tomorrow."""
-
-    def u(k, x):
-        return np.log(x) if k == 0 else -1.0 / x
-
-    def du(k, x):
-        return 1.0 / x if k == 0 else np.power(x, -2.0)
-
-    def d2u(k, x):
-        return -np.power(x, -2.0) if k == 0 else -2.0 * np.power(x, -3.0)
-
-    def du_inv(k, y):
-        return 1.0 / y if k == 0 else np.power(y, -0.5)
-
-    return CustomUtility(u, du, d2u, du_inv, inada=True)
-
-
 @dataclass
 class CounterexampleReport:
     """Solver versus closed forms on the one-period convexity example.
@@ -576,7 +550,8 @@ def counterexample_51(eps0: float = 3.0, eps1=0.0,
                                    for j in range(1, n)])
         prices = np.dot(probs * m1_values, payoffs).reshape(1, -1)
         m = MarketModel(t, [rate], [prices], [payoffs], strict=False)
-    p = HabitPreferences.one_lag(t, _log_over_reciprocal_family(), 1.0)
+    # log felicity today, negative-reciprocal felicity tomorrow
+    p = HabitPreferences.one_lag(t, PowerUtility(np.array([1.0, 2.0])), 1.0)
     spd = spd_bundle(m, p.beta)
     m1 = spd.M[1].values
     w1 = t.atom_probs[1]
@@ -759,15 +734,20 @@ def _product_scenario(rng, T: int, fam, beta, floors: bool):
     witness = tuple(tuple(tuple(range(fa * 2 ** k, (fa + 1) * 2 ** k)) for fa in range(2 ** k))
                     for k in range(T + 1))
 
+    return (tree, market, *_draw_prefs_and_endowments(rng, tree, fam, beta, floors),
+            witness)
+
+
+def _draw_prefs_and_endowments(rng, tree: EventTree, fam, beta, floors: bool) -> tuple:
+    """Preferences, with floors in ``[0, 0.04]`` if ``floors``, and endowments
+    in ``[1, 2]`` at time 0 and ``[0.2, 0.8]`` later, drawn endowments first."""
     eps = [np.array([float(rng.uniform(1.0, 2.0))])]
-    for k in range(1, T + 1):
-        eps.append(rng.uniform(0.2, 0.8, tree.n_atoms(k)))
+    eps += [rng.uniform(0.2, 0.8, tree.n_atoms(k)) for k in range(1, tree.T + 1)]
     h = None
     if floors:
-        h = [np.zeros(tree.n_atoms(0))] + \
-            [rng.uniform(0.0, 0.04, tree.n_atoms(k)) for k in range(1, T + 1)]
-    prefs = HabitPreferences(tree, fam, beta, h)
-    return tree, market, prefs, eps, witness
+        h = [np.zeros(1)] + [rng.uniform(0.0, 0.04, tree.n_atoms(k))
+                             for k in range(1, tree.T + 1)]
+    return HabitPreferences(tree, fam, beta, h), eps
 
 
 def _draw_family(rng, utility: str, T: int):
@@ -799,6 +779,12 @@ def _draw_beta(rng, T: int, habit: str) -> np.ndarray:
     return beta
 
 
+# per generated family: the market class a draw must have, the default
+# branching, and the risky assets (None: one fewer than the branching)
+_FAMILIES = {"complete": ("complete", 2, None), "bond_only": ("type_c", 2, 0),
+             "general": ("general", 3, 1)}
+
+
 def generate_scenario(seed: int, family: str = "complete", T: int = 2,
                       branching: int | None = None, utility: str | None = None,
                       habit: str | None = None, floors: bool | None = None,
@@ -810,16 +796,26 @@ def generate_scenario(seed: int, family: str = "complete", T: int = 2,
     ``idiosyncratic`` (complete base market extended by independent noise that
     only endowments see, with the accepting witness attached).  All draws come
     from ``numpy.random.default_rng(seed)``, so equal seeds give equal
-    scenarios byte for byte.  ``branching`` (at least 1) sets the children
-    per node of the complete, bond-only and general trees; the idiosyncratic
+    scenarios byte for byte.  ``branching`` sets the children per node of the
+    complete, bond-only and general trees (``_FAMILIES``); the idiosyncratic
     family's trees are binary and take none.
     """
     if T < 1:
         raise ValueError(f"T must be at least 1, got {T}")
-    if branching is not None and family == "idiosyncratic":
-        raise ValueError("branching does not apply to the idiosyncratic family")
-    if branching is not None and branching < 1:
-        raise ValueError(f"branching must be at least 1, got {branching}")
+    if family == "idiosyncratic":
+        if branching is not None:
+            raise ValueError("branching does not apply to the idiosyncratic family")
+    elif family in _FAMILIES:
+        kind, br, n_risky = _FAMILIES[family]
+        br = br if branching is None else branching
+        n_risky = br - 1 if n_risky is None else n_risky
+        # a bond and n risky assets span n + 1 children: no fewer draw incomplete
+        least = 1 if kind == "complete" else n_risky + 2
+        if br < least:
+            raise ValueError(f"branching must be at least {least} for the {family} family, "
+                             f"got {branching}")
+    else:
+        raise ValueError(f"unknown market family {family!r}")
     rng = np.random.default_rng(seed)
     if utility is None:
         utility = str(rng.choice(["log", "power", "power_hetero", "exp"]))
@@ -833,51 +829,24 @@ def generate_scenario(seed: int, family: str = "complete", T: int = 2,
         beta = _draw_beta(rng, T, habit)
         if family == "idiosyncratic":
             built = _product_scenario(rng, T, fam, beta, floors)
-            if built is None:
+            if built is None or classify_market(built[1], built[4]).kind != "idiosyncratic":
                 continue
             tree, market, prefs, eps, witness = built
-            cls = classify_market(market, witness)
-            if cls.kind != "idiosyncratic":
-                continue
         else:
-            if family == "complete":
-                br = branching or 2
-                n_risky = br - 1
-            elif family == "bond_only":
-                br = branching or 2
-                n_risky = 0
-            elif family == "general":
-                br = branching or 3
-                n_risky = 1
-            else:
-                raise ValueError(f"unknown market family {family!r}")
             tree = _uniform_tree(rng, T, br)
             rates = [float(rng.choice([0.0, 0.02, 0.05]))] * T
             market = _priced_market(rng, tree, rates, n_risky)
-            kind = classify_market(market).kind
-            if family == "complete" and kind != "complete":
-                continue
-            if family == "bond_only" and kind != "type_c":
-                continue
-            if family == "general" and kind != "general":
+            if classify_market(market).kind != kind:
                 continue
             witness = None
-            eps = [np.array([float(rng.uniform(1.0, 2.0))])]
-            for k in range(1, T + 1):
-                eps.append(rng.uniform(0.2, 0.8, tree.n_atoms(k)))
-            h = None
-            if floors:
-                h = [np.zeros(1)] + [rng.uniform(0.0, 0.04, tree.n_atoms(k))
-                                     for k in range(1, T + 1)]
-            prefs = HabitPreferences(tree, fam, beta, h)
+            prefs, eps = _draw_prefs_and_endowments(rng, tree, fam, beta, floors)
         try:
             _interior_start(_SubtreePlan(market, prefs, eps))
         except Infeasible:
             continue
         meta = {"seed": int(seed), "family": family, "T": int(T),
                 "utility": utility, "habit": habit, "floors": bool(floors)}
-        return Scenario(tree, market, prefs, eps,
-                        witness if family == "idiosyncratic" else None, meta)
+        return Scenario(tree, market, prefs, eps, witness, meta)
     raise GenerationExhausted(
         f"could not draw a valid {family} scenario in {max_tries} tries (seed {seed})"
     )

@@ -9,8 +9,9 @@ with no future endowments (homogeneity), and exponential utilities in
 bond-only markets (explicit backward coefficient recursions).  The complete
 market paths share one forward map from the adjusted consumption entered at a
 node and one bracketed root-find of the budget, which also serves continuation
-problems.  A derivative-free oracle (Powell's method in budget-whitened
-portfolio coordinates) provides an independent cross-check on small instances.
+problems and, differentiated, their responses to wealth and past consumption.
+A derivative-free oracle (Powell's method in budget-whitened portfolio
+coordinates) provides an independent cross-check on small instances.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import copy
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -92,6 +92,8 @@ class Solution:
     U: float
     converged: bool
     diagnostics: dict = field(default_factory=dict)
+    # node responses at this plan, per instance, method and level (analysis._responses)
+    _responses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -236,11 +238,6 @@ class _SubtreePlan:
             r, i, j = np.nonzero(keep[:, :, None] & keep[:, None, :])
             self._h_scatter = (r, jcols[r, i] * nx + jcols[r, j], jvals[r, i] * jvals[r, j])
         self._shift()
-
-    @cached_property
-    def c_keys(self) -> list:
-        """``(level, atom)`` of each row, in row order."""
-        return [(l, int(a)) for l in range(self.k0, self.t.T + 1) for a in self.atoms[l]]
 
     def _shift(self) -> None:
         """Set the wealth- and history-dependent terms ``hconst`` and ``Lb``."""
@@ -538,8 +535,9 @@ def solve_subproblem(m: MarketModel, p: HabitPreferences, eps, k: int, node: int
     plan = _SubtreePlan(m, p, _as_level_values(m.tree, eps), k0=k, node=node,
                         history=history, w=w)
     x, fx, info = _newton_maximize(plan, x0, gtol)
-    cmap = dict(zip(plan.c_keys, plan.consumption(x).tolist()))
-    wmap = dict(zip(plan.c_keys[1:], plan.entering_wealth(x).tolist()))
+    keys = [(l, int(a)) for l in range(k, m.tree.T + 1) for a in plan.atoms[l]]  # row order
+    cmap = dict(zip(keys, plan.consumption(x).tolist()))
+    wmap = dict(zip(keys[1:], plan.entering_wealth(x).tolist()))
     wmap[(k, node)] = float(w)
     return SubSolution(level=k, node=node, w=float(w), c=cmap, W=wmap,
                        U=fx, converged=True, diagnostics=dict(info))
@@ -708,7 +706,8 @@ def _complete_continuation(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int
     ``_SubtreePlan``, the entering wealth ``w`` replaces the endowment at the
     root of the full tree and adds to it at any other node.  Returns the
     consumption per level, aligned with the subtree's atoms (``None`` above
-    ``k``), and the budget gap left by the root-find.
+    ``k``), the budget gap left by the root-find, and the root's adjusted
+    consumption.
     """
     t = p.tree
     atoms = _subtree_atoms(t, k, node)
@@ -722,7 +721,47 @@ def _complete_continuation(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int
                            endow, atoms)
 
     z, resid = _budget_root(gap, p.family.inada, wealth)
-    return _forward_consumption(p, spd, atoms, history, z), resid
+    return _forward_consumption(p, spd, atoms, history, z), resid, z
+
+
+def _complete_response(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int, node: int,
+                       history, w: float) -> tuple:
+    """``(c, dc/dw, dc/dhistory[-1], d2c/dw2)`` of ``_complete_continuation`` at
+    ``node``: one root-find for ``z``, then the budget gap ``g(z, w, h)`` is
+    differentiated (Fiacco, 1983).  ``u'_l(chat_l) = u'_k(z) r_l`` (``r_l`` the
+    perturbed-deflator ratios) gives ``dchat_l/dz = u''_k(z) r_l / u''_l(chat_l)``
+    and ``d2chat_l/dz2 = (u'''_k(z) r_l - u'''_l(chat_l) (dchat_l/dz)^2) / u''_l(chat_l)``,
+    which ``habit.solve`` (zero floors and history) carries into consumption
+    and ``pi M`` prices into ``g'`` and ``g''``.  So ``dc/dw = dz/dw = pi M / g'``
+    at the node and ``d2c/dw2 = -g'' (dz/dw)^2 / g'`` (None without ``d3u``);
+    a unit last history entry moves consumption at fixed ``z`` (``habit.solve``
+    of zero inputs), and ``z`` by minus the price of that move over ``g'``.
+    """
+    t, fam = p.tree, p.family
+    c, _, z = _complete_continuation(p, spd, eps_vals, k, node, history, w)
+    atoms = _subtree_atoms(t, k, node)
+    zero = [None if al is None else np.zeros(len(al)) for al in atoms]
+    r = [None if al is None else spd.Mtilde[l].values[al] / spd.Mtilde[k].values[node]
+         for l, al in enumerate(atoms)]
+    levels = range(k, t.T + 1)
+    chat = [None] * k + [fam.du_inv(l, fam.du(k, z) * r[l]) for l in levels]
+    u2 = [None] * k + [fam.d2u(l, chat[l]) for l in levels]
+    d1 = [None] * k + [fam.d2u(k, z) * r[l] / u2[l] for l in levels]
+
+    def price(dchat, hist=(0.0,) * k):
+        dc = p.habit.solve(dchat, atoms, hist)
+        return _budget_gap(t, spd, dc, zero, atoms), dc[k][0]
+
+    g1, dh, d2z = price(d1)[0], 0.0, None
+    dz = t.atom_probs[k][node] * spd.M[k].values[node] / g1
+    if k:
+        gh, ch = price(zero, (0.0,) * (k - 1) + (1.0,))
+        dh = ch - gh / g1
+    if hasattr(fam, "d3u"):
+        d2 = [None] * k + [(fam.d3u(k, z) * r[l] - fam.d3u(l, chat[l]) * d1[l] ** 2) / u2[l]
+                           for l in levels]
+        d2z = float(-price(d2)[0] * dz * dz / g1)
+    return float(c[k][0]), float(dz), float(dh), d2z
 
 
 def _replicate_portfolio(m: MarketModel, W):
@@ -781,7 +820,7 @@ def solve_complete_general(m: MarketModel, p: HabitPreferences, eps,
     if spd is None:
         spd = spd_bundle(m, p.beta)
     eps_vals = _as_level_values(t, eps)
-    c, resid = _complete_continuation(p, spd, eps_vals, 0, 0, (), float(eps_vals[0][0]))
+    c, resid, _ = _complete_continuation(p, spd, eps_vals, 0, 0, (), float(eps_vals[0][0]))
     return _solution_from_consumption(
         m, p, eps_vals, c, spd, "complete_general",
         {"c0": float(c[0][0]), "budget_gap": float(resid)},

@@ -7,6 +7,7 @@ from scipy.optimize import root
 import habitopt.analysis
 import habitopt.solvers
 from habitopt.analysis import _base_holdings
+from habitopt.solvers import _complete_continuation, _complete_response
 from habitopt import (
     CustomUtility,
     GenerationExhausted,
@@ -29,6 +30,7 @@ from habitopt import (
     monotonicity_probe,
     policy_bound,
     policy_bound_chain,
+    solve_auto,
     solve_general,
     solve_subproblem,
     spd_bundle,
@@ -255,6 +257,98 @@ def test_probes_run_no_lps_and_at_most_three_solves_per_point(monkeypatch, solve
     assert len(solver_lps) == 0
 
 
+def _closed_instances():
+    """Complete T=3 markets with power, exponential, floored and per-period power
+    families, and a custom family (power with gamma = 2) that has an inverse
+    marginal but no third derivative."""
+    out = [generate_scenario(seed, "complete", T=3, utility=utility, habit=habit, floors=floors)
+           for seed, utility, habit, floors in ((5001, "power", "one_lag", False),
+                                                (55, "exp", "two_lag", False),
+                                                (520, "power", "one_lag", True),
+                                                (57, "power_hetero", "one_lag", True))]
+    sc = out[0]
+    custom = CustomUtility(u=lambda k, x: -1.0 / x, du=lambda k, x: np.power(x, -2.0),
+                           d2u=lambda k, x: -2.0 * np.power(x, -3.0),
+                           du_inv=lambda k, y: np.power(y, -0.5))
+    out.append(Scenario(sc.tree, sc.market, HabitPreferences(sc.tree, custom, sc.prefs.beta),
+                        sc.eps, None, {}))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:concavity in wealth")
+@pytest.mark.parametrize("case", range(5), ids=["power", "exp", "floors", "power_hetero",
+                                                "custom"])
+def test_closed_responses_match_differences_of_the_closed_form(case):
+    sc = _closed_instances()[case]
+    m, p, t = sc.market, sc.prefs, sc.tree
+    eps_vals = [np.asarray(e, dtype=float) for e in sc.eps]
+    spd = spd_bundle(m, p.beta)
+    base = solve_auto(m, p, sc.eps)
+    for k in range(t.T):
+        slope = monotonicity_probe(m, p, sc.eps, k, method="closed", base=base)
+        curv = concavity_probe(m, p, sc.eps, k, method="closed", base=base)
+        assert slope.details["method"] == curv.details["method"] == "closed"
+        for a in range(t.n_atoms(k)):
+            hist = [float(base.c.values(lev)[t.ancestor(k, lev)[a]]) for lev in range(k)]
+            w = float(sc.eps[0][0]) if k == 0 else float(base.W.values(k)[a])
+
+            def c_at(wealth, history=hist):
+                return _complete_continuation(p, spd, eps_vals, k, a, history, wealth)[0][k][0]
+
+            c, dc_dw, dc_dh, d2c = _complete_response(p, spd, eps_vals, k, a, hist, w)
+            assert (d2c is None) == (case == 4)
+            d = max(1e-4, 1e-4 * abs(w))
+            assert dc_dw == slope.estimates[a]
+            assert dc_dw == pytest.approx((c_at(w + d) - c_at(w - d)) / (2 * d), rel=1e-8)
+            if k:
+                up, down = hist[:-1] + [hist[-1] + 1e-4], hist[:-1] + [hist[-1] - 1e-4]
+                assert dc_dh == pytest.approx((c_at(w, up) - c_at(w, down)) / 2e-4,
+                                              rel=0, abs=1e-9)
+            else:
+                assert dc_dh == 0.0
+            d = max(5e-3, 5e-3 * abs(w))
+            second = (c_at(w + d) - 2.0 * c + c_at(w - d)) / (d * d)
+            assert abs(curv.estimates[a] - second) <= 1e-6 * max(1.0, abs(c))
+
+
+@pytest.mark.parametrize("case", range(4), ids=["power", "exp", "floors", "power_hetero"])
+def test_eta_on_complete_markets_reads_the_closed_table(monkeypatch, case):
+    sc = _closed_instances()[case]
+    base = solve_auto(sc.market, sc.prefs, sc.eps)
+    T = sc.tree.T
+    closed = [eta_bound_check(sc.market, sc.prefs, sc.eps, k, base=base) for k in range(T)]
+    assert {key[3] for key in base._responses} == {"closed"}
+    monkeypatch.setattr(habitopt.analysis, "has_inverse_marginal", lambda family: False)
+    newton = [eta_bound_check(sc.market, sc.prefs, sc.eps, k, base=base) for k in range(T)]
+    assert {key[3] for key in base._responses} == {"closed", "newton"}
+    for rep_closed, rep_newton in zip(closed, newton):
+        assert rep_closed.estimates.keys() == rep_newton.estimates.keys()
+        assert rep_closed.satisfied == rep_newton.satisfied
+        for key, est in rep_closed.estimates.items():
+            assert est == pytest.approx(rep_newton.estimates[key], rel=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::habitopt.WrongMarketClass")
+@pytest.mark.parametrize("family", ["general", "complete"])
+def test_a_reused_base_plan_reads_no_stale_responses(family):
+    # the responses kept on a base plan are keyed by the endowments' values
+    sc = generate_scenario(1, family, T=2, utility="power", habit="one_lag")
+    other = [sc.eps[0]] + [e + 0.1 for e in sc.eps[1:]]
+
+    def probes(eps, base):
+        return [probe(sc.market, sc.prefs, eps, 1, base=base)
+                for probe in (monotonicity_probe, concavity_probe)]
+
+    shared = solve_auto(sc.market, sc.prefs, sc.eps)
+    reused = [probes(eps, shared) for eps in (sc.eps, other)]
+    fresh = [probes(eps, solve_auto(sc.market, sc.prefs, sc.eps)) for eps in (sc.eps, other)]
+    for got, want in zip(reused, fresh):
+        for g, w in zip(got, want):
+            assert np.array_equal(g.estimates, w.estimates)
+            assert np.array_equal(g.richardson, w.richardson)
+    assert not np.array_equal(reused[0][0].estimates, reused[1][0].estimates)
+
+
 # ---------------------------------------------------------------------------
 # wealth response to past consumption
 # ---------------------------------------------------------------------------
@@ -464,9 +558,9 @@ def test_sweep_linear_when_scale_free():
 
 
 def test_sweep_convex_on_counterexample(det1):
-    from habitopt.analysis import _log_over_reciprocal_family
+    # log felicity today, negative-reciprocal felicity tomorrow
     m = MarketModel(det1, [0.0])
-    p = HabitPreferences.one_lag(det1, _log_over_reciprocal_family(), 1.0)
+    p = HabitPreferences.one_lag(det1, PowerUtility(np.array([1.0, 2.0])), 1.0)
     rows = wealth_sweep(m, p, [np.ones(1), np.zeros(1)], 1.0, 6.0, 11)
     for r in rows[1:-1]:
         assert r["d2c0"] > 0
@@ -533,11 +627,23 @@ def test_scenario_json_round_trip():
         assert np.allclose(again.eps[k], sc.eps[k])
 
 
-def test_generation_exhausts_on_impossible_ask():
-    # two branches with one risky asset span everything, so no draw can
-    # produce a genuinely incomplete "general" market
+@pytest.mark.parametrize("family, branching, least", [("bond_only", 1, 2), ("general", 1, 3),
+                                                      ("general", 2, 3)])
+def test_generation_rejects_an_impossible_branching_before_drawing(monkeypatch, family,
+                                                                   branching, least):
+    # a bond alone spans one child, and a bond with one risky asset two, so
+    # no draw can produce a genuinely incomplete market
+    def no_draw(*args):
+        raise AssertionError("drew an instance")
+
+    monkeypatch.setattr(habitopt.analysis, "_draw_family", no_draw)
+    with pytest.raises(ValueError, match=f"branching must be at least {least} "):
+        generate_scenario(63, family, branching=branching, max_tries=3)
+
+
+def test_generation_exhausts_when_no_try_succeeds():
     with pytest.raises(GenerationExhausted):
-        generate_scenario(63, "general", branching=2, max_tries=3)
+        generate_scenario(63, "general", max_tries=0)
 
 
 @pytest.mark.parametrize("family, utility", [("complete", "power"), ("complete", "exp"),

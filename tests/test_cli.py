@@ -153,7 +153,13 @@ def test_generate_is_byte_deterministic(tmp_path, capsys):
     (["--T", "-1"], "T"),
     (["--branching", "0"], "branching"),
     (["--family", "idiosyncratic", "--branching", "3"], "branching"),
-], ids=["negative-T", "zero-branching", "idiosyncratic-branching"])
+    # a bond spans one child, and a bond with one risky asset two, so no draw
+    # of these could be incomplete
+    (["--family", "bond_only", "--branching", "1"], "branching"),
+    (["--family", "general", "--branching", "1"], "branching"),
+    (["--family", "general", "--branching", "2"], "branching"),
+], ids=["negative-T", "zero-branching", "idiosyncratic-branching", "bond-only-branching-1",
+        "general-branching-1", "general-branching-2"])
 def test_generate_rejects_invalid_arguments(tmp_path, capsys, argv, name):
     code, _, err = run(capsys, "generate", "--seed", "1", *argv, "--out", str(tmp_path))
     assert code == 2
@@ -358,6 +364,44 @@ def test_verify_solves_the_base_plan_once(tmp_path, capsys, monkeypatch, solver_
     assert code == 0
     assert len(solves) == 3
     assert len(solver_lps) == 1
+
+
+def test_verify_evaluates_one_response_per_node(tmp_path, capsys, monkeypatch):
+    # the deflator repro has 40 non-leaf nodes, whose responses the slope and
+    # curvature probes and eta share
+    files = _generate(tmp_path, capsys, "--seed", "3", "--family", "general", "--T", "4",
+                      "--utility", "power", "--habit", "one_lag")
+    points = []
+    real = habitopt.analysis._plan_response
+
+    def counted(plan, *args):
+        points.append((plan.k0, plan.node))
+        return real(plan, *args)
+
+    monkeypatch.setattr(habitopt.analysis, "_plan_response", counted)
+    code, _, _ = run(capsys, "verify", *files,
+                     "--checks", "monotonicity,eta,concavity,envelope,foc")
+    assert code == 0
+    assert len(points) == len(set(points)) == 40
+
+
+def test_verify_takes_one_root_find_per_closed_form_response(tmp_path, capsys, monkeypatch):
+    # 7 non-leaf responses, plus a finite-difference pair per point and probe
+    files = _generate(tmp_path, capsys, "--seed", "5001", "--family", "complete", "--T", "3",
+                      "--utility", "power", "--habit", "one_lag")
+    calls = []
+    real = habitopt.solvers._complete_continuation
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    for module in (habitopt.solvers, habitopt.analysis):
+        monkeypatch.setattr(module, "_complete_continuation", counted)
+    code, _, _ = run(capsys, "verify", *files,
+                     "--checks", "monotonicity,eta,concavity,envelope,foc")
+    assert code == 0
+    assert len(calls) == 7 + 2 * 7 * 2
 
 
 # ---------------------------------------------------------------------------
