@@ -44,10 +44,8 @@ from .preferences import (
 )
 from .solvers import (
     Solution,
-    _complete_continuation,
     _complete_response,
     _interior_start,
-    _newton_maximize,
     _plan_response,
     _subtree_atoms,
     _SubtreePlan,
@@ -147,25 +145,24 @@ def _resolve_method(m: MarketModel, p: HabitPreferences, method: str) -> str:
 
 def _node_response(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k: int,
                    node: int, history, w: float, method: str) -> tuple:
-    """``(plan, x, dx/dw, (c, dc/dw, dc/dhistory[-1], d2c/dw2))`` of the
-    continuation from ``(k, node)`` entered with wealth ``w`` after ``history``:
-    ``newton`` solves the node's plan from ``base`` (``solvers._plan_response``),
-    and ``closed`` differentiates the closed form (``solvers._complete_response``)
-    with no plan.  A leaf consumes its endowment plus its wealth under either
-    method: ``(None, None, None, (eps + w, 1, 0, 0))``.
+    """``(c, dc/dw, dc/dhistory[-1], d2c/dw2)`` of the continuation from
+    ``(k, node)`` entered with wealth ``w`` after ``history``: ``newton``
+    solves the node's plan warm-started from ``base``
+    (``solvers._plan_response``), and ``closed`` differentiates the closed
+    form's budget root (``solvers._complete_response``).  A leaf consumes its
+    endowment plus its wealth under either method: ``(eps + w, 1, 0, 0)``.
     """
     if k == m.tree.T:
-        return None, None, None, (float(eps_vals[k][node] + w), 1.0, 0.0, 0.0)
+        return float(eps_vals[k][node] + w), 1.0, 0.0, 0.0
     if method == "closed":
-        return None, None, None, _complete_response(p, spd_bundle(m, p.beta), eps_vals, k,
-                                                    node, history, w)
+        return _complete_response(p, spd_bundle(m, p.beta), eps_vals, k, node, history, w)
     plan = _SubtreePlan(m, p, eps_vals, k0=k, node=node, history=history, w=w)
-    return (plan, *_plan_response(plan, _base_holdings(base, k, node), _GTOL))
+    return _plan_response(plan, _base_holdings(base, k, node), _GTOL)
 
 
 def _responses(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k: int,
                method: str) -> list:
-    """``(history, w, *_node_response)`` of every level-``k`` node, entered with
+    """``(history, w, _node_response)`` of every level-``k`` node, entered with
     its base wealth (the endowment at the root) after the base consumption of
     its ancestors.  Computed once per method and level and kept on ``base``,
     keyed by the market and preferences (by identity) and the endowments (by
@@ -178,61 +175,37 @@ def _responses(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k:
         rows = []
         for a, w in enumerate(wealth.tolist()):
             hist = [float(c.values(lev)[t.ancestor(k, lev)[a]]) for lev in range(k)]
-            rows.append((hist, w, *_node_response(m, p, eps_vals, base, k, a, hist, w, method)))
+            rows.append((hist, w, _node_response(m, p, eps_vals, base, k, a, hist, w, method)))
         base._responses[key] = rows
     return base._responses[key]
 
 
 def _policy_derivatives(m: MarketModel, p: HabitPreferences, eps, k: int, method: str,
                         base: Solution | None, curvature: bool):
-    """Slope or curvature in wealth per level-``k`` node, and its ``richardson``.
+    """Slope ``dc/dw`` or curvature ``d2c/dw2`` in wealth per level-``k`` node.
 
-    The estimates are ``dc/dw`` or ``d2c/dw2`` from the base plan's table
-    (``_responses``); a family without ``d3u`` takes the central difference
-    of the analytic slope at ``w +- d`` for the curvature.  ``richardson`` is
-    their relative gap to one finite-difference pair at ``w +- d``,
-    ``d = max(r, r |w|)``, ``r`` = 1e-4 for the slope and 5e-3 for the
-    curvature (second differences amplify noise by ``d^-2``): Newton
-    re-solves the node's plan from its tangent points, and the closed form
-    runs ``_complete_continuation``.  Returns the estimates, ``richardson``,
-    the method, the deflators and the base consumption at level ``k``.
+    Both are read from the base plan's table (``_responses``).  A family
+    without ``d3u`` has no analytic curvature; it takes the central
+    difference of the analytic slopes at ``w +- d``, ``d = max(r, r |w|)``
+    with ``r`` = 5e-3, under either method.  Returns the estimates, the
+    method and the base consumption at level ``k``.
     """
-    t = m.tree
-    eps_vals = _as_level_values(t, eps)
-    spd = spd_bundle(m, p.beta)
+    eps_vals = _as_level_values(m.tree, eps)
     method = _resolve_method(m, p, method)
     if base is None:
         base = solve_auto(m, p, eps_vals)
-    rel, floor = (5e-3, 1e-9) if curvature else (1e-4, 1e-12)
-    pair_slopes = curvature and not hasattr(p.family, "d3u")
-
-    ests, rich = [], []
-    for a, (hist, w0, plan, x, dx, response) in enumerate(
-            _responses(m, p, eps_vals, base, k, method)):
-        d = max(rel, rel * abs(w0))
-        pair = []
-        for sign in (1.0, -1.0):
-            w = w0 + sign * d
-            if plan is None and (k == t.T or pair_slopes):   # a leaf, or closed-form slopes
-                pair.append(_node_response(m, p, eps_vals, base, k, a, hist, w, method)[3][:2])
-            elif plan is None:
-                c = _complete_continuation(p, spd, eps_vals, k, a, hist, w)[0][k][0]
-                pair.append((float(c), None))
-            elif pair_slopes:
-                pair.append(_plan_response(plan.at(w, hist), x + sign * d * dx, _GTOL)[2][:2])
-            else:
-                shifted = plan.at(w, hist)
-                xs = _newton_maximize(shifted, x + sign * d * dx, _GTOL)[0]
-                pair.append((float(shifted.consumption(xs)[0]), None))
-        (cp, sp), (cm, sm) = pair
-        if curvature:
-            est = (sp - sm) / (2 * d) if pair_slopes else response[3]
-            ref = (cp - 2.0 * response[0] + cm) / (d * d)
+    ests = []
+    for a, (hist, w, response) in enumerate(_responses(m, p, eps_vals, base, k, method)):
+        if not curvature:
+            ests.append(response[1])
+        elif response[3] is not None:
+            ests.append(response[3])
         else:
-            est, ref = response[1], (cp - cm) / (2 * d)
-        ests.append(est)
-        rich.append(abs(est - ref) / max(abs(ref), floor))
-    return np.array(ests), np.array(rich), method, spd, base.c.values(k)
+            d = max(5e-3, 5e-3 * abs(w))
+            sp, sm = (_node_response(m, p, eps_vals, base, k, a, hist, w + s, method)[1]
+                      for s in (d, -d))
+            ests.append((sp - sm) / (2 * d))
+    return np.array(ests), method, base.c.values(k)
 
 
 @dataclass
@@ -242,8 +215,6 @@ class PolicyProbe:
     The estimates are implicit derivatives at each node's base wealth: of
     its continuation optimum with ``details["method"] == "newton"``, or of
     the budget root of the closed form with ``"closed"`` (complete markets).
-    Under either method ``richardson`` is their relative gap to one
-    finite-difference pair at ``w +- d``.
     """
 
     kind: str
@@ -253,7 +224,6 @@ class PolicyProbe:
     within: bool
     scope: str
     market_kind: str
-    richardson: np.ndarray
     details: dict = field(default_factory=dict)
 
 
@@ -266,13 +236,13 @@ def monotonicity_probe(m: MarketModel, p: HabitPreferences, eps, k: int,
     is compared to the deflator-ratio bound plus ``1e-4``.
     """
     scope, kind = _scope_label(m, witness)
-    estimates, richardson, method, spd, cbase = _policy_derivatives(m, p, eps, k, method,
-                                                                    base, curvature=False)
-    bound = policy_bound(spd)[k]
+    estimates, method, cbase = _policy_derivatives(m, p, eps, k, method, base,
+                                                   curvature=False)
+    bound = policy_bound(spd_bundle(m, p.beta))[k]
     within = bool(np.all(estimates > 0) and np.all(estimates <= bound + 1e-4))
     return PolicyProbe(
         kind="slope", level=k, estimates=estimates, bounds=bound.copy(),
-        within=within, scope=scope, market_kind=kind, richardson=richardson,
+        within=within, scope=scope, market_kind=kind,
         details={"method": method, "base_c": cbase.copy()},
     )
 
@@ -297,13 +267,13 @@ def concavity_probe(m: MarketModel, p: HabitPreferences, eps, k: int,
             WrongUtilityFamily,
         )
         scope = "out_of_scope"
-    estimates, richardson, method, _, cbase = _policy_derivatives(m, p, eps, k, method,
-                                                                  base, curvature=True)
+    estimates, method, cbase = _policy_derivatives(m, p, eps, k, method, base,
+                                                   curvature=True)
     scales = np.maximum(1.0, np.abs(cbase))
     within = bool(np.all(estimates <= tol * scales))
     return PolicyProbe(
         kind="curvature", level=k, estimates=estimates, bounds=np.zeros_like(estimates),
-        within=within, scope=scope, market_kind=kind, richardson=richardson,
+        within=within, scope=scope, market_kind=kind,
         details={"method": method, "scales": scales},
     )
 

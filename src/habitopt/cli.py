@@ -243,7 +243,7 @@ def _probe_levels(probe, market, prefs, eps, witness, entry, **kwargs) -> dict:
 
 
 def _curvatures(pr) -> dict:
-    return {"second_differences": pr.estimates}
+    return {"curvatures": pr.estimates}
 
 
 def _run_checks(market, prefs, eps, witness, checks, tol):
@@ -262,8 +262,7 @@ def _run_checks(market, prefs, eps, witness, checks, tol):
         if "monotonicity" in checks:
             results["monotonicity"] = _probe_levels(
                 analysis.monotonicity_probe, market, prefs, eps, witness,
-                lambda pr: {"estimates": pr.estimates, "bounds": pr.bounds,
-                            "richardson_max": float(np.max(pr.richardson))}, base=base)
+                lambda pr: {"estimates": pr.estimates, "bounds": pr.bounds}, base=base)
         if "concavity" in checks:
             results["concavity"] = _probe_levels(analysis.concavity_probe, market, prefs, eps,
                                                  witness, _curvatures, tol=tol, base=base)
@@ -294,6 +293,8 @@ def _run_checks(market, prefs, eps, witness, checks, tol):
 
 
 def _cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be a finite non-negative number, got {args.tol}")
     tree, market, witness, prefs, eps = _load_instance(args)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     known = {"monotonicity", "eta", "concavity", "envelope", "foc"}

@@ -16,7 +16,6 @@ coordinates) provides an independent cross-check on small instances.
 
 from __future__ import annotations
 
-import copy
 import warnings
 from dataclasses import dataclass, field
 
@@ -143,12 +142,13 @@ class _SubtreePlan:
 
     Rows are ordered by level, then by atom.  ``J = L A`` is built from its
     known row pattern (``_jacobian_blocks``), which also gives the Newton
-    Hessian by scattering each row's outer product (``hessian``).
-    ``u_rows`` and ``du_d2u_rows``
-    are the family's whole-plan evaluation over those rows
-    (``family.on_rows``), built once per plan and shared by ``at``, so each
-    evaluation point costs one vectorized ``u`` or one ``(u', u'')`` pair;
-    ``utility`` still sums one level at a time.
+    Hessian by scattering each row's outer product (``hessian``).  The wealth
+    and the history enter only through ``b0`` and ``Lb = L b0 - hconst``,
+    with ``hconst = floors + hist_coef @ history``.  ``u_rows`` and
+    ``du_d2u_rows`` are the family's whole-plan evaluation over the rows
+    (``family.on_rows``), built once per plan, so each evaluation point costs
+    one vectorized ``u`` or one ``(u', u'')`` pair; ``utility`` still sums one
+    level at a time.
     """
 
     def __init__(self, m: MarketModel, p: HabitPreferences, eps_vals, k0: int = 0,
@@ -162,12 +162,11 @@ class _SubtreePlan:
         if w is None:
             if k0 != 0:
                 raise PreconditionViolated("continuation problems need entering wealth")
-            w = float(eps_vals[0][0])
+            w = eps_vals[0][0]
+        w = float(w)
 
         self.m, self.p, self.t = m, p, t
-        self.k0, self.node, self.w = k0, node, float(w)
-        self.history = tuple(float(v) for v in history)
-        self.eps_vals = eps_vals
+        self.k0, self.node = k0, node
 
         atoms = _subtree_atoms(t, k0, node)
         self.atoms = atoms
@@ -197,7 +196,7 @@ class _SubtreePlan:
             wts[rows] = t.atom_probs[l][al]
             floors[rows] = p.h[l][al]
             if l == k0:
-                b0[rows] = self.w if k0 == 0 else eps_vals[l][al] + self.w
+                b0[rows] = w if k0 == 0 else eps_vals[l][al] + w
             else:
                 b0[rows] = eps_vals[l][al]
                 start = x_off[l - 1] + nA * habit.positions(atoms, l, l - 1)
@@ -223,6 +222,8 @@ class _SubtreePlan:
         self.u_rows, self.du_d2u_rows = p.family.on_rows(row_level)
         self.inada = p.family.inada
         self.L, self.floors, self.hist_coef = L, floors, hist_coef
+        hconst = floors + hist_coef @ np.asarray(history, dtype=float)
+        self.Lb = L @ b0 - hconst
 
         # J from its row pattern, and per row the outer product J_r J_r^T on
         # its stored columns, with each entry's row and flat index into H; a
@@ -237,30 +238,6 @@ class _SubtreePlan:
             self.J[r, jcols[r, i]] = jvals[r, i]
             r, i, j = np.nonzero(keep[:, :, None] & keep[:, None, :])
             self._h_scatter = (r, jcols[r, i] * nx + jcols[r, j], jvals[r, i] * jvals[r, j])
-        self._shift()
-
-    def _shift(self) -> None:
-        """Set the wealth- and history-dependent terms ``hconst`` and ``Lb``."""
-        self.hconst = self.floors + self.hist_coef @ np.asarray(self.history)
-        self.Lb = self.L @ self.b0 - self.hconst
-
-    def at(self, w: float, history) -> "_SubtreePlan":
-        """The same subtree entered with wealth ``w`` after ``history``.
-
-        Shares ``A``, ``L``, ``J``, the atoms and the weights with ``self``;
-        only ``b0``, ``hconst`` and ``Lb`` are recomputed.
-        """
-        if len(history) != self.k0:
-            raise PreconditionViolated(
-                f"history must list consumption for levels 0..{self.k0 - 1}"
-            )
-        plan = copy.copy(self)
-        plan.w = float(w)
-        plan.history = tuple(float(v) for v in history)
-        plan.b0 = self.b0.copy()
-        plan.b0[0] = plan.w if self.k0 == 0 else self.eps_vals[self.k0][self.node] + plan.w
-        plan._shift()
-        return plan
 
     # -- evaluation ---------------------------------------------------------
 
@@ -544,7 +521,7 @@ def solve_subproblem(m: MarketModel, p: HabitPreferences, eps, k: int, node: int
 
 
 def _plan_response(plan: _SubtreePlan, x0, gtol: float) -> tuple:
-    """``(x, dx/dw, (c, dc/dw, dc/dhistory[-1], d2c/dw2))`` at the optimum of ``plan``.
+    """``(c, dc/dw, dc/dhistory[-1], d2c/dw2)`` at the optimum of ``plan``.
 
     Newton solves from ``x0``; then the optimality condition
     ``J^T (wts u'(J x + Lb)) = 0`` is differentiated (Fiacco, 1983).  With
@@ -572,7 +549,7 @@ def _plan_response(plan: _SubtreePlan, x0, gtol: float) -> tuple:
         u3 = _per_level(fam.d3u, plan.row_level)(plan.chat(x))
         d2c = float(plan.A[0] @ cho_solve(cf, plan.J.T @ (plan.wts * u3 * s * s),
                                           check_finite=False))
-    return x, dx[:, 0], (c, float(dc[0]) + 1.0, float(dc[1]), d2c)
+    return c, float(dc[0]) + 1.0, float(dc[1]), d2c
 
 
 _ORACLE_SEEDS = (0, 1, 2)

@@ -274,6 +274,21 @@ def test_verify_fails_at_absurd_tolerance(instance, capsys):
     assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_rejects_a_tolerance_that_is_not_finite_or_negative(instance, capsys,
+                                                                   monkeypatch, tol):
+    # a bad tolerance is invalid input: rejected before anything is solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("verify solved before checking --tol")
+
+    monkeypatch.setattr(habitopt.cli, "solve_auto", no_solve)
+    code, out, err = run(capsys, "verify", "--model", instance["model"],
+                         "--prefs", instance["prefs"], "--endow", instance["endow"],
+                         "--tol", tol)
+    assert code == 2
+    assert out == "" and "--tol" in err
+
+
 def _generate(tmp_path, capsys, *argv):
     out = tmp_path / "gen"
     assert main(["generate", *argv, "--out", str(out)]) == 0
@@ -385,8 +400,30 @@ def test_verify_evaluates_one_response_per_node(tmp_path, capsys, monkeypatch):
     assert len(points) == len(set(points)) == 40
 
 
+def test_verify_runs_one_newton_solve_per_response(tmp_path, capsys, monkeypatch):
+    # the deflator repro: 40 non-leaf responses, the base plan, and the
+    # envelope check's two re-solves; the probes re-solve nothing
+    files = _generate(tmp_path, capsys, "--seed", "3", "--family", "general", "--T", "4",
+                      "--utility", "power", "--habit", "one_lag")
+    solves = []
+    real = habitopt.solvers._newton_maximize
+
+    def counted(*args):
+        solves.append(1)
+        return real(*args)
+
+    # count a solve wherever a module binds the solver (earlier versions
+    # differenced Newton re-solves from within analysis)
+    for module in (habitopt.solvers, habitopt.analysis):
+        monkeypatch.setattr(module, "_newton_maximize", counted, raising=False)
+    code, _, _ = run(capsys, "verify", *files,
+                     "--checks", "monotonicity,eta,concavity,envelope,foc")
+    assert code == 0
+    assert len(solves) == 40 + 1 + 2
+
+
 def test_verify_takes_one_root_find_per_closed_form_response(tmp_path, capsys, monkeypatch):
-    # 7 non-leaf responses, plus a finite-difference pair per point and probe
+    # 7 non-leaf responses; the probes and eta read them and root-find nothing more
     files = _generate(tmp_path, capsys, "--seed", "5001", "--family", "complete", "--T", "3",
                       "--utility", "power", "--habit", "one_lag")
     calls = []
@@ -397,11 +434,11 @@ def test_verify_takes_one_root_find_per_closed_form_response(tmp_path, capsys, m
         return real(*args)
 
     for module in (habitopt.solvers, habitopt.analysis):
-        monkeypatch.setattr(module, "_complete_continuation", counted)
+        monkeypatch.setattr(module, "_complete_continuation", counted, raising=False)
     code, _, _ = run(capsys, "verify", *files,
                      "--checks", "monotonicity,eta,concavity,envelope,foc")
     assert code == 0
-    assert len(calls) == 7 + 2 * 7 * 2
+    assert len(calls) == 7
 
 
 # ---------------------------------------------------------------------------

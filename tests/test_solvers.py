@@ -248,22 +248,6 @@ def test_inadmissible_warm_start_falls_back_to_lp(solver_lps):
         assert warm.c[key] == pytest.approx(c, abs=1e-10)
 
 
-def test_shifted_plan_matches_a_fresh_build():
-    sc, k, node, hist, w, _ = _continuation_at_base()
-    plan = _SubtreePlan(sc.market, sc.prefs, sc.eps, k0=k, node=node, history=hist, w=w)
-    for w2, hist2 in ((w + 1e-3, hist), (w, [hist[0] - 1e-3]), (0.5 * w, [2.0])):
-        shifted = plan.at(w2, hist2)
-        fresh = _SubtreePlan(sc.market, sc.prefs, sc.eps, k0=k, node=node,
-                             history=hist2, w=w2)
-        assert shifted.A is plan.A and shifted.J is plan.J and shifted.L is plan.L
-        for name in ("b0", "hconst", "Lb"):
-            assert np.allclose(getattr(shifted, name), getattr(fresh, name),
-                               rtol=0, atol=1e-15)
-    assert plan.w == w and plan.history == tuple(hist)
-    with pytest.raises(PreconditionViolated):
-        plan.at(w, [])
-
-
 def _isin_subtree_atoms(t, k0, node):
     """Reference: the subtree's atoms by chaining parent membership."""
     atoms = [None] * (t.T + 1)
@@ -382,7 +366,7 @@ def test_continuation_response_at_the_root():
     base = solve_general(sc.market, sc.prefs, sc.eps, gtol=1e-12)
     w = float(sc.eps[0][0])
     plan = _SubtreePlan(sc.market, sc.prefs, sc.eps, k0=0, node=0, history=(), w=w)
-    c, dc_dw, dc_dh, d2c = _plan_response(plan, _base_holdings(base, 0, 0), 1e-12)[2]
+    c, dc_dw, dc_dh, d2c = _plan_response(plan, _base_holdings(base, 0, 0), 1e-12)
     assert c == pytest.approx(base.c.values(0)[0], rel=1e-12)
     assert dc_dh == 0.0
 
@@ -460,8 +444,10 @@ def test_plan_felicity_equals_per_level_evaluation(name):
     w = float(base.W.values(k)[node])
     cont = _SubtreePlan(sc.market, prefs, sc.eps, k0=k, node=node, history=hist, w=w)
     rng = np.random.default_rng(0)
-    for plan in (root, root.at(float(sc.eps[0][0]) + 0.1, ()),
-                 cont, cont.at(w + 0.05, [hist[0] - 0.01])):
+    shifted_root = _SubtreePlan(sc.market, prefs, sc.eps, w=float(sc.eps[0][0]) + 0.1)
+    shifted_cont = _SubtreePlan(sc.market, prefs, sc.eps, k0=k, node=node,
+                                history=[hist[0] - 0.01], w=w + 0.05)
+    for plan in (root, shifted_root, cont, shifted_cont):
         x = _base_holdings(base, plan.k0, plan.node)
         for pt in [x] + [x + 1e-3 * rng.standard_normal(x.size) for _ in range(4)]:
             assert np.isfinite(plan.utility(pt))
