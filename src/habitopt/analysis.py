@@ -40,21 +40,25 @@ from .preferences import (
     LogUtility,
     PowerUtility,
     _as_level_values,
+    _finite,
+    _require_feasible,
+    perturbed_consumption,
     theta_table,
 )
 from .solvers import (
     Solution,
+    _closed_form,
     _complete_response,
+    _CompleteGeneral,
     _interior_start,
     _plan_response,
     _subtree_atoms,
     _SubtreePlan,
     has_inverse_marginal,
     solve_auto,
-    solve_complete_general,
     solve_general,
 )
-from .tree import EventTree, _condexp, build_tree
+from .tree import AdaptedProcess, EventTree, _condexp, build_tree
 
 __all__ = [
     "PolicyProbe",
@@ -522,10 +526,11 @@ def counterexample_51(eps0: float = 3.0, eps1=0.0,
         m = MarketModel(t, [rate], [prices], [payoffs], strict=False)
     # log felicity today, negative-reciprocal felicity tomorrow
     p = HabitPreferences.one_lag(t, PowerUtility(np.array([1.0, 2.0])), 1.0)
-    spd = spd_bundle(m, p.beta)
-    m1 = spd.M[1].values
-    w1 = t.atom_probs[1]
     eps1_vals = np.broadcast_to(np.asarray(eps1, dtype=float), (t.n_atoms(1),))
+    # the closed form's complete-general path, prepared once for every endowment
+    form = _CompleteGeneral(m, p, [np.zeros(1), eps1_vals])
+    m1 = form.spd.M[1].values
+    w1 = t.atom_probs[1]
 
     a = 1.0 + float(np.dot(w1, m1))
     b_published = float(np.dot(w1, m1 * np.sqrt(m1)))
@@ -537,8 +542,8 @@ def counterexample_51(eps0: float = 3.0, eps1=0.0,
         return float(((disc - b) / (2.0 * a)) ** 2)
 
     def solver_c0_at(e0: float):
-        sol = solve_complete_general(m, p, [np.array([e0]), eps1_vals], spd=spd)
-        return float(sol.c.values(0)[0]), sol.c.values(1).copy()
+        c = form.solve(e0)[0]
+        return float(c[0][0]), c[1].copy()
 
     c0, c1 = solver_c0_at(eps0)
     pub = closed_c0(eps0, b_published)
@@ -568,25 +573,49 @@ def wealth_sweep(m: MarketModel, p: HabitPreferences, eps, start: float,
     Each row carries the endowment, time-0 consumption, its central first and
     second grid differences (``None`` at endpoints or next to failed solves),
     total utility, and the per-period expected felicities.  Failed solves are
-    kept with a status message rather than dropped.  The market's deflator
-    and classification are computed once and shared by every grid point.
+    kept with a status message rather than dropped.
+
+    Under ``auto`` and ``closed``, the closed form that ``solve_auto`` would
+    take is prepared once per sweep: the market's deflator and
+    classification, and every coefficient that does not depend on the time-0
+    endowment.  Each grid point then runs only that form's root-find or
+    forward recursion for its consumption, and evaluates the habit-adjusted
+    consumption and the utilities; it assembles no holdings, wealth or
+    deflator.  Where no closed form applies, and under ``newton`` and
+    ``oracle``, each grid point calls ``solve_auto``.
     """
     t = m.tree
     eps_vals = _as_level_values(t, eps)
     rest = [eps_vals[l] for l in range(1, t.T + 1)]
-    grid = np.linspace(float(start), float(stop), int(n))
+    grid = _finite("endowment at level 0", np.linspace(float(start), float(stop), int(n)))
+
+    form, failed = None, None
+    if method in ("auto", "closed"):
+        try:
+            form = _closed_form(m, p, eps_vals, method)
+        except HabitOptError as exc:
+            failed = f"failed: {type(exc).__name__}"
 
     def solve_one(e0: float) -> dict:
         row: dict = {"eps0": float(e0), "c0": None, "status": "ok",
                      "U": None, "per_period_U": None}
+        if failed is not None:
+            row["status"] = failed
+            return row
         try:
-            sol = solve_auto(m, p, [np.full(1, e0)] + rest, method=method)
-            row["c0"] = float(sol.c.values(0)[0])
-            row["U"] = float(sol.U)
-            row["per_period_U"] = [
-                float(np.dot(t.atom_probs[k], p.family.u(k, sol.chat.values(k))))
-                for k in range(t.T + 1)
-            ]
+            if form is None:
+                sol = solve_auto(m, p, [np.full(1, e0)] + rest, method=method)
+                c0, chat = sol.c.values(0), sol.chat
+            else:
+                c = form.solve(e0)[0]
+                c0, chat = c[0], _require_feasible(
+                    perturbed_consumption(p, AdaptedProcess(t, c))).chat
+            per_period = [float(np.dot(t.atom_probs[k], p.family.u(k, chat.values(k))))
+                          for k in range(t.T + 1)]
+            total = 0.0           # the plan's utility, summed as preferences._utility_of does
+            for u in per_period:
+                total += u
+            row["c0"], row["U"], row["per_period_U"] = float(c0[0]), total, per_period
         except HabitOptError as exc:
             row["status"] = f"failed: {type(exc).__name__}"
         return row

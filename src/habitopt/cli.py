@@ -344,6 +344,8 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--range must be start:stop:count, e.g. 0.5:10:50")
     if n < 1:
         raise ValueError("--range count must be positive")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"--range start and stop must be finite, got {args.range}")
     rows = analysis.wealth_sweep(market, prefs, eps, start, stop, n, method=args.method)
     if args.emit == "csv":
         _emit(_sweep_csv(rows, tree.T), args.out)
@@ -437,6 +439,9 @@ def _repro_52() -> tuple[dict, bool]:
 
 def _repro_linearity(gamma, rate) -> tuple[dict, bool]:
     gammas = (gamma,) if gamma is not None else (0.5, 1.0, 2.0, 4.0)
+    if rate is not None and not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"--r is the gross rate 1 + r and must be finite and positive, "
+                         f"got {rate}")
     rates = (rate,) if rate is not None else (0.25, 1.0, 4.0)
     rep = analysis.linearity_law_check(gammas, rates)
     passed = rep.max_gap <= 1e-8

@@ -675,30 +675,51 @@ def _budget_root(gap, inada: bool, wealth: float) -> tuple:
     return root, resid
 
 
-def _complete_continuation(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int,
-                           node: int, history, w: float):
-    """Optimal complete-market consumption below ``node`` at level ``k``.
+class _CompleteContinuation:
+    """The complete-market optimum below ``node`` at level ``k``, prepared for
+    every entering wealth: the subtree's atoms, its endowments and their
+    deflated values below level ``k``.
 
     ``history`` is consumption on the node's strict ancestors.  As in
-    ``_SubtreePlan``, the entering wealth ``w`` replaces the endowment at the
-    root of the full tree and adds to it at any other node.  Returns the
-    consumption per level, aligned with the subtree's atoms (``None`` above
-    ``k``), the budget gap left by the root-find, and the root's adjusted
-    consumption.
+    ``_SubtreePlan``, the entering wealth ``w`` of ``solve`` replaces the
+    endowment at the root of the full tree and adds to it at any other node.
     """
-    t = p.tree
-    atoms = _subtree_atoms(t, k, node)
-    endow = [None if al is None else eps_vals[l][al] for l, al in enumerate(atoms)]
-    endow[k] = endow[k] + w if k else np.array([float(w)])
-    wealth = sum(float(np.dot(t.atom_probs[l][al], spd.M[l].values[al] * endow[l]))
-                 for l, al in enumerate(atoms) if al is not None)
 
-    def gap(z: float) -> float:
-        return _budget_gap(t, spd, _forward_consumption(p, spd, atoms, history, z),
-                           endow, atoms)
+    def __init__(self, p: HabitPreferences, spd: SPDBundle, eps_vals, k: int, node: int,
+                 history):
+        t = p.tree
+        self.p, self.spd, self.k, self.history = p, spd, k, history
+        self.atoms = atoms = _subtree_atoms(t, k, node)
+        self.endow = [None if al is None else eps_vals[l][al] for l, al in enumerate(atoms)]
+        self.later = [float(np.dot(t.atom_probs[l][atoms[l]],
+                                   spd.M[l].values[atoms[l]] * self.endow[l]))
+                      for l in range(k + 1, t.T + 1)]
 
-    z, resid = _budget_root(gap, p.family.inada, wealth)
-    return _forward_consumption(p, spd, atoms, history, z), resid, z
+    def solve(self, w: float) -> tuple:
+        """Consumption per level, aligned with the subtree's atoms (``None``
+        above ``k``), the budget gap left by the root-find, and the root's
+        adjusted consumption, for the entering wealth ``w``."""
+        p, spd, k, atoms, history = self.p, self.spd, self.k, self.atoms, self.history
+        t = p.tree
+        endow = list(self.endow)
+        endow[k] = endow[k] + w if k else np.array([float(w)])
+        # level k's value first, then the later levels', as one sum over the levels
+        wealth = sum(self.later, float(np.dot(t.atom_probs[k][atoms[k]],
+                                              spd.M[k].values[atoms[k]] * endow[k])))
+
+        def gap(z: float) -> float:
+            return _budget_gap(t, spd, _forward_consumption(p, spd, atoms, history, z),
+                               endow, atoms)
+
+        z, resid = _budget_root(gap, p.family.inada, wealth)
+        return _forward_consumption(p, spd, atoms, history, z), resid, z
+
+
+def _complete_continuation(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int,
+                           node: int, history, w: float):
+    """Optimal complete-market consumption below ``node`` at level ``k``:
+    ``_CompleteContinuation.solve`` for one entering wealth ``w``."""
+    return _CompleteContinuation(p, spd, eps_vals, k, node, history).solve(w)
 
 
 def _complete_response(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int, node: int,
@@ -781,8 +802,28 @@ def _solution_from_consumption(m: MarketModel, p: HabitPreferences, eps_vals, c,
     return _solution(p, c, W, Ivals, _replicate_portfolio(m, W), method, diag)
 
 
-def solve_complete_general(m: MarketModel, p: HabitPreferences, eps,
-                           spd: SPDBundle | None = None) -> Solution:
+class _CompleteGeneral(_CompleteContinuation):
+    """``solve_complete_general`` prepared for every time-0 endowment: the
+    deflator bundle and the continuation at the root of the tree."""
+
+    def __init__(self, m: MarketModel, p: HabitPreferences, eps):
+        cls = classify_market(m)
+        if cls.kind != "complete":
+            raise PreconditionViolated(f"market classifies as {cls.kind}, not complete")
+        spd = spd_bundle(m, p.beta)
+        self.m, self.eps_vals = m, _as_level_values(m.tree, eps)
+        super().__init__(p, spd, self.eps_vals, 0, 0, ())
+
+    def solution(self) -> Solution:
+        """The assembled optimum at the instance's own time-0 endowment."""
+        c, resid, _ = self.solve(float(self.eps_vals[0][0]))
+        return _solution_from_consumption(
+            self.m, self.p, self.eps_vals, c, self.spd, "complete_general",
+            {"c0": float(c[0][0]), "budget_gap": float(resid)},
+        )
+
+
+def solve_complete_general(m: MarketModel, p: HabitPreferences, eps) -> Solution:
     """Complete-market solver for any family with an invertible marginal.
 
     Given time-0 consumption, the first-order conditions pin down every later
@@ -790,18 +831,7 @@ def solve_complete_general(m: MarketModel, p: HabitPreferences, eps,
     then strictly increasing in time-0 consumption and a bracketed root-find
     closes the plan.
     """
-    t = m.tree
-    cls = classify_market(m)
-    if cls.kind != "complete":
-        raise PreconditionViolated(f"market classifies as {cls.kind}, not complete")
-    if spd is None:
-        spd = spd_bundle(m, p.beta)
-    eps_vals = _as_level_values(t, eps)
-    c, resid, _ = _complete_continuation(p, spd, eps_vals, 0, 0, (), float(eps_vals[0][0]))
-    return _solution_from_consumption(
-        m, p, eps_vals, c, spd, "complete_general",
-        {"c0": float(c[0][0]), "budget_gap": float(resid)},
-    )
+    return _CompleteGeneral(m, p, eps).solution()
 
 
 @dataclass
@@ -827,6 +857,91 @@ class CompletePowerCoefficients:
     linear: bool
 
 
+class _CompletePower:
+    """``solve_complete_power`` prepared for every time-0 endowment: the
+    deflator bundle, the exponents ``q``, the chain weights ``theta``, the
+    blocks ``d`` and their prices ``f``, the floors' wealth and the deflated
+    value of the endowments after time 0."""
+
+    def __init__(self, m: MarketModel, p: HabitPreferences, eps):
+        t = m.tree
+        T = t.T
+        fam = p.family
+        if not isinstance(fam, PowerUtility):
+            raise PreconditionViolated("this path requires a power or log family")
+        cls = classify_market(m)
+        if cls.kind != "complete":
+            raise PreconditionViolated(f"market classifies as {cls.kind}, not complete")
+        self.m, self.p = m, p
+        self.spd = spd = spd_bundle(m, p.beta)
+        self.eps_vals = eps_vals = _as_level_values(t, eps)
+
+        self.gam = gam = np.array([fam.gamma_at(k) for k in range(T + 1)])
+        self.q = gam[0] / gam
+        self.theta = theta = theta_table(p.beta)
+        theta_ext = theta + np.eye(T + 1)
+        Mt0 = float(spd.Mtilde[0].values[0])
+
+        # e_i: level-i block values with chat_i = e_i * c0 ** q_i
+        e = [np.exp(-fam.rho * i / gam[i]) * np.power(spd.Mtilde[i].values / Mt0, -1.0 / gam[i])
+             for i in range(T + 1)]
+
+        self.d = d = {(i, k): theta_ext[k, i] * e[i][t.ancestor(k, i)]
+                      for k in range(T + 1) for i in range(k + 1) if theta_ext[k, i] != 0.0}
+
+        # f[(i, k)] = sum over j >= max(i, k) of E[(M_j / M_k) d[(i, j)] | level k]
+        zeros = [np.zeros(t.n_atoms(k)) for k in range(T + 1)]
+        self.f = f = {}
+        for i in range(T + 1):
+            tail = _deflated_value(t, spd.M, [d.get((i, k), zeros[k]) for k in range(T + 1)])
+            f.update(((i, k), v) for k, v in enumerate(tail))
+
+        # per level, the floors that the habit chain carries into it
+        self.floor_terms = [[theta_ext[k, i] * p.h[i][t.ancestor(k, i)]
+                             for i in range(k + 1) if theta_ext[k, i] != 0.0]
+                            for k in range(T + 1)]
+        self.floor_wealth = _deflated_value(t, spd.M, [self._plus_floors(zeros[k].copy(), k)
+                                                       for k in range(T + 1)])
+        self.f0 = np.array([f[(i, 0)][0] for i in range(T + 1)])
+        self.h0 = float(self.floor_wealth[0][0])
+        # M_0 = 1, so the endowments' wealth at the root is e0 plus this, bit for bit
+        self.later = float(_deflated_value(t, spd.M, [np.zeros(1), *eps_vals[1:]])[0][0])
+
+    def _plus_floors(self, vals, k: int):
+        """``vals`` plus the floors that the habit chain carries into level ``k``."""
+        for term in self.floor_terms[k]:
+            vals += term
+        return vals
+
+    def solve(self, e0: float) -> tuple:
+        """Consumption per level, time-0 consumption before floors and the
+        budget gap left by the root-find, for the time-0 endowment ``e0``."""
+        t, d, q, f0, h0 = self.m.tree, self.d, self.q, self.f0, self.h0
+        wealth = float(e0 + self.later)
+
+        def gap(c0):
+            return float(np.dot(f0, np.power(c0, q))) + h0 - wealth
+
+        c0, resid = _budget_root(gap, self.p.family.inada, wealth)
+        powers = [c0 ** qi for qi in q]
+        c = []
+        for k in range(t.T + 1):
+            vals = np.zeros(t.n_atoms(k))
+            for i in range(k + 1):
+                if (i, k) in d:
+                    vals += d[(i, k)] * powers[i]
+            c.append(self._plus_floors(vals, k))
+        return c, c0, resid
+
+    def solution(self) -> Solution:
+        """The assembled optimum at the instance's own time-0 endowment."""
+        c, c0, resid = self.solve(self.eps_vals[0][0])
+        return _solution_from_consumption(
+            self.m, self.p, self.eps_vals, c, self.spd, "complete_power",
+            {"c0": float(c0), "budget_gap": float(resid)},
+        )
+
+
 def solve_complete_power(m: MarketModel, p: HabitPreferences, eps):
     """Complete-market solver specialized to power families.
 
@@ -834,65 +949,11 @@ def solve_complete_power(m: MarketModel, p: HabitPreferences, eps):
     consumption and wealth as explicit power functions of time-0 consumption,
     from which nodewise marginal propensities to consume are read off.
     """
-    t = m.tree
+    form = _CompletePower(m, p, eps)
+    sol = form.solution()
+    t, q, d, f = m.tree, form.q, form.d, form.f
     T = t.T
-    fam = p.family
-    if not isinstance(fam, PowerUtility):
-        raise PreconditionViolated("this path requires a power or log family")
-    cls = classify_market(m)
-    if cls.kind != "complete":
-        raise PreconditionViolated(f"market classifies as {cls.kind}, not complete")
-    spd = spd_bundle(m, p.beta)
-    eps_vals = _as_level_values(t, eps)
-
-    gam = np.array([fam.gamma_at(k) for k in range(T + 1)])
-    q = gam[0] / gam
-    theta = theta_table(p.beta)
-    theta_ext = theta + np.eye(T + 1)
-    Mt0 = float(spd.Mtilde[0].values[0])
-
-    # e_i: level-i block values with chat_i = e_i * c0 ** q_i
-    e = [np.exp(-fam.rho * i / gam[i]) * np.power(spd.Mtilde[i].values / Mt0, -1.0 / gam[i])
-         for i in range(T + 1)]
-
-    d = {(i, k): theta_ext[k, i] * e[i][t.ancestor(k, i)]
-         for k in range(T + 1) for i in range(k + 1) if theta_ext[k, i] != 0.0}
-
-    # f[(i, k)] = sum over j >= max(i, k) of E[(M_j / M_k) d[(i, j)] | level k]
-    zeros = [np.zeros(t.n_atoms(k)) for k in range(T + 1)]
-    f = {}
-    for i in range(T + 1):
-        tail = _deflated_value(t, spd.M, [d.get((i, k), zeros[k]) for k in range(T + 1)])
-        f.update(((i, k), v) for k, v in enumerate(tail))
-
-    def plus_floors(vals, k):
-        """``vals`` plus the floors that the habit chain carries into level ``k``."""
-        for i in range(k + 1):
-            if theta_ext[k, i] != 0.0:
-                vals += theta_ext[k, i] * p.h[i][t.ancestor(k, i)]
-        return vals
-
-    floor_wealth = _deflated_value(t, spd.M, [plus_floors(np.zeros(t.n_atoms(k)), k)
-                                              for k in range(T + 1)])
-    endow_wealth = _deflated_value(t, spd.M, eps_vals)
-
-    f0 = np.array([f[(i, 0)][0] for i in range(T + 1)])
-    h0 = float(floor_wealth[0][0])
-    e0 = float(endow_wealth[0][0])
-
-    def gap(c0):
-        return float(np.dot(f0, np.power(c0, q))) + h0 - e0
-
-    c0, resid = _budget_root(gap, fam.inada, e0)
-
-    c = []
-    for k in range(T + 1):
-        vals = np.zeros(t.n_atoms(k))
-        for i in range(k + 1):
-            if (i, k) in d:
-                vals += d[(i, k)] * c0 ** q[i]
-        c.append(plus_floors(vals, k))
-
+    c0 = sol.diagnostics["c0"]
     mpc = []
     for k in range(T + 1):
         num = np.zeros(t.n_atoms(k))
@@ -905,13 +966,9 @@ def solve_complete_power(m: MarketModel, p: HabitPreferences, eps):
         mpc.append(num / den)
 
     coeffs = CompletePowerCoefficients(
-        c0=float(c0), exponents=q, theta=theta, d=d, f=f,
-        floor_wealth=floor_wealth, endow_wealth=endow_wealth, mpc=mpc,
-        linear=bool(np.all(gam == gam[0])),
-    )
-    sol = _solution_from_consumption(
-        m, p, eps_vals, c, spd, "complete_power",
-        {"c0": float(c0), "budget_gap": float(resid)},
+        c0=c0, exponents=q, theta=form.theta, d=d, f=f, floor_wealth=form.floor_wealth,
+        endow_wealth=_deflated_value(t, form.spd.M, form.eps_vals), mpc=mpc,
+        linear=bool(np.all(form.gam == form.gam[0])),
     )
     return sol, coeffs
 
@@ -965,6 +1022,87 @@ class ExponentialCoefficients:
     n: list
 
 
+class _ExponentialBonds:
+    """``solve_exponential_bonds`` prepared for every time-0 endowment: the
+    coefficients ``X``, ``l``, ``mm`` and ``n[1:]``, which do not depend on
+    it.  Only ``n[0]`` and the forward recursion do (``solve``)."""
+
+    def __init__(self, m: MarketModel, p: HabitPreferences, eps):
+        t = m.tree
+        T = t.T
+        fam = p.family
+        if not isinstance(fam, ExponentialUtility):
+            raise PreconditionViolated("this path requires the exponential family")
+        if m.n_risky != 0:
+            raise PreconditionViolated("this path requires a bond-only market")
+        if not deterministic_interest(m):
+            raise PreconditionViolated("this path requires deterministic interest rates")
+        if np.any(np.tril(p.beta, -2) != 0):
+            raise PreconditionViolated("this path requires a one-lag habit")
+        lags = np.diagonal(p.beta, -1)
+        if np.ptp(lags) > 0:
+            raise PreconditionViolated("this path requires one shared habit weight")
+        b = float(lags[0])
+        self.m, self.p = m, p
+        self.rate = rate = np.array([float(m.r[k][0]) for k in range(1, T + 1)])
+
+        self.X = X = np.zeros(T + 1)
+        X[T] = b + 1.0 + rate[T - 1]
+        for k in range(T - 1, 0, -1):
+            X[k] = b + (1.0 + rate[k - 1]) * (1.0 - b / X[k + 1])
+            if X[k] <= 0:
+                raise PreconditionViolated(
+                    f"habit weight too strong for these rates (X_{k} = {X[k]:g})"
+                )
+
+        self.eps_vals = eps_vals = _as_level_values(t, eps)
+        self.l, self.mm, self.delta = l, mm, delta = np.zeros(T + 1), np.zeros(T + 1), np.zeros(T)
+        self.n, self.log_mgf = n, log_mgf = [None] * (T + 1), [None] * T
+        l[T], mm[T] = 1.0, 0.0
+        n[T] = eps_vals[T].copy()
+        for k in range(T - 1, -1, -1):
+            gross = 1.0 + rate[k]
+            delta[k] = 1.0 + b - mm[k + 1] + l[k + 1] * gross
+            l[k] = l[k + 1] * gross / delta[k]
+            mm[k] = b / delta[k]
+            inner_arg = np.exp(-fam.gamma * (n[k + 1] - p.h[k + 1]))
+            log_mgf[k] = np.log(_condexp(t, inner_arg, k + 1, k))
+            if k:
+                n[k] = self.n_at(k, eps_vals[k])
+        if np.any(l[:T] >= 1.0):
+            warnings.warn("a pre-horizon wealth slope reached 1", WrongUtilityFamily)
+
+    def n_at(self, k: int, eps_k):
+        """``n_k`` for the time-``k`` endowment ``eps_k`` (``k < T``)."""
+        fam = self.p.family
+        return (self.l[k + 1] * (1.0 + self.rate[k]) * eps_k + self.p.h[k]
+                + (fam.rho - np.log(self.X[k + 1]) - self.log_mgf[k]) / fam.gamma) / self.delta[k]
+
+    def solve(self, e0: float) -> tuple:
+        """Consumption and wealth per level for the time-0 endowment ``e0``."""
+        t, l, mm, n, rate = self.m.tree, self.l, self.mm, self.n, self.rate
+        endow = [np.full(1, float(e0)), *self.eps_vals[1:]]
+        c = [np.array([self.n_at(0, endow[0])[0]])]
+        W = [np.zeros(1)]
+        for k in range(1, t.T + 1):
+            carry = (W[k - 1] + endow[k - 1] - c[k - 1]) * (1.0 + rate[k - 1])
+            Wk = carry[t.parent[k]]
+            ck = l[k] * Wk + mm[k] * c[k - 1][t.parent[k]] + n[k]
+            W.append(Wk)
+            c.append(ck)
+        return c, W
+
+    def solution(self) -> Solution:
+        """The assembled optimum at the instance's own time-0 endowment."""
+        t, eps_vals = self.m.tree, self.eps_vals
+        T = t.T
+        c, W = self.solve(eps_vals[0][0])
+        Ivals = [eps_vals[k] + W[k] - c[k] for k in range(T + 1)]
+        Ivals[T] = np.zeros(t.n_atoms(T))
+        pi = [Ivals[k].reshape(-1, 1).copy() for k in range(T)]
+        return _solution(self.p, c, W, Ivals, pi, "exponential_bonds", {})
+
+
 def solve_exponential_bonds(m: MarketModel, p: HabitPreferences, eps):
     """Closed-form solver for exponential utility in a bond-only market.
 
@@ -972,66 +1110,11 @@ def solve_exponential_bonds(m: MarketModel, p: HabitPreferences, eps):
     in wealth and lagged consumption with deterministic slopes; the slopes lie
     in (0, 1], hitting 1 only at the horizon.
     """
-    t = m.tree
-    T = t.T
-    fam = p.family
-    if not isinstance(fam, ExponentialUtility):
-        raise PreconditionViolated("this path requires the exponential family")
-    if m.n_risky != 0:
-        raise PreconditionViolated("this path requires a bond-only market")
-    if not deterministic_interest(m):
-        raise PreconditionViolated("this path requires deterministic interest rates")
-    if np.any(np.tril(p.beta, -2) != 0):
-        raise PreconditionViolated("this path requires a one-lag habit")
-    lags = np.diagonal(p.beta, -1)
-    if np.ptp(lags) > 0:
-        raise PreconditionViolated("this path requires one shared habit weight")
-    b = float(lags[0])
-    gamma, rho = fam.gamma, fam.rho
-    rate = np.array([float(m.r[k][0]) for k in range(1, T + 1)])
-
-    X = np.zeros(T + 1)
-    X[T] = b + 1.0 + rate[T - 1]
-    for k in range(T - 1, 0, -1):
-        X[k] = b + (1.0 + rate[k - 1]) * (1.0 - b / X[k + 1])
-        if X[k] <= 0:
-            raise PreconditionViolated(
-                f"habit weight too strong for these rates (X_{k} = {X[k]:g})"
-            )
-
-    eps_vals = _as_level_values(t, eps)
-    l = np.zeros(T + 1)
-    mm = np.zeros(T + 1)
-    n = [None] * (T + 1)
-    l[T], mm[T] = 1.0, 0.0
-    n[T] = eps_vals[T].copy()
-    for k in range(T - 1, -1, -1):
-        gross = 1.0 + rate[k]
-        delta = 1.0 + b - mm[k + 1] + l[k + 1] * gross
-        l[k] = l[k + 1] * gross / delta
-        mm[k] = b / delta
-        inner_arg = np.exp(-gamma * (n[k + 1] - p.h[k + 1]))
-        log_mgf = np.log(_condexp(t, inner_arg, k + 1, k))
-        n[k] = (l[k + 1] * gross * eps_vals[k] + p.h[k]
-                + (rho - np.log(X[k + 1]) - log_mgf) / gamma) / delta
-    if np.any(l[:T] >= 1.0):
-        warnings.warn("a pre-horizon wealth slope reached 1", WrongUtilityFamily)
-
-    c = [np.array([n[0][0]])]
-    W = [np.zeros(1)]
-    for k in range(1, T + 1):
-        carry = (W[k - 1] + eps_vals[k - 1] - c[k - 1]) * (1.0 + rate[k - 1])
-        Wk = carry[t.parent[k]]
-        ck = l[k] * Wk + mm[k] * c[k - 1][t.parent[k]] + n[k]
-        W.append(Wk)
-        c.append(ck)
-
-    Ivals = [eps_vals[k] + W[k] - c[k] for k in range(T + 1)]
-    Ivals[T] = np.zeros(t.n_atoms(T))
-    pi = [Ivals[k].reshape(-1, 1).copy() for k in range(T)]
-    sol = _solution(p, c, W, Ivals, pi, "exponential_bonds", {})
-    n = [RandomVariable(t, k, v) for k, v in enumerate(n)]
-    return sol, ExponentialCoefficients(x=X, l=l, mm=mm, n=n)
+    form = _ExponentialBonds(m, p, eps)
+    sol = form.solution()
+    n = [form.n_at(0, form.eps_vals[0]), *form.n[1:]]
+    return sol, ExponentialCoefficients(x=form.X, l=form.l, mm=form.mm,
+                                        n=[RandomVariable(m.tree, k, v) for k, v in enumerate(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -1043,6 +1126,28 @@ def has_inverse_marginal(family) -> bool:
     if getattr(family, "name", "") == "custom":
         return family._du_inv is not None
     return hasattr(family, "du_inv")
+
+
+def _closed_form(m: MarketModel, p: HabitPreferences, eps, method: str):
+    """The closed form that ``solve_auto`` takes under ``method`` (``auto`` or
+    ``closed``), prepared for every time-0 endowment, or None where ``auto``
+    falls back to Newton; under ``closed``, an instance that no form covers
+    raises PreconditionViolated."""
+    if classify_market(m).kind == "complete":
+        if isinstance(p.family, PowerUtility):
+            return _CompletePower(m, p, eps)
+        if has_inverse_marginal(p.family):
+            return _CompleteGeneral(m, p, eps)
+    if (m.n_risky == 0 and isinstance(p.family, ExponentialUtility)
+            and deterministic_interest(m)):
+        try:
+            return _ExponentialBonds(m, p, eps)
+        except PreconditionViolated:
+            if method == "closed":
+                raise
+    if method == "closed":
+        raise PreconditionViolated("no closed-form path covers this instance")
+    return None
 
 
 def solve_auto(m: MarketModel, p: HabitPreferences, eps, method: str = "auto") -> Solution:
@@ -1057,20 +1162,6 @@ def solve_auto(m: MarketModel, p: HabitPreferences, eps, method: str = "auto") -
     if method == "oracle":
         return solve_primal_oracle(m, p, eps)
     if method in ("auto", "closed"):
-        cls = classify_market(m)
-        if cls.kind == "complete":
-            if isinstance(p.family, PowerUtility):
-                return solve_complete_power(m, p, eps)[0]
-            if has_inverse_marginal(p.family):
-                return solve_complete_general(m, p, eps)
-        if (m.n_risky == 0 and isinstance(p.family, ExponentialUtility)
-                and deterministic_interest(m)):
-            try:
-                return solve_exponential_bonds(m, p, eps)[0]
-            except PreconditionViolated:
-                if method == "closed":
-                    raise
-        if method == "closed":
-            raise PreconditionViolated("no closed-form path covers this instance")
-        return solve_general(m, p, eps)
+        form = _closed_form(m, p, eps, method)
+        return solve_general(m, p, eps) if form is None else form.solution()
     raise ValueError(f"unknown method {method!r}")

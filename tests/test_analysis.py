@@ -11,6 +11,7 @@ from habitopt.solvers import _complete_continuation, _complete_response
 from habitopt import (
     CustomUtility,
     GenerationExhausted,
+    HabitOptError,
     HabitPreferences,
     LogUtility,
     MarketModel,
@@ -586,6 +587,77 @@ def test_sweep_runs_the_deflator_lp_once(market_lps):
     rows = wealth_sweep(sc.market, sc.prefs, sc.eps, 1.0, 2.0, 5)
     assert [r["status"] for r in rows] == ["ok"] * 5
     assert len(market_lps) == 1
+
+
+def _sweep_by_solve_auto(m, p, eps, grid, method="auto"):
+    """``wealth_sweep``'s rows from one ``solve_auto`` per grid point."""
+    t = m.tree
+    rows = []
+    for e0 in grid:
+        row = {"eps0": float(e0), "c0": None, "status": "ok", "U": None, "per_period_U": None}
+        try:
+            sol = solve_auto(m, p, [np.full(1, e0)] + list(eps[1:]), method=method)
+            row["c0"], row["U"] = float(sol.c.values(0)[0]), float(sol.U)
+            row["per_period_U"] = [float(np.dot(t.atom_probs[k], p.family.u(k, sol.chat.values(k))))
+                                   for k in range(t.T + 1)]
+        except HabitOptError as exc:
+            row["status"] = f"failed: {type(exc).__name__}"
+        rows.append(row)
+    h = grid[1] - grid[0]
+    for i, row in enumerate(rows):
+        row["dc0"] = row["d2c0"] = None
+        near = rows[max(i - 1, 0):i + 2]
+        if 0 < i < len(rows) - 1 and all(r["c0"] is not None for r in near):
+            prev_c, next_c = rows[i - 1]["c0"], rows[i + 1]["c0"]
+            row["dc0"] = float((next_c - prev_c) / (2.0 * h))
+            row["d2c0"] = float((next_c - 2.0 * row["c0"] + prev_c) / (h * h))
+    return rows
+
+
+_SWEEP_FORMS = [("complete", "power", False, "_CompletePower"),
+                ("complete", "log", True, "_CompletePower"),
+                ("complete", "exp", False, "_CompleteGeneral"),
+                ("bond_only", "exp", False, "_ExponentialBonds"),
+                ("general", "power", False, None)]
+
+
+@pytest.mark.parametrize("family, utility, floors, form", _SWEEP_FORMS)
+def test_sweep_equals_solve_auto_at_every_grid_point(family, utility, floors, form):
+    # the prepared closed forms, and Newton where none applies, give each row
+    # exactly what a solve_auto at that endowment gives, failed rows included
+    sc = generate_scenario(44, family, T=2, utility=utility, habit="one_lag", floors=floors)
+    t = sc.tree
+    eps = [np.ones(1)] + [np.zeros(t.n_atoms(k)) for k in range(1, t.T + 1)] if floors \
+        else sc.eps
+    grid = np.linspace(1e-6 if floors else 0.3, 2.5, 6)
+    rows = wealth_sweep(sc.market, sc.prefs, eps, grid[0], grid[-1], len(grid))
+    assert rows == _sweep_by_solve_auto(sc.market, sc.prefs, eps, grid)
+    assert any(r["status"] != "ok" for r in rows) == floors
+
+
+@pytest.mark.parametrize("family, utility, form", [(f, u, form) for f, u, _, form in _SWEEP_FORMS
+                                                   if form is not None])
+@pytest.mark.parametrize("n", [3, 8])
+def test_sweep_prepares_its_closed_form_once(monkeypatch, family, utility, form, n):
+    # the wealth-independent part runs once per sweep; no grid point
+    # assembles holdings
+    sc = generate_scenario(45, family, T=2, utility=utility, habit="one_lag")
+    built = []
+    cls = getattr(habitopt.solvers, form)
+    init = cls.__init__
+
+    def counted(self, *args):
+        built.append(type(self).__name__)
+        init(self, *args)
+
+    def no_holdings(*args):
+        raise AssertionError("a sweep point assembled holdings")
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    monkeypatch.setattr(habitopt.solvers, "_replicate_portfolio", no_holdings)
+    rows = wealth_sweep(sc.market, sc.prefs, sc.eps, 0.5, 2.0, n)
+    assert [r["status"] for r in rows] == ["ok"] * n
+    assert built == [form]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -478,6 +479,18 @@ def test_sweep_rejects_malformed_range(instance, capsys):
     assert "start:stop:count" in err
 
 
+@pytest.mark.parametrize("grid", ["0.5:inf:3", "nan:2:3"])
+def test_sweep_rejects_a_range_that_is_not_finite(instance, capsys, grid):
+    # rejected before the grid is built, so numpy never warns about it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "sweep", "--model", instance["model"],
+                             "--prefs", instance["prefs"], "--endow", instance["endow"],
+                             "--range", grid)
+    assert code == 2
+    assert out == "" and "--range" in err and "Warning" not in err
+
+
 # ---------------------------------------------------------------------------
 # repro
 # ---------------------------------------------------------------------------
@@ -489,6 +502,14 @@ def test_repro_linearity_single_cell(capsys):
     assert report["passed"] is True
     assert len(report["rows"]) == 1
     assert report["rows"][0]["share"] == pytest.approx(0.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("rate", ["0", "-0.5"])
+def test_repro_linearity_rejects_a_gross_rate_that_is_not_positive(capsys, rate):
+    # --r is the gross rate: the message names it, not the net rate r - 1
+    code, out, err = run(capsys, "repro", "linearity", "--r", rate)
+    assert code == 2
+    assert out == "" and "gross rate" in err and "1 + r > 0" not in err
 
 
 def test_repro_convexity_example(capsys):
