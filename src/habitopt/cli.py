@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -489,7 +490,10 @@ def _cmd_generate(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``parse_args`` makes a new
+    namespace per call, so no default carries over between commands."""
     ap = argparse.ArgumentParser(
         prog="habitopt",
         description="Habit-forming consumption optimization on event trees.",

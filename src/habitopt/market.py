@@ -80,9 +80,9 @@ class MarketModel:
     and prices vanish at the terminal level.
 
     A model is treated as immutable once built: it caches its payoff-space
-    bases, its aggregate deflator, its state-price deflators (one per LP
+    bases, its aggregate deflator, its state-price deflators (one per named
     objective) and its classification (one per witness), so repeated solves
-    on one market run the no-arbitrage LP and the classification once.
+    on one market certify no arbitrage and classify once.
     """
 
     def __init__(self, tree: EventTree, rates, risky_prices=None, risky_dividends=None,
@@ -284,11 +284,21 @@ def _project(m: MarketModel, k: int, x: np.ndarray) -> np.ndarray:
 # state-price deflators
 # ---------------------------------------------------------------------------
 
-def check_no_arbitrage(m: MarketModel, objective="uniform", seed: int | None = None):
+def check_no_arbitrage(m: MarketModel, objective=None, seed: int | None = None):
     """Find a strictly positive state-price deflator, or prove there is none.
 
-    Solves a linear program for atom values ``R_k(a) >= 1e-8`` (``R_0 = 1``)
-    subject to the pricing identities
+    A finite market is free of arbitrage if and only if every one-period
+    submarket is, so a deflator that is strictly positive and prices every
+    asset at every node proves it.  With the default ``objective=None`` the
+    candidate is the aggregate deflator ``M`` of :func:`aggregate_spd`, whose
+    one-period factor at each node is that node's minimum-norm stochastic
+    discount factor: it is returned when every value is at least ``1e-8`` and
+    :func:`_certify` accepts it.
+
+    Otherwise (some node's minimum-norm factor is not positive, or ``M``
+    vanishes, or misprices), and for every named or vector objective, a
+    linear program decides: it looks for atom values ``R_k(a) >= 1e-8``
+    (``R_0 = 1``) subject to the pricing identities
 
         p_a R_k(a) S^i_k(a) = sum over children b of p_b R_{k+1}(b) (S+d)^i_{k+1}(b)
 
@@ -298,29 +308,45 @@ def check_no_arbitrage(m: MarketModel, objective="uniform", seed: int | None = N
     Parameters
     ----------
     m : MarketModel
-    objective : {"uniform", "seeded"} or array
-        Linear objective over the stacked deflator values.  ``"uniform"``
-        minimizes their sum; ``"seeded"`` draws positive coefficients from
-        ``numpy.random.default_rng(seed)`` so that distinct seeds generically
-        select distinct deflators in incomplete markets.
+    objective : None, {"uniform", "seeded"} or array
+        ``None`` accepts any certified deflator, ``M`` first and the
+        ``"uniform"`` LP's where ``M`` fails.  The others are linear
+        objectives over the stacked deflator values of the LP:
+        ``"uniform"`` minimizes their sum; ``"seeded"`` draws positive
+        coefficients from ``numpy.random.default_rng(seed)`` so that distinct
+        seeds generically select distinct deflators in incomplete markets.
     seed : int, optional
-        Used only with ``objective="seeded"``.
+        Required with ``objective="seeded"`` and ignored otherwise.
 
     Returns
     -------
     AdaptedProcess
         Deflator with one value per atom, level by level, ``R_0 = 1``.  Its
-        arrays are read-only: for a named objective the result is cached on
-        ``m`` per ``(objective, seed)`` and shared by later calls.
+        arrays are read-only: for ``None`` and for a named objective the
+        result is cached on ``m`` per ``(objective, seed)`` and shared by
+        later calls.  In a complete market every objective returns the same
+        unique deflator up to rounding.
 
     Raises
     ------
     ArbitrageDetected
         If the pricing system admits no strictly positive solution.
+    ValueError
+        For ``objective="seeded"`` without a ``seed``, an unknown name, or a
+        vector of the wrong length.
     """
-    key = (objective, seed) if isinstance(objective, str) else None
+    named = objective is None or isinstance(objective, str)
+    if named and objective == "seeded" and seed is None:
+        raise ValueError('objective="seeded" needs a seed')
+    key = (objective, seed) if named else None
     if key in m._deflators:
         return m._deflators[key]
+    if objective is None:
+        R = _certified_aggregate(m)
+        if R is None:
+            R = check_no_arbitrage(m, "uniform")
+        m._deflators[key] = R
+        return R
     t = m.tree
     T = t.T
     # the level-l values R_l, l >= 1, are the columns offsets[l]..offsets[l+1]
@@ -393,6 +419,20 @@ def _certify(m: MarketModel, R: AdaptedProcess) -> None:
             )
 
 
+def _certified_aggregate(m: MarketModel) -> AdaptedProcess | None:
+    """The aggregate deflator as a no-arbitrage certificate, or ``None`` where
+    it vanishes, falls below ``_SPD_FLOOR`` or misprices an asset."""
+    try:
+        M = aggregate_spd(m)
+        if any(np.any(x.values < _SPD_FLOOR) for x in M):
+            return None
+        R = AdaptedProcess(m.tree, M)
+        _certify(m, R)
+    except (VanishingAggregateSPD, ArbitrageDetected):
+        return None
+    return R
+
+
 def _pricing_system(m: MarketModel, offsets: np.ndarray):
     """Sparse pricing identities of :func:`check_no_arbitrage` and their right side.
 
@@ -437,7 +477,8 @@ def aggregate_spd(m: MarketModel) -> list:
     payoff-space SVD of the block.  It equals the projection of the
     one-period ratio ``R_k / R_{k-1}`` of every state-price deflator ``R``,
     so ``M`` does not depend on which deflator the no-arbitrage LP returns;
-    the market is assumed free of arbitrage (see :func:`check_no_arbitrage`).
+    the market is assumed free of arbitrage (see :func:`check_no_arbitrage`,
+    which accepts ``M`` itself as the certificate where it is positive).
     Raises VanishingAggregateSPD as soon as an atom value hits zero, since
     deflated budget constraints then lose meaning.  The result is cached on
     ``m`` and its arrays are read-only.
@@ -485,12 +526,16 @@ class SPDBundle:
     Mtilde: list
 
 
-def spd_bundle(m: MarketModel, beta: np.ndarray, objective="uniform",
+def spd_bundle(m: MarketModel, beta: np.ndarray, objective=None,
                seed: int | None = None) -> SPDBundle:
-    """``R`` from the no-arbitrage LP, and ``M`` and ``Mtilde`` from the caches on ``m``.
+    """``R`` from :func:`check_no_arbitrage`, and ``M`` and ``Mtilde`` from the caches on ``m``.
 
-    ``Mtilde`` is computed once per market and habit matrix (keyed by
-    ``beta``'s shape and bytes); like ``M``, its arrays are read-only.
+    With the default ``objective=None``, ``R`` is ``M`` itself wherever ``M``
+    certifies no arbitrage, and no LP runs; pass ``"uniform"``, ``"seeded"``
+    or a vector for an LP vertex.  ``M`` and ``Mtilde`` do not depend on the
+    objective.  ``Mtilde`` is computed once per market and habit matrix
+    (keyed by ``beta``'s shape and bytes); like ``M``, its arrays are
+    read-only.
     """
     R = check_no_arbitrage(m, objective=objective, seed=seed)
     M = aggregate_spd(m)

@@ -5,28 +5,35 @@ import habitopt.market
 import habitopt.solvers
 
 
-def _count_linprog(monkeypatch, module):
+def _count_calls(monkeypatch, module, name="linprog"):
     calls = []
-    real = module.linprog
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, "linprog", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 @pytest.fixture
 def market_lps(monkeypatch):
     """A list that grows by one entry per no-arbitrage LP solved in ``habitopt.market``."""
-    return _count_linprog(monkeypatch, habitopt.market)
+    return _count_calls(monkeypatch, habitopt.market)
+
+
+@pytest.fixture
+def market_certificates(monkeypatch):
+    """A list that grows by one entry per aggregate deflator that ``check_no_arbitrage``
+    tries as its no-arbitrage certificate."""
+    return _count_calls(monkeypatch, habitopt.market, "_certified_aggregate")
 
 
 @pytest.fixture
 def solver_lps(monkeypatch):
     """A list that grows by one entry per interior-start LP solved in ``habitopt.solvers``."""
-    return _count_linprog(monkeypatch, habitopt.solvers)
+    return _count_calls(monkeypatch, habitopt.solvers)
 
 
 @pytest.fixture

@@ -582,11 +582,12 @@ def test_sweep_keeps_failed_rows():
                 assert rows[i + 1]["dc0"] is None
 
 
-def test_sweep_runs_the_deflator_lp_once(market_lps):
+def test_sweep_certifies_the_deflator_once(market_lps, market_certificates):
     sc = generate_scenario(41, "complete", utility="power", habit="one_lag")
     rows = wealth_sweep(sc.market, sc.prefs, sc.eps, 1.0, 2.0, 5)
     assert [r["status"] for r in rows] == ["ok"] * 5
-    assert len(market_lps) == 1
+    assert len(market_certificates) == 1
+    assert len(market_lps) == 0
 
 
 def _sweep_by_solve_auto(m, p, eps, grid, method="auto"):

@@ -168,6 +168,22 @@ def test_generate_rejects_invalid_arguments(tmp_path, capsys, argv, name):
     assert not list(tmp_path.iterdir())
 
 
+def test_consecutive_commands_do_not_share_options(instance, tmp_path, capsys):
+    assert habitopt.cli.build_parser() is habitopt.cli.build_parser()
+    for d, floors in (("a", []), ("f", ["--floors"]), ("b", [])):
+        assert main(["generate", "--seed", "4", *floors, "--out", str(tmp_path / d)]) == 0
+    capsys.readouterr()
+    prefs = {d: (tmp_path / d / "prefs.json").read_bytes() for d in "afb"}
+    assert prefs["f"] != prefs["a"] == prefs["b"]
+    solve = ["solve", "--model", instance["model"], "--prefs", instance["prefs"],
+             "--endow", instance["endow"]]
+    outs = [run(capsys, *argv) for argv in (solve, solve + ["--method", "oracle"], solve)]
+    assert [code for code, _, _ in outs] == [0, 0, 0]
+    methods = [json.loads(out)["diagnostics"]["method"] for _, out, _ in outs]
+    assert methods[1] == "oracle" != methods[2]
+    assert outs[2] == outs[0]
+
+
 def test_generate_writes_loadable_files(instance):
     model = json.loads(Path(instance["model"]).read_text())
     assert {"meta", "tree", "market", "witness"} <= set(model)

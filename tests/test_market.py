@@ -9,6 +9,7 @@ from habitopt import (
     MarketModel,
     NotInPayoffSpace,
     RandomVariable,
+    VanishingAggregateSPD,
     aggregate_spd,
     build_tree,
     check_no_arbitrage,
@@ -113,8 +114,10 @@ def test_deflator_lp_runs_once_per_objective(complete_market, market_lps):
     first = spd_bundle(complete_market, beta)
     for _ in range(3):
         assert spd_bundle(complete_market, beta).R is first.R
-    assert len(market_lps) == 1
+    # the default certifies with the aggregate deflator: no LP
+    assert len(market_lps) == 0
     for _ in range(2):
+        spd_bundle(complete_market, beta, objective="uniform")
         for seed in (1, 2):
             spd_bundle(complete_market, beta, objective="seeded", seed=seed)
     assert len(market_lps) == 3
@@ -123,6 +126,71 @@ def test_deflator_lp_runs_once_per_objective(complete_market, market_lps):
     check_no_arbitrage(complete_market, objective=c)
     check_no_arbitrage(complete_market, objective=c)
     assert len(market_lps) == 5
+
+
+def test_seeded_objective_needs_a_seed(complete_market, market_lps):
+    with pytest.raises(ValueError, match="seed"):
+        check_no_arbitrage(complete_market, objective="seeded")
+    with pytest.raises(ValueError, match="seed"):
+        spd_bundle(complete_market, np.zeros((3, 3)), objective="seeded")
+    assert len(market_lps) == 0
+
+
+def _one_period_market(payoffs, price):
+    """A zero-rate bond and one risky asset over equally likely children."""
+    n = len(payoffs)
+    t = build_tree([[list(range(n))], [[i] for i in range(n)]], [1 / n] * n)
+    return MarketModel(t, [0.0], [np.array([[price]])],
+                       [np.asarray(payoffs, dtype=float)[:, None]])
+
+
+def test_lp_decides_where_the_minimum_norm_sdf_is_not_positive(market_lps):
+    # the price 0.1 lies strictly inside the payoff range (0, 2), so positive
+    # deflators exist, but the minimum-norm SDF 2.35 - 1.35 x is negative at x = 2
+    m = _one_period_market([0.0, 1.0, 2.0], 0.1)
+    assert aggregate_spd(m)[1].values == pytest.approx([2.35, 1.0, -0.35])
+    R = check_no_arbitrage(m)
+    assert check_no_arbitrage(m) is R
+    assert len(market_lps) == 1
+    assert np.all(R.values(1) >= 1e-8)
+    habitopt.market._certify(m, R)
+
+
+def test_arbitrage_raises_the_lp_message_where_the_aggregate_vanishes(tree2):
+    # at the root the cum-dividend payoff (2, 1) at price 1 leaves the unique
+    # SDF (0, 2), which vanishes at atom 0; below atom 1 the asset costs 0.5
+    # and pays (1, 2): buy it and short half a bond
+    m = MarketModel(tree2, [0.0, 0.0], [np.array([[1.0]]), np.array([[1.0], [0.5]])],
+                    [np.array([[1.0], [0.5]]), np.array([[0.5], [1.5], [1.0], [2.0]])])
+    with pytest.raises(VanishingAggregateSPD):
+        aggregate_spd(m)
+    messages = []
+    for objective in (None, "uniform"):
+        with pytest.raises(ArbitrageDetected) as exc:
+            check_no_arbitrage(_fresh(m), objective)
+        assert type(exc.value) is ArbitrageDetected
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("no strictly positive state-price deflator exists (")
+
+
+@pytest.mark.parametrize("T", [1, 2, 3])
+@pytest.mark.parametrize("family", ["complete", "bond_only", "general", "idiosyncratic"])
+def test_default_deflator_is_the_certified_aggregate(family, T, market_lps):
+    sc = generate_scenario(7, family, T=T, utility="power", habit="one_lag")
+    m = sc.market
+    default = spd_bundle(m, sc.prefs.beta)
+    assert len(market_lps) == 0
+    habitopt.market._certify(m, default.R)
+    for k in range(T + 1):
+        assert default.R.values(k) is default.M[k].values
+    by_lp = spd_bundle(_fresh(m), sc.prefs.beta, objective="uniform")
+    assert len(market_lps) == 1
+    for k in range(T + 1):
+        assert np.array_equal(by_lp.M[k].values, default.M[k].values)
+        assert np.array_equal(by_lp.Mtilde[k].values, default.Mtilde[k].values)
+        if classify_market(m).kind == "complete":
+            assert np.max(np.abs(by_lp.R.values(k) - default.R.values(k))) <= 1e-10
 
 
 def test_cached_deflator_is_read_only(complete_market):

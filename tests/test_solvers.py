@@ -695,13 +695,15 @@ def test_auto_routes_complete_power(complete_scene):
     assert sol.diagnostics["method"] == "complete_power"
 
 
-def test_repeated_solves_run_the_deflator_lp_once(complete_scene, market_lps):
+def test_repeated_solves_certify_the_deflator_once(complete_scene, market_lps,
+                                                  market_certificates):
     sc = complete_scene
     first = solve_auto(sc.market, sc.prefs, sc.eps)
     for _ in range(2):
         again = solve_auto(sc.market, sc.prefs, sc.eps)
         assert np.array_equal(cvals(again, 0), cvals(first, 0))
-    assert len(market_lps) == 1
+    assert len(market_certificates) == 1
+    assert len(market_lps) == 0
 
 
 def test_auto_routes_exponential_bonds(exp_scene):
