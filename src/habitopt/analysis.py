@@ -16,8 +16,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq  # noqa: F401 (perfbench/spans.py wraps it here)
 
+from ._scipy import brentq  # noqa: F401 (perfbench/spans.py wraps it here)
 from .errors import (
     GenerationExhausted,
     HabitOptError,

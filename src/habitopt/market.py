@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_array
 
+from ._scipy import coo_array, linprog
 from .errors import (
     ArbitrageDetected,
     DivisionByZeroSPD,

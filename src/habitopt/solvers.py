@@ -20,10 +20,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.optimize import brentq, linprog, minimize
-from scipy.sparse import coo_array
 
+from ._scipy import brentq, cho_factor, cho_solve, coo_array, linprog, minimize
 from .errors import (
     BracketFailure,
     DomainViolation,
@@ -375,20 +373,29 @@ def _ridged_cholesky(H: np.ndarray):
         try:
             return cho_factor(H + (ridge * np.eye(len(H)) if ridge else 0.0), lower=True,
                               check_finite=False), ridge
-        except LinAlgError:
+        except np.linalg.LinAlgError:
             ridge = max(ridge * 10.0, 1e-12 * max(1.0, float(np.max(np.abs(H)))))
             if ridge > 1e40:
                 return None, ridge
 
 
 _MAX_ITER = 300
+_DECREMENT_TOL = 4.0 * np.finfo(float).eps   # of max(1, |U|)
 
 
 def _newton_maximize(plan: _SubtreePlan, x0, gtol: float):
     """Damped Newton ascent of the concave plan utility from ``_start(plan, x0)``.
 
     Returns the maximizer, the utility there and the iteration diagnostics.
-    Each point is evaluated once and differentiated at most once.
+    Each point is evaluated once and differentiated at most once.  The ascent
+    stops at ``max|g| <= gtol`` or, where the full step no longer halves the
+    gradient, once half the squared Newton decrement ``g.step`` (the
+    predicted gain ``U* - U``) is at most ``_DECREMENT_TOL max(1, |U|)``:
+    below the rounding of ``U`` no line search can measure progress, so the
+    full step is taken where it is admissible and the ascent ends there
+    (Boyd & Vandenberghe, *Convex Optimization*, 9.5.1).  That exit records
+    ``stop = "decrement"`` in the diagnostics; its ``grad_norm`` may exceed
+    ``gtol``.
     """
     x, fx = _start(plan, x0)
     x = x.copy()
@@ -415,7 +422,7 @@ def _newton_maximize(plan: _SubtreePlan, x0, gtol: float):
                                  diagnostics=dict(info))
         step = cho_solve(cf, g, check_finite=False)
         info["ridge"] = max(info["ridge"], ridge)
-        gs = float(np.dot(g, step))
+        gs = lam2 = float(np.dot(g, step))      # lam2: the squared Newton decrement
         if gs <= 0:
             step = g
             gs = float(np.dot(g, g))
@@ -429,12 +436,16 @@ def _newton_maximize(plan: _SubtreePlan, x0, gtol: float):
             if float(np.abs(full[0]).max()) <= 0.5 * gn:
                 x, fx, (g, hw) = x_full, f_full, full
                 continue
+        if 0.0 < 0.5 * lam2 <= _DECREMENT_TOL * max(1.0, abs(fx)):
+            if full is not None:
+                x, fx = x_full, f_full
+                info.update(iterations=it + 1, grad_norm=float(np.abs(full[0]).max()))
+            info["stop"] = "decrement"
+            return x, fx, info
         tstep, cand = 1.0, f_full
         while not cand >= fx + 1e-4 * tstep * gs:
             tstep *= 0.5
             if tstep < 1e-15:
-                if gn <= 100 * gtol:
-                    return x, fx, info
                 raise NonConvergence(
                     f"line search stalled with gradient norm {gn:.3e}",
                     best=x, diagnostics=dict(info),
@@ -443,9 +454,6 @@ def _newton_maximize(plan: _SubtreePlan, x0, gtol: float):
         x, fx = x + tstep * step, cand
         g, hw = full if tstep == 1.0 else _derivatives(plan, x)
     gn = float(np.abs(g).max())
-    if gn <= 100 * gtol:
-        info["grad_norm"] = gn
-        return x, fx, info
     raise NonConvergence(
         f"no convergence after {_MAX_ITER} iterations (gradient norm {gn:.3e})",
         best=x, diagnostics=dict(info),
@@ -483,10 +491,13 @@ def solve_general(m: MarketModel, p: HabitPreferences, eps, x0=None,
                   gtol: float = 1e-11) -> Solution:
     """Maximize total habit utility over self-financing plans.
 
-    Works on any no-arbitrage market and any concave family.  The returned
-    gradient norm bounds the probability-weighted pricing residuals of the
-    habit-adjusted marginal deflator, which is the optimality certificate.
-    ``x0`` warm-starts Newton as in ``solve_subproblem``.
+    Works on any no-arbitrage market and any concave family.  When Newton
+    stops on ``gtol``, the returned gradient norm bounds the
+    probability-weighted pricing residuals of the habit-adjusted marginal
+    deflator.  When it stops on its decrement (``diagnostics["stop"] ==
+    "decrement"``, see ``_newton_maximize``), the gradient norm is only what
+    the rounding of the utility allowed and certifies nothing.  ``x0``
+    warm-starts Newton as in ``solve_subproblem``.
     """
     plan = _SubtreePlan(m, p, _as_level_values(m.tree, eps))
     x, _, info = _newton_maximize(plan, x0, gtol)
@@ -607,13 +618,14 @@ def solve_primal_oracle(m: MarketModel, p: HabitPreferences, eps) -> Solution:
 # ---------------------------------------------------------------------------
 
 def _forward_consumption(p: HabitPreferences, spd: SPDBundle, atoms, history,
-                         z: float) -> list:
+                         z: float, where: dict) -> list:
     """Consumption on a subtree from the adjusted consumption ``z`` at its root.
 
     The first-order conditions tie every later adjusted consumption to ``z``
     through perturbed-deflator ratios; the habits then unroll it into
     consumption, with ``history`` giving consumption above the subtree's root
-    at level ``len(history)``.  Values per level are aligned with ``atoms``.
+    at level ``len(history)``.  Values per level are aligned with ``atoms``;
+    ``where`` is the subtree's ``habit.lag_positions``.
     """
     t = p.tree
     fam = p.family
@@ -625,7 +637,7 @@ def _forward_consumption(p: HabitPreferences, spd: SPDBundle, atoms, history,
     for l in range(k + 1, t.T + 1):
         chat = fam.du_inv(l, lam * spd.Mtilde[l].values[atoms[l]] / mt_root)
         y[l] = np.asarray(chat, dtype=float) + p.h[l][atoms[l]]
-    return p.habit.solve(y, atoms, history)
+    return p.habit.solve(y, atoms, history, where)
 
 
 def _budget_gap(t, spd: SPDBundle, c, endow, atoms) -> float:
@@ -677,8 +689,8 @@ def _budget_root(gap, inada: bool, wealth: float) -> tuple:
 
 class _CompleteContinuation:
     """The complete-market optimum below ``node`` at level ``k``, prepared for
-    every entering wealth: the subtree's atoms, its endowments and their
-    deflated values below level ``k``.
+    every entering wealth: the subtree's atoms and their habit lag positions,
+    its endowments and their deflated values below level ``k``.
 
     ``history`` is consumption on the node's strict ancestors.  As in
     ``_SubtreePlan``, the entering wealth ``w`` of ``solve`` replaces the
@@ -690,6 +702,7 @@ class _CompleteContinuation:
         t = p.tree
         self.p, self.spd, self.k, self.history = p, spd, k, history
         self.atoms = atoms = _subtree_atoms(t, k, node)
+        self.where = p.habit.lag_positions(atoms, k)
         self.endow = [None if al is None else eps_vals[l][al] for l, al in enumerate(atoms)]
         self.later = [float(np.dot(t.atom_probs[l][atoms[l]],
                                    spd.M[l].values[atoms[l]] * self.endow[l]))
@@ -699,7 +712,8 @@ class _CompleteContinuation:
         """Consumption per level, aligned with the subtree's atoms (``None``
         above ``k``), the budget gap left by the root-find, and the root's
         adjusted consumption, for the entering wealth ``w``."""
-        p, spd, k, atoms, history = self.p, self.spd, self.k, self.atoms, self.history
+        p, spd, k, atoms, history, where = (self.p, self.spd, self.k, self.atoms,
+                                            self.history, self.where)
         t = p.tree
         endow = list(self.endow)
         endow[k] = endow[k] + w if k else np.array([float(w)])
@@ -708,11 +722,11 @@ class _CompleteContinuation:
                                               spd.M[k].values[atoms[k]] * endow[k])))
 
         def gap(z: float) -> float:
-            return _budget_gap(t, spd, _forward_consumption(p, spd, atoms, history, z),
+            return _budget_gap(t, spd, _forward_consumption(p, spd, atoms, history, z, where),
                                endow, atoms)
 
         z, resid = _budget_root(gap, p.family.inada, wealth)
-        return _forward_consumption(p, spd, atoms, history, z), resid, z
+        return _forward_consumption(p, spd, atoms, history, z, where), resid, z
 
 
 def _complete_continuation(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int,
@@ -736,8 +750,9 @@ def _complete_response(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int, no
     of zero inputs), and ``z`` by minus the price of that move over ``g'``.
     """
     t, fam = p.tree, p.family
-    c, _, z = _complete_continuation(p, spd, eps_vals, k, node, history, w)
-    atoms = _subtree_atoms(t, k, node)
+    cont = _CompleteContinuation(p, spd, eps_vals, k, node, history)
+    c, _, z = cont.solve(w)
+    atoms, where = cont.atoms, cont.where
     zero = [None if al is None else np.zeros(len(al)) for al in atoms]
     r = [None if al is None else spd.Mtilde[l].values[al] / spd.Mtilde[k].values[node]
          for l, al in enumerate(atoms)]
@@ -747,7 +762,7 @@ def _complete_response(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int, no
     d1 = [None] * k + [fam.d2u(k, z) * r[l] / u2[l] for l in levels]
 
     def price(dchat, hist=(0.0,) * k):
-        dc = p.habit.solve(dchat, atoms, hist)
+        dc = p.habit.solve(dchat, atoms, hist, where)
         return _budget_gap(t, spd, dc, zero, atoms), dc[k][0]
 
     g1, dh, d2z = price(d1)[0], 0.0, None

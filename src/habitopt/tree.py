@@ -9,6 +9,7 @@ per-atom values attached to a level of such a tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -126,20 +127,32 @@ def build_tree(levels, probs) -> EventTree:
         p = p / total
 
     n = p.size
-    lvls = tuple(tuple(tuple(sorted(int(i) for i in atom)) for atom in lvl) for lvl in levels)
+    lvls = tuple(tuple(tuple(sorted(map(int, atom))) for atom in lvl) for lvl in levels)
     if len(lvls) < 1:
         raise NonNested("a tree needs at least the trivial level 0")
 
+    # per level: the leaves atom by atom, and the atom each entry belongs to
+    try:
+        flat = [np.fromiter(chain.from_iterable(lvl), dtype=int) for lvl in lvls]
+    except OverflowError:                    # a leaf index that no int64 holds
+        k, a, i = next((k, a, i) for k, lvl in enumerate(lvls) for a, atom in enumerate(lvl)
+                       for i in atom if not -2 ** 63 <= i < 2 ** 63)
+        raise NonNested(f"level {k} atom {a} references leaf {i} outside 0..{n - 1}") from None
+    sizes = [np.fromiter(map(len, lvl), dtype=int, count=len(lvl)) for lvl in lvls]
+    owner = [np.repeat(np.arange(len(lvl)), size) for lvl, size in zip(lvls, sizes)]
     leaf_to_atom = []
-    for k, lvl in enumerate(lvls):
+    for k, (leaves, own) in enumerate(zip(flat, owner)):
+        outside = (leaves < 0) | (leaves >= n)
+        if outside.any() or np.bincount(leaves, minlength=n).max() > 1:
+            repeated = np.ones(leaves.size, dtype=bool)
+            repeated[np.unique(leaves, return_index=True)[1]] = False
+            j = np.flatnonzero(outside | repeated)[0]     # the first misplaced entry
+            if outside[j]:
+                raise NonNested(f"level {k} atom {own[j]} references leaf {leaves[j]} "
+                                f"outside 0..{n - 1}")
+            raise NonNested(f"leaf {leaves[j]} appears in two atoms at level {k}")
         seen = np.full(n, -1, dtype=int)
-        for a, atom in enumerate(lvl):
-            for i in atom:
-                if not (0 <= i < n):
-                    raise NonNested(f"level {k} atom {a} references leaf {i} outside 0..{n - 1}")
-                if seen[i] != -1:
-                    raise NonNested(f"leaf {i} appears in two atoms at level {k}")
-                seen[i] = a
+        seen[leaves] = own
         if np.any(seen == -1):
             missing = int(np.flatnonzero(seen == -1)[0])
             raise NonNested(f"leaf {missing} is missing from level {k}")
@@ -147,28 +160,29 @@ def build_tree(levels, probs) -> EventTree:
 
     if len(lvls[0]) != 1:
         raise NonNested("level 0 must consist of a single atom")
-    if len(lvls[-1]) != n or any(len(atom) != 1 for atom in lvls[-1]):
+    if len(lvls[-1]) != n or np.any(sizes[-1] != 1):
         raise NonNested("the terminal level must list each leaf as its own atom")
-    if any(lvls[-1][i][0] != i for i in range(n)):
+    if np.any(flat[-1] != np.arange(n)):
         raise NonNested("terminal atoms must appear in leaf order")
 
     parent = [np.zeros(1, dtype=int)]
     for k in range(1, len(lvls)):
-        par = np.empty(len(lvls[k]), dtype=int)
-        for a, atom in enumerate(lvls[k]):
-            owners = {int(leaf_to_atom[k - 1][i]) for i in atom}
-            if len(owners) != 1:
-                raise NonNested(
-                    f"atom {a} at level {k} straddles {len(owners)} atoms of level {k - 1}"
-                )
-            par[a] = owners.pop()
+        up, own = leaf_to_atom[k - 1][flat[k]], owner[k]
+        par = np.full(len(lvls[k]), -1)
+        par[own] = up
+        straddles = par < 0                  # an empty atom sits in no parent
+        straddles[own[up != par[own]]] = True
+        if straddles.any():
+            a = int(np.argmax(straddles))
+            raise NonNested(f"atom {a} at level {k} straddles "
+                            f"{np.unique(up[own == a]).size} atoms of level {k - 1}")
         parent.append(par)
 
-    atom_probs = tuple(
-        np.array([p[list(atom)].sum() for atom in lvl]) for lvl in lvls
-    )
-    # atoms are sorted tuples, so their first entry is the smallest leaf
-    first_leaf = tuple(np.array([atom[0] for atom in lvl], dtype=int) for lvl in lvls)
+    # atoms are sorted, so their first entry is the smallest leaf
+    starts = [np.cumsum(size) - size for size in sizes]
+    first_leaf = tuple(leaves[start] for leaves, start in zip(flat, starts))
+    atom_probs = tuple(_atom_sums(p, leaves, size, start)
+                       for leaves, size, start in zip(flat, sizes, starts))
     child_blocks = tuple(_child_blocks(parent[k + 1], len(lvls[k]))
                          for k in range(len(lvls) - 1))
     p.setflags(write=False)
@@ -186,6 +200,18 @@ def build_tree(levels, probs) -> EventTree:
         first_leaf=first_leaf,
         child_blocks=child_blocks,
     )
+
+
+def _atom_sums(p: np.ndarray, leaves: np.ndarray, sizes: np.ndarray,
+               starts: np.ndarray) -> np.ndarray:
+    """``p`` summed over each atom, bit for bit ``p[list(atom)].sum()``: the
+    atoms of one size are rows of one array, and numpy sums each row as it
+    would sum the atom alone."""
+    out = np.empty(sizes.size)
+    for size in np.unique(sizes):
+        atoms = np.flatnonzero(sizes == size)
+        out[atoms] = p[leaves[starts[atoms, None] + np.arange(size)]].sum(axis=1)
+    return out
 
 
 def _child_blocks(parent: np.ndarray, n_parents: int) -> tuple:
@@ -347,7 +373,8 @@ class HabitOperator:
 
     ``apply`` reads ``c_l`` at the level-``l`` ancestor of each level-``k``
     atom, on the whole tree or on the subtree with per-level sorted ``atoms``
-    and the plan's ``history`` above its root; ``solve`` inverts it.
+    and the plan's ``history`` above its root; ``solve`` inverts it, reading
+    the ancestors at the positions ``where`` (``lag_positions``) when given.
     ``adjoint`` is the transpose under ``sum over k of E[y_k x_k]``,
     ``y_k - sum over m > k of beta[m, k] E[y_m | level k]``; ``adjoint_solve``
     inverts it.  Terms are added in place in increasing lag order, and
@@ -369,14 +396,22 @@ class HabitOperator:
         anc = self.tree.ancestor(k, l)
         return anc if atoms is None else np.searchsorted(atoms[l], anc[atoms[k]])
 
-    def _unroll(self, x, atoms, history, sign: float) -> list:
+    def lag_positions(self, atoms=None, top: int = 0) -> dict:
+        """``positions(atoms, k, l)`` keyed by ``(k, l)`` for every lag with
+        ``top <= l < k``: what ``apply`` and ``solve`` read on a subtree whose
+        root is at level ``top``, for callers that unroll it many times."""
+        return {(k, l): self.positions(atoms, k, l)
+                for k in range(top, self.tree.T + 1) for l, _ in self.lags[k] if l >= top}
+
+    def _unroll(self, x, atoms, history, sign: float, where) -> list:
+        if where is None:
+            where = self.lag_positions(atoms, len(history))
         out = [None] * (self.tree.T + 1)
         past = x if sign < 0 else out        # apply lags the plan, solve its result
         for k in range(len(history), self.tree.T + 1):
             out[k] = np.array(x[k], dtype=float)
             for l, b in self.lags[k]:
-                out[k] += sign * b * (history[l] if l < len(history)
-                                      else past[l][self.positions(atoms, k, l)])
+                out[k] += sign * b * (history[l] if l < len(history) else past[l][where[k, l]])
         return out
 
     def _condition(self, y, sign: float) -> list:
@@ -389,10 +424,10 @@ class HabitOperator:
         return out
 
     def apply(self, c, atoms=None, history=()) -> list:
-        return self._unroll(c, atoms, history, -1.0)
+        return self._unroll(c, atoms, history, -1.0, None)
 
-    def solve(self, chat, atoms=None, history=()) -> list:
-        return self._unroll(chat, atoms, history, 1.0)
+    def solve(self, chat, atoms=None, history=(), where=None) -> list:
+        return self._unroll(chat, atoms, history, 1.0, where)
 
     def adjoint(self, y) -> list:
         return self._condition(y, -1.0)

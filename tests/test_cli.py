@@ -440,22 +440,22 @@ def test_verify_runs_one_newton_solve_per_response(tmp_path, capsys, monkeypatch
 
 
 def test_verify_takes_one_root_find_per_closed_form_response(tmp_path, capsys, monkeypatch):
-    # 7 non-leaf responses; the probes and eta read them and root-find nothing more
+    # one root-find for the solve and one for each of the 7 non-leaf responses;
+    # the probes and eta read the responses and root-find nothing more
     files = _generate(tmp_path, capsys, "--seed", "5001", "--family", "complete", "--T", "3",
                       "--utility", "power", "--habit", "one_lag")
     calls = []
-    real = habitopt.solvers._complete_continuation
+    real = habitopt.solvers._budget_root
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    for module in (habitopt.solvers, habitopt.analysis):
-        monkeypatch.setattr(module, "_complete_continuation", counted, raising=False)
+    monkeypatch.setattr(habitopt.solvers, "_budget_root", counted)
     code, _, _ = run(capsys, "verify", *files,
                      "--checks", "monotonicity,eta,concavity,envelope,foc")
     assert code == 0
-    assert len(calls) == 7
+    assert len(calls) == 1 + 7
 
 
 # ---------------------------------------------------------------------------

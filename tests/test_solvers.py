@@ -16,6 +16,7 @@ from habitopt import (
     build_tree,
     condexp,
     consumption_to_wealth,
+    foc_residual,
     generate_scenario,
     has_inverse_marginal,
     lift,
@@ -492,6 +493,22 @@ def test_no_accepted_point_is_differentiated_twice(monkeypatch):
     # one differentiation at the start and one per step: 10 steps, 11 iterations
     assert sol.diagnostics["iterations"] == 11
     assert len(seen) == 11
+
+
+@pytest.mark.parametrize("seed, T", [(36201, 7), (306502, 8)])
+def test_newton_stops_once_the_decrement_is_below_the_rounding_of_the_utility(seed, T):
+    # on both the gradient's rounding floor (~1e-8) lies above gtol: Newton used to
+    # stall there for 300 iterations and raise NonConvergence
+    sc = generate_scenario(seed, "complete", T=T, utility="power", habit="one_lag",
+                           max_tries=1000)
+    sol = solve_general(sc.market, sc.prefs, sc.eps)
+    assert sol.diagnostics["stop"] == "decrement"
+    assert sol.diagnostics["iterations"] <= 20
+    foc = foc_residual(sc.market, sc.prefs, sol.c, spd_bundle(sc.market, sc.prefs.beta))
+    assert max(float(np.max(np.abs(r))) for r in foc) <= 1e-8
+    closed = solve_auto(sc.market, sc.prefs, sc.eps, method="closed")
+    for k in range(T + 1):
+        assert np.max(np.abs(sol.c.values(k) - closed.c.values(k))) <= 1e-9
 
 
 def test_non_finite_curvature_is_a_non_convergence(monkeypatch):

@@ -69,6 +69,45 @@ def test_level0_must_be_trivial():
         build_tree(levels, [0.25] * 4)
 
 
+@pytest.mark.parametrize("levels, message", [
+    ([[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1, 2], [3]]],
+     "the terminal level must list each leaf as its own atom"),
+    ([[[0, 1, 2, 3]], [[0, 1, 2], [3]], [[0, 1], [2, 3]], [[0], [1], [2], [3]]],
+     "atom 1 at level 2 straddles 2 atoms of level 1"),
+    ([[[0, 1, 2, 3]], [[0, 1], [], [2, 3]], [[0], [1], [2], [3]]],
+     "atom 1 at level 1 straddles 0 atoms of level 0"),
+    ([[[0, 1, 2, 3]], [[0, 1], [1, 2, 3]], [[0], [1], [2], [3]]],
+     "leaf 1 appears in two atoms at level 1"),
+    ([[[0, 1, 2, 3]], [[0, 1], [2, 7]], [[0], [1], [2], [3]]],
+     "level 1 atom 1 references leaf 7 outside 0..3"),
+    ([[[0, 1, 2, 3]], [[0, 1], [-1, 2, 3, 3]], [[0], [1], [2], [3]]],
+     "level 1 atom 1 references leaf -1 outside 0..3"),
+    ([[[0, 1, 2, 3]], [[0, 1], [2, 3, 2 ** 70]], [[0], [1], [2], [3]]],
+     f"level 1 atom 1 references leaf {2 ** 70} outside 0..3"),
+    ([[[0, 1, 3]], [[0], [1], [2], [3]]], "leaf 2 is missing from level 0"),
+    ([[[0, 1, 2, 3]], [[1], [0], [2], [3]]], "terminal atoms must appear in leaf order"),
+])
+def test_malformed_levels_name_the_first_fault(levels, message):
+    with pytest.raises(NonNested) as err:
+        build_tree(levels, [0.25] * 4)
+    assert str(err.value) == message
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_atom_probabilities_are_the_per_atom_sums(data):
+    # bit for bit p[list(atom)].sum(), over atoms of mixed sizes
+    n = data.draw(st.integers(1, 300))
+    p = np.random.default_rng(n).random(n)
+    p /= p.sum()
+    perm = data.draw(st.permutations(range(n)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(1, n - 1)), max_size=min(12, n - 1))))
+    middle = [sorted(a) for a in np.split(np.array(perm, dtype=int), cuts) if len(a)]
+    t = build_tree([[list(range(n))], [list(a) for a in middle], [[i] for i in range(n)]], p)
+    for k, lvl in enumerate(t.levels):
+        assert np.array_equal(t.atom_probs[k], [t.probs[list(atom)].sum() for atom in lvl])
+
+
 def test_json_round_trip_is_exact():
     t = build_tree(BINARY2, [0.1, 0.2, 0.3, 0.4])
     t2 = t.__class__.from_json(t.to_json())
