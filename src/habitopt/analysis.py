@@ -21,7 +21,6 @@ from ._scipy import brentq  # noqa: F401 (perfbench/spans.py wraps it here)
 from .errors import (
     GenerationExhausted,
     HabitOptError,
-    Infeasible,
     NonConvergence,
     PreconditionViolated,
     WrongMarketClass,
@@ -47,10 +46,10 @@ from .preferences import (
 )
 from .solvers import (
     Solution,
+    _admissible,
     _closed_form,
     _complete_response,
     _CompleteGeneral,
-    _interior_start,
     _plan_response,
     _subtree_atoms,
     _SubtreePlan,
@@ -839,9 +838,7 @@ def generate_scenario(seed: int, family: str = "complete", T: int = 2,
                 continue
             witness = None
             prefs, eps = _draw_prefs_and_endowments(rng, tree, fam, beta, floors)
-        try:
-            _interior_start(_SubtreePlan(market, prefs, eps))
-        except Infeasible:
+        if not _admissible(market, prefs, eps):
             continue
         meta = {"seed": int(seed), "family": family, "T": int(T),
                 "utility": utility, "habit": habit, "floors": bool(floors)}

@@ -12,6 +12,7 @@ maps between consumption and wealth.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -79,9 +80,10 @@ class MarketModel:
     and prices vanish at the terminal level.
 
     A model is treated as immutable once built: it caches its payoff-space
-    bases, its aggregate deflator, its state-price deflators (one per named
-    objective) and its classification (one per witness), so repeated solves
-    on one market certify no arbitrage and classify once.
+    bases, its nodes' extreme one-period state prices, its aggregate
+    deflator, its state-price deflators (one per named objective) and its
+    classification (one per witness), so repeated solves on one market
+    certify no arbitrage and classify once.
     """
 
     def __init__(self, tree: EventTree, rates, risky_prices=None, risky_dividends=None,
@@ -149,6 +151,7 @@ class MarketModel:
         self.S = S
         self.d = d
         self._bases: dict[int, PayoffSpaceBasis] = {}
+        self._vertices: dict[int, tuple] = {}
         self._aggregate: tuple | None = None
         self._perturbed: dict[tuple, tuple] = {}
         self._deflators: dict[tuple, AdaptedProcess] = {}
@@ -277,6 +280,79 @@ def _project(m: MarketModel, k: int, x: np.ndarray) -> np.ndarray:
         coeffs = b.rows @ xw[b.children][..., None]
         out[b.children] = (np.swapaxes(coeffs, 1, 2) @ b.rows)[:, 0]
     return out
+
+
+class _Vertices(NamedTuple):
+    """The extreme one-period state prices of parents with equal child count
+    ``nc`` and payoff rank ``r``, ``nv`` per parent (a parent with fewer
+    repeats its first).
+
+    ``q[j, v]`` prices every asset at ``parents[j]`` from its children, and
+    ``support[j, v]`` lists the ``r`` children (positions in ``children[j]``)
+    that it lives on.
+    """
+
+    parents: np.ndarray       # (g,)
+    children: np.ndarray      # (g, nc)
+    q: np.ndarray             # (g, nv, nc)
+    support: np.ndarray       # (g, nv, r)
+
+
+def _state_price_vertices(m: MarketModel, k: int) -> tuple:
+    """The vertices of each level-``k-1`` node's one-period state prices, ``k = 1..T``.
+
+    For a node with prices ``S`` and children's gains ``G`` (children by
+    assets), ``{q >= 0 : G^T q = S}`` is bounded, since the bond pays
+    ``1 + r > 0`` in every child, and empty exactly where some portfolio has
+    a negative price and a non-negative payoff in every child (Farkas), an
+    arbitrage.  The superhedging price of a claim ``V`` on the children is
+    the largest ``q . V`` over its vertices (Föllmer & Schied, *Stochastic
+    Finance*, ch. 7).  A vertex solves the payoff basis's rank-reduced pricing
+    rows ``rows q = pinv S`` on ``rank`` of the children, whose square block
+    of orthonormal rows is well scaled (singular below a determinant of
+    ``1e-12``); it counts where it is non-negative
+    (to ``1e-12``, then clipped) and prices every asset to ``_PRICING_TOL``.
+    Groups are ``tree.child_blocks[k-1]``'s, split by rank.  The result is
+    cached on ``m``.  Raises ArbitrageDetected, naming the node, where a node
+    has no vertex.
+    """
+    if k in m._vertices:
+        return m._vertices[k]
+    t = m.tree
+    gain, S = m.gain(k), m.S[k - 1]
+    sw = np.sqrt(t.atom_probs[k])
+    groups = []
+    for (block_parents, _), b in zip(t.child_blocks[k - 1], payoff_space_basis(m, k).blocks):
+        rank = b.keep.sum(axis=1)
+        for r in np.unique(rank).tolist():
+            j = np.flatnonzero(rank == r)
+            parents, ch = block_parents[j], b.children[j]
+            g, nc = ch.shape
+            supports = np.array(list(itertools.combinations(range(nc), r)))   # (nv, r)
+            rows = b.rows[j, :r] * sw[ch][:, None, :]
+            square = np.moveaxis(rows[:, :, supports], 2, 1)                 # (g, nv, r, r)
+            ok = np.abs(np.linalg.det(square)) > 1e-12
+            square[~ok] = np.eye(r)
+            rhs = b.pinv[j, :r] @ S[parents][..., None]
+            y = np.linalg.solve(square, rhs[:, None])[..., 0]
+            q = np.zeros((g, len(supports), nc))
+            np.put_along_axis(q, np.broadcast_to(supports, y.shape),
+                              y * sw[ch][:, supports], axis=2)
+            resid = np.abs(q @ gain[ch] - S[parents][:, None, :])
+            ok &= (q >= -1e-12).all(axis=2) & (resid <= _PRICING_TOL * np.maximum(
+                1.0, np.abs(S[parents]))[:, None, :]).all(axis=2)
+            none = np.flatnonzero(~ok.any(axis=1))
+            if none.size:
+                raise ArbitrageDetected(
+                    f"no state prices price every asset at level {k - 1}, atom "
+                    f"{int(parents[none[0]])}: the node admits an arbitrage"
+                )
+            pick = np.where(ok, np.arange(len(supports)), np.argmax(ok, axis=1)[:, None])
+            at = (np.arange(g)[:, None], pick)
+            groups.append(_Vertices(parents, ch, np.maximum(q[at], 0.0),
+                                    np.broadcast_to(supports, (g, *supports.shape))[at]))
+    m._vertices[k] = tuple(groups)
+    return m._vertices[k]
 
 
 # ---------------------------------------------------------------------------

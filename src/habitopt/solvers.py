@@ -3,7 +3,9 @@
 The general path parametrizes a plan by its portfolio holdings, which makes
 consumption affine in the decision variables and the objective globally
 concave; a damped Newton ascent then converges to machine precision and its
-gradient doubles as a pricing-residual certificate.  Specialized paths cover
+gradient doubles as a pricing-residual certificate.  Under an Inada condition
+it starts from a plan that superhedges a common margin of adjusted
+consumption node by node, with no linear program.  Specialized paths cover
 complete markets (scalar root-find on time-0 consumption), power utilities
 with no future endowments (homogeneity), and exponential utilities in
 bond-only markets (explicit backward coefficient recursions).  The complete
@@ -21,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._scipy import brentq, cho_factor, cho_solve, coo_array, linprog, minimize
+from ._scipy import brentq, cho_factor, cho_solve, minimize
+from ._scipy import linprog  # noqa: F401 (perfbench/spans.py wraps it here)
 from .errors import (
     BracketFailure,
     DomainViolation,
@@ -34,7 +37,9 @@ from .errors import (
 from .market import (
     MarketModel,
     SPDBundle,
+    _Vertices,
     _deflated_value,
+    _state_price_vertices,
     classify_market,
     deterministic_interest,
     spd_bundle,
@@ -164,7 +169,7 @@ class _SubtreePlan:
         w = float(w)
 
         self.m, self.p, self.t = m, p, t
-        self.k0, self.node = k0, node
+        self.k0, self.node, self.history = k0, node, tuple(history)
 
         atoms = _subtree_atoms(t, k0, node)
         self.atoms = atoms
@@ -315,8 +320,145 @@ def _jacobian_blocks(beta: np.ndarray, k0: int, row_level, parent_row, prices, g
             np.repeat(keep, nA, axis=1))
 
 
+class _Superhedge:
+    """The cheapest plan that keeps habit-adjusted consumption at a margin ``s``.
+
+    On the subtree with per-level ``atoms`` under its root at level
+    ``k0 = len(history)``, ``c(s) = habit.solve(s + floors, atoms, history)``
+    has ``chat = s`` at every node and is affine in ``s``: ``c0 + s c1``, with
+    ``c1 >= 1`` as the habit weights are non-negative.  A plan with
+    ``chat >= s`` everywhere exists if and only if the subtree's wealth
+    ``b0`` (per level, aligned with ``atoms``) superhedges ``c(s)``: consuming
+    ``c(s)`` above the leaves only raises later ``chat``, and the bond carries
+    what is left to the leaves.  The wealth missing for it,
+    ``V = c(s) - b0 + max over vertices q of q . V_children`` from the leaves
+    up (``market._state_price_vertices``), is convex, increasing and
+    piecewise linear in ``s``; each pass over the subtree is O(nodes).
+    """
+
+    def __init__(self, m: MarketModel, p: HabitPreferences, atoms, b0, history=()):
+        T = m.T
+        self.m, self.atoms, self.b0 = m, atoms, b0
+        self.k0 = k0 = len(history)
+        where = p.habit.lag_positions(atoms, k0)
+        above = [None] * k0
+        self.c0 = p.habit.solve(above + [p.h[l][atoms[l]] for l in range(k0, T + 1)],
+                                atoms, history, where)
+        self.c1 = p.habit.solve(above + [np.ones(len(atoms[l])) for l in range(k0, T + 1)],
+                                atoms, (0.0,) * k0, where)
+        # per level below T: the vertex groups of the subtree's nodes, with the
+        # nodes' positions in atoms[l] and their children's in atoms[l + 1]
+        self.groups = [None] * T
+        for l in range(k0, T):
+            self.groups[l] = []
+            for v in _state_price_vertices(m, l + 1):
+                pos = np.searchsorted(atoms[l], v.parents)
+                inside = atoms[l][np.minimum(pos, len(atoms[l]) - 1)] == v.parents
+                if not inside.all():
+                    v, pos = _Vertices(*(a[inside] for a in v)), pos[inside]
+                if pos.size:
+                    self.groups[l].append((pos, np.searchsorted(atoms[l + 1], v.children), v))
+
+    @classmethod
+    def of(cls, plan: _SubtreePlan) -> "_Superhedge":
+        """The superhedge of ``plan``'s subtree, wealth and history."""
+        k0, T = plan.k0, plan.t.T
+        b0 = [None] * k0 + np.split(plan.b0, [plan.c_off[l] for l in range(k0 + 1, T + 1)])
+        return cls(plan.m, plan.p, plan.atoms, b0, plan.history)
+
+    def value(self, s: float) -> tuple:
+        """``V`` and ``dV/ds`` per level at margin ``s`` (``None`` above ``k0``),
+        and per level each group's active vertex."""
+        k0, T = self.k0, self.m.T
+        V, dV, active = [None] * (T + 1), [None] * (T + 1), [None] * T
+        for l in range(T, k0 - 1, -1):
+            V[l] = self.c0[l] + s * self.c1[l] - self.b0[l]
+            dV[l] = self.c1[l].copy()
+            if l == T:
+                continue
+            active[l] = []
+            for pos, cpos, v in self.groups[l]:
+                vals = (v.q @ V[l + 1][cpos][..., None])[..., 0]
+                j = np.argmax(vals, axis=1)
+                at = np.arange(j.size)
+                V[l][pos] += vals[at, j]
+                dV[l][pos] += _row_dots(v.q[at, j], dV[l + 1][cpos])
+                active[l].append(j)
+        return V, dV, active
+
+    def margin(self) -> float:
+        """The largest ``s`` that the subtree's wealth superhedges, ``V(s*) = 0``.
+
+        Newton on the root's ``V``, started at the root of its tangent at 0,
+        approaches ``s*`` from the right, since ``V`` is convex and
+        increasing, and lands on it once it reaches ``s*``'s linear piece.
+        Raises Infeasible where ``V(0) >= 0``: no plan keeps ``chat > 0``.
+        """
+        k0 = self.k0
+        V, dV, _ = self.value(0.0)
+        if not V[k0][0] < 0:
+            raise Infeasible(
+                "no strictly admissible plan exists for these endowments and habits"
+            )
+        s = -V[k0][0] / dV[k0][0]
+        for _ in range(_MAX_ITER):
+            V, dV, _ = self.value(s)
+            nxt = s - V[k0][0] / dV[k0][0]
+            if not nxt < s:
+                break
+            s = nxt
+        return float(s)
+
+    def holdings(self, s: float) -> list:
+        """Holdings per level ``k0..T-1``, rows aligned with ``atoms``, of a plan
+        with ``chat = s`` above the leaves and ``chat >= s`` at them.
+
+        Each node superhedges its children's ``V`` with the minimum-norm
+        holdings that pay it on the support of its active vertex (a
+        pseudo-inverse, as in ``_replicate_portfolio``, so that redundant
+        assets take the minimum-norm split); the bond covers any shortfall in
+        the other children.  A
+        forward pass then puts each node's excess wealth into the bond.
+        """
+        m, atoms, k0, T = self.m, self.atoms, self.k0, self.m.T
+        V, _, active = self.value(s)
+        gains = [None] * k0 + [m.gain(l + 1) for l in range(k0, T)]
+        theta = []
+        for l in range(k0, T):
+            th = np.zeros((len(atoms[l]), m.n_risky + 1))
+            for (pos, cpos, v), j in zip(self.groups[l], active[l]):
+                at = np.arange(j.size)
+                claim = V[l + 1][cpos]
+                support = v.support[at, j]
+                G = gains[l][v.children]
+                paid = np.take_along_axis(claim, support, axis=1)
+                hedge = np.linalg.pinv(G[at[:, None], support])
+                h = (hedge @ paid[..., None])[..., 0]
+                short = (claim - (G @ h[..., None])[..., 0]) / G[..., 0]
+                h[:, 0] += np.maximum(short.max(axis=1), 0.0)
+                th[pos] = h
+            theta.append(th)
+        wealth = self.b0[k0]
+        for l in range(k0, T):
+            th = theta[l - k0]
+            th[:, 0] += wealth - _row_dots(th, m.S[l][atoms[l]]) - (self.c0[l] + s * self.c1[l])
+            up = np.searchsorted(atoms[l], m.tree.parent[l + 1][atoms[l + 1]])
+            wealth = self.b0[l + 1] + _row_dots(th[up], gains[l][atoms[l + 1]])
+        return theta
+
+
+def _admissible(m: MarketModel, p: HabitPreferences, eps_vals) -> bool:
+    """Whether the full problem has a strictly admissible plan: always without
+    an Inada condition, else where the endowments superhedge ``chat = 0``."""
+    if not p.family.inada:
+        return True
+    V, _, _ = _Superhedge(m, p, _subtree_atoms(m.tree, 0, 0), eps_vals).value(0.0)
+    return bool(V[0][0] < 0)
+
+
 def _interior_start(plan: _SubtreePlan) -> np.ndarray:
-    """Strictly admissible starting point via a max-margin linear program."""
+    """Strictly admissible holdings: zero without an Inada condition, else the
+    superhedging plan at the largest margin (``_Superhedge``)."""
     if not plan.p.family.inada:
         return np.zeros(plan.n_x)
     if plan.n_x == 0:
@@ -324,25 +466,12 @@ def _interior_start(plan: _SubtreePlan) -> np.ndarray:
         if np.any(ch <= 0):
             raise Infeasible("no admissible plan: adjusted consumption is forced non-positive")
         return np.zeros(0)
-    nx, nc = plan.n_x, plan.n_c
-    rows, cols = np.nonzero(plan.J)
-    A_ub = coo_array((np.concatenate([-plan.J[rows, cols], np.ones(nc)]),
-                      (np.concatenate([rows, np.arange(nc)]),
-                       np.concatenate([cols, np.full(nc, nx)]))), shape=(nc, nx + 1))
-    b_ub = plan.Lb
-    cvec = np.zeros(nx + 1)
-    cvec[-1] = -1.0
-    bounds = [(-1e7, 1e7)] * nx + [(None, 1e6)]
-    res = linprog(cvec, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success or res.x[-1] <= 0:
-        raise Infeasible(
-            "no strictly admissible plan exists for these endowments and habits"
-        )
-    return res.x[:-1]
+    hedge = _Superhedge.of(plan)
+    return np.concatenate([th.ravel() for th in hedge.holdings(hedge.margin())])
 
 
 def _start(plan: _SubtreePlan, x0) -> tuple:
-    """``(x, utility at x)``: ``x0`` when strictly admissible, else the LP start."""
+    """``(x, utility at x)``: ``x0`` when strictly admissible, else ``_interior_start``."""
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (plan.n_x,):
@@ -517,8 +646,10 @@ def solve_subproblem(m: MarketModel, p: HabitPreferences, eps, k: int, node: int
     order: levels ``k..T-1``, the subtree's atoms in index order at each
     level, one row of bond and risky holdings per atom -- for instance a
     nearby optimum restricted to this subtree.  When ``x0`` is missing or not
-    strictly admissible (its utility is not finite), the max-margin LP start
-    is used instead.  Stopping rules and errors are the same either way.
+    strictly admissible (its utility is not finite), Newton starts from the
+    superhedging plan at the largest common margin of adjusted consumption
+    (``_interior_start``) instead.  Stopping rules and errors are the same
+    either way.
     """
     plan = _SubtreePlan(m, p, _as_level_values(m.tree, eps), k0=k, node=node,
                         history=history, w=w)

@@ -32,8 +32,10 @@ def market_certificates(monkeypatch):
 
 @pytest.fixture
 def solver_lps(monkeypatch):
-    """A list that grows by one entry per interior-start LP solved in ``habitopt.solvers``."""
-    return _count_calls(monkeypatch, habitopt.solvers)
+    """A list that grows by one entry per cold start in ``habitopt.solvers``: a
+    strictly admissible starting point built without a warm start
+    (``_interior_start``)."""
+    return _count_calls(monkeypatch, habitopt.solvers, "_interior_start")
 
 
 @pytest.fixture

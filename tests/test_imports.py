@@ -50,15 +50,32 @@ def test_validate_loads_no_scipy_solver(tmp_path, capsys):
     assert not [m for m in loaded if m.startswith(HEAVY)]
 
 
-def test_newton_without_a_start_lp_loads_only_scipy_linalg(tmp_path, capsys):
-    # exponential utility has no Inada condition, so Newton starts from zero holdings
-    files = _generate(tmp_path, capsys, "--seed", "1", "--family", "bond_only", "--T", "2",
-                      "--utility", "exp", "--habit", "one_lag")
+def _newton_modules(tmp_path, capsys, family: str, utility: str) -> list[str]:
+    """The scipy modules of a fresh ``solve --method newton`` on a generated T=2 instance."""
+    files = _generate(tmp_path, capsys, "--seed", "1", "--family", family, "--T", "2",
+                      "--utility", utility, "--habit", "one_lag")
     loaded = _fresh_modules("from habitopt import cli; "
                             "assert cli.main(['solve', *sys.argv[2:], "
                             "'--method', 'newton']) == 0", *files)
     assert "scipy.linalg" in loaded
+    return loaded
+
+
+def test_newton_without_a_start_lp_loads_only_scipy_linalg(tmp_path, capsys):
+    # exponential utility has no Inada condition, so Newton starts from zero holdings
+    loaded = _newton_modules(tmp_path, capsys, "bond_only", "exp")
     assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.sparse"))]
+
+
+def test_power_newton_loads_scipy_linalg_only(tmp_path, capsys):
+    # the Inada start superhedges node by node: no start LP, so no scipy.optimize
+    loaded = _newton_modules(tmp_path, capsys, "general", "power")
+    assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.sparse"))]
+
+
+def test_cholesky_of_an_indefinite_matrix_raises_linalg_error():
+    with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+        _scipy.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]), lower=True)
 
 
 def test_lazy_entry_points_return_what_scipy_returns():
@@ -84,6 +101,8 @@ def test_lazy_entry_points_return_what_scipy_returns():
     assert np.array_equal(cf[0], ref[0]) and cf[1] == ref[1]
     g = np.array([1.0, -2.0])
     assert np.array_equal(_scipy.cho_solve(cf, g), scipy.linalg.cho_solve(ref, g))
+    G = np.array([[1.0, 0.5], [-2.0, 3.0]])
+    assert np.array_equal(_scipy.cho_solve(cf, G), scipy.linalg.cho_solve(ref, G))
     parts = (np.array([1.0, 2.0]), (np.array([0, 1]), np.array([1, 0])))
     A = _scipy.coo_array(parts, shape=(2, 2))
     assert type(A) is scipy.sparse.coo_array
@@ -92,7 +111,7 @@ def test_lazy_entry_points_return_what_scipy_returns():
 
 @pytest.mark.parametrize("module, names", [("market", ("linprog", "coo_array")),
                                            ("solvers", ("linprog", "cho_factor", "cho_solve",
-                                                        "brentq", "minimize", "coo_array")),
+                                                        "brentq", "minimize")),
                                            ("analysis", ("brentq",))])
 def test_modules_bind_the_lazy_entry_points(module, names):
     # a module-level name per entry point, for tests and tracing to rebind

@@ -31,10 +31,13 @@ from habitopt import (
     spd_bundle,
 )
 from habitopt import CustomUtility
-from habitopt.analysis import _base_holdings
+from habitopt.analysis import _base_holdings, _priced_market
+from habitopt.errors import ArbitrageDetected, Infeasible
 from habitopt.solvers import (
+    _interior_start,
     _plan_response,
     _replicate_portfolio,
+    _Superhedge,
     _SubtreePlan,
     _subtree_atoms,
 )
@@ -176,6 +179,20 @@ def test_oracle_ignores_redundant_assets(bin1):
     slow = solve_primal_oracle(m, p, eps)
     for k in range(2):
         assert np.allclose(cvals(closed, k), cvals(slow, k), atol=1e-4)
+
+
+def test_newton_solves_a_market_with_redundant_assets(bin1):
+    # any split between the identical assets pays the same: the start takes the
+    # minimum-norm one, and offsetting holdings far from it would stall Newton
+    m = MarketModel(bin1, [0.0], [np.array([[1.0, 1.0]])],
+                    [np.array([[2.0, 2.0], [0.5, 0.5]])])
+    p = HabitPreferences.one_lag(bin1, LogUtility(), 0.5)
+    eps = [np.array([1.0]), np.full(2, 0.1)]
+    closed = solve_auto(m, p, eps, method="closed")
+    fast = solve_general(m, p, eps)
+    assert fast.converged
+    for k in range(2):
+        assert np.allclose(cvals(closed, k), cvals(fast, k), rtol=0, atol=1e-9)
 
 
 def test_oracle_refuses_large_instances():
@@ -490,9 +507,11 @@ def test_no_accepted_point_is_differentiated_twice(monkeypatch):
     for i in range(len(seen)):
         for j in range(i):
             assert not np.array_equal(seen[i], seen[j])
-    # one differentiation at the start and one per step: 10 steps, 11 iterations
-    assert sol.diagnostics["iterations"] == 11
-    assert len(seen) == 11
+    # one differentiation at the start and one per full step tried: 6 steps, 7
+    # iterations, and the first full step falls in utility, so it is damped and
+    # the point reached is differentiated apart from the rejected full step
+    assert sol.diagnostics["iterations"] == 7
+    assert len(seen) == sol.diagnostics["iterations"] + 1
 
 
 @pytest.mark.parametrize("seed, T", [(36201, 7), (306502, 8)])
@@ -756,3 +775,80 @@ def test_has_inverse_marginal():
                          d2u=lambda k, x: -2 * x ** -3.0,
                          du_inv=lambda k, y: y ** -0.5)
     assert has_inverse_marginal(rich)
+
+
+# ---------------------------------------------------------------------------
+# the superhedging start against the max-margin LP it replaced
+# ---------------------------------------------------------------------------
+
+def _lp_margin(plan):
+    """Reference: the former start LP without its holdings box.  It maximizes
+    ``s <= 1e6`` subject to ``chat = J x + Lb >= s``; ``-inf`` where HiGHS
+    finds no optimum."""
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_array
+
+    nx, nc = plan.n_x, plan.n_c
+    rows, cols = np.nonzero(plan.J)
+    A_ub = coo_array((np.concatenate([-plan.J[rows, cols], np.ones(nc)]),
+                      (np.concatenate([rows, np.arange(nc)]),
+                       np.concatenate([cols, np.full(nc, nx)]))), shape=(nc, nx + 1))
+    cvec = np.zeros(nx + 1)
+    cvec[-1] = -1.0
+    res = linprog(cvec, A_ub=A_ub, b_ub=plan.Lb, bounds=[(None, None)] * nx + [(None, 1e6)],
+                  method="highs")
+    return float(res.x[-1]) if res.success else -np.inf
+
+
+def _start_instances(shuffled_prefs):
+    """Every family at T 1-4 with floors and one or two lags, and the pinned
+    tree whose atoms are not in parent order, under a bond-only and a
+    complete market."""
+    out = [generate_scenario(seed, family, T=T, utility=utility, habit=habit, floors=True)
+           for seed, (family, T) in enumerate([("complete", 1), ("complete", 4), ("general", 2),
+                                               ("general", 3), ("bond_only", 3),
+                                               ("idiosyncratic", 2), ("idiosyncratic", 3)], 51)
+           for utility, habit in (("log", "one_lag"), ("power", "two_lag"))]
+    t = shuffled_prefs.tree
+    eps = [np.array([2.0])] + [np.linspace(0.1, 0.3, t.n_atoms(k)) for k in (1, 2, 3)]
+    market = _priced_market(np.random.default_rng(5), t, [0.02] * t.T, 1)
+    return out + [Scenario(t, m, shuffled_prefs, eps, None, {})
+                  for m in (bond(t, 0.02), market)]
+
+
+def test_superhedging_start_has_the_max_margin_of_the_lp(shuffled_prefs):
+    # full plans and continuations after a history, at endowments scaled down
+    # until no plan keeps adjusted consumption positive
+    accepted = rejected = 0
+    for sc in _start_instances(shuffled_prefs):
+        T = sc.tree.T
+        for scale in (1.0, 0.4, 0.1, 0.02):
+            eps = [e * scale for e in sc.eps]
+            plans = [_SubtreePlan(sc.market, sc.prefs, eps)]
+            for k in range(1, T):
+                plans.append(_SubtreePlan(sc.market, sc.prefs, eps, k0=k,
+                                          node=sc.tree.n_atoms(k) - 1,
+                                          history=[0.3 * scale] * k, w=0.2 * scale))
+            for plan in plans:
+                reference = _lp_margin(plan)
+                if reference <= 0:
+                    with pytest.raises(Infeasible):
+                        _interior_start(plan)
+                    rejected += 1
+                    continue
+                s = _Superhedge.of(plan).margin()
+                assert s == pytest.approx(reference, rel=1e-7)
+                chat = plan.chat(_interior_start(plan))
+                leaves = plan.c_off[T]
+                assert np.allclose(chat[:leaves], s, rtol=1e-9, atol=0)
+                assert chat[leaves:].min() >= s * (1 - 1e-9)
+                accepted += 1
+    assert accepted > 100 and rejected > 20
+
+
+def test_a_node_without_state_prices_names_itself(bin1):
+    # the asset costs 1 and pays (2, 1.5) against a zero-rate bond: an arbitrage
+    m = MarketModel(bin1, [0.0], [np.array([[1.0]])], [np.array([[2.0], [1.5]])])
+    p = HabitPreferences.one_lag(bin1, LogUtility(), 0.5)
+    with pytest.raises(ArbitrageDetected, match="level 0, atom 0"):
+        solve_general(m, p, [np.array([1.0]), np.full(2, 0.1)])
