@@ -18,7 +18,7 @@ import importlib
 
 import numpy as np
 
-__all__ = ["brentq", "cho_factor", "cho_solve", "coo_array", "linprog", "minimize"]
+__all__ = ["brentq", "cho_factor", "cho_solve", "linprog", "minimize"]
 
 
 def _on_first_call(module: str, name: str):
@@ -71,5 +71,3 @@ def cho_solve(c_and_lower, b, overwrite_b=False, check_finite=True):
         raise np.linalg.LinAlgError(f"illegal argument {-info} to dpotrs")
     return x
 
-
-coo_array = _on_first_call("scipy.sparse", "coo_array")

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._scipy import coo_array, linprog
+from ._scipy import linprog  # noqa: F401 (perfbench/spans.py wraps it here)
 from .errors import (
     ArbitrageDetected,
     DivisionByZeroSPD,
@@ -81,7 +81,7 @@ class MarketModel:
 
     A model is treated as immutable once built: it caches its payoff-space
     bases, its nodes' extreme one-period state prices, its aggregate
-    deflator, its state-price deflators (one per named objective) and its
+    deflator, its state-price deflators (one per objective and seed) and its
     classification (one per witness), so repeated solves on one market
     certify no arbitrage and classify once.
     """
@@ -371,49 +371,51 @@ def check_no_arbitrage(m: MarketModel, objective=None, seed: int | None = None):
     :func:`_certify` accepts it.
 
     Otherwise (some node's minimum-norm factor is not positive, or ``M``
-    vanishes, or misprices), and for every named or vector objective, a
-    linear program decides: it looks for atom values ``R_k(a) >= 1e-8``
-    (``R_0 = 1``) subject to the pricing identities
+    vanishes, or misprices), and for a named objective, the deflator is built
+    node by node from the vertices of each node's one-period state prices
+    (:func:`_state_price_vertices`).  A node is free of arbitrage if and only
+    if every child is priced positively by some vertex; a convex combination
+    of the vertices with positive weights ``w`` then gives the state prices
+    ``q`` and
 
-        p_a R_k(a) S^i_k(a) = sum over children b of p_b R_{k+1}(b) (S+d)^i_{k+1}(b)
+        R_k(b) = R_{k-1}(a) q_b p_a / p_b
 
-    for every pre-terminal atom and asset slot.  Infeasibility of this system
-    is equivalent to arbitrage on a finite tree.
+    for each child ``b`` of ``a``.  A child whose largest vertex price is at
+    most ``1e-8`` times the node's largest raises ArbitrageDetected.
 
     Parameters
     ----------
     m : MarketModel
-    objective : None, {"uniform", "seeded"} or array
+    objective : None, "uniform" or "seeded"
         ``None`` accepts any certified deflator, ``M`` first and the
-        ``"uniform"`` LP's where ``M`` fails.  The others are linear
-        objectives over the stacked deflator values of the LP:
-        ``"uniform"`` minimizes their sum; ``"seeded"`` draws positive
-        coefficients from ``numpy.random.default_rng(seed)`` so that distinct
-        seeds generically select distinct deflators in incomplete markets.
+        ``"uniform"`` one where ``M`` fails.  ``"uniform"`` weighs each
+        node's vertices equally (a repeated one once per repeat); ``"seeded"`` draws each node's weights from
+        ``numpy.random.default_rng(seed)``, so that distinct seeds
+        generically select distinct deflators in incomplete markets.
     seed : int, optional
         Required with ``objective="seeded"`` and ignored otherwise.
 
     Returns
     -------
     AdaptedProcess
-        Deflator with one value per atom, level by level, ``R_0 = 1``.  Its
-        arrays are read-only: for ``None`` and for a named objective the
-        result is cached on ``m`` per ``(objective, seed)`` and shared by
-        later calls.  In a complete market every objective returns the same
-        unique deflator up to rounding.
+        Deflator with one value per atom, level by level, ``R_0 = 1``.  It is
+        cached on ``m`` per ``(objective, seed)`` and shared by later calls;
+        its arrays are read-only.  In a complete market every objective
+        returns the same unique deflator up to rounding.
 
     Raises
     ------
     ArbitrageDetected
-        If the pricing system admits no strictly positive solution.
+        Naming the node, where the market admits an arbitrage.
     ValueError
-        For ``objective="seeded"`` without a ``seed``, an unknown name, or a
-        vector of the wrong length.
+        For ``objective="seeded"`` without a ``seed``, or an unknown name.
     """
     named = objective is None or isinstance(objective, str)
-    if named and objective == "seeded" and seed is None:
+    if not named or objective not in (None, "uniform", "seeded"):
+        raise ValueError(f"unknown objective {objective!r}")
+    if objective == "seeded" and seed is None:
         raise ValueError('objective="seeded" needs a seed')
-    key = (objective, seed) if named else None
+    key = (objective, seed)
     if key in m._deflators:
         return m._deflators[key]
     if objective is None:
@@ -422,64 +424,45 @@ def check_no_arbitrage(m: MarketModel, objective=None, seed: int | None = None):
             R = check_no_arbitrage(m, "uniform")
         m._deflators[key] = R
         return R
+    rng = np.random.default_rng(seed) if objective == "seeded" else None
     t = m.tree
-    T = t.T
-    # the level-l values R_l, l >= 1, are the columns offsets[l]..offsets[l+1]
-    offsets = np.cumsum([0, 0] + [t.n_atoms(k) for k in range(1, T + 1)])
-    nvar = int(offsets[T + 1])
-    A_eq, b_eq = _pricing_system(m, offsets)
-
-    if key is None:
-        c = np.asarray(objective, dtype=float)
-        if c.shape != (nvar,):
-            raise ValueError(f"objective must have {nvar} entries")
-    elif objective == "uniform":
-        c = np.ones(nvar)
-    elif objective == "seeded":
-        c = np.random.default_rng(seed).uniform(0.5, 1.5, nvar)
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-
-    res = linprog(c, A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(_SPD_FLOOR, None)] * nvar, method="highs")
-    if not res.success:
-        raise ArbitrageDetected(
-            f"no strictly positive state-price deflator exists ({res.message})"
-        )
-
     vals = [np.ones(1)]
-    for k in range(1, T + 1):
-        vals.append(res.x[offsets[k]:offsets[k + 1]].copy())
-
-    # The LP meets the equalities only to solver tolerance (~1e-10 absolute),
-    # which downstream ratio computations can amplify when deflator values are
-    # small.  Repair level by level: least-norm correction of the children
-    # values so each block prices exactly (skipped if it would cost positivity).
-    for k in range(T):
-        gain = m.gain(k + 1)
-        for a in range(t.n_atoms(k)):
-            children = t.children(k, a)
-            pa = t.atom_probs[k][a]
-            X = (t.atom_probs[k + 1][children][None, :] * gain[children].T)
-            resid = pa * vals[k][a] * m.S[k][a] - X @ vals[k + 1][children]
-            delta, *_ = np.linalg.lstsq(X, resid, rcond=None)
-            fixed = vals[k + 1][children] + delta
-            if np.all(fixed > 0):
-                vals[k + 1][children] = fixed
+    for k in range(1, t.T + 1):
+        ratio = np.empty(t.n_atoms(k))
+        for v in _state_price_vertices(m, k):
+            top = v.q.max(axis=1)                                    # (g, nc)
+            thin = np.argwhere(top <= _SPD_FLOOR * top.max(axis=1, keepdims=True))
+            if thin.size:
+                j, b = thin[0]
+                raise ArbitrageDetected(
+                    f"no state price is positive at level {k}, atom {int(v.children[j, b])}, "
+                    f"a child of level {k - 1}, atom {int(v.parents[j])}: the node admits "
+                    f"an arbitrage"
+                )
+            w = np.ones(v.q.shape[:2]) if rng is None else rng.uniform(0.5, 1.5, v.q.shape[:2])
+            q = (w[:, None, :] @ v.q)[:, 0] / w.sum(axis=1, keepdims=True)
+            ratio[v.children] = (q * t.atom_probs[k - 1][v.parents][:, None]
+                                 / t.atom_probs[k][v.children])
+        vals.append(vals[k - 1][t.parent[k]] * ratio)
     R = AdaptedProcess(t, vals)
-
-    _certify(m, R)    # rather than trust LP status blindly
+    _certify(m, R)
     for v in vals:
         v.setflags(write=False)
-    if key is not None:
-        m._deflators[key] = R
+    m._deflators[key] = R
     return R
 
 
 def _certify(m: MarketModel, R: AdaptedProcess) -> None:
-    """Raise ArbitrageDetected where ``R`` misprices an asset at an atom by more
-    than ``_PRICING_TOL``; each child sum runs in child order."""
+    """Raise ArbitrageDetected where ``R`` is not strictly positive at an atom,
+    or misprices an asset at an atom by more than ``_PRICING_TOL``; each child
+    sum runs in child order."""
     t = m.tree
+    for k in range(t.T + 1):
+        nonpositive = np.flatnonzero(~(R.values(k) > 0))
+        if nonpositive.size:
+            raise ArbitrageDetected(
+                f"deflator is not strictly positive at level {k}, atom {nonpositive[0]}"
+            )
     for k in range(t.T):
         lhs = (t.atom_probs[k] * R.values(k))[:, None] * m.S[k]
         value = (t.atom_probs[k + 1] * R.values(k + 1))[:, None] * m.gain(k + 1)
@@ -508,37 +491,6 @@ def _certified_aggregate(m: MarketModel) -> AdaptedProcess | None:
     return R
 
 
-def _pricing_system(m: MarketModel, offsets: np.ndarray):
-    """Sparse pricing identities of :func:`check_no_arbitrage` and their right side.
-
-    One row per pre-terminal atom and asset slot, level by level, atom by
-    atom; the level-``l`` values occupy columns ``offsets[l]..offsets[l+1]``
-    (``R_0 = 1`` is moved to the right-hand side).
-    """
-    t = m.tree
-    nA = m.n_risky + 1
-    row_off = np.cumsum([0] + [nA * t.n_atoms(k) for k in range(t.T)])
-    rows, cols, vals, rhs = [], [], [], []
-    for k in range(t.T):
-        parent = t.parent[k + 1]
-        rows.append(row_off[k] + nA * parent[:, None] + np.arange(nA))
-        cols.append(np.repeat(offsets[k + 1] + np.arange(t.n_atoms(k + 1))[:, None], nA, 1))
-        vals.append(t.atom_probs[k + 1][:, None] * m.gain(k + 1))
-        price = t.atom_probs[k][:, None] * m.S[k]
-        if k == 0:
-            rhs.append(price.ravel())
-        else:
-            rows.append(row_off[k] + np.arange(nA * t.n_atoms(k)).reshape(-1, nA))
-            cols.append(np.repeat(offsets[k] + np.arange(t.n_atoms(k))[:, None], nA, 1))
-            vals.append(-t.atom_probs[k][:, None] * m.S[k])
-            rhs.append(np.zeros(price.size))
-    vals, rows, cols = (np.concatenate([a.ravel() for a in part]) for part in (vals, rows, cols))
-    nz = vals != 0.0                   # the zeros a dense matrix would not pass on
-    A = coo_array((vals[nz], (rows[nz], cols[nz])),
-                  shape=(int(row_off[-1]), int(offsets[t.T + 1])))
-    return A, np.concatenate(rhs)
-
-
 def aggregate_spd(m: MarketModel) -> list:
     """Aggregate deflator ``M_k = M_{k-1} * q_k``, ``M_0 = 1``.
 
@@ -551,7 +503,7 @@ def aggregate_spd(m: MarketModel) -> list:
     with ``G`` the children's gains (assets by children), computed from the
     payoff-space SVD of the block.  It equals the projection of the
     one-period ratio ``R_k / R_{k-1}`` of every state-price deflator ``R``,
-    so ``M`` does not depend on which deflator the no-arbitrage LP returns;
+    so ``M`` does not depend on which deflator :func:`check_no_arbitrage` returns;
     the market is assumed free of arbitrage (see :func:`check_no_arbitrage`,
     which accepts ``M`` itself as the certificate where it is positive).
     Raises VanishingAggregateSPD as soon as an atom value hits zero, since
@@ -606,9 +558,9 @@ def spd_bundle(m: MarketModel, beta: np.ndarray, objective=None,
     """``R`` from :func:`check_no_arbitrage`, and ``M`` and ``Mtilde`` from the caches on ``m``.
 
     With the default ``objective=None``, ``R`` is ``M`` itself wherever ``M``
-    certifies no arbitrage, and no LP runs; pass ``"uniform"``, ``"seeded"``
-    or a vector for an LP vertex.  ``M`` and ``Mtilde`` do not depend on the
-    objective.  ``Mtilde`` is computed once per market and habit matrix
+    certifies no arbitrage; pass ``"uniform"`` or ``"seeded"`` for a deflator
+    built from each node's vertex state prices.  ``M`` and ``Mtilde`` do not
+    depend on the objective.  ``Mtilde`` is computed once per market and habit matrix
     (keyed by ``beta``'s shape and bytes); like ``M``, its arrays are
     read-only.
     """

@@ -221,6 +221,20 @@ def test_validate_flags_arbitrage(tmp_path, capsys):
     assert "error" in report
 
 
+def test_validate_flags_a_weak_arbitrage(tmp_path, capsys):
+    t = build_tree([[[0, 1]], [[0], [1]]], [0.5, 0.5])
+    # against a zero-rate bond the asset costs 1 and pays (2, 1): it less a
+    # bond costs nothing and pays (1, 0)
+    m = MarketModel(t, [0.0], [np.array([[1.0]])], [np.array([[2.0], [1.0]])])
+    path = tmp_path / "model.json"
+    path.write_text(dumps_canonical({"tree": t.to_json(), "market": m.to_json()}))
+    code, out, _ = run(capsys, "validate", "--model", str(path))
+    assert code == 2
+    report = json.loads(out)
+    assert report["arbitrage_free"] is False
+    assert "level 1, atom 0" in report["error"]
+
+
 def test_missing_file_is_a_validation_error(capsys):
     code, _, err = run(capsys, "validate", "--model", "/nonexistent/model.json")
     assert code == 2

@@ -114,18 +114,15 @@ def test_deflator_lp_runs_once_per_objective(complete_market, market_lps):
     first = spd_bundle(complete_market, beta)
     for _ in range(3):
         assert spd_bundle(complete_market, beta).R is first.R
-    # the default certifies with the aggregate deflator: no LP
-    assert len(market_lps) == 0
+    # each objective builds its deflator once; none solves a linear program
+    built = {}
     for _ in range(2):
-        spd_bundle(complete_market, beta, objective="uniform")
-        for seed in (1, 2):
-            spd_bundle(complete_market, beta, objective="seeded", seed=seed)
-    assert len(market_lps) == 3
-    # an explicit objective vector is never cached
-    c = np.ones(6)
-    check_no_arbitrage(complete_market, objective=c)
-    check_no_arbitrage(complete_market, objective=c)
-    assert len(market_lps) == 5
+        for objective, seed in (("uniform", None), ("seeded", 1), ("seeded", 2)):
+            R = spd_bundle(complete_market, beta, objective=objective, seed=seed).R
+            assert built.setdefault((objective, seed), R) is R
+    with pytest.raises(ValueError, match="unknown objective"):
+        check_no_arbitrage(complete_market, objective=np.ones(6))
+    assert len(market_lps) == 0
 
 
 def test_seeded_objective_needs_a_seed(complete_market, market_lps):
@@ -146,17 +143,19 @@ def _one_period_market(payoffs, price):
 
 def test_lp_decides_where_the_minimum_norm_sdf_is_not_positive(market_lps):
     # the price 0.1 lies strictly inside the payoff range (0, 2), so positive
-    # deflators exist, but the minimum-norm SDF 2.35 - 1.35 x is negative at x = 2
+    # deflators exist, but the minimum-norm SDF 2.35 - 1.35 x is negative at
+    # x = 2; the vertex state prices decide instead, with no linear program
     m = _one_period_market([0.0, 1.0, 2.0], 0.1)
     assert aggregate_spd(m)[1].values == pytest.approx([2.35, 1.0, -0.35])
     R = check_no_arbitrage(m)
     assert check_no_arbitrage(m) is R
-    assert len(market_lps) == 1
+    assert R is check_no_arbitrage(m, "uniform")
+    assert len(market_lps) == 0
     assert np.all(R.values(1) >= 1e-8)
     habitopt.market._certify(m, R)
 
 
-def test_arbitrage_raises_the_lp_message_where_the_aggregate_vanishes(tree2):
+def test_arbitrage_raises_the_lp_message_where_the_aggregate_vanishes(tree2, market_lps):
     # at the root the cum-dividend payoff (2, 1) at price 1 leaves the unique
     # SDF (0, 2), which vanishes at atom 0; below atom 1 the asset costs 0.5
     # and pays (1, 2): buy it and short half a bond
@@ -165,13 +164,91 @@ def test_arbitrage_raises_the_lp_message_where_the_aggregate_vanishes(tree2):
     with pytest.raises(VanishingAggregateSPD):
         aggregate_spd(m)
     messages = []
-    for objective in (None, "uniform"):
+    for objective, seed in ((None, None), ("uniform", None), ("seeded", 3)):
         with pytest.raises(ArbitrageDetected) as exc:
-            check_no_arbitrage(_fresh(m), objective)
+            check_no_arbitrage(_fresh(m), objective, seed)
         assert type(exc.value) is ArbitrageDetected
         messages.append(str(exc.value))
-    assert messages[0] == messages[1]
-    assert messages[0].startswith("no strictly positive state-price deflator exists (")
+    assert len(market_lps) == 0
+    assert set(messages) == {"no state price is positive at level 1, atom 0, a child of "
+                             "level 0, atom 0: the node admits an arbitrage"}
+
+
+def _weak_arbitrage_market():
+    """A zero-rate bond and an asset priced 1 that pays (2, 1): buying the
+    asset and shorting a bond costs nothing and pays (1, 0)."""
+    return _one_period_market([2.0, 1.0], 1.0)
+
+
+@pytest.mark.parametrize("objective, seed", [(None, None), ("uniform", None), ("seeded", 11)])
+def test_weak_arbitrage_is_rejected_under_every_objective(objective, seed):
+    with pytest.raises(ArbitrageDetected, match="level 1, atom 0, a child of level 0, atom 0"):
+        check_no_arbitrage(_weak_arbitrage_market(), objective, seed)
+
+
+def test_certificate_rejects_a_deflator_that_is_not_positive():
+    # (1; 0, 2) prices the bond and the asset exactly, but vanishes at atom 0
+    m = _weak_arbitrage_market()
+    R = AdaptedProcess(m.tree, [np.ones(1), np.array([0.0, 2.0])])
+    with pytest.raises(ArbitrageDetected,
+                       match=r"^deflator is not strictly positive at level 1, atom 0$"):
+        habitopt.market._certify(m, R)
+
+
+def _max_margin_free(m):
+    """Reference: each node alone, by the LP that maximizes ``s <= 1`` subject
+    to ``G^T q = S`` and ``q >= s`` over its children's state prices ``q``
+    (``G`` the children's gains, ``S`` the node's prices).  The market is free
+    of arbitrage if every node's margin exceeds ``1e-6 max q``."""
+    from scipy.optimize import linprog
+
+    t = m.tree
+    for k in range(1, t.T + 1):
+        gain = m.gain(k)
+        for a in range(t.n_atoms(k - 1)):
+            G = gain[t.children(k - 1, a)]
+            nc = len(G)
+            cvec = np.zeros(nc + 1)
+            cvec[-1] = -1.0
+            res = linprog(cvec, A_ub=np.hstack([-np.eye(nc), np.ones((nc, 1))]),
+                          b_ub=np.zeros(nc), A_eq=np.hstack([G.T, np.zeros((len(G.T), 1))]),
+                          b_eq=m.S[k - 1][a], bounds=[(None, None)] * nc + [(None, 1.0)],
+                          method="highs")
+            if not res.success or res.x[-1] <= 1e-6 * np.max(res.x[:-1]):
+                return False
+    return True
+
+
+def _edge_priced(m, frac):
+    """``m`` with the root price of the first risky asset at ``frac`` of the
+    way from its smallest discounted cum-dividend payoff to its largest; at
+    ``frac = 0`` the asset less bonds is a weak arbitrage."""
+    gain = m.gain(1)[m.tree.children(0, 0), 1] / (1.0 + m.r[1][0])
+    obj = m.to_json()
+    obj["S"][0][0][0] = float(gain.min() + frac * (gain.max() - gain.min()))
+    return MarketModel.from_json(m.tree, obj, strict=False)
+
+
+@pytest.mark.parametrize("family", ["complete", "bond_only", "general", "idiosyncratic"])
+def test_deflators_are_positive_and_decide_as_the_per_node_lp(family, market_lps):
+    verdicts = set()
+    for T in (1, 2, 3, 4):
+        for seed in (1, 2):
+            m = generate_scenario(seed, family, T=T).market
+            markets = [m] + [_edge_priced(m, f) for f in (0.0, 1e-3) if m.n_risky]
+            for market in markets:
+                free = _max_margin_free(market)
+                verdicts.add(free)
+                for objective, s in ((None, None), ("uniform", None), ("seeded", 11)):
+                    if not free:
+                        with pytest.raises(ArbitrageDetected):
+                            check_no_arbitrage(_fresh(market), objective, s)
+                        continue
+                    R = check_no_arbitrage(_fresh(market), objective, s)
+                    for k in range(T + 1):
+                        assert R.values(k).min() >= habitopt.market._SPD_FLOOR
+    assert len(market_lps) == 0
+    assert verdicts == ({True} if family == "bond_only" else {True, False})
 
 
 @pytest.mark.parametrize("T", [1, 2, 3])
@@ -185,7 +262,8 @@ def test_default_deflator_is_the_certified_aggregate(family, T, market_lps):
     for k in range(T + 1):
         assert default.R.values(k) is default.M[k].values
     by_lp = spd_bundle(_fresh(m), sc.prefs.beta, objective="uniform")
-    assert len(market_lps) == 1
+    assert len(market_lps) == 0
+    habitopt.market._certify(m, by_lp.R)
     for k in range(T + 1):
         assert np.array_equal(by_lp.M[k].values, default.M[k].values)
         assert np.array_equal(by_lp.Mtilde[k].values, default.Mtilde[k].values)
@@ -329,12 +407,12 @@ def test_aggregate_invariant_under_deflator_choice(seed):
     family = {100: "bond_only", 101: "general", 103: "idiosyncratic"}[seed]
     sc = generate_scenario(seed, family)
     m = sc.market
-    r1 = check_no_arbitrage(m, objective="seeded", seed=11)
-    r2 = check_no_arbitrage(m, objective="seeded", seed=77)
-    m1 = aggregate_spd(m)
-    m2 = aggregate_spd(m)
-    for k in range(sc.tree.T + 1):
-        assert np.allclose(m1[k].values, m2[k].values, atol=1e-10)
+    M = aggregate_spd(m)
+    for s in (11, 77):
+        ref = _projected_ratio_aggregate(m, check_no_arbitrage(m, "seeded", s))
+        for k in range(sc.tree.T + 1):
+            tol = 64 * m.tree.n_atoms(k) * _EPS
+            assert np.max(np.abs(M[k].values - ref[k])) <= tol * np.max(np.abs(ref[k]))
 
 
 def test_aggregate_lives_in_payoff_space(complete_market, bond_market):
@@ -668,47 +746,6 @@ def test_cached_perturbed_aggregate_equals_the_recomputed_one(complete_market):
                 bundle.Mtilde[k].values[0] = 0.0
     assert not np.array_equal(first.Mtilde[0].values, other.Mtilde[0].values)
     assert len(m._perturbed) == 2
-
-
-def _dense_pricing_system(m, offsets):
-    """Reference: the pricing identities as dense rows, one per atom and asset."""
-    t = m.tree
-    nvar = int(offsets[t.T + 1])
-    rows, rhs = [], []
-    for k in range(t.T):
-        gain = m.gain(k + 1)
-        for a in range(t.n_atoms(k)):
-            children = t.children(k, a)
-            pa = t.atom_probs[k][a]
-            for i in range(m.n_risky + 1):
-                row = np.zeros(nvar)
-                for b in children:
-                    row[offsets[k + 1] + b] = t.atom_probs[k + 1][b] * gain[b, i]
-                if k == 0:
-                    rows.append(row)
-                    rhs.append(pa * m.S[k][a, i])
-                else:
-                    row[offsets[k] + a] = -pa * m.S[k][a, i]
-                    rows.append(row)
-                    rhs.append(0.0)
-    return np.array(rows), np.array(rhs)
-
-
-@pytest.mark.parametrize("objective, seed", [("uniform", None), ("seeded", 11), ("seeded", 77)])
-def test_sparse_pricing_rows_give_the_dense_row_deflator(monkeypatch, objective, seed):
-    for market in [mkt for mkt, _ in seeded_markets()] + [
-            generate_scenario(3, "general", T=4, utility="power", habit="one_lag").market]:
-        t = market.tree
-        offsets = np.cumsum([0, 0] + [t.n_atoms(k) for k in range(1, t.T + 1)])
-        A, b = habitopt.market._pricing_system(market, offsets)
-        A_ref, b_ref = _dense_pricing_system(market, offsets)
-        assert np.array_equal(A.toarray(), A_ref) and np.array_equal(b, b_ref)
-        R = check_no_arbitrage(_fresh(market), objective, seed)
-        with monkeypatch.context() as patch:
-            patch.setattr(habitopt.market, "_pricing_system", _dense_pricing_system)
-            R_ref = check_no_arbitrage(_fresh(market), objective, seed)
-        for k in range(t.T + 1):
-            assert np.array_equal(R.values(k), R_ref.values(k))
 
 
 def _dense_type_c_blocks(m):
