@@ -150,17 +150,32 @@ def _node_response(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution
                    node: int, history, w: float, method: str) -> tuple:
     """``(c, dc/dw, dc/dhistory[-1], d2c/dw2)`` of the continuation from
     ``(k, node)`` entered with wealth ``w`` after ``history``: ``newton``
-    solves the node's plan warm-started from ``base``
-    (``solvers._plan_response``), and ``closed`` differentiates the closed
-    form's budget root (``solvers._complete_response``).  A leaf consumes its
-    endowment plus its wealth under either method: ``(eps + w, 1, 0, 0)``.
+    solves the node's plan, gathered from the root plan (``_root_plan``) and
+    warm-started from ``base`` (``solvers._plan_response``), and ``closed``
+    differentiates the closed form's budget root
+    (``solvers._complete_response``).  A leaf consumes its endowment plus its
+    wealth under either method: ``(eps + w, 1, 0, 0)``.
     """
     if k == m.tree.T:
         return float(eps_vals[k][node] + w), 1.0, 0.0, 0.0
     if method == "closed":
         return _complete_response(p, spd_bundle(m, p.beta), eps_vals, k, node, history, w)
-    plan = _SubtreePlan(m, p, eps_vals, k0=k, node=node, history=history, w=w)
+    plan = _root_plan(m, p, eps_vals, base).continuation(k, node, history, w)
     return _plan_response(plan, _base_holdings(base, k, node), _GTOL)
+
+
+def _instance_key(m: MarketModel, p: HabitPreferences, eps_vals) -> tuple:
+    """The market and preferences (by identity) and the endowments (by value)."""
+    return m, p, tuple(v.tobytes() for v in eps_vals)
+
+
+def _root_plan(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution) -> _SubtreePlan:
+    """The instance's root plan, built once per base plan and kept beside its
+    responses (``_responses``), from which every continuation is gathered."""
+    key = _instance_key(m, p, eps_vals)
+    if key not in base._plans:
+        base._plans[key] = _SubtreePlan(m, p, eps_vals)
+    return base._plans[key]
 
 
 def _responses(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k: int,
@@ -168,10 +183,10 @@ def _responses(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k:
     """``(history, w, _node_response)`` of every level-``k`` node, entered with
     its base wealth (the endowment at the root) after the base consumption of
     its ancestors.  Computed once per method and level and kept on ``base``,
-    keyed by the market and preferences (by identity) and the endowments (by
-    value), so a plan reused with another instance never reads a stale table.
+    keyed by the instance (``_instance_key``), so a plan reused with another
+    instance never reads a stale table.
     """
-    key = (m, p, tuple(v.tobytes() for v in eps_vals), method, k)
+    key = (*_instance_key(m, p, eps_vals), method, k)
     if key not in base._responses:
         t, c = m.tree, base.c
         wealth = eps_vals[0] if k == 0 else base.W.values(k)

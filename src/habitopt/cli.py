@@ -19,6 +19,7 @@ import os
 import sys
 import tempfile
 import warnings
+from itertools import repeat
 
 import numpy as np
 
@@ -69,7 +70,8 @@ _SOLVER_ERRORS = (
 def dumps_canonical(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits.
 
-    A list writes its plain floats and ints itself, without a call per value.
+    A list of plain floats and ints, or of flat lists, tuples or arrays of
+    them, is written without a call per item (``_numbers``, ``_rows``).
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -91,10 +93,13 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if not all(math.isfinite(v) for v in obj if type(v) is float):
-            raise ValueError("non-finite float in output")
-        parts = [format(v, ".17g") if type(v) is float else str(v) if type(v) is int
-                 else dumps_canonical(v, indent + 1) for v in obj]
+        parts = _numbers(obj)
+        if parts is None:
+            parts = _rows(obj, indent + 1)
+        if parts is None:
+            if not all(math.isfinite(v) for v in obj if type(v) is float):
+                raise ValueError("non-finite float in output")
+            parts = [dumps_canonical(v, indent + 1) for v in obj]
         return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -105,6 +110,41 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         )
         return "{\n" + body + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _numbers(seq):
+    """Each item of ``seq`` written out, when all are plain floats and ints
+    (no bools, no numpy scalars), else None."""
+    kinds = set(map(type, seq))
+    if kinds == {float}:
+        if not all(map(math.isfinite, seq)):
+            raise ValueError("non-finite float in output")
+        return list(map(format, seq, repeat(".17g")))
+    if kinds == {int}:
+        return list(map(str, seq))
+    if kinds != {float, int}:
+        return None
+    if not all(math.isfinite(v) for v in seq if type(v) is float):
+        raise ValueError("non-finite float in output")
+    return [format(v, ".17g") if type(v) is float else str(v) for v in seq]
+
+
+def _rows(seq, indent: int):
+    """Each item of ``seq`` written out at ``indent``, when all are flat
+    lists, tuples or arrays of plain numbers (``_numbers``), else None."""
+    rows = [v.tolist() if type(v) is np.ndarray else v for v in seq]
+    if not set(map(type, rows)) <= {list, tuple}:
+        return None
+    flat = _numbers([v for row in rows for v in row])
+    if flat is None:
+        return None
+    pad, sep = "  " * indent, ",\n" + "  " * (indent + 1)
+    out, at = [], 0
+    for row in rows:
+        n = len(row)
+        out.append("[" + sep[1:] + sep.join(flat[at:at + n]) + "\n" + pad + "]" if n else "[]")
+        at += n
+    return out
 
 
 def atomic_write(path: str, text: str) -> None:

@@ -18,6 +18,7 @@ coordinates) provides an independent cross-check on small instances.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -94,8 +95,10 @@ class Solution:
     U: float
     converged: bool
     diagnostics: dict = field(default_factory=dict)
-    # node responses at this plan, per instance, method and level (analysis._responses)
+    # node responses at this plan, per instance, method and level (analysis._responses),
+    # and per instance the root plan that they are gathered from (analysis._root_plan)
     _responses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -143,15 +146,28 @@ class _SubtreePlan:
     along the node's ancestor path.  ``eps_vals`` are the endowments per
     level, already validated (``preferences._as_level_values``).
 
-    Rows are ordered by level, then by atom.  ``J = L A`` is built from its
-    known row pattern (``_jacobian_blocks``), which also gives the Newton
-    Hessian by scattering each row's outer product (``hessian``).  The wealth
-    and the history enter only through ``b0`` and ``Lb = L b0 - hconst``,
-    with ``hconst = floors + hist_coef @ history``.  ``u_rows`` and
-    ``du_d2u_rows`` are the family's whole-plan evaluation over the rows
-    (``family.on_rows``), built once per plan, so each evaluation point costs
-    one vectorized ``u`` or one ``(u', u'')`` pair; ``utility`` still sums one
-    level at a time.
+    Rows are ordered by level, then by atom, and the holdings of row ``q``
+    (a row above level ``T``) are the columns ``nA q .. nA q + nA - 1``.  The
+    plan keeps per-row blocks only, never a matrix over all rows and columns:
+    each row's own ``prices`` and its gains ``w_gain`` on its parent's
+    holdings ``w_index`` give consumption, ``c = b0 - S x_own + g x_parent``;
+    the habit operator's lags, as ``(row, lagged row, weight)`` triples and,
+    for lags on levels above ``k0``, ``(row, level, weight)`` triples on the
+    history, give ``chat = habit_map(c, history) - floors``; and the entries
+    ``(row, column, value)`` of ``J = dchat/dx`` come from their known row
+    pattern (``_jacobian_blocks``), which also gives the Newton Hessian by
+    scattering each row's outer product (``hessian``).  ``chat``, ``J^T g``
+    and ``consumption`` are gathers and ``bincount``s over these blocks.  The
+    wealth and the history enter only through ``b0`` and ``Lb``, the adjusted
+    consumption at zero holdings.
+
+    ``continuation`` gathers the plan of any node's continuation from a root
+    plan's blocks instead of building it: the subtree's rows, its blocks
+    re-indexed to the subtree's columns and its Hessian entries, with ``Lb``
+    rebuilt from the wealth and history.  ``u_rows`` and ``du_d2u_rows`` are
+    the family's whole-plan evaluation over the rows (``family.on_rows``),
+    built once per plan, so each evaluation point costs one vectorized ``u``
+    or one ``(u', u'')`` pair; ``utility`` still sums one level at a time.
     """
 
     def __init__(self, m: MarketModel, p: HabitPreferences, eps_vals, k0: int = 0,
@@ -166,93 +182,153 @@ class _SubtreePlan:
             if k0 != 0:
                 raise PreconditionViolated("continuation problems need entering wealth")
             w = eps_vals[0][0]
-        w = float(w)
-
-        self.m, self.p, self.t = m, p, t
-        self.k0, self.node, self.history = k0, node, tuple(history)
-
         atoms = _subtree_atoms(t, k0, node)
-        self.atoms = atoms
-
         nA = m.n_risky + 1
-        self.nA = nA
-        sizes = [len(atoms[l]) for l in range(k0, T + 1)]
-        c_off = dict(zip(range(k0, T + 1), np.cumsum([0, *sizes]).tolist()))
-        x_off = {l: nA * c_off[l] for l in range(k0, T)}
-        nc, nx = sum(sizes), nA * c_off[T]
-        self.n_x, self.n_c = nx, nc
-        self.x_off, self.c_off = x_off, c_off
-
-        # A holds, per row, the gains on the parent's holdings and minus the
-        # prices of the row's own holdings; the habit operator's lags give L
-        # (chat = L c - hconst) with pre-k0 history folded in through
-        # hconst = floors + hist_coef @ history
+        levels = range(k0, T + 1)
+        sizes = [len(atoms[l]) for l in levels]
+        c_off = np.cumsum([0, *sizes])
         habit = p.habit
-        A, L, hist_coef = np.zeros((nc, nx)), np.eye(nc), np.zeros((nc, k0))
-        b0, wts, floors = np.zeros(nc), np.zeros(nc), np.zeros(nc)
-        cols = np.arange(nA)
-        w_start, w_gain = [np.zeros(0, dtype=int)], [np.zeros((1, nA))]
-        prices = []
-        for l in range(k0, T + 1):
-            al = atoms[l]
-            rows = c_off[l] + np.arange(len(al))
-            wts[rows] = t.atom_probs[l][al]
-            floors[rows] = p.h[l][al]
-            if l == k0:
-                b0[rows] = w if k0 == 0 else eps_vals[l][al] + w
-            else:
-                b0[rows] = eps_vals[l][al]
-                start = x_off[l - 1] + nA * habit.positions(atoms, l, l - 1)
-                w_start.append(start)
-                w_gain.append(m.gain(l)[al])
-                A[rows[:, None], start[:, None] + cols] = w_gain[-1]
-            if l < T:
-                prices.append(m.S[l][al])
-                A[rows[:, None], (x_off[l] + nA * np.arange(len(al)))[:, None] + cols] = \
-                    -prices[-1]
+
+        def rows_above(l, lev):     # the level-lev ancestor's row of each level-l row
+            return c_off[lev - k0] + habit.positions(atoms, l, lev)
+
+        # per row: the parent's row, the gains on the parent's holdings (zero
+        # at the plan's root) and the own prices (zero at the leaves)
+        parent_row = np.concatenate([[0], *(rows_above(l, l - 1) for l in levels[1:])])
+        gains = np.concatenate([np.zeros((1, nA)), *(m.gain(l)[atoms[l]] for l in levels[1:])])
+        prices = np.concatenate([np.zeros((0, nA)), *(m.S[l][atoms[l]] for l in levels[:-1])])
+        jac = h_scatter = _triples([])
+        if len(prices):
+            jcols, jvals, keep = _jacobian_blocks(
+                p.beta, k0, np.repeat(np.arange(k0, T + 1), sizes), parent_row,
+                np.concatenate([prices, np.zeros((sizes[-1], nA))]), gains)
+            r, i = np.nonzero(keep)
+            jac = (r, jcols[r, i], jvals[r, i])
+            r, i, j = np.nonzero(keep[:, :, None] & keep[:, None, :])
+            h_scatter = (r, jcols[r, i] * (nA * len(prices)) + jcols[r, j],
+                         jvals[r, i] * jvals[r, j])
+        # the habit lags per level, then per lag, then per row: on rows of the
+        # plan as (row, lagged row, weight), on the history as (row, level, weight)
+        lags, hist_lags = [], []
+        for l in levels:
+            rows = c_off[l - k0] + np.arange(sizes[l - k0])
             for lev, b in habit.lags[l]:
+                weight = np.full(rows.size, b)
                 if lev >= k0:
-                    L[rows, c_off[lev] + habit.positions(atoms, l, lev)] = -b
+                    lags.append((rows, rows_above(l, lev), weight))
                 else:
-                    hist_coef[rows, lev] = b
-        self.A, self.b0, self.wts = A, b0, wts
-        self.w_index = np.concatenate(w_start)[:, None] + cols
-        gains = np.concatenate(w_gain)          # row 0, the plan's root, has no parent
-        self.w_gain = gains[1:]
+                    hist_lags.append((rows, np.full(rows.size, lev), weight))
+        self._setup(
+            m, p, atoms, history, w,
+            b0=np.concatenate([eps_vals[l][atoms[l]] for l in levels]),
+            wts=np.concatenate([t.atom_probs[l][atoms[l]] for l in levels]),
+            floors=np.concatenate([p.h[l][atoms[l]] for l in levels]),
+            prices=prices, w_index=nA * parent_row[1:, None] + np.arange(nA), w_gain=gains[1:],
+            jac=jac, h_scatter=h_scatter, lags=_triples(lags), hist_lags=_triples(hist_lags))
+
+    def _setup(self, m, p, atoms, history, w, *, b0, wts, floors, prices, w_index, w_gain,
+               jac, h_scatter, lags, hist_lags):
+        """Keep the row blocks, and derive the offsets, weights and ``Lb``.
+
+        ``b0`` holds the endowment of every row; the root's becomes the
+        entering wealth ``w`` at the root of the tree and adds ``w`` elsewhere.
+        """
+        t = m.tree
+        T, k0 = t.T, len(history)
+        self.m, self.p, self.t = m, p, t
+        self.k0, self.node, self.history, self.atoms = k0, int(atoms[k0][0]), tuple(history), atoms
+        self.nA = m.n_risky + 1
+        sizes = [len(atoms[l]) for l in range(k0, T + 1)]
+        self.c_off = c_off = dict(zip(range(k0, T + 1), np.cumsum([0, *sizes]).tolist()))
+        self.x_off = {l: self.nA * c_off[l] for l in range(k0, T)}
+        self.n_c, self.n_x = c_off[T] + sizes[-1], self.nA * c_off[T]
+        self.prices, self.w_index, self.w_gain = prices, w_index, w_gain
+        self._jac, self._h_scatter, self._lags, self._hist_lags = jac, h_scatter, lags, hist_lags
+        b0[0] = b0[0] + float(w) if k0 else float(w)
+        self.b0, self.wts, self.floors = b0, wts, floors
         self.level_wts = [(slice(c_off[l], c_off[l] + len(atoms[l])),
                            wts[c_off[l]:c_off[l] + len(atoms[l])]) for l in range(k0, T + 1)]
-        self.row_level = row_level = np.repeat(np.arange(k0, T + 1), sizes)
-        self.u_rows, self.du_d2u_rows = p.family.on_rows(row_level)
+        self.row_level = np.repeat(np.arange(k0, T + 1), sizes)
+        self.u_rows, self.du_d2u_rows = p.family.on_rows(self.row_level)
         self.inada = p.family.inada
-        self.L, self.floors, self.hist_coef = L, floors, hist_coef
-        hconst = floors + hist_coef @ np.asarray(history, dtype=float)
-        self.Lb = L @ b0 - hconst
+        self.Lb = self.habit_map(b0, self.history) - floors
 
-        # J from its row pattern, and per row the outer product J_r J_r^T on
-        # its stored columns, with each entry's row and flat index into H; a
-        # plan at a terminal node holds nothing
-        self.J = np.zeros((nc, nx))
-        self._h_scatter = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
-        if nx:
-            jcols, jvals, keep = _jacobian_blocks(
-                p.beta, k0, row_level, np.concatenate([[0], self.w_index[:, 0] // nA]),
-                np.concatenate([*prices, np.zeros((sizes[-1], nA))]), gains)
-            r, i = np.nonzero(keep)
-            self.J[r, jcols[r, i]] = jvals[r, i]
-            r, i, j = np.nonzero(keep[:, :, None] & keep[:, None, :])
-            self._h_scatter = (r, jcols[r, i] * nx + jcols[r, j], jvals[r, i] * jvals[r, j])
+    @functools.cached_property
+    def _h_columns(self) -> tuple:
+        """The two columns of each Hessian entry (``_h_scatter``)."""
+        return np.divmod(self._h_scatter[1], self.n_x)
+
+    def continuation(self, k: int, node: int, history, w: float) -> "_SubtreePlan":
+        """The plan of the continuation from ``node`` at level ``k``, gathered
+        from this root plan's blocks; equal to ``_SubtreePlan(m, p, eps_vals,
+        k, node, history, w)`` array for array.
+
+        The subtree's rows keep their order.  A block or Hessian entry of a
+        subtree row belongs to the continuation exactly where its columns are
+        the holdings of subtree rows, ancestors at level ``k`` or below; a lag
+        on a row above the subtree becomes a lag on the history.
+        """
+        if self.k0 != 0:
+            raise PreconditionViolated("continuations are gathered from root plans")
+        t, nA = self.t, self.nA
+        atoms = _subtree_atoms(t, k, node)
+        rows = np.concatenate([self.c_off[l] + atoms[l] for l in range(k, t.T + 1)])
+        inner = rows.size - len(atoms[t.T])            # subtree rows above level T
+        rmap = np.full(self.n_c, -1)
+        rmap[rows] = np.arange(rows.size)
+        cmap = (nA * rmap[:len(self.prices), None] + np.arange(nA)).ravel()   # < 0: outside
+        r, c, v = self._jac
+        keep = (rmap[r] >= 0) & (cmap[c] >= 0)
+        jac = (rmap[r[keep]], cmap[c[keep]], v[keep])
+        (r, _, outer), (ci, cj) = self._h_scatter, self._h_columns
+        keep = (rmap[r] >= 0) & (cmap[ci] >= 0) & (cmap[cj] >= 0)
+        h_scatter = (rmap[r[keep]], cmap[ci[keep]] * (nA * inner) + cmap[cj[keep]], outer[keep])
+        r, lag, coef = self._lags
+        inside, lagged = rmap[r] >= 0, rmap[lag] >= 0
+        lags = (rmap[r[inside & lagged]], rmap[lag[inside & lagged]], coef[inside & lagged])
+        above = inside & ~lagged
+        hist_lags = (rmap[r[above]], self.row_level[lag[above]], coef[above])
+        below = rows[1:] - 1
+        plan = _SubtreePlan.__new__(_SubtreePlan)
+        plan._setup(self.m, self.p, atoms, history, w, b0=self.b0[rows], wts=self.wts[rows],
+                    floors=self.floors[rows], prices=self.prices[rows[:inner]],
+                    w_index=cmap[self.w_index[below]], w_gain=self.w_gain[below],
+                    jac=jac, h_scatter=h_scatter, lags=lags, hist_lags=hist_lags)
+        return plan
 
     # -- evaluation ---------------------------------------------------------
 
+    def habit_map(self, c: np.ndarray, history) -> np.ndarray:
+        """The habit map of per-row values ``c`` after ``history``:
+        ``c - sum over lags of weight * c[lagged row] - (the history's terms)``."""
+        row, lag, coef = self._lags
+        hrow, hlev, hcoef = self._hist_lags
+        hist = np.asarray(history, dtype=float)
+        return (c - np.bincount(row, weights=coef * c[lag], minlength=self.n_c)
+                - np.bincount(hrow, weights=hcoef * hist[hlev], minlength=self.n_c))
+
+    def jac(self, x: np.ndarray) -> np.ndarray:
+        """``J x``, summed row by row over each row's stored columns."""
+        row, col, val = self._jac
+        return np.bincount(row, weights=val * x[col], minlength=self.n_c)
+
+    def jac_t(self, g: np.ndarray) -> np.ndarray:
+        """``J^T g``, summed column by column over the stored entries."""
+        row, col, val = self._jac
+        return np.bincount(col, weights=val * g[row], minlength=self.n_x)
+
     def consumption(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x + self.b0
+        c = self.b0.copy()
+        c[1:] += self.entering_wealth(x)
+        c[:len(self.prices)] -= _row_dots(x.reshape(-1, self.nA), self.prices)
+        return c
 
     def entering_wealth(self, x: np.ndarray) -> np.ndarray:
         """Wealth brought into each row below level ``k0``: parent holdings times gains."""
         return _row_dots(x[self.w_index], self.w_gain)
 
     def chat(self, x: np.ndarray) -> np.ndarray:
-        return self.J @ x + self.Lb
+        return self.jac(x) + self.Lb
 
     def feasible(self, ch: np.ndarray) -> bool:
         return (not self.inada) or bool((ch > 0).all())
@@ -280,6 +356,13 @@ class _SubtreePlan:
             raise DomainViolation("plan left the utility domain during differentiation")
         du, d2u = self.du_d2u_rows(ch)
         return self.wts * du, -self.wts * d2u
+
+
+def _triples(parts) -> tuple:
+    """Concatenated ``(row, index, weight)`` triples; empty ones without parts."""
+    if not parts:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def _jacobian_blocks(beta: np.ndarray, k0: int, row_level, parent_row, prices, gains):
@@ -488,7 +571,7 @@ def _start(plan: _SubtreePlan, x0) -> tuple:
 def _derivatives(plan: _SubtreePlan, x: np.ndarray):
     """Gradient of the plan utility at ``x`` and the per-row curvature weights."""
     gw, hw = plan.grad_hess_weights(x)
-    return plan.J.T @ gw, hw
+    return plan.jac_t(gw), hw
 
 
 def _ridged_cholesky(H: np.ndarray):
@@ -500,7 +583,7 @@ def _ridged_cholesky(H: np.ndarray):
     ridge = 0.0
     while True:
         try:
-            return cho_factor(H + (ridge * np.eye(len(H)) if ridge else 0.0), lower=True,
+            return cho_factor(H + ridge * np.eye(len(H)) if ridge else H, lower=True,
                               check_finite=False), ridge
         except np.linalg.LinAlgError:
             ridge = max(ridge * 10.0, 1e-12 * max(1.0, float(np.max(np.abs(H)))))
@@ -550,6 +633,7 @@ def _newton_maximize(plan: _SubtreePlan, x0, gtol: float):
             raise NonConvergence("curvature matrix is irreparably singular",
                                  diagnostics=dict(info))
         step = cho_solve(cf, g, check_finite=False)
+        del cf          # as large as the Hessian: not kept while the next one is built
         info["ridge"] = max(info["ridge"], ridge)
         gs = lam2 = float(np.dot(g, step))      # lam2: the squared Newton decrement
         if gs <= 0:
@@ -668,12 +752,14 @@ def _plan_response(plan: _SubtreePlan, x0, gtol: float) -> tuple:
     Newton solves from ``x0``; then the optimality condition
     ``J^T (wts u'(J x + Lb)) = 0`` is differentiated (Fiacco, 1983).  With
     ``hw`` the curvature weights, ``H dx = -J^T (hw * dLb)``, where ``Lb``
-    moves by ``L[:, 0]`` per unit of entering wealth and by
-    ``-hist_coef[:, -1]`` per unit of the last history entry (not at all at
-    the root).  Once more in wealth, with ``s = J dx + L[:, 0]``,
-    ``H d2x = J^T (wts u''' s^2)``.  The solves share one factor of ``H``;
-    ``c`` moves by ``A[0] @ dx`` plus one and curves by ``A[0] @ d2x`` (None
-    for a family without ``d3u``).  The plan must hold something (``k0 < T``).
+    moves by the habit map of a unit root endowment per unit of entering
+    wealth and by that of a unit last history entry per unit of it (not at
+    all at the root).  Once more in wealth, with ``s = J dx + dLb/dw``,
+    ``H d2x = J^T (wts u''' s^2)``.  The solves share one factor of ``H``.
+    The root owns the first ``nA`` columns and has no parent, so ``c`` moves
+    by ``-S_root . dx[:nA]`` plus one and curves by ``-S_root . d2x[:nA]``
+    (None for a family without ``d3u``).  The plan must hold something
+    (``k0 < T``).
     """
     x, _, info = _newton_maximize(plan, x0, gtol)
     c = float(plan.consumption(x)[0])
@@ -682,15 +768,19 @@ def _plan_response(plan: _SubtreePlan, x0, gtol: float) -> tuple:
     if cf is None:
         raise NonConvergence("curvature matrix is irreparably singular at the optimum",
                              best=x, diagnostics=dict(info, ridge=ridge))
-    dhist = -plan.hist_coef[:, -1] if plan.k0 else np.zeros(plan.n_c)
-    dlb = np.column_stack([plan.L[:, 0], dhist])
-    dx = cho_solve(cf, -(plan.J.T @ (hw[:, None] * dlb)), check_finite=False)
-    dc, d2c, fam = plan.A[0] @ dx, None, plan.p.family
+    k0, s_root = plan.k0, plan.prices[0]
+    unit = np.zeros(plan.n_c)
+    unit[0] = 1.0
+    dlb_dw = plan.habit_map(unit, (0.0,) * k0)
+    dlb_dh = plan.habit_map(np.zeros(plan.n_c), (0.0,) * (k0 - 1) + (1.0,))
+    dx = cho_solve(cf, -np.column_stack([plan.jac_t(hw * d) for d in (dlb_dw, dlb_dh)]),
+                   check_finite=False)
+    dc, d2c, fam = -(s_root @ dx[:plan.nA]), None, plan.p.family
     if hasattr(fam, "d3u"):
-        s = plan.J @ dx[:, 0] + plan.L[:, 0]
+        s = plan.jac(dx[:, 0]) + dlb_dw
         u3 = _per_level(fam.d3u, plan.row_level)(plan.chat(x))
-        d2c = float(plan.A[0] @ cho_solve(cf, plan.J.T @ (plan.wts * u3 * s * s),
-                                          check_finite=False))
+        d2x = cho_solve(cf, plan.jac_t(plan.wts * u3 * s * s), check_finite=False)
+        d2c = -float(s_root @ d2x[:plan.nA])
     return c, float(dc[0]) + 1.0, float(dc[1]), d2c
 
 
@@ -709,8 +799,10 @@ def solve_primal_oracle(m: MarketModel, p: HabitPreferences, eps) -> Solution:
     consumption by comparable amounts at every node, and directions that do
     not move consumption (redundant assets) are dropped.  Each of three
     jittered admissible starts is re-run from its result while the utility
-    improves, and the best start wins.  Independent of the Newton path;
-    refuses instances with more than six portfolio variables.
+    improves, and the best start wins.  Adjusted consumption is affine in
+    ``y``, so each start evaluates ``chat = (J V) y + chat(x_start)``.
+    Independent of the Newton path; refuses instances with more than six
+    portfolio variables.
     """
     plan = _SubtreePlan(m, p, _as_level_values(m.tree, eps))
     if plan.n_x > _ORACLE_MAX_DIM:
@@ -718,21 +810,31 @@ def solve_primal_oracle(m: MarketModel, p: HabitPreferences, eps) -> Solution:
             f"oracle handles at most {_ORACLE_MAX_DIM} portfolio variables, got {plan.n_x}"
         )
     base = _interior_start(plan)
-    _, sv, vt = np.linalg.svd(np.sqrt(plan.wts)[:, None] * plan.A, full_matrices=False)
+    # the budget map dc/dx, scattered from the row blocks
+    A = np.zeros((plan.n_c, plan.n_x))
+    inner = np.arange(len(plan.prices))[:, None]
+    A[inner, plan.nA * inner + np.arange(plan.nA)] = -plan.prices
+    A[np.arange(1, plan.n_c)[:, None], plan.w_index] = plan.w_gain
+    _, sv, vt = np.linalg.svd(np.sqrt(plan.wts)[:, None] * A, full_matrices=False)
     keep = sv > 1e-12 * sv[0]
     V = vt[keep].T / sv[keep]
+    JV = np.column_stack([plan.jac(v) for v in V.T])
 
     best_x, best_f = base, -np.inf
     for seed in _ORACLE_SEEDS:
         x_start = base + 0.05 * np.random.default_rng(seed).standard_normal(plan.n_x)
         if not np.isfinite(plan.utility(x_start)):
             x_start = base
+        c_start = plan.chat(x_start)
 
-        def fneg(y, x_start=x_start):
-            val = plan.utility(x_start + V @ y)
+        def fneg(y, c_start=c_start):
+            ch = JV @ y + c_start
+            if not plan.feasible(ch):
+                return 1e300
+            val = float(plan.wts @ plan.u_rows(ch))
             return -val if np.isfinite(val) else 1e300
 
-        y, fy = np.zeros(V.shape[1]), plan.utility(x_start)
+        y, fy = np.zeros(V.shape[1]), -fneg(np.zeros(V.shape[1]))
         for _ in range(_ORACLE_MAX_RUNS):
             res = minimize(fneg, y, method="Powell",
                            options={"xtol": 1e-12, "ftol": 1e-15})

@@ -127,6 +127,49 @@ def test_dumps_flat_lists_reject_non_finite(obj):
         dumps_canonical(obj)
 
 
+@pytest.mark.parametrize("obj", [
+    [[True, 1.0], [2.0]],
+    [[1, 2], [False]],
+    [[np.float64(0.5), 1.0], [2]],
+    [[np.int64(2)], [3.5]],
+    [[], [[]], [[], []]],
+    [[1.0], [], (2, 3.0)],
+    [np.array([0.5, 1.0]), (2, 3.0), [], np.arange(3)],
+    [np.array(0.5), [1.0]],
+    [np.array([[1.0]]), [2.0]],
+    [[10 ** 30, 1.5], [-0.0, 5e-324]],
+    [[[1.0, 2.0], [3.0]], [[4, 5]]],
+    [[1.0], "x", [2.0]],
+])
+def test_dumps_rows_match_the_recursive_reference(obj):
+    def outcome(dumps, indent):
+        try:
+            return dumps(obj, indent)
+        except TypeError:
+            return TypeError
+
+    for indent in (0, 1):
+        assert outcome(dumps_canonical, indent) == outcome(_dumps_recursive, indent)
+
+
+@pytest.mark.parametrize("obj", [[[0.5, float("nan")]], [[1.0], [True, float("nan")]],
+                                 [[np.float64("inf")], [1.0]]])
+def test_dumps_rows_reject_non_finite(obj):
+    with pytest.raises(ValueError, match="non-finite"):
+        _dumps_recursive(obj)
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps_canonical(obj)
+
+
+@pytest.mark.parametrize("family", ["complete", "general", "bond_only", "idiosyncratic"])
+def test_dumps_generated_instances_match_the_recursive_reference(family):
+    for utility, habit in (("power", "two_lag"), ("exp", "one_lag")):
+        sc = habitopt.analysis.generate_scenario(7, family, T=3, utility=utility, habit=habit,
+                                                 floors=True)
+        blob = sc.to_json()
+        assert dumps_canonical(blob) == _dumps_recursive(blob)
+
+
 def test_atomic_write_replaces_and_cleans_up(tmp_path):
     target = tmp_path / "out.json"
     atomic_write(str(target), "first")
@@ -429,6 +472,33 @@ def test_verify_evaluates_one_response_per_node(tmp_path, capsys, monkeypatch):
                      "--checks", "monotonicity,eta,concavity,envelope,foc")
     assert code == 0
     assert len(points) == len(set(points)) == 40
+
+
+def test_verify_builds_one_root_plan_for_its_responses(tmp_path, capsys, monkeypatch):
+    # the deflator repro: the 40 responses are gathered from one root plan; every
+    # other plan built belongs to a solve (the base plan and the envelope's two)
+    files = _generate(tmp_path, capsys, "--seed", "3", "--family", "general", "--T", "4",
+                      "--utility", "power", "--habit", "one_lag")
+    builds, solves = [], []
+    plan_cls = habitopt.solvers._SubtreePlan
+    real_init, real_solve = plan_cls.__init__, habitopt.solvers.solve_general
+
+    def counted_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        builds.append(self.k0)
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(plan_cls, "__init__", counted_init)
+    for module in (habitopt.solvers, habitopt.analysis, habitopt.cli):
+        monkeypatch.setattr(module, "solve_general", counted_solve)
+    code, _, _ = run(capsys, "verify", *files,
+                     "--checks", "monotonicity,eta,concavity,envelope,foc")
+    assert code == 0
+    assert len(solves) == 3
+    assert builds == [0] * (len(solves) + 1)
 
 
 def test_verify_runs_one_newton_solve_per_response(tmp_path, capsys, monkeypatch):

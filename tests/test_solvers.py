@@ -324,6 +324,26 @@ def _per_row_plan_arrays(m, p, eps_vals, k0, node, w):
             "hist_coef": hist_coef, "w_index": w_index}
 
 
+def _dense_plan(plan):
+    """The plan's row blocks as the dense arrays ``A`` (``c = A x + b0``),
+    ``L`` and ``hist_coef`` (``chat = L c - floors - hist_coef @ history``) and
+    ``J = dchat/dx``, each entry scattered from the blocks or read off the
+    habit map of a unit vector."""
+    nc, nx, nA, k0 = plan.n_c, plan.n_x, plan.nA, plan.k0
+    A = np.zeros((nc, nx))
+    inner = np.arange(len(plan.prices))[:, None]
+    A[inner, nA * inner + np.arange(nA)] = -plan.prices
+    A[np.arange(1, nc)[:, None], plan.w_index] = plan.w_gain
+    L = np.column_stack([plan.habit_map(e, (0.0,) * k0) for e in np.eye(nc)])
+    hist_coef = np.zeros((nc, k0))
+    for lev, e in enumerate(np.eye(k0)):
+        hist_coef[:, lev] = -plan.habit_map(np.zeros(nc), tuple(e))
+    J = np.zeros((nc, nx))
+    row, col, val = plan._jac
+    J[row, col] = val
+    return {"A": A, "L": L, "hist_coef": hist_coef, "J": J}
+
+
 def _pinned_instances(shuffled_prefs):
     t = shuffled_prefs.tree
     eps = [np.array([2.0])] + [np.linspace(0.1, 0.3, t.n_atoms(k)) for k in (1, 2, 3)]
@@ -348,8 +368,9 @@ def test_plan_arrays_equal_the_per_row_ancestor_walk(shuffled_prefs):
                 plan = _SubtreePlan(sc.market, sc.prefs, sc.eps, k0=k0, node=node,
                                     history=history, w=w)
                 ref = _per_row_plan_arrays(sc.market, sc.prefs, eps_vals, k0, node, w)
+                dense = _dense_plan(plan)
                 for name, value in ref.items():
-                    got = getattr(plan, name)
+                    got = dense[name] if name in dense else getattr(plan, name)
                     assert got.shape == value.shape and got.dtype == value.dtype, name
                     assert np.array_equal(got, value), (name, k0, node)
 
@@ -368,14 +389,60 @@ def test_pattern_jacobian_and_scattered_hessian_equal_the_dense_products(shuffle
                 plan = _SubtreePlan(sc.market, sc.prefs, sc.eps, k0=k0, node=node,
                                     history=history, w=w)
                 nc = plan.n_c
-                J = plan.L @ plan.A
-                J_abs = np.abs(plan.L) @ np.abs(plan.A)
-                assert np.all(np.abs(plan.J - J) <= 2 * nc * eps * J_abs)
+                dense = _dense_plan(plan)
+                J = dense["L"] @ dense["A"]
+                J_abs = np.abs(dense["L"]) @ np.abs(dense["A"])
+                assert np.all(np.abs(dense["J"] - J) <= 2 * nc * eps * J_abs)
                 hw = rng.uniform(0.1, 10.0, nc)
                 H = (J.T * hw) @ J
                 assert np.all(np.abs(plan.hessian(hw) - H)
                               <= 8 * nc * eps * ((J_abs.T * hw) @ J_abs))
                 assert np.array_equal(plan.hessian(hw), plan.hessian(hw).T)
+
+
+def test_gathered_continuations_equal_plans_built_for_the_node(shuffled_prefs):
+    rng = np.random.default_rng(11)
+    for sc in _pinned_instances(shuffled_prefs):
+        t = sc.tree
+        root = _SubtreePlan(sc.market, sc.prefs, sc.eps)
+        for k0 in range(t.T + 1):
+            for node in range(t.n_atoms(k0)):
+                w = 1.3 if k0 == 0 else 0.7
+                history = [1.0 + 0.1 * l for l in range(k0)]
+                built = _SubtreePlan(sc.market, sc.prefs, sc.eps, k0=k0, node=node,
+                                     history=history, w=w)
+                gathered = root.continuation(k0, node, history, w)
+                assert (gathered.n_c, gathered.n_x) == (built.n_c, built.n_x)
+                assert all(np.array_equal(a, b) for a, b in
+                           zip(gathered.atoms[k0:], built.atoms[k0:]))
+                x = rng.standard_normal(built.n_x)
+                g = rng.standard_normal(built.n_c)
+                hw = rng.uniform(0.1, 10.0, built.n_c)
+                assert np.array_equal(gathered.chat(x), built.chat(x)), (k0, node)
+                assert np.array_equal(gathered.consumption(x), built.consumption(x))
+                assert np.array_equal(gathered.jac_t(g), built.jac_t(g))
+                assert np.array_equal(gathered.hessian(hw), built.hessian(hw))
+
+
+def _array_sizes(obj):
+    """Sizes of the arrays held by ``obj``, also inside tuples, lists and dicts."""
+    if isinstance(obj, np.ndarray):
+        return [obj.size]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        return [n for item in obj for n in _array_sizes(item)]
+    return []
+
+
+def test_no_plan_array_grows_with_rows_times_columns():
+    sc = generate_scenario(1, "complete", T=8, utility="log", habit="one_lag", max_tries=1000)
+    root = _SubtreePlan(sc.market, sc.prefs, sc.eps)
+    base = solve_general(sc.market, sc.prefs, sc.eps)
+    cont = root.continuation(1, 0, [float(base.c.values(0)[0])], float(base.W.values(1)[0]))
+    for plan in (root, cont):
+        sizes = [n for value in vars(plan).values() for n in _array_sizes(value)]
+        assert sizes and max(sizes) < plan.n_c * plan.n_x
 
 
 def test_continuation_response_at_the_root():
@@ -789,8 +856,9 @@ def _lp_margin(plan):
     from scipy.sparse import coo_array
 
     nx, nc = plan.n_x, plan.n_c
-    rows, cols = np.nonzero(plan.J)
-    A_ub = coo_array((np.concatenate([-plan.J[rows, cols], np.ones(nc)]),
+    J = _dense_plan(plan)["J"]
+    rows, cols = np.nonzero(J)
+    A_ub = coo_array((np.concatenate([-J[rows, cols], np.ones(nc)]),
                       (np.concatenate([rows, np.arange(nc)]),
                        np.concatenate([cols, np.full(nc, nx)]))), shape=(nc, nx + 1))
     cvec = np.zeros(nx + 1)
