@@ -51,7 +51,6 @@ from .solvers import (
     _complete_response,
     _CompleteGeneral,
     _plan_response,
-    _subtree_atoms,
     _SubtreePlan,
     has_inverse_marginal,
     solve_auto,
@@ -131,11 +130,11 @@ def _scope_label(m: MarketModel, witness) -> tuple[str, str]:
     return "out_of_scope", cls.kind
 
 
-def _base_holdings(base: Solution, k: int, node: int) -> np.ndarray:
-    """``base.pi`` on the subtree under ``(k, node)``, in the plan's variable order."""
-    atoms = _subtree_atoms(base.c.tree, k, node)
-    T = len(atoms) - 1
-    return np.concatenate([np.zeros(0)] + [base.pi[l][atoms[l]].ravel() for l in range(k, T)])
+def _base_holdings(base: Solution, atoms) -> np.ndarray:
+    """``base.pi`` on a subtree, given by its atoms per level (``None`` above
+    its root, as in ``solvers._subtree_atoms``), in the plan's variable order."""
+    return np.concatenate([np.zeros(0)] + [base.pi[l][al].ravel()
+                                           for l, al in enumerate(atoms[:-1]) if al is not None])
 
 
 def _resolve_method(m: MarketModel, p: HabitPreferences, method: str) -> str:
@@ -161,7 +160,7 @@ def _node_response(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution
     if method == "closed":
         return _complete_response(p, spd_bundle(m, p.beta), eps_vals, k, node, history, w)
     plan = _root_plan(m, p, eps_vals, base).continuation(k, node, history, w)
-    return _plan_response(plan, _base_holdings(base, k, node), _GTOL)
+    return _plan_response(plan, _base_holdings(base, plan.atoms), _GTOL)
 
 
 def _instance_key(m: MarketModel, p: HabitPreferences, eps_vals) -> tuple:
@@ -433,7 +432,7 @@ def envelope_check(m: MarketModel, p: HabitPreferences, eps,
     eps_vals = _as_level_values(t, eps)
     if base is None:
         base = solve_auto(m, p, eps_vals)
-    x0 = _base_holdings(base, 0, 0)
+    x0 = np.concatenate([pi.ravel() for pi in base.pi])
     marginal = float(base.R.values(0)[0])
     e0 = float(eps_vals[0][0])
     d = max(1e-4, 1e-4 * abs(e0))

@@ -19,6 +19,7 @@ coordinates) provides an independent cross-check on small instances.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -155,15 +156,15 @@ class _SubtreePlan:
     for lags on levels above ``k0``, ``(row, level, weight)`` triples on the
     history, give ``chat = habit_map(c, history) - floors``; and the entries
     ``(row, column, value)`` of ``J = dchat/dx`` come from their known row
-    pattern (``_jacobian_blocks``), which also gives the Newton Hessian by
-    scattering each row's outer product (``hessian``).  ``chat``, ``J^T g``
-    and ``consumption`` are gathers and ``bincount``s over these blocks.  The
-    wealth and the history enter only through ``b0`` and ``Lb``, the adjusted
-    consumption at zero holdings.
+    pattern (``_jacobian_blocks``), which also gives the Newton Hessian's
+    per-row blocks by scattering each row's outer product (``band``).
+    ``chat``, ``J^T g`` and ``consumption`` are gathers and ``bincount``s
+    over these blocks.  The wealth and the history enter only through ``b0``
+    and ``Lb``, the adjusted consumption at zero holdings.
 
     ``continuation`` gathers the plan of any node's continuation from a root
     plan's blocks instead of building it: the subtree's rows, its blocks
-    re-indexed to the subtree's columns and its Hessian entries, with ``Lb``
+    re-indexed to the subtree's columns and its Hessian blocks, with ``Lb``
     rebuilt from the wealth and history.  ``u_rows`` and ``du_d2u_rows`` are
     the family's whole-plan evaluation over the rows (``family.on_rows``),
     built once per plan, so each evaluation point costs one vectorized ``u``
@@ -198,14 +199,20 @@ class _SubtreePlan:
         gains = np.concatenate([np.zeros((1, nA)), *(m.gain(l)[atoms[l]] for l in levels[1:])])
         prices = np.concatenate([np.zeros((0, nA)), *(m.S[l][atoms[l]] for l in levels[:-1])])
         jac = h_scatter = _triples([])
+        depths = _depths(p.beta)
         if len(prices):
             jcols, jvals, keep = _jacobian_blocks(
                 p.beta, k0, np.repeat(np.arange(k0, T + 1), sizes), parent_row,
                 np.concatenate([prices, np.zeros((sizes[-1], nA))]), gains)
             r, i = np.nonzero(keep)
             jac = (r, jcols[r, i], jvals[r, i])
-            r, i, j = np.nonzero(keep[:, :, None] & keep[:, None, :])
-            h_scatter = (r, jcols[r, i] * (nA * len(prices)) + jcols[r, j],
+            # each pair (i, j) of a row's entries with i's row q at depth d
+            # below j's row adds to band[q, d]
+            depth = np.arange(jcols.shape[1]) // nA
+            r, i, j = np.nonzero(keep[:, :, None] & keep[:, None, :]
+                                 & (depth[:, None] <= depth[None, :]))
+            q, a = np.divmod(jcols[r, i], nA)
+            h_scatter = (r, ((q * depths + depth[j] - depth[i]) * nA + a) * nA + jcols[r, j] % nA,
                          jvals[r, i] * jvals[r, j])
         # the habit lags per level, then per lag, then per row: on rows of the
         # plan as (row, lagged row, weight), on the history as (row, level, weight)
@@ -224,10 +231,11 @@ class _SubtreePlan:
             wts=np.concatenate([t.atom_probs[l][atoms[l]] for l in levels]),
             floors=np.concatenate([p.h[l][atoms[l]] for l in levels]),
             prices=prices, w_index=nA * parent_row[1:, None] + np.arange(nA), w_gain=gains[1:],
-            jac=jac, h_scatter=h_scatter, lags=_triples(lags), hist_lags=_triples(hist_lags))
+            jac=jac, h_scatter=h_scatter, depths=depths, lags=_triples(lags),
+            hist_lags=_triples(hist_lags))
 
     def _setup(self, m, p, atoms, history, w, *, b0, wts, floors, prices, w_index, w_gain,
-               jac, h_scatter, lags, hist_lags):
+               jac, h_scatter, depths, lags, hist_lags):
         """Keep the row blocks, and derive the offsets, weights and ``Lb``.
 
         ``b0`` holds the endowment of every row; the root's becomes the
@@ -244,6 +252,7 @@ class _SubtreePlan:
         self.n_c, self.n_x = c_off[T] + sizes[-1], self.nA * c_off[T]
         self.prices, self.w_index, self.w_gain = prices, w_index, w_gain
         self._jac, self._h_scatter, self._lags, self._hist_lags = jac, h_scatter, lags, hist_lags
+        self.band_shape = (len(prices), depths, self.nA, self.nA)
         b0[0] = b0[0] + float(w) if k0 else float(w)
         self.b0, self.wts, self.floors = b0, wts, floors
         self.level_wts = [(slice(c_off[l], c_off[l] + len(atoms[l])),
@@ -253,20 +262,16 @@ class _SubtreePlan:
         self.inada = p.family.inada
         self.Lb = self.habit_map(b0, self.history) - floors
 
-    @functools.cached_property
-    def _h_columns(self) -> tuple:
-        """The two columns of each Hessian entry (``_h_scatter``)."""
-        return np.divmod(self._h_scatter[1], self.n_x)
-
     def continuation(self, k: int, node: int, history, w: float) -> "_SubtreePlan":
         """The plan of the continuation from ``node`` at level ``k``, gathered
         from this root plan's blocks; equal to ``_SubtreePlan(m, p, eps_vals,
         k, node, history, w)`` array for array.
 
-        The subtree's rows keep their order.  A block or Hessian entry of a
-        subtree row belongs to the continuation exactly where its columns are
-        the holdings of subtree rows, ancestors at level ``k`` or below; a lag
-        on a row above the subtree becomes a lag on the history.
+        The subtree's rows keep their order.  A Jacobian entry of a subtree
+        row belongs to the continuation exactly where its column is the
+        holdings of a subtree row, and a Hessian entry of ``band[q, d]``
+        exactly where ``q`` is a subtree row at least ``d`` levels below
+        ``k``; a lag on a row above the subtree becomes a lag on the history.
         """
         if self.k0 != 0:
             raise PreconditionViolated("continuations are gathered from root plans")
@@ -280,9 +285,11 @@ class _SubtreePlan:
         r, c, v = self._jac
         keep = (rmap[r] >= 0) & (cmap[c] >= 0)
         jac = (rmap[r[keep]], cmap[c[keep]], v[keep])
-        (r, _, outer), (ci, cj) = self._h_scatter, self._h_columns
-        keep = (rmap[r] >= 0) & (cmap[ci] >= 0) & (cmap[cj] >= 0)
-        h_scatter = (rmap[r[keep]], cmap[ci[keep]] * (nA * inner) + cmap[cj[keep]], outer[keep])
+        r, index, outer = self._h_scatter
+        per_row = nA * nA * self.band_shape[1]
+        q, rest = np.divmod(index, per_row)             # band[q, d] with d = rest // nA^2
+        keep = (rmap[q] >= 0) & (self.row_level[q] - rest // (nA * nA) >= k)
+        h_scatter = (rmap[r[keep]], rmap[q[keep]] * per_row + rest[keep], outer[keep])
         r, lag, coef = self._lags
         inside, lagged = rmap[r] >= 0, rmap[lag] >= 0
         lags = (rmap[r[inside & lagged]], rmap[lag[inside & lagged]], coef[inside & lagged])
@@ -293,7 +300,8 @@ class _SubtreePlan:
         plan._setup(self.m, self.p, atoms, history, w, b0=self.b0[rows], wts=self.wts[rows],
                     floors=self.floors[rows], prices=self.prices[rows[:inner]],
                     w_index=cmap[self.w_index[below]], w_gain=self.w_gain[below],
-                    jac=jac, h_scatter=h_scatter, lags=lags, hist_lags=hist_lags)
+                    jac=jac, h_scatter=h_scatter, depths=self.band_shape[1], lags=lags,
+                    hist_lags=hist_lags)
         return plan
 
     # -- evaluation ---------------------------------------------------------
@@ -343,11 +351,22 @@ class _SubtreePlan:
             total += float(np.dot(w, u[sl]))
         return total
 
-    def hessian(self, hw: np.ndarray) -> np.ndarray:
-        """``J^T diag(hw) J``, summed row by row over each row's nonzero columns."""
+    def band(self, hw: np.ndarray) -> np.ndarray:
+        """``J^T diag(hw) J`` as blocks ``band[q, d]``: the ``nA x nA`` coupling
+        of row ``q``'s holdings (rows of the block) with those of its
+        depth-``d`` ancestor (columns), summed row by row over each row's
+        nonzero columns.  No other block is nonzero: two holdings couple only
+        through a row below both, so one row is an ancestor of the other,
+        within the habit's lags.  ``band[q, 0]`` is the diagonal block; the
+        entries above the diagonal of the full matrix are its transpose."""
         row, index, outer = self._h_scatter
         return np.bincount(index, weights=hw[row] * outer,
-                           minlength=self.n_x * self.n_x).reshape(self.n_x, self.n_x)
+                           minlength=math.prod(self.band_shape)).reshape(self.band_shape)
+
+    @functools.cached_property
+    def sweep(self) -> "_Sweep":
+        """The elimination order of ``_BandCholesky`` for this plan's band."""
+        return _Sweep(self)
 
     def grad_hess_weights(self, x: np.ndarray):
         """Per-row first and (negated) second felicity weights at ``x``."""
@@ -363,6 +382,12 @@ def _triples(parts) -> tuple:
     if not parts:
         return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
     return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _depths(beta: np.ndarray) -> int:
+    """The ancestor depths ``0..D`` that a row's Jacobian blocks reach, ``D + 1``."""
+    T = len(beta) - 1
+    return max([1, *(l - j + 1 for l in range(T + 1) for j in range(l) if beta[l, j])]) + 1
 
 
 def _jacobian_blocks(beta: np.ndarray, k0: int, row_level, parent_row, prices, gains):
@@ -385,7 +410,7 @@ def _jacobian_blocks(beta: np.ndarray, k0: int, row_level, parent_row, prices, g
     """
     T = len(beta) - 1
     nc, nA = prices.shape
-    width = max([1, *(l - j + 1 for l in range(T + 1) for j in range(l) if beta[l, j])]) + 1
+    width = _depths(beta)
     anc = np.empty((nc, width), dtype=int)          # ancestor row at each depth
     anc[:, 0] = np.arange(nc)
     for d in range(1, width):
@@ -574,21 +599,119 @@ def _derivatives(plan: _SubtreePlan, x: np.ndarray):
     return plan.jac_t(gw), hw
 
 
-def _ridged_cholesky(H: np.ndarray):
-    """Cholesky factor of ``H + ridge I`` with the first ridge that factors, and the ridge.
+_DENSE_TOP = 256     # holdings columns left to the dense factor
 
-    The ridges tried are 0, then ``1e-12 max(1, max|H|)`` growing tenfold; the
-    factor is None once the ridge passes ``1e40``.
+
+class _Sweep:
+    """The order in which ``_BandCholesky`` eliminates a plan's holdings.
+
+    Levels are swept from the deepest up while more than ``_DENSE_TOP``
+    holdings columns lie at or above them, never the plan's root level.  Per
+    swept level it keeps the level's rows, their ancestors ``up`` at depths
+    ``1..D`` within the plan, the pairs ``i <= j`` of those depths and, per
+    pair, the flat ``band`` index of ``band[up[:, i], j - i]``, which the
+    pair's Schur update lands on.  The rows above the swept levels make the
+    dense top, ``n_top`` columns: ``put`` places every ``band`` entry of its
+    rows in the transposed top, so that they fill the lower triangle of the
+    top itself.  Ancestors above the plan's root repeat the root, so the
+    blocks of those depths land on entries of blocks at other depths; they
+    are zero, and adding them leaves those entries as they are.
     """
-    ridge = 0.0
+
+    def __init__(self, plan: _SubtreePlan):
+        k0, T, nA = plan.k0, plan.t.T, plan.nA
+        self.n_q, depths = plan.band_shape[:2]
+        self.nA = nA
+        off = plan.c_off
+        anc = np.zeros((self.n_q, depths), dtype=int)     # the root is its own parent
+        anc[:, 0] = np.arange(self.n_q)
+        anc[1:, 1] = plan.w_index[:self.n_q - 1, 0] // nA
+        for d in range(2, depths):
+            anc[:, d] = anc[anc[:, d - 1], 1]
+        top = T
+        while top > k0 + 1 and nA * off[top] > _DENSE_TOP:
+            top -= 1
+        block = np.arange(nA * nA)
+        self.levels = []
+        for l in range(T - 1, top - 1, -1):
+            rows = slice(off[l], off[l + 1])
+            up = anc[rows, 1:min(depths - 1, l - k0) + 1]
+            i, j = np.triu_indices(up.shape[1])
+            target = ((up[:, i] * depths + j - i)[..., None] * (nA * nA) + block).ravel()
+            self.levels.append((rows, up, i, j, target))
+        self.n_top = nA * off[top]
+        cols = nA * anc[:off[top], :, None] + np.arange(nA)      # each block's columns
+        self.put = (cols[:, :, None] * self.n_top + cols[:, :1, :, None]).ravel()
+
+
+class _BandCholesky:
+    """Cholesky factor of the Newton Hessian from its blocks (``_SubtreePlan.band``).
+
+    Holdings are eliminated leaves to root (Steinbach, "Tree-sparse convex
+    programs", *Math. Methods Oper. Res.* 2002), in the order of
+    ``plan.sweep``.  Eliminating a row's holdings fills nothing: its Schur
+    update couples only its ancestors within the band, which are pairwise
+    ancestors of one another.  A swept level is one batched Cholesky
+    ``L L^T`` of its diagonal blocks, its blocks ``W_d = L^-1 band[q, d]`` on
+    its ancestors and one ``bincount`` of the updates ``W_i^T W_j`` onto
+    ``band[q_i, j - i]``.  The at most ``_DENSE_TOP`` columns above are
+    factored dense by LAPACK, in place; a plan that small sweeps nothing.
+    Raises ``np.linalg.LinAlgError`` where a diagonal block or the top is
+    not positive definite.
+    """
+
+    def __init__(self, plan: _SubtreePlan, band: np.ndarray):
+        self.sweep = sweep = plan.sweep
+        self.levels = []
+        for rows, up, i, j, target in sweep.levels:
+            Linv = np.linalg.inv(np.linalg.cholesky(band[rows, 0]))
+            W = Linv[:, None] @ band[rows, 1:up.shape[1] + 1]
+            update = np.swapaxes(W[:, i], -1, -2) @ W[:, j]
+            band = band - np.bincount(target, weights=update.ravel(),
+                                      minlength=band.size).reshape(band.shape)
+            self.levels.append((rows, up, Linv, W))
+        top = np.bincount(sweep.put, weights=band[:sweep.n_top // sweep.nA].ravel(),
+                          minlength=sweep.n_top ** 2).reshape(sweep.n_top, sweep.n_top)
+        # top holds the transpose, so top.T is Fortran-ordered and LAPACK factors it in place
+        self.top = cho_factor(top.T, lower=True, overwrite_a=True, check_finite=False)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``H^-1 b`` for one right-hand side or one per column: forward over
+        the swept levels, through the dense top, and back down."""
+        if not self.levels:
+            return cho_solve(self.top, b, check_finite=False)
+        sweep = self.sweep
+        x = np.array(b, dtype=float)
+        xr = x.reshape(sweep.n_q, sweep.nA, -1)
+        for rows, up, Linv, W in self.levels:
+            y = xr[rows] = Linv @ xr[rows]
+            flow = np.swapaxes(W, -1, -2) @ y[:, None]
+            flat = np.arange(xr[0].size)
+            xr -= np.bincount((up[..., None] * flat.size + flat).ravel(), weights=flow.ravel(),
+                              minlength=xr.size).reshape(xr.shape)
+        x[:sweep.n_top] = cho_solve(self.top, x[:sweep.n_top], check_finite=False)
+        for rows, up, Linv, W in reversed(self.levels):
+            xr[rows] = np.swapaxes(Linv, -1, -2) @ (xr[rows] - (W @ xr[up]).sum(axis=1))
+        return x
+
+
+def _ridged_factor(plan: _SubtreePlan, band: np.ndarray):
+    """``_BandCholesky`` of ``band`` plus ``ridge`` on the diagonal, with the
+    first ridge that factors, and the ridge.
+
+    The ridges tried are 0, then ``1e-12 max(1, max|band|)`` growing tenfold;
+    the factor is None once the ridge passes ``1e40``.
+    """
+    ridge, work = 0.0, band
     while True:
         try:
-            return cho_factor(H + ridge * np.eye(len(H)) if ridge else H, lower=True,
-                              check_finite=False), ridge
+            return _BandCholesky(plan, work), ridge
         except np.linalg.LinAlgError:
-            ridge = max(ridge * 10.0, 1e-12 * max(1.0, float(np.max(np.abs(H)))))
+            ridge = max(ridge * 10.0, 1e-12 * max(1.0, float(np.max(np.abs(band)))))
             if ridge > 1e40:
                 return None, ridge
+            work = band.copy()
+            work[:, 0] += ridge * np.eye(plan.nA)
 
 
 _MAX_ITER = 300
@@ -628,12 +751,11 @@ def _newton_maximize(plan: _SubtreePlan, x0, gtol: float):
         if not np.isfinite(hw).all():
             raise NonConvergence("curvature weights are not finite",
                                  best=x, diagnostics=dict(info))
-        cf, ridge = _ridged_cholesky(plan.hessian(hw))
+        cf, ridge = _ridged_factor(plan, plan.band(hw))
         if cf is None:
             raise NonConvergence("curvature matrix is irreparably singular",
                                  diagnostics=dict(info))
-        step = cho_solve(cf, g, check_finite=False)
-        del cf          # as large as the Hessian: not kept while the next one is built
+        step = cf.solve(g)
         info["ridge"] = max(info["ridge"], ridge)
         gs = lam2 = float(np.dot(g, step))      # lam2: the squared Newton decrement
         if gs <= 0:
@@ -764,7 +886,7 @@ def _plan_response(plan: _SubtreePlan, x0, gtol: float) -> tuple:
     x, _, info = _newton_maximize(plan, x0, gtol)
     c = float(plan.consumption(x)[0])
     _, hw = plan.grad_hess_weights(x)
-    cf, ridge = _ridged_cholesky(plan.hessian(hw))
+    cf, ridge = _ridged_factor(plan, plan.band(hw))
     if cf is None:
         raise NonConvergence("curvature matrix is irreparably singular at the optimum",
                              best=x, diagnostics=dict(info, ridge=ridge))
@@ -773,13 +895,12 @@ def _plan_response(plan: _SubtreePlan, x0, gtol: float) -> tuple:
     unit[0] = 1.0
     dlb_dw = plan.habit_map(unit, (0.0,) * k0)
     dlb_dh = plan.habit_map(np.zeros(plan.n_c), (0.0,) * (k0 - 1) + (1.0,))
-    dx = cho_solve(cf, -np.column_stack([plan.jac_t(hw * d) for d in (dlb_dw, dlb_dh)]),
-                   check_finite=False)
+    dx = cf.solve(-np.column_stack([plan.jac_t(hw * d) for d in (dlb_dw, dlb_dh)]))
     dc, d2c, fam = -(s_root @ dx[:plan.nA]), None, plan.p.family
     if hasattr(fam, "d3u"):
         s = plan.jac(dx[:, 0]) + dlb_dw
         u3 = _per_level(fam.d3u, plan.row_level)(plan.chat(x))
-        d2x = cho_solve(cf, plan.jac_t(plan.wts * u3 * s * s), check_finite=False)
+        d2x = cf.solve(plan.jac_t(plan.wts * u3 * s * s))
         d2c = -float(s_root @ d2x[:plan.nA])
     return c, float(dc[0]) + 1.0, float(dc[1]), d2c
 

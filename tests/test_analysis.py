@@ -7,7 +7,7 @@ from scipy.optimize import root
 import habitopt.analysis
 import habitopt.solvers
 from habitopt.analysis import _base_holdings
-from habitopt.solvers import _complete_continuation, _complete_response
+from habitopt.solvers import _complete_continuation, _complete_response, _subtree_atoms
 from habitopt import (
     CustomUtility,
     GenerationExhausted,
@@ -146,7 +146,7 @@ def test_warm_started_probes_match_cold_starts(monkeypatch, family, T):
                 eta_bound_check(sc.market, sc.prefs, sc.eps, 0))
 
     slope, curv, eta = run()
-    monkeypatch.setattr(habitopt.analysis, "_base_holdings", lambda base, k, node: None)
+    monkeypatch.setattr(habitopt.analysis, "_base_holdings", lambda base, atoms: None)
     cold_slope, cold_curv, cold_eta = run()
     assert np.allclose(slope.estimates, cold_slope.estimates, rtol=0, atol=1e-9)
     assert np.all(np.abs(curv.estimates - cold_curv.estimates)
@@ -186,7 +186,7 @@ def _probe_by_differences(m, p, eps, k, base, curvature):
 
         def c(wealth):
             return solve_subproblem(m, p, eps, k, a, hist, wealth, gtol=1e-12,
-                                    x0=_base_holdings(base, k, a)).c[(k, a)]
+                                    x0=_base_holdings(base, _subtree_atoms(t, k, a))).c[(k, a)]
 
         if curvature:
             d = max(5e-3, 5e-3 * abs(w))
@@ -376,7 +376,7 @@ def _eta_by_root_finding(m, p, eps, k, base):
 
     def policy(node, history, w):
         sub = solve_subproblem(m, p, eps, k + 1, node, history, w, gtol=1e-12,
-                               x0=_base_holdings(base, k + 1, node))
+                               x0=_base_holdings(base, _subtree_atoms(t, k + 1, node)))
         return sub.c[(k + 1, node)]
 
     estimates = {}
@@ -461,6 +461,33 @@ def test_eta_singular_link_system_raises_with_diagnostics(monkeypatch):
     assert (diag["level"], diag["atom"]) == (0, 0)
     assert not np.isfinite(diag["condition"])
     assert np.all(diag["jacobian"] == 0.0)
+
+
+def test_a_newton_response_finds_its_subtree_once(monkeypatch):
+    # the continuation gathers the node's atoms, and its warm start reads them
+    sc = generate_scenario(1, "general", T=3, utility="power", habit="one_lag")
+    m, t = sc.market, sc.tree
+    eps_vals = [np.asarray(e, dtype=float) for e in sc.eps]
+    base = solve_general(m, sc.prefs, eps_vals)
+    habitopt.analysis._root_plan(m, sc.prefs, eps_vals, base)    # one per base plan
+    calls = []
+    real = habitopt.solvers._subtree_atoms
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    for module in (habitopt.solvers, habitopt.analysis):
+        monkeypatch.setattr(module, "_subtree_atoms", counted, raising=False)
+    responses = 0
+    for k in range(t.T):
+        for node, w in enumerate(base.W.values(k) if k else eps_vals[0]):
+            hist = [float(base.c.values(lev)[t.ancestor(k, lev)[node]]) for lev in range(k)]
+            habitopt.analysis._node_response(m, sc.prefs, eps_vals, base, k, node, hist,
+                                             float(w), "newton")
+            responses += 1
+            assert calls[-1] == (k, node)
+    assert len(calls) == responses
 
 
 def test_eta_passes_where_hybr_stalls_at_rounding_level():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import habitopt.solvers
+from habitopt import _scipy
 from habitopt import (
     AdaptedProcess,
     ExponentialUtility,
@@ -34,9 +36,12 @@ from habitopt import CustomUtility
 from habitopt.analysis import _base_holdings, _priced_market
 from habitopt.errors import ArbitrageDetected, Infeasible
 from habitopt.solvers import (
+    _DENSE_TOP,
+    _derivatives,
     _interior_start,
     _plan_response,
     _replicate_portfolio,
+    _ridged_factor,
     _Superhedge,
     _SubtreePlan,
     _subtree_atoms,
@@ -245,7 +250,7 @@ def _continuation_at_base(seed=31):
     k, node = 1, 1
     hist = [float(base.c.values(0)[0])]
     w = float(base.W.values(k)[node])
-    return sc, k, node, hist, w, _base_holdings(base, k, node)
+    return sc, k, node, hist, w, _base_holdings(base, _subtree_atoms(sc.tree, k, node))
 
 
 def test_inadmissible_warm_start_falls_back_to_lp(solver_lps):
@@ -375,6 +380,24 @@ def test_plan_arrays_equal_the_per_row_ancestor_walk(shuffled_prefs):
                     assert np.array_equal(got, value), (name, k0, node)
 
 
+def _dense_hessian(plan, hw):
+    """The full Hessian from ``plan.band(hw)``, walking each row's ancestors;
+    asserts that the blocks above the plan's root are zero."""
+    band, nA = plan.band(hw), plan.nA
+    parent = np.concatenate([[0], plan.w_index[:, 0] // nA])
+    H = np.zeros((plan.n_x, plan.n_x))
+    for q in range(band.shape[0]):
+        a = q
+        for d in range(band.shape[1]):
+            if plan.row_level[q] - d < plan.k0:
+                assert not band[q, d].any()
+                continue
+            H[nA * q:nA * q + nA, nA * a:nA * a + nA] = band[q, d]
+            H[nA * a:nA * a + nA, nA * q:nA * q + nA] = band[q, d].T
+            a = parent[a]
+    return H
+
+
 def test_pattern_jacobian_and_scattered_hessian_equal_the_dense_products(shuffled_prefs):
     # |fl(x . y) - x . y| <= n eps |x| . |y| for an n-term dot product; both
     # sides are rounded, and the Hessian inherits the rounding of J
@@ -395,9 +418,10 @@ def test_pattern_jacobian_and_scattered_hessian_equal_the_dense_products(shuffle
                 assert np.all(np.abs(dense["J"] - J) <= 2 * nc * eps * J_abs)
                 hw = rng.uniform(0.1, 10.0, nc)
                 H = (J.T * hw) @ J
-                assert np.all(np.abs(plan.hessian(hw) - H)
+                assert np.all(np.abs(_dense_hessian(plan, hw) - H)
                               <= 8 * nc * eps * ((J_abs.T * hw) @ J_abs))
-                assert np.array_equal(plan.hessian(hw), plan.hessian(hw).T)
+                diagonal = plan.band(hw)[:, 0]
+                assert np.array_equal(diagonal, np.swapaxes(diagonal, 1, 2))
 
 
 def test_gathered_continuations_equal_plans_built_for_the_node(shuffled_prefs):
@@ -421,7 +445,7 @@ def test_gathered_continuations_equal_plans_built_for_the_node(shuffled_prefs):
                 assert np.array_equal(gathered.chat(x), built.chat(x)), (k0, node)
                 assert np.array_equal(gathered.consumption(x), built.consumption(x))
                 assert np.array_equal(gathered.jac_t(g), built.jac_t(g))
-                assert np.array_equal(gathered.hessian(hw), built.hessian(hw))
+                assert np.array_equal(gathered.band(hw), built.band(hw))
 
 
 def _array_sizes(obj):
@@ -445,13 +469,142 @@ def test_no_plan_array_grows_with_rows_times_columns():
         assert sizes and max(sizes) < plan.n_c * plan.n_x
 
 
+def _swept_plans():
+    """Generated plans past the dense cut: complete T=8 and general T=6 (one
+    lag), bond-only T=9 (two lags), and a level-1 continuation of complete
+    T=9 gathered from its root."""
+    plans = []
+    for family, T, utility, habit in (("complete", 8, "power", "one_lag"),
+                                      ("general", 6, "log", None),
+                                      ("bond_only", 9, "power", "two_lag")):
+        sc = generate_scenario(1, family, T=T, utility=utility, habit=habit)
+        plans.append(_SubtreePlan(sc.market, sc.prefs, sc.eps))
+    sc = generate_scenario(1, "complete", T=9, utility="power", habit="one_lag")
+    base = solve_general(sc.market, sc.prefs, sc.eps)
+    root = _SubtreePlan(sc.market, sc.prefs, sc.eps)
+    plans.append(root.continuation(1, 0, [float(base.c.values(0)[0])],
+                                   float(base.W.values(1)[0])))
+    return plans
+
+
+def test_band_sweep_solves_the_dense_system():
+    # in raw holdings cond(H) reaches 3e10 here, and the dense solve itself sits
+    # up to 8e-10 from the exact step (long-double refinement, complete T=8), so
+    # the sweep is held to LAPACK's backward error and to the dense step within
+    # that conditioning
+    for plan in _swept_plans():
+        assert plan.sweep.levels and plan.sweep.n_top <= _DENSE_TOP < plan.n_x
+        g, hw = _derivatives(plan, _interior_start(plan))
+        H = _dense_hessian(plan, hw)
+        dense = _scipy.cho_factor(H, lower=True)
+        cf, ridge = _ridged_factor(plan, plan.band(hw))
+        assert ridge == 0.0
+        # the right-hand sides of _plan_response: a unit of wealth at the root,
+        # and of the last history entry where there is one
+        unit = np.zeros(plan.n_c)
+        unit[0] = 1.0
+        k0 = plan.k0
+        dlb = [plan.habit_map(unit, (0.0,) * k0)]
+        if k0:
+            dlb.append(plan.habit_map(np.zeros(plan.n_c), (0.0,) * (k0 - 1) + (1.0,)))
+        sides = [-plan.jac_t(hw * d) for d in dlb]
+        for b in (g, np.column_stack([g, *sides])):
+            step, ref = cf.solve(b), _scipy.cho_solve(dense, b)
+            assert step.shape == b.shape
+            resid = np.abs(H @ step - b).max(axis=0)
+            assert np.all(resid <= 1e-15 * np.abs(H).sum(axis=1).max() * np.abs(step).max(axis=0))
+            err = np.linalg.norm((step - ref).reshape(g.size, -1), axis=0)
+            assert np.all(err <= 1e-8 * np.linalg.norm(ref.reshape(g.size, -1), axis=0))
+
+
+def test_full_sweep_matches_the_dense_step_on_a_well_conditioned_band(monkeypatch):
+    # bond-only holdings are one bond per node, so the dense step is accurate
+    # and the sweep of every level below the root matches it to 1e-10
+    monkeypatch.setattr(habitopt.solvers, "_DENSE_TOP", 0)
+    sc = generate_scenario(1, "bond_only", T=8, utility="power", habit="two_lag")
+    plan = _SubtreePlan(sc.market, sc.prefs, sc.eps)
+    assert len(plan.sweep.levels) == sc.tree.T - 1 and plan.sweep.n_top == plan.nA
+    g, hw = _derivatives(plan, _interior_start(plan))
+    b = np.column_stack([g, np.random.default_rng(4).standard_normal((g.size, 2))])
+    step = _ridged_factor(plan, plan.band(hw))[0].solve(b)
+    ref = _scipy.cho_solve(_scipy.cho_factor(_dense_hessian(plan, hw), lower=True), b)
+    assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def _scattered_hessian(plan, hw):
+    """Reference: ``J^T diag(hw) J`` scattered into the full matrix, each row's
+    outer product in row order, as the dense factor was fed."""
+    row, col, val = plan._jac
+    i, j = np.nonzero(row[:, None] == row[None, :])
+    n = plan.n_x
+    return np.bincount(col[i] * n + col[j], weights=hw[row[i]] * (val[i] * val[j]),
+                       minlength=n * n).reshape(n, n)
+
+
+def test_plans_within_the_cut_take_the_dense_factor_bit_for_bit():
+    # complete T=7 at 1101 has 254 columns and bond-only T=8 255: nothing is swept
+    for seed, family, T, habit in ((1101, "complete", 7, "one_lag"),
+                                   (1, "bond_only", 8, "two_lag"),
+                                   (1, "general", 3, "one_lag")):
+        sc = generate_scenario(seed, family, T=T, utility="power", habit=habit)
+        plan = _SubtreePlan(sc.market, sc.prefs, sc.eps)
+        assert not plan.sweep.levels and plan.sweep.n_top == plan.n_x <= _DENSE_TOP
+        g, hw = _derivatives(plan, _interior_start(plan))
+        dense = _scipy.cho_factor(_scattered_hessian(plan, hw), lower=True, check_finite=False)
+        cf, _ = _ridged_factor(plan, plan.band(hw))
+        b = np.column_stack([g, -g])
+        assert np.array_equal(cf.solve(g), _scipy.cho_solve(dense, g, check_finite=False))
+        assert np.array_equal(cf.solve(b), _scipy.cho_solve(dense, b, check_finite=False))
+
+
+def test_dense_top_is_factored_in_place(monkeypatch):
+    pairs = []
+    real = habitopt.solvers.cho_factor
+
+    def recorded(a, *args, **kwargs):
+        c = real(a, *args, **kwargs)
+        pairs.append((a, c[0]))
+        return c
+
+    monkeypatch.setattr(habitopt.solvers, "cho_factor", recorded)
+    for T in (4, 8):
+        sc = generate_scenario(1, "complete", T=T, utility="power", habit="one_lag")
+        plan = _SubtreePlan(sc.market, sc.prefs, sc.eps)
+        _, hw = _derivatives(plan, _interior_start(plan))
+        _ridged_factor(plan, plan.band(hw))
+    assert len(pairs) == 2
+    assert all(np.shares_memory(a, c) for a, c in pairs)
+
+
+def test_singular_swept_blocks_take_a_ridge():
+    # a duplicated risky asset makes every diagonal block singular; the
+    # deepest level is swept, so its batched Cholesky is what fails
+    sc = generate_scenario(1, "complete", T=8, utility="log", habit="one_lag")
+    m, T = sc.market, sc.tree.T
+    dup = MarketModel(sc.tree, [m.r[k] for k in range(1, T + 1)],
+                      [np.repeat(m.S[k][:, 1:], 2, axis=1) for k in range(T)],
+                      [np.repeat(m.d[k][:, 1:], 2, axis=1) for k in range(1, T + 1)])
+    plan = _SubtreePlan(dup, sc.prefs, sc.eps)
+    _, hw = _derivatives(plan, _interior_start(plan))
+    band = plan.band(hw)
+    rows = plan.sweep.levels[0][0]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(band[rows, 0])
+    assert _ridged_factor(plan, band)[1] > 0.0
+    fast = solve_general(dup, sc.prefs, sc.eps)
+    assert fast.converged and fast.diagnostics["ridge"] > 0.0
+    closed = solve_auto(m, sc.prefs, sc.eps, method="closed")
+    for k in range(T + 1):
+        assert np.allclose(cvals(fast, k), cvals(closed, k), rtol=1e-5, atol=0)
+
+
 def test_continuation_response_at_the_root():
     # the root has no history entry to differentiate in, so dc/dhistory[-1] is 0
     sc = generate_scenario(1, "general", T=3, utility="power", habit="one_lag")
     base = solve_general(sc.market, sc.prefs, sc.eps, gtol=1e-12)
     w = float(sc.eps[0][0])
     plan = _SubtreePlan(sc.market, sc.prefs, sc.eps, k0=0, node=0, history=(), w=w)
-    c, dc_dw, dc_dh, d2c = _plan_response(plan, _base_holdings(base, 0, 0), 1e-12)
+    c, dc_dw, dc_dh, d2c = _plan_response(plan, _base_holdings(base, plan.atoms), 1e-12)
     assert c == pytest.approx(base.c.values(0)[0], rel=1e-12)
     assert dc_dh == 0.0
 
@@ -533,7 +686,7 @@ def test_plan_felicity_equals_per_level_evaluation(name):
     shifted_cont = _SubtreePlan(sc.market, prefs, sc.eps, k0=k, node=node,
                                 history=[hist[0] - 0.01], w=w + 0.05)
     for plan in (root, shifted_root, cont, shifted_cont):
-        x = _base_holdings(base, plan.k0, plan.node)
+        x = _base_holdings(base, plan.atoms)
         for pt in [x] + [x + 1e-3 * rng.standard_normal(x.size) for _ in range(4)]:
             assert np.isfinite(plan.utility(pt))
             u, total, gw, hw = _per_level_reference(plan, pt)
@@ -550,7 +703,7 @@ def test_entering_wealth_equals_per_atom_dots():
     for k, node in ((0, 0), (1, 2), (2, 4)):
         # holdings and gains alone set the entering wealth; wealth and history do not
         plan = _SubtreePlan(m, sc.prefs, sc.eps, k0=k, node=node, history=[1.0] * k, w=1.0)
-        x = _base_holdings(base, k, node)
+        x = _base_holdings(base, plan.atoms)
         ref = []
         for l in range(k + 1, t.T + 1):
             for a in plan.atoms[l]:
