@@ -3,11 +3,12 @@
 Everything here interrogates solved plans rather than producing them: slopes
 and curvatures of consumption policies in wealth against their theoretical
 bounds and the wealth response of continuation plans to past consumption
-(implicit derivatives of each node's continuation optimum or of the closed
-form's budget root, kept in one table per base plan), envelope and scaling
-laws, the closed-form counterexample showing optimal time-0 consumption is a
-strictly convex function of the endowment, and a reproducible generator of
-test instances by market family.
+(implicit derivatives of every node's continuation optimum, read from one
+factor of the polished root plan, or of the closed form's budget root, kept
+in one table per base plan), envelope and scaling laws, the closed-form
+counterexample showing optimal time-0 consumption is a strictly convex
+function of the endowment, and a reproducible generator of test instances by
+market family.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .solvers import (
     _closed_form,
     _complete_response,
     _CompleteGeneral,
-    _plan_response,
+    _Optimum,
     _SubtreePlan,
     has_inverse_marginal,
     solve_auto,
@@ -77,7 +78,7 @@ __all__ = [
     "generate_scenario",
 ]
 
-# Newton tolerance of the continuation solves and re-solves behind every probe
+# Newton tolerance of the root polish and the node solves behind every probe
 _GTOL = 1e-12
 
 
@@ -148,19 +149,19 @@ def _resolve_method(m: MarketModel, p: HabitPreferences, method: str) -> str:
 def _node_response(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k: int,
                    node: int, history, w: float, method: str) -> tuple:
     """``(c, dc/dw, dc/dhistory[-1], d2c/dw2)`` of the continuation from
-    ``(k, node)`` entered with wealth ``w`` after ``history``: ``newton``
-    solves the node's plan, gathered from the root plan (``_root_plan``) and
-    warm-started from ``base`` (``solvers._plan_response``), and ``closed``
+    ``(k, node)`` entered with wealth ``w`` after ``history``: ``closed``
     differentiates the closed form's budget root
-    (``solvers._complete_response``).  A leaf consumes its endowment plus its
-    wealth under either method: ``(eps + w, 1, 0, 0)``.
+    (``solvers._complete_response``), and ``newton`` solves the node's own
+    plan from the holdings of ``base`` (``solvers._Optimum``), which only the
+    wealths off the base plan need (``_responses``).  A leaf consumes its
+    endowment plus its wealth under either method: ``(eps + w, 1, 0, 0)``.
     """
     if k == m.tree.T:
         return float(eps_vals[k][node] + w), 1.0, 0.0, 0.0
     if method == "closed":
         return _complete_response(p, spd_bundle(m, p.beta), eps_vals, k, node, history, w)
-    plan = _root_plan(m, p, eps_vals, base).continuation(k, node, history, w)
-    return _plan_response(plan, _base_holdings(base, plan.atoms), _GTOL)
+    plan = _SubtreePlan(m, p, eps_vals, k, node, history, w)
+    return _Optimum(plan, _base_holdings(base, plan.atoms), _GTOL).level_responses(k)[0]
 
 
 def _instance_key(m: MarketModel, p: HabitPreferences, eps_vals) -> tuple:
@@ -168,32 +169,35 @@ def _instance_key(m: MarketModel, p: HabitPreferences, eps_vals) -> tuple:
     return m, p, tuple(v.tobytes() for v in eps_vals)
 
 
-def _root_plan(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution) -> _SubtreePlan:
-    """The instance's root plan, built once per base plan and kept beside its
-    responses (``_responses``), from which every continuation is gathered."""
-    key = _instance_key(m, p, eps_vals)
-    if key not in base._plans:
-        base._plans[key] = _SubtreePlan(m, p, eps_vals)
-    return base._plans[key]
-
-
 def _responses(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k: int,
                method: str) -> list:
-    """``(history, w, _node_response)`` of every level-``k`` node, entered with
-    its base wealth (the endowment at the root) after the base consumption of
-    its ancestors.  Computed once per method and level and kept on ``base``,
+    """``(history, w, response)`` of every level-``k`` node, entered with its
+    base wealth (the endowment at the root) after the base consumption of its
+    ancestors.  Computed once per method and level and kept on ``base``,
     keyed by the instance (``_instance_key``), so a plan reused with another
     instance never reads a stale table.
+
+    Under ``newton`` every non-leaf level is read from one polish of the
+    root plan, warm-started from ``base`` and kept on it per instance
+    (``solvers._Optimum``); no node's continuation is solved.  The leaves,
+    and every node under ``closed``, take ``_node_response``.
     """
-    key = (*_instance_key(m, p, eps_vals), method, k)
+    instance = _instance_key(m, p, eps_vals)
+    key = (*instance, method, k)
     if key not in base._responses:
         t, c = m.tree, base.c
-        wealth = eps_vals[0] if k == 0 else base.W.values(k)
-        rows = []
-        for a, w in enumerate(wealth.tolist()):
-            hist = [float(c.values(lev)[t.ancestor(k, lev)[a]]) for lev in range(k)]
-            rows.append((hist, w, _node_response(m, p, eps_vals, base, k, a, hist, w, method)))
-        base._responses[key] = rows
+        wealth = (eps_vals[0] if k == 0 else base.W.values(k)).tolist()
+        hists = np.reshape([c.values(lev)[t.ancestor(k, lev)] for lev in range(k)],
+                           (k, len(wealth))).T.tolist()
+        if method == "newton" and k < t.T:
+            if instance not in base._optima:
+                plan = _SubtreePlan(m, p, eps_vals)
+                base._optima[instance] = _Optimum(plan, _base_holdings(base, plan.atoms), _GTOL)
+            responses = base._optima[instance].level_responses(k)
+        else:
+            responses = [_node_response(m, p, eps_vals, base, k, a, hist, w, method)
+                         for a, (hist, w) in enumerate(zip(hists, wealth))]
+        base._responses[key] = list(zip(hists, wealth, responses))
     return base._responses[key]
 
 

@@ -96,10 +96,10 @@ class Solution:
     U: float
     converged: bool
     diagnostics: dict = field(default_factory=dict)
-    # node responses at this plan, per instance, method and level (analysis._responses),
-    # and per instance the root plan that they are gathered from (analysis._root_plan)
+    # node responses at this plan, per instance, method and level, and per
+    # instance the polished root plan that Newton's are read from (analysis._responses)
     _responses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _optima: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -162,13 +162,13 @@ class _SubtreePlan:
     over these blocks.  The wealth and the history enter only through ``b0``
     and ``Lb``, the adjusted consumption at zero holdings.
 
-    ``continuation`` gathers the plan of any node's continuation from a root
-    plan's blocks instead of building it: the subtree's rows, its blocks
-    re-indexed to the subtree's columns and its Hessian blocks, with ``Lb``
-    rebuilt from the wealth and history.  ``u_rows`` and ``du_d2u_rows`` are
-    the family's whole-plan evaluation over the rows (``family.on_rows``),
-    built once per plan, so each evaluation point costs one vectorized ``u``
-    or one ``(u', u'')`` pair; ``utility`` still sums one level at a time.
+    A node's continuation is its own plan, built by this constructor; its
+    responses need none, since the root plan's Hessian holds every
+    continuation's as a principal block (``_Optimum``).  ``u_rows`` and
+    ``du_d2u_rows`` are the family's whole-plan evaluation over the rows
+    (``family.on_rows``), built once per plan, so each evaluation point
+    costs one vectorized ``u`` or one ``(u', u'')`` pair; ``utility`` still
+    sums one level at a time.
     """
 
     def __init__(self, m: MarketModel, p: HabitPreferences, eps_vals, k0: int = 0,
@@ -200,9 +200,10 @@ class _SubtreePlan:
         prices = np.concatenate([np.zeros((0, nA)), *(m.S[l][atoms[l]] for l in levels[:-1])])
         jac = h_scatter = _triples([])
         depths = _depths(p.beta)
+        row_level = np.repeat(np.arange(k0, T + 1), sizes)
         if len(prices):
             jcols, jvals, keep = _jacobian_blocks(
-                p.beta, k0, np.repeat(np.arange(k0, T + 1), sizes), parent_row,
+                p.beta, k0, row_level, parent_row,
                 np.concatenate([prices, np.zeros((sizes[-1], nA))]), gains)
             r, i = np.nonzero(keep)
             jac = (r, jcols[r, i], jvals[r, i])
@@ -225,84 +226,29 @@ class _SubtreePlan:
                     lags.append((rows, rows_above(l, lev), weight))
                 else:
                     hist_lags.append((rows, np.full(rows.size, lev), weight))
-        self._setup(
-            m, p, atoms, history, w,
-            b0=np.concatenate([eps_vals[l][atoms[l]] for l in levels]),
-            wts=np.concatenate([t.atom_probs[l][atoms[l]] for l in levels]),
-            floors=np.concatenate([p.h[l][atoms[l]] for l in levels]),
-            prices=prices, w_index=nA * parent_row[1:, None] + np.arange(nA), w_gain=gains[1:],
-            jac=jac, h_scatter=h_scatter, depths=depths, lags=_triples(lags),
-            hist_lags=_triples(hist_lags))
-
-    def _setup(self, m, p, atoms, history, w, *, b0, wts, floors, prices, w_index, w_gain,
-               jac, h_scatter, depths, lags, hist_lags):
-        """Keep the row blocks, and derive the offsets, weights and ``Lb``.
-
-        ``b0`` holds the endowment of every row; the root's becomes the
-        entering wealth ``w`` at the root of the tree and adds ``w`` elsewhere.
-        """
-        t = m.tree
-        T, k0 = t.T, len(history)
         self.m, self.p, self.t = m, p, t
-        self.k0, self.node, self.history, self.atoms = k0, int(atoms[k0][0]), tuple(history), atoms
-        self.nA = m.n_risky + 1
-        sizes = [len(atoms[l]) for l in range(k0, T + 1)]
-        self.c_off = c_off = dict(zip(range(k0, T + 1), np.cumsum([0, *sizes]).tolist()))
-        self.x_off = {l: self.nA * c_off[l] for l in range(k0, T)}
-        self.n_c, self.n_x = c_off[T] + sizes[-1], self.nA * c_off[T]
-        self.prices, self.w_index, self.w_gain = prices, w_index, w_gain
-        self._jac, self._h_scatter, self._lags, self._hist_lags = jac, h_scatter, lags, hist_lags
-        self.band_shape = (len(prices), depths, self.nA, self.nA)
+        self.k0, self.node, self.history, self.atoms = k0, int(node), tuple(history), atoms
+        self.nA = nA
+        self.c_off = c_off = dict(zip(levels, c_off.tolist()))
+        self.x_off = {l: nA * c_off[l] for l in range(k0, T)}
+        self.n_c, self.n_x = c_off[T] + sizes[-1], nA * c_off[T]
+        self.prices, self.w_gain = prices, gains[1:]
+        self.w_index = nA * parent_row[1:, None] + np.arange(nA)
+        self._jac, self._h_scatter = jac, h_scatter
+        self._lags, self._hist_lags = _triples(lags), _triples(hist_lags)
+        self.band_shape = (len(prices), depths, nA, nA)
+        # the entering wealth replaces the root's endowment at the root of the
+        # tree and adds to it elsewhere
+        self.b0 = b0 = np.concatenate([eps_vals[l][atoms[l]] for l in levels])
         b0[0] = b0[0] + float(w) if k0 else float(w)
-        self.b0, self.wts, self.floors = b0, wts, floors
-        self.level_wts = [(slice(c_off[l], c_off[l] + len(atoms[l])),
-                           wts[c_off[l]:c_off[l] + len(atoms[l])]) for l in range(k0, T + 1)]
-        self.row_level = np.repeat(np.arange(k0, T + 1), sizes)
-        self.u_rows, self.du_d2u_rows = p.family.on_rows(self.row_level)
+        self.wts = wts = np.concatenate([t.atom_probs[l][atoms[l]] for l in levels])
+        self.floors = np.concatenate([p.h[l][atoms[l]] for l in levels])
+        self.level_wts = [(slice(c_off[l], c_off[l] + sizes[l - k0]),
+                           wts[c_off[l]:c_off[l] + sizes[l - k0]]) for l in levels]
+        self.row_level = row_level
+        self.u_rows, self.du_d2u_rows = p.family.on_rows(row_level)
         self.inada = p.family.inada
-        self.Lb = self.habit_map(b0, self.history) - floors
-
-    def continuation(self, k: int, node: int, history, w: float) -> "_SubtreePlan":
-        """The plan of the continuation from ``node`` at level ``k``, gathered
-        from this root plan's blocks; equal to ``_SubtreePlan(m, p, eps_vals,
-        k, node, history, w)`` array for array.
-
-        The subtree's rows keep their order.  A Jacobian entry of a subtree
-        row belongs to the continuation exactly where its column is the
-        holdings of a subtree row, and a Hessian entry of ``band[q, d]``
-        exactly where ``q`` is a subtree row at least ``d`` levels below
-        ``k``; a lag on a row above the subtree becomes a lag on the history.
-        """
-        if self.k0 != 0:
-            raise PreconditionViolated("continuations are gathered from root plans")
-        t, nA = self.t, self.nA
-        atoms = _subtree_atoms(t, k, node)
-        rows = np.concatenate([self.c_off[l] + atoms[l] for l in range(k, t.T + 1)])
-        inner = rows.size - len(atoms[t.T])            # subtree rows above level T
-        rmap = np.full(self.n_c, -1)
-        rmap[rows] = np.arange(rows.size)
-        cmap = (nA * rmap[:len(self.prices), None] + np.arange(nA)).ravel()   # < 0: outside
-        r, c, v = self._jac
-        keep = (rmap[r] >= 0) & (cmap[c] >= 0)
-        jac = (rmap[r[keep]], cmap[c[keep]], v[keep])
-        r, index, outer = self._h_scatter
-        per_row = nA * nA * self.band_shape[1]
-        q, rest = np.divmod(index, per_row)             # band[q, d] with d = rest // nA^2
-        keep = (rmap[q] >= 0) & (self.row_level[q] - rest // (nA * nA) >= k)
-        h_scatter = (rmap[r[keep]], rmap[q[keep]] * per_row + rest[keep], outer[keep])
-        r, lag, coef = self._lags
-        inside, lagged = rmap[r] >= 0, rmap[lag] >= 0
-        lags = (rmap[r[inside & lagged]], rmap[lag[inside & lagged]], coef[inside & lagged])
-        above = inside & ~lagged
-        hist_lags = (rmap[r[above]], self.row_level[lag[above]], coef[above])
-        below = rows[1:] - 1
-        plan = _SubtreePlan.__new__(_SubtreePlan)
-        plan._setup(self.m, self.p, atoms, history, w, b0=self.b0[rows], wts=self.wts[rows],
-                    floors=self.floors[rows], prices=self.prices[rows[:inner]],
-                    w_index=cmap[self.w_index[below]], w_gain=self.w_gain[below],
-                    jac=jac, h_scatter=h_scatter, depths=self.band_shape[1], lags=lags,
-                    hist_lags=hist_lags)
-        return plan
+        self.Lb = self.habit_map(b0, self.history) - self.floors
 
     # -- evaluation ---------------------------------------------------------
 
@@ -365,8 +311,8 @@ class _SubtreePlan:
 
     @functools.cached_property
     def sweep(self) -> "_Sweep":
-        """The elimination order of ``_BandCholesky`` for this plan's band."""
-        return _Sweep(self)
+        """The elimination order of Newton's ``_BandCholesky`` for this plan's band."""
+        return _Sweep(self, _DENSE_TOP)
 
     def grad_hess_weights(self, x: np.ndarray):
         """Per-row first and (negated) second felicity weights at ``x``."""
@@ -605,12 +551,14 @@ _DENSE_TOP = 256     # holdings columns left to the dense factor
 class _Sweep:
     """The order in which ``_BandCholesky`` eliminates a plan's holdings.
 
-    Levels are swept from the deepest up while more than ``_DENSE_TOP``
-    holdings columns lie at or above them, never the plan's root level.  Per
-    swept level it keeps the level's rows, their ancestors ``up`` at depths
-    ``1..D`` within the plan, the pairs ``i <= j`` of those depths and, per
-    pair, the flat ``band`` index of ``band[up[:, i], j - i]``, which the
-    pair's Schur update lands on.  The rows above the swept levels make the
+    Levels are swept from the deepest up while more than ``dense_top``
+    holdings columns lie at or above them, never the plan's root level:
+    Newton's factor leaves ``_DENSE_TOP`` columns to LAPACK, and
+    ``dense_top = 0`` sweeps every level below the root.  Per swept level it
+    keeps the level's rows, their ancestors ``up`` at depths ``1..D`` within
+    the plan, the pairs ``i <= j`` of those depths and, per pair, the flat
+    ``band`` index of ``band[up[:, i], j - i]``, which the pair's Schur update
+    lands on.  ``top`` is the highest swept level.  The rows above it make the
     dense top, ``n_top`` columns: ``put`` places every ``band`` entry of its
     rows in the transposed top, so that they fill the lower triangle of the
     top itself.  Ancestors above the plan's root repeat the root, so the
@@ -618,7 +566,7 @@ class _Sweep:
     are zero, and adding them leaves those entries as they are.
     """
 
-    def __init__(self, plan: _SubtreePlan):
+    def __init__(self, plan: _SubtreePlan, dense_top: int):
         k0, T, nA = plan.k0, plan.t.T, plan.nA
         self.n_q, depths = plan.band_shape[:2]
         self.nA = nA
@@ -629,8 +577,9 @@ class _Sweep:
         for d in range(2, depths):
             anc[:, d] = anc[anc[:, d - 1], 1]
         top = T
-        while top > k0 + 1 and nA * off[top] > _DENSE_TOP:
+        while top > k0 + 1 and nA * off[top] > dense_top:
             top -= 1
+        self.top = top
         block = np.arange(nA * nA)
         self.levels = []
         for l in range(T - 1, top - 1, -1):
@@ -654,14 +603,13 @@ class _BandCholesky:
     ancestors of one another.  A swept level is one batched Cholesky
     ``L L^T`` of its diagonal blocks, its blocks ``W_d = L^-1 band[q, d]`` on
     its ancestors and one ``bincount`` of the updates ``W_i^T W_j`` onto
-    ``band[q_i, j - i]``.  The at most ``_DENSE_TOP`` columns above are
-    factored dense by LAPACK, in place; a plan that small sweeps nothing.
-    Raises ``np.linalg.LinAlgError`` where a diagonal block or the top is
-    not positive definite.
+    ``band[q_i, j - i]``.  The columns above the swept levels are factored
+    dense by LAPACK, in place.  Raises ``np.linalg.LinAlgError`` where a
+    diagonal block or the top is not positive definite.
     """
 
-    def __init__(self, plan: _SubtreePlan, band: np.ndarray):
-        self.sweep = sweep = plan.sweep
+    def __init__(self, sweep: _Sweep, band: np.ndarray):
+        self.sweep = sweep
         self.levels = []
         for rows, up, i, j, target in sweep.levels:
             Linv = np.linalg.inv(np.linalg.cholesky(band[rows, 0]))
@@ -675,37 +623,51 @@ class _BandCholesky:
         # top holds the transpose, so top.T is Fortran-ordered and LAPACK factors it in place
         self.top = cho_factor(top.T, lower=True, overwrite_a=True, check_finite=False)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray, below: int | None = None) -> np.ndarray:
         """``H^-1 b`` for one right-hand side or one per column: forward over
-        the swept levels, through the dense top, and back down."""
+        the swept levels, through the dense top, and back down.
+
+        With ``below`` a swept level ``k``, it solves instead with the
+        principal block of ``H`` on the holdings at levels ``>= k``, and the
+        holdings above come out zero.  Those holdings are eliminated first,
+        so the factor's levels down to ``k`` factor that block: the forward
+        pass stops after level ``k``, and the back pass starts there with
+        zero above.
+        """
         if not self.levels:
             return cho_solve(self.top, b, check_finite=False)
-        sweep = self.sweep
+        sweep, levels = self.sweep, self.levels
+        if below is not None:
+            levels = levels[:len(levels) - (below - sweep.top)]
         x = np.array(b, dtype=float)
         xr = x.reshape(sweep.n_q, sweep.nA, -1)
-        for rows, up, Linv, W in self.levels:
+        for rows, up, Linv, W in levels:
             y = xr[rows] = Linv @ xr[rows]
             flow = np.swapaxes(W, -1, -2) @ y[:, None]
             flat = np.arange(xr[0].size)
             xr -= np.bincount((up[..., None] * flat.size + flat).ravel(), weights=flow.ravel(),
                               minlength=xr.size).reshape(xr.shape)
-        x[:sweep.n_top] = cho_solve(self.top, x[:sweep.n_top], check_finite=False)
-        for rows, up, Linv, W in reversed(self.levels):
+        if below is None:
+            x[:sweep.n_top] = cho_solve(self.top, x[:sweep.n_top], check_finite=False)
+        else:
+            x[:sweep.nA * levels[-1][0].start] = 0.0
+        for rows, up, Linv, W in reversed(levels):
             xr[rows] = np.swapaxes(Linv, -1, -2) @ (xr[rows] - (W @ xr[up]).sum(axis=1))
         return x
 
 
-def _ridged_factor(plan: _SubtreePlan, band: np.ndarray):
+def _ridged_factor(plan: _SubtreePlan, band: np.ndarray, sweep: _Sweep | None = None):
     """``_BandCholesky`` of ``band`` plus ``ridge`` on the diagonal, with the
-    first ridge that factors, and the ridge.
+    first ridge that factors, and the ridge.  The factor follows ``sweep``,
+    by default the plan's own (``plan.sweep``).
 
     The ridges tried are 0, then ``1e-12 max(1, max|band|)`` growing tenfold;
     the factor is None once the ridge passes ``1e40``.
     """
-    ridge, work = 0.0, band
+    ridge, work, sweep = 0.0, band, sweep or plan.sweep
     while True:
         try:
-            return _BandCholesky(plan, work), ridge
+            return _BandCholesky(sweep, work), ridge
         except np.linalg.LinAlgError:
             ridge = max(ridge * 10.0, 1e-12 * max(1.0, float(np.max(np.abs(band)))))
             if ridge > 1e40:
@@ -868,41 +830,72 @@ def solve_subproblem(m: MarketModel, p: HabitPreferences, eps, k: int, node: int
                        U=fx, converged=True, diagnostics=dict(info))
 
 
-def _plan_response(plan: _SubtreePlan, x0, gtol: float) -> tuple:
-    """``(c, dc/dw, dc/dhistory[-1], d2c/dw2)`` at the optimum of ``plan``.
+class _Optimum:
+    """A plan's Newton optimum from ``x0`` and one factor of its Hessian there,
+    from which its responses are read level by level (``level_responses``).
 
-    Newton solves from ``x0``; then the optimality condition
-    ``J^T (wts u'(J x + Lb)) = 0`` is differentiated (Fiacco, 1983).  With
-    ``hw`` the curvature weights, ``H dx = -J^T (hw * dLb)``, where ``Lb``
-    moves by the habit map of a unit root endowment per unit of entering
-    wealth and by that of a unit last history entry per unit of it (not at
-    all at the root).  Once more in wealth, with ``s = J dx + dLb/dw``,
-    ``H d2x = J^T (wts u''' s^2)``.  The solves share one factor of ``H``.
-    The root owns the first ``nA`` columns and has no parent, so ``c`` moves
-    by ``-S_root . dx[:nA]`` plus one and curves by ``-S_root . d2x[:nA]``
-    (None for a family without ``d3u``).  The plan must hold something
-    (``k0 < T``).
+    The factor sweeps every level below the plan's root (``_Sweep`` with no
+    dense top), so the holdings at levels ``>= k`` come first in its
+    elimination order and its levels down to ``k`` factor their principal
+    block of the Hessian (``_BandCholesky.solve`` with ``below``).  That
+    block is block-diagonal over the level-``k`` subtrees, as a subtree's
+    holdings touch only the subtree's rows, and each block is the Hessian of
+    that node's continuation at its optimum, which by Bellman consistency is
+    the plan's holdings on the subtree (Steinbach, *Math. Methods Oper.
+    Res.* 2002).  One solve therefore serves every node of a level.
     """
-    x, _, info = _newton_maximize(plan, x0, gtol)
-    c = float(plan.consumption(x)[0])
-    _, hw = plan.grad_hess_weights(x)
-    cf, ridge = _ridged_factor(plan, plan.band(hw))
-    if cf is None:
-        raise NonConvergence("curvature matrix is irreparably singular at the optimum",
-                             best=x, diagnostics=dict(info, ridge=ridge))
-    k0, s_root = plan.k0, plan.prices[0]
-    unit = np.zeros(plan.n_c)
-    unit[0] = 1.0
-    dlb_dw = plan.habit_map(unit, (0.0,) * k0)
-    dlb_dh = plan.habit_map(np.zeros(plan.n_c), (0.0,) * (k0 - 1) + (1.0,))
-    dx = cf.solve(-np.column_stack([plan.jac_t(hw * d) for d in (dlb_dw, dlb_dh)]))
-    dc, d2c, fam = -(s_root @ dx[:plan.nA]), None, plan.p.family
-    if hasattr(fam, "d3u"):
-        s = plan.jac(dx[:, 0]) + dlb_dw
-        u3 = _per_level(fam.d3u, plan.row_level)(plan.chat(x))
-        d2x = cf.solve(plan.jac_t(plan.wts * u3 * s * s))
-        d2c = -float(s_root @ d2x[:plan.nA])
-    return c, float(dc[0]) + 1.0, float(dc[1]), d2c
+
+    def __init__(self, plan: _SubtreePlan, x0, gtol: float):
+        x, _, info = _newton_maximize(plan, x0, gtol)
+        _, hw = plan.grad_hess_weights(x)
+        cf, ridge = _ridged_factor(plan, plan.band(hw), _Sweep(plan, dense_top=0))
+        if cf is None:
+            raise NonConvergence("curvature matrix is irreparably singular at the optimum",
+                                 best=x, diagnostics=dict(info, ridge=ridge))
+        self.plan, self.x, self.hw, self.cf = plan, x, hw, cf
+
+    def level_responses(self, k: int) -> list:
+        """``(c, dc/dw, dc/dhistory[-1], d2c/dw2)`` of every level-``k`` node
+        of the plan (``k0 <= k < T``), in row order.
+
+        Each node's optimality condition ``J^T (wts u'(J x + Lb)) = 0`` is
+        differentiated (Fiacco, 1983): with ``hw`` the curvature weights,
+        ``H dx = -J^T (hw * dLb)`` on the holdings at levels ``>= k``.
+        ``Lb`` moves by the habit map of a unit of wealth at every level-``k``
+        row, and by that of a unit of level-``k - 1`` consumption: at the
+        rows of that level, or in the last history entry at the plan's root
+        (nowhere at the root of the tree).  Once more in wealth, with
+        ``s = J dx + dLb/dw``, ``H d2x = J^T (wts u''' s^2)``.  A level-``k``
+        row's parent holds nothing within the block, so its ``c`` moves by
+        ``1 - S . dx`` on its own holdings and curves by ``-S . d2x`` (None
+        for a family without ``d3u``).
+        """
+        plan, cf, nA = self.plan, self.cf, self.plan.nA
+        rows = slice(plan.c_off[k], plan.c_off[k + 1])
+        below = k if k > plan.k0 else None
+        wealth, past, hist = np.zeros(plan.n_c), np.zeros(plan.n_c), np.zeros(plan.k0)
+        wealth[rows] = 1.0
+        if below is not None:
+            past[plan.c_off[k - 1]:rows.start] = 1.0
+        elif k:
+            hist[-1] = 1.0
+        dlb_dw = plan.habit_map(wealth, np.zeros(plan.k0))
+        S = plan.prices[rows][:, None]
+
+        def moved(dx):      # -S . dx on each level-k row's holdings, per column
+            return -(S @ dx[nA * rows.start:nA * rows.stop].reshape(len(S), nA, -1))[:, 0]
+
+        dx = cf.solve(-np.column_stack([plan.jac_t(self.hw * d)
+                                        for d in (dlb_dw, plan.habit_map(past, hist))]), below)
+        dc = moved(dx)
+        d2c, fam = [None] * len(S), plan.p.family
+        if hasattr(fam, "d3u"):
+            s = plan.jac(dx[:, 0]) + dlb_dw
+            u3 = _per_level(fam.d3u, plan.row_level)(plan.chat(self.x))
+            d2c = moved(cf.solve(plan.jac_t(plan.wts * u3 * s * s), below)[:, None])[:, 0]
+            d2c = d2c.tolist()
+        c = plan.consumption(self.x)[rows]
+        return list(zip(c.tolist(), (dc[:, 0] + 1.0).tolist(), dc[:, 1].tolist(), d2c))
 
 
 _ORACLE_SEEDS = (0, 1, 2)
@@ -1083,16 +1076,9 @@ class _CompleteContinuation:
         return _forward_consumption(p, spd, atoms, history, z, where), resid, z
 
 
-def _complete_continuation(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int,
-                           node: int, history, w: float):
-    """Optimal complete-market consumption below ``node`` at level ``k``:
-    ``_CompleteContinuation.solve`` for one entering wealth ``w``."""
-    return _CompleteContinuation(p, spd, eps_vals, k, node, history).solve(w)
-
-
 def _complete_response(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int, node: int,
                        history, w: float) -> tuple:
-    """``(c, dc/dw, dc/dhistory[-1], d2c/dw2)`` of ``_complete_continuation`` at
+    """``(c, dc/dw, dc/dhistory[-1], d2c/dw2)`` of ``_CompleteContinuation`` at
     ``node``: one root-find for ``z``, then the budget gap ``g(z, w, h)`` is
     differentiated (Fiacco, 1983).  ``u'_l(chat_l) = u'_k(z) r_l`` (``r_l`` the
     perturbed-deflator ratios) gives ``dchat_l/dz = u''_k(z) r_l / u''_l(chat_l)``

@@ -7,7 +7,7 @@ from scipy.optimize import root
 import habitopt.analysis
 import habitopt.solvers
 from habitopt.analysis import _base_holdings
-from habitopt.solvers import _complete_continuation, _complete_response, _subtree_atoms
+from habitopt.solvers import _CompleteContinuation, _complete_response, _subtree_atoms
 from habitopt import (
     CustomUtility,
     GenerationExhausted,
@@ -291,7 +291,8 @@ def test_closed_responses_match_differences_of_the_closed_form(case):
             w = float(sc.eps[0][0]) if k == 0 else float(base.W.values(k)[a])
 
             def c_at(wealth, history=hist):
-                return _complete_continuation(p, spd, eps_vals, k, a, history, wealth)[0][k][0]
+                cont = _CompleteContinuation(p, spd, eps_vals, k, a, history)
+                return cont.solve(wealth)[0][k][0]
 
             c, dc_dw, dc_dh, d2c = _complete_response(p, spd, eps_vals, k, a, hist, w)
             assert (d2c is None) == (case == 4)
@@ -461,33 +462,6 @@ def test_eta_singular_link_system_raises_with_diagnostics(monkeypatch):
     assert (diag["level"], diag["atom"]) == (0, 0)
     assert not np.isfinite(diag["condition"])
     assert np.all(diag["jacobian"] == 0.0)
-
-
-def test_a_newton_response_finds_its_subtree_once(monkeypatch):
-    # the continuation gathers the node's atoms, and its warm start reads them
-    sc = generate_scenario(1, "general", T=3, utility="power", habit="one_lag")
-    m, t = sc.market, sc.tree
-    eps_vals = [np.asarray(e, dtype=float) for e in sc.eps]
-    base = solve_general(m, sc.prefs, eps_vals)
-    habitopt.analysis._root_plan(m, sc.prefs, eps_vals, base)    # one per base plan
-    calls = []
-    real = habitopt.solvers._subtree_atoms
-
-    def counted(*args):
-        calls.append(args[1:])
-        return real(*args)
-
-    for module in (habitopt.solvers, habitopt.analysis):
-        monkeypatch.setattr(module, "_subtree_atoms", counted, raising=False)
-    responses = 0
-    for k in range(t.T):
-        for node, w in enumerate(base.W.values(k) if k else eps_vals[0]):
-            hist = [float(base.c.values(lev)[t.ancestor(k, lev)[node]]) for lev in range(k)]
-            habitopt.analysis._node_response(m, sc.prefs, eps_vals, base, k, node, hist,
-                                             float(w), "newton")
-            responses += 1
-            assert calls[-1] == (k, node)
-    assert len(calls) == responses
 
 
 def test_eta_passes_where_hybr_stalls_at_rounding_level():

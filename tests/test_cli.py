@@ -456,32 +456,44 @@ def test_verify_solves_the_base_plan_once(tmp_path, capsys, monkeypatch, solver_
 
 
 def test_verify_evaluates_one_response_per_node(tmp_path, capsys, monkeypatch):
-    # the deflator repro has 40 non-leaf nodes, whose responses the slope and
-    # curvature probes and eta share
+    # the deflator repro has 40 non-leaf nodes on levels 0-3, whose responses
+    # the slope and curvature probes and eta share: each level is read once,
+    # and no Newton solve runs on a node's continuation
     files = _generate(tmp_path, capsys, "--seed", "3", "--family", "general", "--T", "4",
                       "--utility", "power", "--habit", "one_lag")
-    points = []
-    real = habitopt.analysis._plan_response
+    levels, newton = [], []
+    real_level = habitopt.solvers._Optimum.level_responses
+    real_newton = habitopt.solvers._newton_maximize
 
-    def counted(plan, *args):
-        points.append((plan.k0, plan.node))
-        return real(plan, *args)
+    def counted_level(self, k):
+        out = real_level(self, k)
+        levels.append((k, len(out)))
+        return out
 
-    monkeypatch.setattr(habitopt.analysis, "_plan_response", counted)
+    def counted_newton(plan, *args):
+        newton.append(plan.k0)
+        return real_newton(plan, *args)
+
+    monkeypatch.setattr(habitopt.solvers._Optimum, "level_responses", counted_level)
+    monkeypatch.setattr(habitopt.solvers, "_newton_maximize", counted_newton)
     code, _, _ = run(capsys, "verify", *files,
                      "--checks", "monotonicity,eta,concavity,envelope,foc")
     assert code == 0
-    assert len(points) == len(set(points)) == 40
+    assert sorted(levels) == [(0, 1), (1, 3), (2, 9), (3, 27)]
+    assert newton and not any(newton)
 
 
 def test_verify_builds_one_root_plan_for_its_responses(tmp_path, capsys, monkeypatch):
-    # the deflator repro: the 40 responses are gathered from one root plan; every
-    # other plan built belongs to a solve (the base plan and the envelope's two)
+    # the deflator repro: the 40 responses come from one factor of one root
+    # plan, which sweeps every level below the root, so that the root row's
+    # two holdings are its dense top; every other plan built and factored
+    # belongs to a solve (the base plan and the envelope's two)
     files = _generate(tmp_path, capsys, "--seed", "3", "--family", "general", "--T", "4",
                       "--utility", "power", "--habit", "one_lag")
-    builds, solves = [], []
+    builds, solves, tops = [], [], []
     plan_cls = habitopt.solvers._SubtreePlan
     real_init, real_solve = plan_cls.__init__, habitopt.solvers.solve_general
+    real_factor = habitopt.solvers._BandCholesky
 
     def counted_init(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
@@ -491,7 +503,12 @@ def test_verify_builds_one_root_plan_for_its_responses(tmp_path, capsys, monkeyp
         solves.append(1)
         return real_solve(*args, **kwargs)
 
+    def counted_factor(sweep, band):
+        tops.append(sweep.n_top)
+        return real_factor(sweep, band)
+
     monkeypatch.setattr(plan_cls, "__init__", counted_init)
+    monkeypatch.setattr(habitopt.solvers, "_BandCholesky", counted_factor)
     for module in (habitopt.solvers, habitopt.analysis, habitopt.cli):
         monkeypatch.setattr(module, "solve_general", counted_solve)
     code, _, _ = run(capsys, "verify", *files,
@@ -499,11 +516,13 @@ def test_verify_builds_one_root_plan_for_its_responses(tmp_path, capsys, monkeyp
     assert code == 0
     assert len(solves) == 3
     assert builds == [0] * (len(solves) + 1)
+    assert tops.count(2) == 1 and set(tops) == {2, 80}
 
 
-def test_verify_runs_one_newton_solve_per_response(tmp_path, capsys, monkeypatch):
-    # the deflator repro: 40 non-leaf responses, the base plan, and the
-    # envelope check's two re-solves; the probes re-solve nothing
+def test_verify_runs_one_newton_solve_for_its_responses(tmp_path, capsys, monkeypatch):
+    # the deflator repro: one polish of the root plan for its 40 non-leaf
+    # responses, the base plan, and the envelope check's two re-solves; the
+    # probes re-solve nothing
     files = _generate(tmp_path, capsys, "--seed", "3", "--family", "general", "--T", "4",
                       "--utility", "power", "--habit", "one_lag")
     solves = []
@@ -520,7 +539,7 @@ def test_verify_runs_one_newton_solve_per_response(tmp_path, capsys, monkeypatch
     code, _, _ = run(capsys, "verify", *files,
                      "--checks", "monotonicity,eta,concavity,envelope,foc")
     assert code == 0
-    assert len(solves) == 40 + 1 + 2
+    assert len(solves) == 1 + 1 + 2
 
 
 def test_verify_takes_one_root_find_per_closed_form_response(tmp_path, capsys, monkeypatch):

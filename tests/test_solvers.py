@@ -39,11 +39,13 @@ from habitopt.solvers import (
     _DENSE_TOP,
     _derivatives,
     _interior_start,
-    _plan_response,
+    _newton_maximize,
+    _Optimum,
     _replicate_portfolio,
     _ridged_factor,
     _Superhedge,
     _SubtreePlan,
+    _Sweep,
     _subtree_atoms,
 )
 
@@ -424,28 +426,51 @@ def test_pattern_jacobian_and_scattered_hessian_equal_the_dense_products(shuffle
                 assert np.array_equal(diagonal, np.swapaxes(diagonal, 1, 2))
 
 
-def test_gathered_continuations_equal_plans_built_for_the_node(shuffled_prefs):
-    rng = np.random.default_rng(11)
-    for sc in _pinned_instances(shuffled_prefs):
-        t = sc.tree
+def _own_plan_response(sc, base, k, node):
+    """Reference ``(c, dc/dw, dc/dhistory[-1], d2c/dw2)`` of one node: its own
+    plan, entered with its base wealth after its base history, solved by
+    Newton from the base holdings and differentiated on Newton's own factor
+    of its Hessian."""
+    t = sc.tree
+    hist = [float(base.c.values(lev)[t.ancestor(k, lev)[node]]) for lev in range(k)]
+    w = float(base.W.values(k)[node]) if k else float(sc.eps[0][0])
+    plan = _SubtreePlan(sc.market, sc.prefs, sc.eps, k, node, hist, w)
+    x, _, _ = _newton_maximize(plan, _base_holdings(base, plan.atoms), 1e-12)
+    _, hw = plan.grad_hess_weights(x)
+    cf, _ = _ridged_factor(plan, plan.band(hw))
+    unit = np.zeros(plan.n_c)
+    unit[0] = 1.0
+    dlb_dw = plan.habit_map(unit, (0.0,) * k)
+    dlb_dh = plan.habit_map(np.zeros(plan.n_c), (0.0,) * (k - 1) + (1.0,)) if k else 0 * unit
+    dx = cf.solve(-np.column_stack([plan.jac_t(hw * d) for d in (dlb_dw, dlb_dh)]))
+    s = plan.jac(dx[:, 0]) + dlb_dw
+    u3 = np.concatenate([sc.prefs.family.d3u(l, plan.chat(x)[plan.row_level == l])
+                         for l in range(k, t.T + 1)])
+    d2x = cf.solve(plan.jac_t(plan.wts * u3 * s * s))
+    S = plan.prices[0]
+    return (plan.consumption(x)[0], 1.0 - S @ dx[:plan.nA, 0], -(S @ dx[:plan.nA, 1]),
+            -(S @ d2x[:plan.nA]))
+
+
+def test_one_factor_responses_match_plans_built_for_each_node(shuffled_prefs):
+    # every level's responses come from one factor of the polished root plan;
+    # the reference builds, solves and factors each node's own plan
+    instances = _pinned_instances(shuffled_prefs)
+    instances.append(generate_scenario(5, "general", T=5, utility="power", habit="one_lag"))
+    for sc in instances:
+        base = solve_general(sc.market, sc.prefs, sc.eps, gtol=1e-12)
         root = _SubtreePlan(sc.market, sc.prefs, sc.eps)
-        for k0 in range(t.T + 1):
-            for node in range(t.n_atoms(k0)):
-                w = 1.3 if k0 == 0 else 0.7
-                history = [1.0 + 0.1 * l for l in range(k0)]
-                built = _SubtreePlan(sc.market, sc.prefs, sc.eps, k0=k0, node=node,
-                                     history=history, w=w)
-                gathered = root.continuation(k0, node, history, w)
-                assert (gathered.n_c, gathered.n_x) == (built.n_c, built.n_x)
-                assert all(np.array_equal(a, b) for a, b in
-                           zip(gathered.atoms[k0:], built.atoms[k0:]))
-                x = rng.standard_normal(built.n_x)
-                g = rng.standard_normal(built.n_c)
-                hw = rng.uniform(0.1, 10.0, built.n_c)
-                assert np.array_equal(gathered.chat(x), built.chat(x)), (k0, node)
-                assert np.array_equal(gathered.consumption(x), built.consumption(x))
-                assert np.array_equal(gathered.jac_t(g), built.jac_t(g))
-                assert np.array_equal(gathered.band(hw), built.band(hw))
+        one = _Optimum(root, _base_holdings(base, root.atoms), 1e-12)
+        for k in range(sc.tree.T):
+            got = np.array(one.level_responses(k))
+            want = np.array([_own_plan_response(sc, base, k, node)
+                             for node in range(sc.tree.n_atoms(k))])
+            assert got.shape == want.shape
+            # relative, but curvature on the concavity probe's scale max(1, |c|):
+            # on the complete market it is zero in theory and ~1e-14 here
+            scale = np.abs(want)
+            scale[:, 3] = np.maximum(1.0, scale[:, 0])
+            assert np.all(np.abs(got - want) <= 1e-9 * scale), (sc.meta, k)
 
 
 def _array_sizes(obj):
@@ -463,7 +488,8 @@ def test_no_plan_array_grows_with_rows_times_columns():
     sc = generate_scenario(1, "complete", T=8, utility="log", habit="one_lag", max_tries=1000)
     root = _SubtreePlan(sc.market, sc.prefs, sc.eps)
     base = solve_general(sc.market, sc.prefs, sc.eps)
-    cont = root.continuation(1, 0, [float(base.c.values(0)[0])], float(base.W.values(1)[0]))
+    cont = _SubtreePlan(sc.market, sc.prefs, sc.eps, 1, 0, [float(base.c.values(0)[0])],
+                        float(base.W.values(1)[0]))
     for plan in (root, cont):
         sizes = [n for value in vars(plan).values() for n in _array_sizes(value)]
         assert sizes and max(sizes) < plan.n_c * plan.n_x
@@ -472,7 +498,7 @@ def test_no_plan_array_grows_with_rows_times_columns():
 def _swept_plans():
     """Generated plans past the dense cut: complete T=8 and general T=6 (one
     lag), bond-only T=9 (two lags), and a level-1 continuation of complete
-    T=9 gathered from its root."""
+    T=9 at its base optimum."""
     plans = []
     for family, T, utility, habit in (("complete", 8, "power", "one_lag"),
                                       ("general", 6, "log", None),
@@ -481,9 +507,8 @@ def _swept_plans():
         plans.append(_SubtreePlan(sc.market, sc.prefs, sc.eps))
     sc = generate_scenario(1, "complete", T=9, utility="power", habit="one_lag")
     base = solve_general(sc.market, sc.prefs, sc.eps)
-    root = _SubtreePlan(sc.market, sc.prefs, sc.eps)
-    plans.append(root.continuation(1, 0, [float(base.c.values(0)[0])],
-                                   float(base.W.values(1)[0])))
+    plans.append(_SubtreePlan(sc.market, sc.prefs, sc.eps, 1, 0, [float(base.c.values(0)[0])],
+                              float(base.W.values(1)[0])))
     return plans
 
 
@@ -499,8 +524,8 @@ def test_band_sweep_solves_the_dense_system():
         dense = _scipy.cho_factor(H, lower=True)
         cf, ridge = _ridged_factor(plan, plan.band(hw))
         assert ridge == 0.0
-        # the right-hand sides of _plan_response: a unit of wealth at the root,
-        # and of the last history entry where there is one
+        # the right-hand sides of a response at the plan's root: a unit of
+        # wealth there, and of the last history entry where there is one
         unit = np.zeros(plan.n_c)
         unit[0] = 1.0
         k0 = plan.k0
@@ -529,6 +554,34 @@ def test_full_sweep_matches_the_dense_step_on_a_well_conditioned_band(monkeypatc
     step = _ridged_factor(plan, plan.band(hw))[0].solve(b)
     ref = _scipy.cho_solve(_scipy.cho_factor(_dense_hessian(plan, hw), lower=True), b)
     assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_a_solve_below_a_level_solves_each_subtree_block():
+    # verify's factor sweeps every level below the root, whether Newton's own
+    # sweeps (complete T=8) or not (general T=3); solving below level k gives
+    # zero above k and, on each level-k subtree, a solve of its own block
+    rng = np.random.default_rng(8)
+    for family, T in (("complete", 8), ("general", 3)):
+        sc = generate_scenario(1, family, T=T, utility="power", habit="one_lag")
+        t, plan = sc.tree, _SubtreePlan(sc.market, sc.prefs, sc.eps)
+        assert bool(plan.sweep.levels) == (family == "complete")
+        g, hw = _derivatives(plan, _interior_start(plan))
+        H = _dense_hessian(plan, hw)
+        cf, ridge = _ridged_factor(plan, plan.band(hw), _Sweep(plan, dense_top=0))
+        assert ridge == 0.0 and len(cf.levels) == T - 1 and cf.sweep.n_top == plan.nA
+        b = np.column_stack([g, rng.standard_normal(g.size)])
+        for k in range(1, T):
+            step = cf.solve(b, below=k)
+            assert step.shape == b.shape
+            assert np.all(step[:plan.x_off[k]] == 0.0)
+            for node in range(t.n_atoms(k)):
+                atoms = _subtree_atoms(t, k, node)
+                rows = np.concatenate([plan.c_off[l] + atoms[l] for l in range(k, T)])
+                cols = (plan.nA * rows[:, None] + np.arange(plan.nA)).ravel()
+                block, x = H[np.ix_(cols, cols)], step[cols]
+                resid = np.abs(block @ x - b[cols]).max(axis=0)
+                assert np.all(resid <= 1e-15 * np.abs(block).sum(axis=1).max()
+                              * np.abs(x).max(axis=0)), (family, k, node)
 
 
 def _scattered_hessian(plan, hw):
@@ -604,7 +657,8 @@ def test_continuation_response_at_the_root():
     base = solve_general(sc.market, sc.prefs, sc.eps, gtol=1e-12)
     w = float(sc.eps[0][0])
     plan = _SubtreePlan(sc.market, sc.prefs, sc.eps, k0=0, node=0, history=(), w=w)
-    c, dc_dw, dc_dh, d2c = _plan_response(plan, _base_holdings(base, plan.atoms), 1e-12)
+    c, dc_dw, dc_dh, d2c = _Optimum(plan, _base_holdings(base, plan.atoms),
+                                   1e-12).level_responses(0)[0]
     assert c == pytest.approx(base.c.values(0)[0], rel=1e-12)
     assert dc_dh == 0.0
 
