@@ -72,7 +72,9 @@ class NonConvergence(HabitOptError):
 
 
 class InstanceTooLarge(HabitOptError):
-    """The brute-force oracle refuses instances above its dimension cap."""
+    """An instance exceeds a fixed size cap of the method asked to handle it:
+    the brute-force oracle's dimension cap, or the memory budget for a node's
+    state-price vertices."""
 
 
 class BracketFailure(HabitOptError):

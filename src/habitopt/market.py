@@ -13,6 +13,7 @@ maps between consumption and wealth.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,6 +23,7 @@ from ._scipy import linprog  # noqa: F401 (perfbench/spans.py wraps it here)
 from .errors import (
     ArbitrageDetected,
     DivisionByZeroSPD,
+    InstanceTooLarge,
     InvalidWitness,
     LevelMismatch,
     NotInPayoffSpace,
@@ -298,6 +300,12 @@ class _Vertices(NamedTuple):
     support: np.ndarray       # (g, nv, r)
 
 
+# Floats a group's vertex arrays may take: a square block (r*r) and a state
+# price vector (nc) per node and support.  2**25 (256 MiB of them) keeps
+# nc = 20, r = 10 (22.2 million) and refuses nc = 24, r = 12 (454 million).
+_VERTEX_BUDGET = 2 ** 25
+
+
 def _state_price_vertices(m: MarketModel, k: int) -> tuple:
     """The vertices of each level-``k-1`` node's one-period state prices, ``k = 1..T``.
 
@@ -314,7 +322,8 @@ def _state_price_vertices(m: MarketModel, k: int) -> tuple:
     (to ``1e-12``, then clipped) and prices every asset to ``_PRICING_TOL``.
     Groups are ``tree.child_blocks[k-1]``'s, split by rank.  The result is
     cached on ``m``.  Raises ArbitrageDetected, naming the node, where a node
-    has no vertex.
+    has no vertex, and InstanceTooLarge where a group's supports would take
+    more than ``_VERTEX_BUDGET`` floats.
     """
     if k in m._vertices:
         return m._vertices[k]
@@ -328,6 +337,13 @@ def _state_price_vertices(m: MarketModel, k: int) -> tuple:
             j = np.flatnonzero(rank == r)
             parents, ch = block_parents[j], b.children[j]
             g, nc = ch.shape
+            count = math.comb(nc, r)
+            if g * count * (r * r + nc) > _VERTEX_BUDGET:
+                raise InstanceTooLarge(
+                    f"state prices at level {k - 1}: {g} node(s) with {nc} children of "
+                    f"rank {r} have {count} supports each, above the vertex budget of "
+                    f"{_VERTEX_BUDGET} floats"
+                )
             supports = np.array(list(itertools.combinations(range(nc), r)))   # (nv, r)
             rows = b.rows[j, :r] * sw[ch][:, None, :]
             square = np.moveaxis(rows[:, :, supports], 2, 1)                 # (g, nv, r, r)

@@ -9,7 +9,8 @@ import pytest
 import habitopt.analysis
 import habitopt.cli
 import habitopt.solvers
-from habitopt import MarketModel, build_tree
+from habitopt import (HabitPreferences, InstanceTooLarge, LogUtility, MarketModel, build_tree,
+                      solve_general)
 from habitopt.cli import atomic_write, dumps_canonical, main
 
 
@@ -320,6 +321,32 @@ def test_solve_infeasible_exits_3(instance, tmp_path, capsys):
                        "--prefs", instance["prefs"], "--endow", str(bad))
     assert code == 3
     assert "solver failure" in err
+
+
+def test_a_node_too_wide_to_enumerate_exits_3(tmp_path, capsys):
+    # one period, 24 children, a bond and 11 risky assets priced by positive
+    # state prices: C(24, 12) = 2.7 million vertex supports, refused before any
+    # is built (enumerating them would take an estimated 3-4 GB)
+    rng = np.random.default_rng(0)
+    nc = 24
+    t = build_tree([[list(range(nc))], [[i] for i in range(nc)]], [1.0 / nc] * nc)
+    d = rng.uniform(0.5, 1.5, (nc, 11))
+    q = rng.uniform(0.5, 1.5, nc)
+    q /= q.sum()
+    m = MarketModel(t, [0.0], [(q @ d)[None, :]], [d])
+    p = HabitPreferences.one_lag(t, LogUtility(), 0.3)
+    eps = [np.ones(1), np.ones(nc)]
+    with pytest.raises(InstanceTooLarge, match="level 0: 1 node.* 24 children of rank 12 "
+                                               "have 2704156 supports"):
+        solve_general(m, p, eps)
+    files = {"model": {"tree": t.to_json(), "market": m.to_json()}, "prefs": p.to_json(),
+             "endow": {"endowments": [e.tolist() for e in eps]}}
+    for name, payload in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    code, _, err = run(capsys, "solve", *(f for name in files
+                                          for f in (f"--{name}", str(tmp_path / f"{name}.json"))))
+    assert code == 3
+    assert "2704156 supports" in err
 
 
 @pytest.mark.parametrize("edit", ["short_h", "long_h", "short_gamma"])
