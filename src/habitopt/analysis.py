@@ -51,7 +51,10 @@ from .solvers import (
     _closed_form,
     _complete_response,
     _CompleteGeneral,
+    _instance_key,
+    _newton_maximize,
     _Optimum,
+    _solution_utility,
     _SubtreePlan,
     has_inverse_marginal,
     solve_auto,
@@ -164,9 +167,14 @@ def _node_response(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution
     return _Optimum(plan, _base_holdings(base, plan.atoms), _GTOL).level_responses(k)[0]
 
 
-def _instance_key(m: MarketModel, p: HabitPreferences, eps_vals) -> tuple:
-    """The market and preferences (by identity) and the endowments (by value)."""
-    return m, p, tuple(v.tobytes() for v in eps_vals)
+def _root_plan(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution) -> _SubtreePlan:
+    """The instance's root plan: the one kept on ``base`` by ``solve_general``
+    or by an earlier call, else one built and kept there per instance
+    (``solvers._instance_key``)."""
+    instance = _instance_key(m, p, eps_vals)
+    if instance not in base._plans:
+        base._plans[instance] = _SubtreePlan(m, p, eps_vals)
+    return base._plans[instance]
 
 
 def _responses(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k: int,
@@ -178,9 +186,10 @@ def _responses(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k:
     instance never reads a stale table.
 
     Under ``newton`` every non-leaf level is read from one polish of the
-    root plan, warm-started from ``base`` and kept on it per instance
-    (``solvers._Optimum``); no node's continuation is solved.  The leaves,
-    and every node under ``closed``, take ``_node_response``.
+    instance's root plan (``_root_plan``), warm-started from ``base`` and
+    kept on it per instance (``solvers._Optimum``); no node's continuation is
+    solved.  The leaves, and every node under ``closed``, take
+    ``_node_response``.
     """
     instance = _instance_key(m, p, eps_vals)
     key = (*instance, method, k)
@@ -191,7 +200,7 @@ def _responses(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k:
                            (k, len(wealth))).T.tolist()
         if method == "newton" and k < t.T:
             if instance not in base._optima:
-                plan = _SubtreePlan(m, p, eps_vals)
+                plan = _root_plan(m, p, eps_vals, base)
                 base._optima[instance] = _Optimum(plan, _base_holdings(base, plan.atoms), _GTOL)
             responses = base._optima[instance].level_responses(k)
         else:
@@ -342,9 +351,10 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
     level ``k+1`` of the base plan's table (``_responses``: the closed form
     on complete markets with an inverse marginal, else Newton); the link,
     projected on the children's payoff space (``market.payoff_space_basis``),
-    then gives one rank-by-rank linear system per atom.  NonConvergence, with
-    the system's condition number, is raised where that system is singular
-    or not finite.
+    then gives one rank-by-rank linear system per atom, solved in one batch
+    per group of atoms with equal child count and rank.  NonConvergence,
+    with the system's condition number, is raised for the first atom whose
+    system is singular or not finite.
     """
     t = m.tree
     T = t.T
@@ -358,52 +368,64 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
     if base is None:
         base = solve_auto(m, p, eps_vals)
     table = _responses(m, p, eps_vals, base, k + 1, _resolve_method(m, p, "auto"))
+    # per level-(k+1) node: the derivatives of its consumption in its wealth and in c_k
+    dc_dw, dc_dc = np.array([response[1:3] for _, _, response in table]).T
     chat_here, chat_next = base.chat.values(k), base.chat.values(k + 1)
-    wts = t.atom_probs[k + 1]
-    # per level-k atom, its children and a basis of their attainable wealths
-    links = {int(a): (blk.children[g], blk.rows[g][blk.keep[g]].T)
-             for blk, (atoms, _) in zip(payoff_space_basis(m, k + 1).blocks, t.child_blocks[k])
-             for g, a in enumerate(atoms)}
-
+    wts, w_next = t.atom_probs[k + 1], base.W.values(k + 1)
     bound_lvl = _chain_weights(t, spd, theta, k, k + 1, np.zeros(t.n_atoms(k + 1)))
 
-    estimates, bounds = {}, {}
-    terminal_formula = {}
-    base_residual = 0.0
-    for a in range(t.n_atoms(k)):
-        children, bmat = links[a]
-        mt_ratio = spd.Mtilde[k + 1].values[children] / spd.Mtilde[k].values[a]
-        wch, w_base = wts[children], base.W.values(k + 1)[children]
+    # per level-(k+1) node: its estimate and terminal formula
+    estimate, formula = np.empty(t.n_atoms(k + 1)), np.empty(t.n_atoms(k + 1))
+    failed, residuals = [], [0.0]
+    for (parents, _), blk in zip(t.child_blocks[k], payoff_space_basis(m, k + 1).blocks):
+        rank = blk.keep.sum(axis=1)
+        for r in np.unique(rank).tolist():
+            j = np.flatnonzero(rank == r)
+            atoms, ch = parents[j], blk.children[j]
+            rows = blk.rows[j, :r]                  # (g, r, nc): each atom's basis
+            bmat = np.swapaxes(rows, 1, 2)
+            mt_ratio = spd.Mtilde[k + 1].values[ch] / spd.Mtilde[k].values[atoms][:, None]
+            wch, w_base = wts[ch], w_next[ch]
 
-        # the link gap_b = u'_{k+1}(chat_b) - mt_ratio_b u'_k(chat_k) and the
-        # derivatives of each child's consumption in its wealth and in c_k
-        dc_dw, dc_dc = np.array([table[b][-1][1:3] for b in children]).T
-        du2_next = fam.d2u(k + 1, chat_next[children])
-        du2_here = fam.d2u(k, chat_here[a])
-        gap = fam.du(k + 1, chat_next[children]) - mt_ratio * fam.du(k, chat_here[a])
+            # the link gap_b = u'_{k+1}(chat_b) - mt_ratio_b u'_k(chat_k)
+            du2_next = fam.d2u(k + 1, chat_next[ch])
+            du2_here = fam.d2u(k, chat_here[atoms])[:, None]
+            gap = fam.du(k + 1, chat_next[ch]) - mt_ratio * fam.du(k, chat_here[atoms])[:, None]
 
-        y_base = bmat.T @ (wch * w_base)
-        base_residual = max(base_residual, float(np.max(np.abs(bmat.T @ (wch * gap)))),
-                            float(np.max(np.abs(bmat @ y_base - w_base))))
+            y_base = rows @ (wch * w_base)[..., None]
+            residuals += np.max(np.abs(rows @ (wch * gap)[..., None]), axis=(1, 2)).tolist()
+            residuals += np.max(np.abs(bmat @ y_base - w_base[..., None]), axis=(1, 2)).tolist()
 
-        # d(bmat^T diag(wch) gap)/dy dy + d(...)/dc_k = 0, with wealth bmat y
-        jac = bmat.T @ ((wch * du2_next * dc_dw)[:, None] * bmat)
-        rhs = bmat.T @ (wch * (du2_next * (dc_dc - p.beta[k + 1, k]) - mt_ratio * du2_here))
-        cond = float(np.linalg.cond(jac)) if np.isfinite(jac).all() else np.inf
-        if not (np.isfinite(rhs).all() and cond < 1.0 / np.finfo(float).eps):
-            raise NonConvergence(
-                f"wealth-response system is singular at level {k}, atom {a} "
-                f"(condition number {cond:.3e})",
-                diagnostics={"level": k, "atom": a, "condition": cond,
-                             "jacobian": jac, "rhs": rhs},
-            )
-        keys = [(a, b) for b in children.tolist()]
-        estimates.update(zip(keys, (bmat @ -np.linalg.solve(jac, rhs)).tolist()))
-        bounds.update(zip(keys, bound_lvl[children].tolist()))
-        if k == T - 1:
-            proj_du2 = bmat @ (bmat.T @ (wch * du2_next))
-            terminal_formula.update(zip(keys, (p.beta[T, T - 1]
-                                               + mt_ratio * du2_here / proj_du2).tolist()))
+            # d(bmat^T diag(wch) gap)/dy dy + d(...)/dc_k = 0, with wealth bmat y
+            jac = rows @ ((wch * du2_next * dc_dw[ch])[..., None] * bmat)
+            rhs = rows @ (wch * (du2_next * (dc_dc[ch] - p.beta[k + 1, k])
+                                 - mt_ratio * du2_here))[..., None]
+            finite = np.isfinite(jac).all(axis=(1, 2))
+            cond = np.where(finite, np.linalg.cond(np.where(finite[:, None, None], jac, 0.0)),
+                            np.inf)
+            bad = ~(np.isfinite(rhs).all(axis=(1, 2)) & (cond < 1.0 / np.finfo(float).eps))
+            failed += [(int(atoms[i]), cond[i], jac[i], rhs[i, :, 0]) for i in np.flatnonzero(bad)]
+            if failed:
+                continue
+            estimate[ch] = (bmat @ -np.linalg.solve(jac, rhs))[..., 0]
+            if k == T - 1:
+                proj_du2 = (bmat @ (rows @ (wch * du2_next)[..., None]))[..., 0]
+                formula[ch] = p.beta[T, T - 1] + mt_ratio * du2_here / proj_du2
+    if failed:
+        a, cond, jac, rhs = min(failed, key=lambda f: f[0])
+        raise NonConvergence(
+            f"wealth-response system is singular at level {k}, atom {a} "
+            f"(condition number {cond:.3e})",
+            diagnostics={"level": k, "atom": a, "condition": float(cond),
+                         "jacobian": jac, "rhs": rhs},
+        )
+    # keyed (atom, child) in atom order, each atom's children in index order
+    children = np.argsort(t.parent[k + 1], kind="stable")
+    keys = list(zip(t.parent[k + 1][children].tolist(), children.tolist()))
+    estimates = dict(zip(keys, estimate[children].tolist()))
+    bounds = dict(zip(keys, bound_lvl[children].tolist()))
+    terminal_formula = dict(zip(keys, formula[children].tolist())) if k == T - 1 else {}
+    base_residual = max(residuals)
 
     satisfied = all(estimates[key] >= bounds[key] - 1e-5 for key in estimates)
     return BoundReport(
@@ -431,19 +453,25 @@ class EnvelopeReport:
 def envelope_check(m: MarketModel, p: HabitPreferences, eps,
                    base: Solution | None = None) -> EnvelopeReport:
     """Differentiate the value function in the endowment and compare with
-    the time-0 habit-adjusted marginal utility of the optimal plan."""
-    t = m.tree
-    eps_vals = _as_level_values(t, eps)
+    the time-0 habit-adjusted marginal utility of the optimal plan.
+
+    The value at ``e0 +- d`` is Newton's optimum of the instance's root plan
+    (``_root_plan``) with that time-0 endowment (``at_endowment``),
+    warm-started from the holdings of ``base``, and reads its utility as a
+    ``Solution`` would (``solvers._solution_utility``).
+    """
+    eps_vals = _as_level_values(m.tree, eps)
     if base is None:
         base = solve_auto(m, p, eps_vals)
+    plan = _root_plan(m, p, eps_vals, base)
     x0 = np.concatenate([pi.ravel() for pi in base.pi])
     marginal = float(base.R.values(0)[0])
     e0 = float(eps_vals[0][0])
     d = max(1e-4, 1e-4 * abs(e0))
 
     def value_at(e0v: float) -> float:
-        shifted = [np.full(1, e0v)] + [eps_vals[l] for l in range(1, t.T + 1)]
-        return solve_general(m, p, shifted, gtol=_GTOL, x0=x0).U
+        view = plan.at_endowment(e0v)
+        return _solution_utility(view, _newton_maximize(view, x0, _GTOL)[0])
 
     est = (value_at(e0 + d) - value_at(e0 - d)) / (2 * d)
     scale = max(1.0, abs(marginal))

@@ -18,6 +18,7 @@ coordinates) provides an independent cross-check on small instances.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import warnings
@@ -96,10 +97,17 @@ class Solution:
     U: float
     converged: bool
     diagnostics: dict = field(default_factory=dict)
-    # node responses at this plan, per instance, method and level, and per
-    # instance the polished root plan that Newton's are read from (analysis._responses)
-    _responses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # per instance (_instance_key): the root plan that solve_general solved or
+    # the analysis built, its polish that Newton's node responses are read
+    # from, and the node responses per method and level (analysis._responses)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _optima: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _responses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _instance_key(m: MarketModel, p: HabitPreferences, eps_vals) -> tuple:
+    """The market and preferences (by identity) and the endowments (by value)."""
+    return m, p, tuple(v.tobytes() for v in eps_vals)
 
 
 @dataclass
@@ -249,6 +257,15 @@ class _SubtreePlan:
         self.u_rows, self.du_d2u_rows = p.family.on_rows(row_level)
         self.inada = p.family.inada
         self.Lb = self.habit_map(b0, self.history) - self.floors
+
+    def at_endowment(self, e0: float) -> "_SubtreePlan":
+        """This root plan with time-0 endowment ``e0``: a shallow copy in which
+        only ``b0[0]`` and ``Lb`` change, as in a plan built for ``e0``."""
+        view = copy.copy(self)
+        view.b0 = self.b0.copy()
+        view.b0[0] = float(e0)
+        view.Lb = view.habit_map(view.b0, ()) - self.floors
+        return view
 
     # -- evaluation ---------------------------------------------------------
 
@@ -763,12 +780,25 @@ def _assemble_solution(plan: _SubtreePlan, x: np.ndarray, method: str,
     if plan.k0 != 0:
         raise PreconditionViolated("full solutions exist only for root plans")
     T = t.T
-    c = np.split(plan.consumption(x), [plan.c_off[l] for l in range(1, T + 1)])
+    c = _consumption_levels(plan, x)
     pi = [xl.reshape(-1, plan.nA) for xl in np.split(x, [plan.x_off[l] for l in range(1, T)])]
     W = [np.zeros(1), *np.split(plan.entering_wealth(x),
                                 [plan.c_off[l] - 1 for l in range(2, T + 1)])]
     I = [_row_dots(pi[l], m.S[l]) for l in range(T)] + [np.zeros(t.n_atoms(T))]
     return _solution(p, c, W, I, pi, method, info)
+
+
+def _consumption_levels(plan: _SubtreePlan, x: np.ndarray) -> list:
+    """A root plan's consumption at holdings ``x``, one array per level."""
+    return np.split(plan.consumption(x), [plan.c_off[l] for l in range(1, plan.t.T + 1)])
+
+
+def _solution_utility(plan: _SubtreePlan, x: np.ndarray) -> float:
+    """The utility that ``_solution`` reports for a root plan's holdings ``x``:
+    ``_utility_of`` its habit-adjusted consumption, which sums and rounds
+    unlike ``plan.utility``."""
+    cp = AdaptedProcess(plan.t, _consumption_levels(plan, x))
+    return _utility_of(plan.p, _chat_levels(_require_feasible(perturbed_consumption(plan.p, cp))))
 
 
 def _solution(p: HabitPreferences, c, W, I, pi, method: str, diag: dict) -> Solution:
@@ -794,11 +824,15 @@ def solve_general(m: MarketModel, p: HabitPreferences, eps, x0=None,
     deflator.  When it stops on its decrement (``diagnostics["stop"] ==
     "decrement"``, see ``_newton_maximize``), the gradient norm is only what
     the rounding of the utility allowed and certifies nothing.  ``x0``
-    warm-starts Newton as in ``solve_subproblem``.
+    warm-starts Newton as in ``solve_subproblem``.  The solution keeps its
+    plan per instance, for the analysis to reuse.
     """
-    plan = _SubtreePlan(m, p, _as_level_values(m.tree, eps))
+    eps_vals = _as_level_values(m.tree, eps)
+    plan = _SubtreePlan(m, p, eps_vals)
     x, _, info = _newton_maximize(plan, x0, gtol)
-    return _assemble_solution(plan, x, "newton", info)
+    sol = _assemble_solution(plan, x, "newton", info)
+    sol._plans[_instance_key(m, p, eps_vals)] = plan
+    return sol
 
 
 def solve_subproblem(m: MarketModel, p: HabitPreferences, eps, k: int, node: int,
@@ -999,18 +1033,23 @@ def _budget_gap(t, spd: SPDBundle, c, endow, atoms) -> float:
 def _budget_root(gap, inada: bool, wealth: float) -> tuple:
     """Root of a strictly increasing budget gap, and the gap left there.
 
-    Families with an Inada condition bracket from just above zero; the others
-    double a symmetric bracket of the size of ``wealth``.  Raises Infeasible
+    Families with an Inada condition bracket from just above zero, shrinking
+    the lower end ``lo`` from ``1e-12`` while the root lies below it; the
+    others double a symmetric bracket of the size of ``wealth``.  Brent stops
+    within ``1e-14`` of the root, or within ``1e-2 lo`` where that is less: where
+    an exponent is below one, the gap's slope grows without bound towards
+    zero.  Raises Infeasible
     when even vanishing consumption overspends, and NonConvergence when the
     gap at the root exceeds ``1e-12`` relative to ``wealth``.
     """
-    hi = max(1.0, abs(wealth))
+    hi, xtol = max(1.0, abs(wealth)), 1e-14
     if inada:
         lo = 1e-12
         while gap(lo) > 0:
             if lo < 1e-250:
                 raise Infeasible("exogenous floors already exhaust the available wealth")
             lo *= 1e-4
+        xtol = min(xtol, 1e-2 * lo)
     else:
         lo = -hi
         for _ in range(61):
@@ -1025,7 +1064,7 @@ def _budget_root(gap, inada: bool, wealth: float) -> tuple:
         hi *= 2.0
     else:
         raise BracketFailure("could not bracket the budget root from above")
-    root = brentq(gap, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    root = brentq(gap, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=200)
     resid = gap(root)
     if abs(resid) > 1e-12 * max(1.0, abs(wealth)):
         raise NonConvergence(

@@ -5,6 +5,8 @@ import pytest
 from scipy.optimize import root
 
 import habitopt.analysis
+import habitopt.market
+import habitopt.preferences
 import habitopt.solvers
 from habitopt.analysis import _base_holdings
 from habitopt.solvers import _CompleteContinuation, _complete_response, _subtree_atoms
@@ -464,6 +466,96 @@ def test_eta_singular_link_system_raises_with_diagnostics(monkeypatch):
     assert np.all(diag["jacobian"] == 0.0)
 
 
+def _eta_per_atom(m, p, eps, k, base):
+    """Reference eta check: one system per level-``k`` atom, solved in a
+    Python loop.  Returns the estimates, bounds, terminal formula (empty
+    below ``T - 1``) and base residual."""
+    t = m.tree
+    T = t.T
+    eps_vals = [np.asarray(e, dtype=float) for e in eps]
+    spd = spd_bundle(m, p.beta)
+    fam = p.family
+    table = habitopt.analysis._responses(
+        m, p, eps_vals, base, k + 1, habitopt.analysis._resolve_method(m, p, "auto"))
+    chat_here, chat_next = base.chat.values(k), base.chat.values(k + 1)
+    wts = t.atom_probs[k + 1]
+    links = {int(a): (blk.children[g], blk.rows[g][blk.keep[g]].T)
+             for blk, (atoms, _) in zip(habitopt.market.payoff_space_basis(m, k + 1).blocks,
+                                        t.child_blocks[k])
+             for g, a in enumerate(atoms)}
+    bound_lvl = habitopt.analysis._chain_weights(t, spd, habitopt.preferences.theta_table(p.beta),
+                                                 k, k + 1, np.zeros(t.n_atoms(k + 1)))
+    estimates, bounds, terminal_formula, base_residual = {}, {}, {}, 0.0
+    for a in range(t.n_atoms(k)):
+        children, bmat = links[a]
+        mt_ratio = spd.Mtilde[k + 1].values[children] / spd.Mtilde[k].values[a]
+        wch, w_base = wts[children], base.W.values(k + 1)[children]
+        dc_dw, dc_dc = np.array([table[b][-1][1:3] for b in children]).T
+        du2_next = fam.d2u(k + 1, chat_next[children])
+        du2_here = fam.d2u(k, chat_here[a])
+        gap = fam.du(k + 1, chat_next[children]) - mt_ratio * fam.du(k, chat_here[a])
+        y_base = bmat.T @ (wch * w_base)
+        base_residual = max(base_residual, float(np.max(np.abs(bmat.T @ (wch * gap)))),
+                            float(np.max(np.abs(bmat @ y_base - w_base))))
+        jac = bmat.T @ ((wch * du2_next * dc_dw)[:, None] * bmat)
+        rhs = bmat.T @ (wch * (du2_next * (dc_dc - p.beta[k + 1, k]) - mt_ratio * du2_here))
+        keys = [(a, b) for b in children.tolist()]
+        estimates.update(zip(keys, (bmat @ -np.linalg.solve(jac, rhs)).tolist()))
+        bounds.update(zip(keys, bound_lvl[children].tolist()))
+        if k == T - 1:
+            proj_du2 = bmat @ (bmat.T @ (wch * du2_next))
+            terminal_formula.update(zip(keys, (p.beta[T, T - 1]
+                                               + mt_ratio * du2_here / proj_du2).tolist()))
+    return estimates, bounds, terminal_formula, base_residual
+
+
+class _Draws:
+    """Stands in for the generator's ``rng``: returns the given arrays in turn."""
+
+    def __init__(self, *draws):
+        self.draws = [np.asarray(d, dtype=float) for d in draws]
+
+    def uniform(self, low, high, size):
+        return self.draws.pop(0)
+
+
+def _mixed_blocks_scenario():
+    # level-1 atoms with 3, 2, 2 and 1 children; the risky asset pays alike in
+    # both children of atom 2, so that atom's gains have rank one, unlike atom 1's
+    t = build_tree([[list(range(8))], [[0, 1, 2], [3, 4], [5, 6], [7]],
+                   [[i] for i in range(8)]],
+                   [0.1, 0.15, 0.1, 0.2, 0.1, 0.15, 0.15, 0.05])
+    m = habitopt.analysis._priced_market(
+        _Draws([0.9, 1.1, 1.3, 0.8, 1.2, 1.0, 1.4, 0.7], [[0.8], [1.5], [1.1], [0.9]],
+               [[0.6], [1.9], [1.2], [0.7], [1.4], [1.0], [1.0], [1.6]]),
+        t, [0.02, 0.02], 1)
+    beta = np.zeros((3, 3))
+    beta[1, 0] = beta[2, 1] = 0.3
+    eps = [np.array([1.5]), np.linspace(0.3, 0.6, 4), np.linspace(0.2, 0.8, 8)]
+    return Scenario(t, m, HabitPreferences(t, PowerUtility(2.0, T=2), beta), eps, None, {})
+
+
+@pytest.mark.filterwarnings("ignore::habitopt.WrongMarketClass")
+@pytest.mark.parametrize("case", ["general-T5", "bond_only-T4", "complete-T3",
+                                  "idiosyncratic-T2", "mixed-blocks"])
+def test_batched_eta_equals_the_per_atom_loop_bit_for_bit(case):
+    if case == "mixed-blocks":
+        sc = _mixed_blocks_scenario()
+        basis = habitopt.market.payoff_space_basis(sc.market, 2)
+        assert [b.keep.sum(axis=1).tolist() for b in basis.blocks] == [[1], [2, 1], [2]]
+    else:
+        family, T = case.split("-T")
+        sc = generate_scenario(7, family, T=int(T), utility="power", habit="one_lag")
+    base = solve_auto(sc.market, sc.prefs, sc.eps)
+    for k in range(sc.tree.T):
+        report = eta_bound_check(sc.market, sc.prefs, sc.eps, k, witness=sc.witness, base=base)
+        estimates, bounds, formula, residual = _eta_per_atom(sc.market, sc.prefs, sc.eps, k, base)
+        assert list(report.estimates.items()) == list(estimates.items())
+        assert list(report.bounds.items()) == list(bounds.items())
+        assert list(report.details["terminal_formula"].items()) == list(formula.items())
+        assert report.base_residual == residual
+
+
 def test_eta_passes_where_hybr_stalls_at_rounding_level():
     # hybr reported no progress at a residual of ~1e-16 at level 0, atom 0
     sc = generate_scenario(2002, "bond_only", T=4, utility="power", habit="one_lag")
@@ -498,6 +590,37 @@ def test_envelope_on_generated_instance():
     sc = generate_scenario(57, "bond_only", utility="power", habit="two_lag")
     report = envelope_check(sc.market, sc.prefs, sc.eps)
     assert report.gap < 1e-5 * report.scale
+
+
+def _envelope_by_resolving(m, p, eps, base):
+    """Reference envelope check: ``solve_general`` re-solves the instance at
+    ``e0 +- d`` from the holdings of ``base``.  Returns the report's fields."""
+    x0 = np.concatenate([pi.ravel() for pi in base.pi])
+    marginal = float(base.R.values(0)[0])
+    e0 = float(eps[0][0])
+    d = max(1e-4, 1e-4 * abs(e0))
+
+    def value_at(e0v):
+        shifted = [np.full(1, e0v)] + [np.asarray(e, dtype=float) for e in eps[1:]]
+        return solve_general(m, p, shifted, gtol=1e-12, x0=x0).U
+
+    est = (value_at(e0 + d) - value_at(e0 - d)) / (2 * d)
+    return est, marginal, abs(est - marginal), max(1.0, abs(marginal)), d
+
+
+@pytest.mark.parametrize("with_base", [True, False], ids=["base", "no_base"])
+@pytest.mark.parametrize("seed, family, T, habit", [(1, "general", 3, "one_lag"),
+                                                    (5001, "complete", 3, "one_lag"),
+                                                    (57, "bond_only", 2, "two_lag"),
+                                                    (1, "idiosyncratic", 2, "one_lag")])
+def test_envelope_equals_resolving_bit_for_bit(seed, family, T, habit, with_base):
+    # the check re-solves views of one root plan; a fresh solve_general per
+    # endowment takes the same Newton iterates and reports the same utility
+    sc = generate_scenario(seed, family, T=T, utility="power", habit=habit)
+    base = solve_auto(sc.market, sc.prefs, sc.eps)
+    report = envelope_check(sc.market, sc.prefs, sc.eps, base=base if with_base else None)
+    got = (report.estimate, report.marginal, report.gap, report.scale, report.step)
+    assert got == _envelope_by_resolving(sc.market, sc.prefs, sc.eps, base)
 
 
 def test_linearity_table():

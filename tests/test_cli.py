@@ -462,7 +462,8 @@ def test_verify_rejects_an_empty_check_list(instance, capsys, checks):
 
 
 def test_verify_solves_the_base_plan_once(tmp_path, capsys, monkeypatch, solver_lps):
-    # foc and every probe share one plan; the envelope check re-solves twice
+    # foc, every probe and the envelope check share one plan; the envelope
+    # check re-solves it at shifted endowments without calling solve_general
     files = _generate(tmp_path, capsys, "--seed", "1", "--family", "general", "--T", "2",
                       "--utility", "power", "--habit", "one_lag")
     solves = []
@@ -478,7 +479,7 @@ def test_verify_solves_the_base_plan_once(tmp_path, capsys, monkeypatch, solver_
     code, _, _ = run(capsys, "verify", *files,
                      "--checks", "monotonicity,eta,concavity,envelope,foc")
     assert code == 0
-    assert len(solves) == 3
+    assert len(solves) == 1
     assert len(solver_lps) == 1
 
 
@@ -511,10 +512,10 @@ def test_verify_evaluates_one_response_per_node(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_builds_one_root_plan_for_its_responses(tmp_path, capsys, monkeypatch):
-    # the deflator repro: the 40 responses come from one factor of one root
-    # plan, which sweeps every level below the root, so that the root row's
-    # two holdings are its dense top; every other plan built and factored
-    # belongs to a solve (the base plan and the envelope's two)
+    # the deflator repro: the base solve builds the only plan; the 40
+    # responses come from one factor of it, which sweeps every level below
+    # the root, so that the root row's two holdings are its dense top, and
+    # the envelope check re-solves it at two shifted endowments
     files = _generate(tmp_path, capsys, "--seed", "3", "--family", "general", "--T", "4",
                       "--utility", "power", "--habit", "one_lag")
     builds, solves, tops = [], [], []
@@ -541,15 +542,15 @@ def test_verify_builds_one_root_plan_for_its_responses(tmp_path, capsys, monkeyp
     code, _, _ = run(capsys, "verify", *files,
                      "--checks", "monotonicity,eta,concavity,envelope,foc")
     assert code == 0
-    assert len(solves) == 3
-    assert builds == [0] * (len(solves) + 1)
+    assert len(solves) == 1
+    assert builds == [0]
     assert tops.count(2) == 1 and set(tops) == {2, 80}
 
 
 def test_verify_runs_one_newton_solve_for_its_responses(tmp_path, capsys, monkeypatch):
-    # the deflator repro: one polish of the root plan for its 40 non-leaf
-    # responses, the base plan, and the envelope check's two re-solves; the
-    # probes re-solve nothing
+    # the deflator repro: the base plan, one polish of it for its 40 non-leaf
+    # responses, and the envelope check's two re-solves of it; the probes
+    # re-solve nothing
     files = _generate(tmp_path, capsys, "--seed", "3", "--family", "general", "--T", "4",
                       "--utility", "power", "--habit", "one_lag")
     solves = []

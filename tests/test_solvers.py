@@ -37,6 +37,7 @@ from habitopt.analysis import _base_holdings, _priced_market
 from habitopt.errors import ArbitrageDetected, Infeasible
 from habitopt.solvers import (
     _DENSE_TOP,
+    _CompletePower,
     _derivatives,
     _interior_start,
     _newton_maximize,
@@ -845,6 +846,23 @@ def test_complete_power_mpc_structure(complete_scene):
         assert np.all(coeffs.mpc[k] > 0)
         assert np.all(coeffs.mpc[k] <= 1.0 + 1e-12)
     assert coeffs.linear  # uniform risk aversion
+
+
+@pytest.mark.parametrize("z", [1e-13, 1e-17])
+@pytest.mark.parametrize("T", [1, 2, 3, 4])
+def test_closed_form_budget_root_near_zero(T, z):
+    # an exponent q_i below one makes the gap's slope unbounded at zero, so a
+    # stop within 1e-14 of a root below the first bracket end 1e-12 left gaps
+    # of 2.9e-11 to 7.8e-11 (NonConvergence); within 1e-2 of the end they are
+    # at most 1.3e-15
+    sc = generate_scenario(1, "complete", T, utility="power_hetero", habit="one_lag",
+                           floors=False)
+    form = _CompletePower(sc.market, sc.prefs, sc.eps)
+    assert form.q.min() < 1.0
+    e0 = float(np.dot(form.f0, np.power(z, form.q))) + form.h0 - form.later
+    _, c0, resid = form.solve(e0)
+    assert c0 == pytest.approx(z, rel=1e-4)
+    assert abs(resid) <= 1e-12 * max(1.0, abs(e0 + form.later))
 
 
 @pytest.mark.parametrize("utility", ["power", "power_hetero"])
