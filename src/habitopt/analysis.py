@@ -149,22 +149,16 @@ def _resolve_method(m: MarketModel, p: HabitPreferences, method: str) -> str:
         and has_inverse_marginal(p.family) else "newton"
 
 
-def _node_response(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k: int,
-                   node: int, history, w: float, method: str) -> tuple:
+def _node_response(m: MarketModel, p: HabitPreferences, eps_vals, k: int, node: int,
+                   history, w: float) -> tuple:
     """``(c, dc/dw, dc/dhistory[-1], d2c/dw2)`` of the continuation from
-    ``(k, node)`` entered with wealth ``w`` after ``history``: ``closed``
-    differentiates the closed form's budget root
-    (``solvers._complete_response``), and ``newton`` solves the node's own
-    plan from the holdings of ``base`` (``solvers._Optimum``), which only the
-    wealths off the base plan need (``_responses``).  A leaf consumes its
-    endowment plus its wealth under either method: ``(eps + w, 1, 0, 0)``.
+    ``(k, node)`` entered with wealth ``w`` after ``history``, by the closed
+    form's budget root (``solvers._complete_response``).  A leaf consumes
+    its endowment plus its wealth under either method: ``(eps + w, 1, 0, 0)``.
     """
     if k == m.tree.T:
         return float(eps_vals[k][node] + w), 1.0, 0.0, 0.0
-    if method == "closed":
-        return _complete_response(p, spd_bundle(m, p.beta), eps_vals, k, node, history, w)
-    plan = _SubtreePlan(m, p, eps_vals, k, node, history, w)
-    return _Optimum(plan, _base_holdings(base, plan.atoms), _GTOL).level_responses(k)[0]
+    return _complete_response(p, spd_bundle(m, p.beta), eps_vals, k, node, history, w)
 
 
 def _root_plan(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution) -> _SubtreePlan:
@@ -204,7 +198,7 @@ def _responses(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k:
                 base._optima[instance] = _Optimum(plan, _base_holdings(base, plan.atoms), _GTOL)
             responses = base._optima[instance].level_responses(k)
         else:
-            responses = [_node_response(m, p, eps_vals, base, k, a, hist, w, method)
+            responses = [_node_response(m, p, eps_vals, k, a, hist, w)
                          for a, (hist, w) in enumerate(zip(hists, wealth))]
         base._responses[key] = list(zip(hists, wealth, responses))
     return base._responses[key]
@@ -214,28 +208,18 @@ def _policy_derivatives(m: MarketModel, p: HabitPreferences, eps, k: int, method
                         base: Solution | None, curvature: bool):
     """Slope ``dc/dw`` or curvature ``d2c/dw2`` in wealth per level-``k`` node.
 
-    Both are read from the base plan's table (``_responses``).  A family
-    without ``d3u`` has no analytic curvature; it takes the central
-    difference of the analytic slopes at ``w +- d``, ``d = max(r, r |w|)``
-    with ``r`` = 5e-3, under either method.  Returns the estimates, the
-    method and the base consumption at level ``k``.
+    Both are read from the base plan's table (``_responses``), for every
+    family: a custom one differences its ``d2u`` for the ``d3u`` of the
+    curvature.  Returns the estimates, the method and the base consumption
+    at level ``k``.
     """
     eps_vals = _as_level_values(m.tree, eps)
     method = _resolve_method(m, p, method)
     if base is None:
         base = solve_auto(m, p, eps_vals)
-    ests = []
-    for a, (hist, w, response) in enumerate(_responses(m, p, eps_vals, base, k, method)):
-        if not curvature:
-            ests.append(response[1])
-        elif response[3] is not None:
-            ests.append(response[3])
-        else:
-            d = max(5e-3, 5e-3 * abs(w))
-            sp, sm = (_node_response(m, p, eps_vals, base, k, a, hist, w + s, method)[1]
-                      for s in (d, -d))
-            ests.append((sp - sm) / (2 * d))
-    return np.array(ests), method, base.c.values(k)
+    table = _responses(m, p, eps_vals, base, k, method)
+    return (np.array([response[3 if curvature else 1] for _, _, response in table]), method,
+            base.c.values(k))
 
 
 @dataclass
@@ -464,7 +448,7 @@ def envelope_check(m: MarketModel, p: HabitPreferences, eps,
     if base is None:
         base = solve_auto(m, p, eps_vals)
     plan = _root_plan(m, p, eps_vals, base)
-    x0 = np.concatenate([pi.ravel() for pi in base.pi])
+    x0 = _base_holdings(base, plan.atoms)
     marginal = float(base.R.values(0)[0])
     e0 = float(eps_vals[0][0])
     d = max(1e-4, 1e-4 * abs(e0))

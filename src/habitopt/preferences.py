@@ -214,7 +214,9 @@ class CustomUtility:
     Each callable takes ``(k, x)``: a scalar level ``k`` and an array ``x`` of
     adjusted consumption at that level.  ``on_rows(levels)`` (see
     ``PowerUtility``) therefore calls them once per run of rows at one level.
-    There is no third derivative: curvature probes difference the slope.
+    ``d3u`` is the central difference of ``d2u`` over ``x +- h``, with ``h``
+    about ``eps^(1/3)`` relative: ``6e-6 x`` under an Inada condition, so
+    that ``x > 0`` stays in the domain, else ``6e-6 max(1, |x|)``.
     """
 
     name = "custom"
@@ -231,6 +233,12 @@ class CustomUtility:
 
     def d2u(self, k: int, x):
         return self._d2u(k, np.asarray(x, float))
+
+    def d3u(self, k: int, x):
+        x = np.asarray(x, float)
+        h = 6e-6 * (x if self.inada else np.maximum(1.0, np.abs(x)))
+        up, down = x + h, x - h
+        return (self._d2u(k, up) - self._d2u(k, down)) / (up - down)
 
     def du_inv(self, k: int, y):
         if self._du_inv is None:

@@ -160,15 +160,17 @@ class _SubtreePlan:
     plan keeps per-row blocks only, never a matrix over all rows and columns:
     each row's own ``prices`` and its gains ``w_gain`` on its parent's
     holdings ``w_index`` give consumption, ``c = b0 - S x_own + g x_parent``;
-    the habit operator's lags, as ``(row, lagged row, weight)`` triples and,
-    for lags on levels above ``k0``, ``(row, level, weight)`` triples on the
-    history, give ``chat = habit_map(c, history) - floors``; and the entries
-    ``(row, column, value)`` of ``J = dchat/dx`` come from their known row
-    pattern (``_jacobian_blocks``), which also gives the Newton Hessian's
-    per-row blocks by scattering each row's outer product (``band``).
-    ``chat``, ``J^T g`` and ``consumption`` are gathers and ``bincount``s
-    over these blocks.  The wealth and the history enter only through ``b0``
-    and ``Lb``, the adjusted consumption at zero holdings.
+    the preferences' habit operator, applied to the rows split by level
+    (``levels``) at the subtree's lag positions ``where``, gives ``chat =
+    habit_map(c, history) - floors``; and the entries ``(row, column,
+    value)`` of ``J = dchat/dx`` come from their known row pattern
+    (``_jacobian_blocks``), which also gives the Newton Hessian's per-row
+    blocks by scattering each row's outer product (``band``).  Both read the
+    ancestor row of each row at each depth ``0..D`` from one table ``anc``,
+    as does Newton's elimination order (``_Sweep``).  ``chat``, ``J^T g``
+    and ``consumption`` are gathers and ``bincount``s over these blocks.
+    The wealth and the history enter only through ``b0`` and ``Lb``, the
+    adjusted consumption at zero holdings.
 
     A node's continuation is its own plan, built by this constructor; its
     responses need none, since the root plan's Hessian holds every
@@ -196,22 +198,24 @@ class _SubtreePlan:
         levels = range(k0, T + 1)
         sizes = [len(atoms[l]) for l in levels]
         c_off = np.cumsum([0, *sizes])
-        habit = p.habit
-
-        def rows_above(l, lev):     # the level-lev ancestor's row of each level-l row
-            return c_off[lev - k0] + habit.positions(atoms, l, lev)
 
         # per row: the parent's row, the gains on the parent's holdings (zero
         # at the plan's root) and the own prices (zero at the leaves)
-        parent_row = np.concatenate([[0], *(rows_above(l, l - 1) for l in levels[1:])])
+        parent_row = np.concatenate([[0], *(c_off[l - 1 - k0] + p.habit.positions(atoms, l, l - 1)
+                                            for l in levels[1:])])
         gains = np.concatenate([np.zeros((1, nA)), *(m.gain(l)[atoms[l]] for l in levels[1:])])
         prices = np.concatenate([np.zeros((0, nA)), *(m.S[l][atoms[l]] for l in levels[:-1])])
-        jac = h_scatter = _triples([])
         depths = _depths(p.beta)
+        anc = np.empty((c_off[-1], depths), dtype=int)     # the plan's root is its own parent
+        anc[:, 0] = np.arange(c_off[-1])
+        for d in range(1, depths):
+            anc[:, d] = parent_row[anc[:, d - 1]]
+        empty = np.zeros(0, dtype=int)
+        jac = h_scatter = (empty, empty, np.zeros(0))
         row_level = np.repeat(np.arange(k0, T + 1), sizes)
         if len(prices):
             jcols, jvals, keep = _jacobian_blocks(
-                p.beta, k0, row_level, parent_row,
+                p.beta, k0, row_level, anc,
                 np.concatenate([prices, np.zeros((sizes[-1], nA))]), gains)
             r, i = np.nonzero(keep)
             jac = (r, jcols[r, i], jvals[r, i])
@@ -223,27 +227,17 @@ class _SubtreePlan:
             q, a = np.divmod(jcols[r, i], nA)
             h_scatter = (r, ((q * depths + depth[j] - depth[i]) * nA + a) * nA + jcols[r, j] % nA,
                          jvals[r, i] * jvals[r, j])
-        # the habit lags per level, then per lag, then per row: on rows of the
-        # plan as (row, lagged row, weight), on the history as (row, level, weight)
-        lags, hist_lags = [], []
-        for l in levels:
-            rows = c_off[l - k0] + np.arange(sizes[l - k0])
-            for lev, b in habit.lags[l]:
-                weight = np.full(rows.size, b)
-                if lev >= k0:
-                    lags.append((rows, rows_above(l, lev), weight))
-                else:
-                    hist_lags.append((rows, np.full(rows.size, lev), weight))
         self.m, self.p, self.t = m, p, t
         self.k0, self.node, self.history, self.atoms = k0, int(node), tuple(history), atoms
-        self.nA = nA
+        self.nA, self.anc = nA, anc
+        self.where = p.habit.lag_positions(atoms, k0)
+        self.level_rows = [slice(a, b) for a, b in zip(c_off[:-1].tolist(), c_off[1:].tolist())]
         self.c_off = c_off = dict(zip(levels, c_off.tolist()))
         self.x_off = {l: nA * c_off[l] for l in range(k0, T)}
         self.n_c, self.n_x = c_off[T] + sizes[-1], nA * c_off[T]
         self.prices, self.w_gain = prices, gains[1:]
         self.w_index = nA * parent_row[1:, None] + np.arange(nA)
         self._jac, self._h_scatter = jac, h_scatter
-        self._lags, self._hist_lags = _triples(lags), _triples(hist_lags)
         self.band_shape = (len(prices), depths, nA, nA)
         # the entering wealth replaces the root's endowment at the root of the
         # tree and adds to it elsewhere
@@ -251,8 +245,7 @@ class _SubtreePlan:
         b0[0] = b0[0] + float(w) if k0 else float(w)
         self.wts = wts = np.concatenate([t.atom_probs[l][atoms[l]] for l in levels])
         self.floors = np.concatenate([p.h[l][atoms[l]] for l in levels])
-        self.level_wts = [(slice(c_off[l], c_off[l] + sizes[l - k0]),
-                           wts[c_off[l]:c_off[l] + sizes[l - k0]]) for l in levels]
+        self.level_wts = [(rows, wts[rows]) for rows in self.level_rows]
         self.row_level = row_level
         self.u_rows, self.du_d2u_rows = p.family.on_rows(row_level)
         self.inada = p.family.inada
@@ -269,14 +262,17 @@ class _SubtreePlan:
 
     # -- evaluation ---------------------------------------------------------
 
+    def levels(self, v: np.ndarray) -> list:
+        """Per-row values ``v`` (or holdings, one row of ``v`` per row of the
+        plan above level ``T``) split by level: ``None`` above ``k0``, then
+        one view per level ``k0..T`` (its rows, ``level_rows``)."""
+        return [None] * self.k0 + [v[rows] for rows in self.level_rows]
+
     def habit_map(self, c: np.ndarray, history) -> np.ndarray:
-        """The habit map of per-row values ``c`` after ``history``:
-        ``c - sum over lags of weight * c[lagged row] - (the history's terms)``."""
-        row, lag, coef = self._lags
-        hrow, hlev, hcoef = self._hist_lags
-        hist = np.asarray(history, dtype=float)
-        return (c - np.bincount(row, weights=coef * c[lag], minlength=self.n_c)
-                - np.bincount(hrow, weights=hcoef * hist[hlev], minlength=self.n_c))
+        """The habit operator's ``apply`` on per-row values ``c`` after
+        ``history``, back in row order."""
+        return np.concatenate(self.p.habit.apply(self.levels(c), self.atoms, history,
+                                                 self.where)[self.k0:])
 
     def jac(self, x: np.ndarray) -> np.ndarray:
         """``J x``, summed row by row over each row's stored columns."""
@@ -340,20 +336,13 @@ class _SubtreePlan:
         return self.wts * du, -self.wts * d2u
 
 
-def _triples(parts) -> tuple:
-    """Concatenated ``(row, index, weight)`` triples; empty ones without parts."""
-    if not parts:
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
-    return tuple(np.concatenate(a) for a in zip(*parts))
-
-
 def _depths(beta: np.ndarray) -> int:
     """The ancestor depths ``0..D`` that a row's Jacobian blocks reach, ``D + 1``."""
     T = len(beta) - 1
     return max([1, *(l - j + 1 for l in range(T + 1) for j in range(l) if beta[l, j])]) + 1
 
 
-def _jacobian_blocks(beta: np.ndarray, k0: int, row_level, parent_row, prices, gains):
+def _jacobian_blocks(beta: np.ndarray, k0: int, row_level, anc, prices, gains):
     """The blocks of ``J = L A``, one per row and ancestor depth.
 
     The holdings of row ``q`` (a row above level ``T``) are the columns
@@ -366,18 +355,15 @@ def _jacobian_blocks(beta: np.ndarray, k0: int, row_level, parent_row, prices, g
         [j = l] (-S_r) + [j = l - 1] g_r + beta[l, j] S_{q_j} - beta[l, j + 1] g_{q_{j+1}},
 
     which vanishes unless ``j >= l - 1`` or one of the weights is nonzero.
-    ``parent_row`` maps the plan's root row to itself; ``prices`` is zero on
-    level ``T`` and ``gains`` on the root row.  Returns, per row and depth
-    ``l - j`` in ``0..D``, the columns and values of the block, flattened to
-    ``(nc, (D + 1) nA)``, and whether the block exists.
+    ``anc`` is the plan's ancestor row of each row at each depth ``0..D``
+    (``_SubtreePlan.anc``, the plan's root its own parent); ``prices`` is
+    zero on level ``T`` and ``gains`` on the root row.  Returns, per row and
+    depth ``l - j`` in ``0..D``, the columns and values of the block,
+    flattened to ``(nc, (D + 1) nA)``, and whether the block exists.
     """
     T = len(beta) - 1
     nc, nA = prices.shape
-    width = _depths(beta)
-    anc = np.empty((nc, width), dtype=int)          # ancestor row at each depth
-    anc[:, 0] = np.arange(nc)
-    for d in range(1, width):
-        anc[:, d] = parent_row[anc[:, d - 1]]
+    width = anc.shape[1]
     # weights on the ancestor's prices and on its child's gains; a zero column
     # pads beta so that the levels above the plan index harmlessly
     j = row_level[:, None] - np.arange(width)
@@ -433,9 +419,7 @@ class _Superhedge:
     @classmethod
     def of(cls, plan: _SubtreePlan) -> "_Superhedge":
         """The superhedge of ``plan``'s subtree, wealth and history."""
-        k0, T = plan.k0, plan.t.T
-        b0 = [None] * k0 + np.split(plan.b0, [plan.c_off[l] for l in range(k0 + 1, T + 1)])
-        return cls(plan.m, plan.p, plan.atoms, b0, plan.history)
+        return cls(plan.m, plan.p, plan.atoms, plan.levels(plan.b0), plan.history)
 
     def value(self, s: float) -> tuple:
         """``V`` and ``dV/ds`` per level at margin ``s`` (``None`` above ``k0``),
@@ -587,12 +571,7 @@ class _Sweep:
         k0, T, nA = plan.k0, plan.t.T, plan.nA
         self.n_q, depths = plan.band_shape[:2]
         self.nA = nA
-        off = plan.c_off
-        anc = np.zeros((self.n_q, depths), dtype=int)     # the root is its own parent
-        anc[:, 0] = np.arange(self.n_q)
-        anc[1:, 1] = plan.w_index[:self.n_q - 1, 0] // nA
-        for d in range(2, depths):
-            anc[:, d] = anc[anc[:, d - 1], 1]
+        off, anc = plan.c_off, plan.anc
         top = T
         while top > k0 + 1 and nA * off[top] > dense_top:
             top -= 1
@@ -780,24 +759,18 @@ def _assemble_solution(plan: _SubtreePlan, x: np.ndarray, method: str,
     if plan.k0 != 0:
         raise PreconditionViolated("full solutions exist only for root plans")
     T = t.T
-    c = _consumption_levels(plan, x)
-    pi = [xl.reshape(-1, plan.nA) for xl in np.split(x, [plan.x_off[l] for l in range(1, T)])]
-    W = [np.zeros(1), *np.split(plan.entering_wealth(x),
-                                [plan.c_off[l] - 1 for l in range(2, T + 1)])]
+    c = plan.levels(plan.consumption(x))
+    pi = plan.levels(x.reshape(-1, plan.nA))[:T]
+    W = plan.levels(np.concatenate([np.zeros(1), plan.entering_wealth(x)]))
     I = [_row_dots(pi[l], m.S[l]) for l in range(T)] + [np.zeros(t.n_atoms(T))]
     return _solution(p, c, W, I, pi, method, info)
-
-
-def _consumption_levels(plan: _SubtreePlan, x: np.ndarray) -> list:
-    """A root plan's consumption at holdings ``x``, one array per level."""
-    return np.split(plan.consumption(x), [plan.c_off[l] for l in range(1, plan.t.T + 1)])
 
 
 def _solution_utility(plan: _SubtreePlan, x: np.ndarray) -> float:
     """The utility that ``_solution`` reports for a root plan's holdings ``x``:
     ``_utility_of`` its habit-adjusted consumption, which sums and rounds
     unlike ``plan.utility``."""
-    cp = AdaptedProcess(plan.t, _consumption_levels(plan, x))
+    cp = AdaptedProcess(plan.t, plan.levels(plan.consumption(x)))
     return _utility_of(plan.p, _chat_levels(_require_feasible(perturbed_consumption(plan.p, cp))))
 
 
@@ -901,16 +874,15 @@ class _Optimum:
         (nowhere at the root of the tree).  Once more in wealth, with
         ``s = J dx + dLb/dw``, ``H d2x = J^T (wts u''' s^2)``.  A level-``k``
         row's parent holds nothing within the block, so its ``c`` moves by
-        ``1 - S . dx`` on its own holdings and curves by ``-S . d2x`` (None
-        for a family without ``d3u``).
+        ``1 - S . dx`` on its own holdings and curves by ``-S . d2x``.
         """
         plan, cf, nA = self.plan, self.cf, self.plan.nA
-        rows = slice(plan.c_off[k], plan.c_off[k + 1])
+        rows = plan.level_rows[k - plan.k0]
         below = k if k > plan.k0 else None
         wealth, past, hist = np.zeros(plan.n_c), np.zeros(plan.n_c), np.zeros(plan.k0)
         wealth[rows] = 1.0
         if below is not None:
-            past[plan.c_off[k - 1]:rows.start] = 1.0
+            past[plan.level_rows[k - 1 - plan.k0]] = 1.0
         elif k:
             hist[-1] = 1.0
         dlb_dw = plan.habit_map(wealth, np.zeros(plan.k0))
@@ -922,14 +894,11 @@ class _Optimum:
         dx = cf.solve(-np.column_stack([plan.jac_t(self.hw * d)
                                         for d in (dlb_dw, plan.habit_map(past, hist))]), below)
         dc = moved(dx)
-        d2c, fam = [None] * len(S), plan.p.family
-        if hasattr(fam, "d3u"):
-            s = plan.jac(dx[:, 0]) + dlb_dw
-            u3 = _per_level(fam.d3u, plan.row_level)(plan.chat(self.x))
-            d2c = moved(cf.solve(plan.jac_t(plan.wts * u3 * s * s), below)[:, None])[:, 0]
-            d2c = d2c.tolist()
+        s = plan.jac(dx[:, 0]) + dlb_dw
+        u3 = _per_level(plan.p.family.d3u, plan.row_level)(plan.chat(self.x))
+        d2c = moved(cf.solve(plan.jac_t(plan.wts * u3 * s * s), below)[:, None])[:, 0]
         c = plan.consumption(self.x)[rows]
-        return list(zip(c.tolist(), (dc[:, 0] + 1.0).tolist(), dc[:, 1].tolist(), d2c))
+        return list(zip(c.tolist(), (dc[:, 0] + 1.0).tolist(), dc[:, 1].tolist(), d2c.tolist()))
 
 
 _ORACLE_SEEDS = (0, 1, 2)
@@ -1124,9 +1093,9 @@ def _complete_response(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int, no
     and ``d2chat_l/dz2 = (u'''_k(z) r_l - u'''_l(chat_l) (dchat_l/dz)^2) / u''_l(chat_l)``,
     which ``habit.solve`` (zero floors and history) carries into consumption
     and ``pi M`` prices into ``g'`` and ``g''``.  So ``dc/dw = dz/dw = pi M / g'``
-    at the node and ``d2c/dw2 = -g'' (dz/dw)^2 / g'`` (None without ``d3u``);
-    a unit last history entry moves consumption at fixed ``z`` (``habit.solve``
-    of zero inputs), and ``z`` by minus the price of that move over ``g'``.
+    at the node and ``d2c/dw2 = -g'' (dz/dw)^2 / g'``; a unit last history
+    entry moves consumption at fixed ``z`` (``habit.solve`` of zero inputs),
+    and ``z`` by minus the price of that move over ``g'``.
     """
     t, fam = p.tree, p.family
     cont = _CompleteContinuation(p, spd, eps_vals, k, node, history)
@@ -1144,16 +1113,15 @@ def _complete_response(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int, no
         dc = p.habit.solve(dchat, atoms, hist, where)
         return _budget_gap(t, spd, dc, zero, atoms), dc[k][0]
 
-    g1, dh, d2z = price(d1)[0], 0.0, None
+    g1, dh = price(d1)[0], 0.0
     dz = t.atom_probs[k][node] * spd.M[k].values[node] / g1
     if k:
         gh, ch = price(zero, (0.0,) * (k - 1) + (1.0,))
         dh = ch - gh / g1
-    if hasattr(fam, "d3u"):
-        d2 = [None] * k + [(fam.d3u(k, z) * r[l] - fam.d3u(l, chat[l]) * d1[l] ** 2) / u2[l]
-                           for l in levels]
-        d2z = float(-price(d2)[0] * dz * dz / g1)
-    return float(c[k][0]), float(dz), float(dh), d2z
+    d2 = [None] * k + [(fam.d3u(k, z) * r[l] - fam.d3u(l, chat[l]) * d1[l] ** 2) / u2[l]
+                       for l in levels]
+    d2z = -price(d2)[0] * dz * dz / g1
+    return float(c[k][0]), float(dz), float(dh), float(d2z)
 
 
 def _replicate_portfolio(m: MarketModel, W):

@@ -373,8 +373,9 @@ class HabitOperator:
 
     ``apply`` reads ``c_l`` at the level-``l`` ancestor of each level-``k``
     atom, on the whole tree or on the subtree with per-level sorted ``atoms``
-    and the plan's ``history`` above its root; ``solve`` inverts it, reading
-    the ancestors at the positions ``where`` (``lag_positions``) when given.
+    and the plan's ``history`` above its root; ``solve`` inverts it.  Both
+    read the ancestors at the positions ``where`` (``lag_positions``) when
+    given.
     ``adjoint`` is the transpose under ``sum over k of E[y_k x_k]``,
     ``y_k - sum over m > k of beta[m, k] E[y_m | level k]``; ``adjoint_solve``
     inverts it.  Terms are added in place in increasing lag order, and
@@ -423,8 +424,8 @@ class HabitOperator:
                 out[l] += sign * b * _condexp(self.tree, future[k], k, l)
         return out
 
-    def apply(self, c, atoms=None, history=()) -> list:
-        return self._unroll(c, atoms, history, -1.0, None)
+    def apply(self, c, atoms=None, history=(), where=None) -> list:
+        return self._unroll(c, atoms, history, -1.0, where)
 
     def solve(self, chat, atoms=None, history=(), where=None) -> list:
         return self._unroll(chat, atoms, history, 1.0, where)

@@ -233,6 +233,38 @@ def test_curvature_without_a_third_derivative_differences_the_analytic_slope(fam
                       <= 1e-5 * analytic.details["scales"])
 
 
+@pytest.mark.filterwarnings("ignore::habitopt.WrongMarketClass", "ignore:concavity in wealth")
+@pytest.mark.parametrize("family, T", [("general", 5), ("bond_only", 6)])
+def test_custom_probes_build_no_continuation_plan(monkeypatch, family, T):
+    # the custom family is the power family with gamma = 2, whose d3u
+    # differences its d2u: its curvature is read from the root plan's factor
+    # as the power family's is, and no probe builds a node's own plan
+    sc = generate_scenario(5, family, T=T, utility="power", habit="one_lag", floors=False)
+    power = HabitPreferences(sc.tree, PowerUtility(2.0), sc.prefs.beta)
+    custom = HabitPreferences(sc.tree, CustomUtility(
+        u=lambda k, x: -1.0 / x, du=lambda k, x: np.power(x, -2.0),
+        d2u=lambda k, x: -2.0 * np.power(x, -3.0)), sc.prefs.beta)
+    builds = []
+    real_init = habitopt.solvers._SubtreePlan.__init__
+
+    def counted_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        builds.append(self.k0)
+
+    monkeypatch.setattr(habitopt.solvers._SubtreePlan, "__init__", counted_init)
+    base = solve_general(sc.market, custom, sc.eps, gtol=1e-12)
+    for k in range(T + 1):
+        analytic = concavity_probe(sc.market, power, sc.eps, k, method="newton")
+        differenced = concavity_probe(sc.market, custom, sc.eps, k, method="newton", base=base)
+        assert np.all(np.abs(differenced.estimates - analytic.estimates)
+                      <= 1e-9 * analytic.details["scales"])
+        monotonicity_probe(sc.market, custom, sc.eps, k, method="newton", base=base)
+        if k < T:
+            eta_bound_check(sc.market, custom, sc.eps, k, base=base)
+    envelope_check(sc.market, custom, sc.eps, base=base)
+    assert builds and not any(builds)
+
+
 @pytest.mark.filterwarnings("ignore::habitopt.WrongMarketClass")
 def test_probes_run_no_lps_and_at_most_three_solves_per_point(monkeypatch, solver_lps):
     sc = generate_scenario(1, "general", T=3, utility="power", habit="one_lag")
@@ -260,7 +292,7 @@ def test_probes_run_no_lps_and_at_most_three_solves_per_point(monkeypatch, solve
 def _closed_instances():
     """Complete T=3 markets with power, exponential, floored and per-period power
     families, and a custom family (power with gamma = 2) that has an inverse
-    marginal but no third derivative."""
+    marginal and differences its ``d2u`` for its third derivative."""
     out = [generate_scenario(seed, "complete", T=3, utility=utility, habit=habit, floors=floors)
            for seed, utility, habit, floors in ((5001, "power", "one_lag", False),
                                                 (55, "exp", "two_lag", False),
@@ -297,7 +329,7 @@ def test_closed_responses_match_differences_of_the_closed_form(case):
                 return cont.solve(wealth)[0][k][0]
 
             c, dc_dw, dc_dh, d2c = _complete_response(p, spd, eps_vals, k, a, hist, w)
-            assert (d2c is None) == (case == 4)
+            assert d2c is not None
             d = max(1e-4, 1e-4 * abs(w))
             assert dc_dw == slope.estimates[a]
             assert dc_dw == pytest.approx((c_at(w + d) - c_at(w - d)) / (2 * d), rel=1e-8)

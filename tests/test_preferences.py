@@ -104,10 +104,16 @@ def test_third_derivative_matches_a_central_difference_of_the_second(fam):
     assert np.array_equal(rows, np.concatenate([fam.d3u(k, xs[levels == k]) for k in range(3)]))
 
 
-def test_custom_family_has_no_third_derivative():
-    fam = CustomUtility(u=lambda k, x: -1.0 / x, du=lambda k, x: np.power(x, -2.0),
-                        d2u=lambda k, x: -2.0 * np.power(x, -3.0))
-    assert not hasattr(fam, "d3u")
+def test_custom_third_derivative_differences_the_second():
+    # under an Inada condition the step 6e-6 x keeps x - h in the domain down
+    # to x = 1e-12; without one the step is 6e-6 max(1, |x|)
+    cases = [(PowerUtility(g), np.logspace(-12, 6), True, 1e-9) for g in (0.5, 2.0, 3.0)]
+    cases.append((ExponentialUtility(1.5), np.linspace(-20.0, 20.0, 401), False, 1e-8))
+    for fam, x, inada, tol in cases:
+        custom = CustomUtility(u=fam.u, du=fam.du, d2u=fam.d2u, inada=inada)
+        got = custom.d3u(0, x)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got / fam.d3u(0, x) - 1.0)) <= tol, (fam.name, fam.gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,28 @@ def test_plan_arrays_equal_the_per_row_ancestor_walk(shuffled_prefs):
                     assert np.array_equal(got, value), (name, k0, node)
 
 
+def test_plan_habit_map_is_the_habit_operator(shuffled_prefs):
+    # two-lag habits with floors, on every root and continuation plan: the
+    # plan's habit map is the habit operator on its rows split by level, bit
+    # for bit, and the operator reads the same ancestors at the lag positions
+    # that it finds itself
+    rng = np.random.default_rng(6)
+    for sc in _pinned_instances(shuffled_prefs):
+        t, habit = sc.tree, sc.prefs.habit
+        for k0 in range(t.T + 1):
+            for node in range(t.n_atoms(k0)):
+                history = [1.0 + 0.1 * l for l in range(k0)]
+                plan = _SubtreePlan(sc.market, sc.prefs, sc.eps, k0=k0, node=node,
+                                    history=history, w=None if k0 == 0 else 0.7)
+                atoms = _subtree_atoms(t, k0, node)
+                c = rng.uniform(0.5, 2.0, plan.n_c)
+                split = [None] * k0 + [c[plan.row_level == l] for l in range(k0, t.T + 1)]
+                want = habit.apply(split, atoms, history)
+                assert np.array_equal(plan.habit_map(c, history), np.concatenate(want[k0:]))
+                where = habit.apply(split, atoms, history, habit.lag_positions(atoms, k0))
+                assert all(np.array_equal(a, b) for a, b in zip(where[k0:], want[k0:]))
+
+
 def _dense_hessian(plan, hw):
     """The full Hessian from ``plan.band(hw)``, walking each row's ancestors;
     asserts that the blocks above the plan's root are zero."""
