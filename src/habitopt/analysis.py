@@ -3,9 +3,9 @@
 Everything here interrogates solved plans rather than producing them: slopes
 and curvatures of consumption policies in wealth against their theoretical
 bounds and the wealth response of continuation plans to past consumption
-(implicit derivatives of every node's continuation optimum, read from one
-factor of the polished root plan, or of the closed form's budget root, kept
-in one table per base plan), envelope and scaling laws, the closed-form
+(implicit derivatives of every node's continuation optimum, read on every
+market from one factor of the polished root plan and kept in one table per
+base plan), envelope and scaling laws, the closed-form
 counterexample showing optimal time-0 consumption is a strictly convex
 function of the endowment, and a reproducible generator of test instances by
 market family.
@@ -49,14 +49,12 @@ from .solvers import (
     Solution,
     _admissible,
     _closed_form,
-    _complete_response,
     _CompleteGeneral,
     _instance_key,
     _newton_maximize,
     _Optimum,
     _solution_utility,
     _SubtreePlan,
-    has_inverse_marginal,
     solve_auto,
     solve_general,
 )
@@ -81,7 +79,8 @@ __all__ = [
     "generate_scenario",
 ]
 
-# Newton tolerance of the root polish and the node solves behind every probe
+# Newton tolerance of the root plan's polish behind every probe and of the
+# envelope check's re-solves
 _GTOL = 1e-12
 
 
@@ -136,29 +135,10 @@ def _scope_label(m: MarketModel, witness) -> tuple[str, str]:
 
 def _base_holdings(base: Solution, atoms) -> np.ndarray:
     """``base.pi`` on a subtree, given by its atoms per level (``None`` above
-    its root, as in ``solvers._subtree_atoms``), in the plan's variable order."""
+    its root, as in ``solvers._subtree_atoms``), in the plan's row order and
+    asset units (Newton maps them into its own variables)."""
     return np.concatenate([np.zeros(0)] + [base.pi[l][al].ravel()
                                            for l, al in enumerate(atoms[:-1]) if al is not None])
-
-
-def _resolve_method(m: MarketModel, p: HabitPreferences, method: str) -> str:
-    """``auto``: ``closed`` on complete markets with an inverse marginal, else ``newton``."""
-    if method != "auto":
-        return method
-    return "closed" if classify_market(m).kind == "complete" \
-        and has_inverse_marginal(p.family) else "newton"
-
-
-def _node_response(m: MarketModel, p: HabitPreferences, eps_vals, k: int, node: int,
-                   history, w: float) -> tuple:
-    """``(c, dc/dw, dc/dhistory[-1], d2c/dw2)`` of the continuation from
-    ``(k, node)`` entered with wealth ``w`` after ``history``, by the closed
-    form's budget root (``solvers._complete_response``).  A leaf consumes
-    its endowment plus its wealth under either method: ``(eps + w, 1, 0, 0)``.
-    """
-    if k == m.tree.T:
-        return float(eps_vals[k][node] + w), 1.0, 0.0, 0.0
-    return _complete_response(p, spd_bundle(m, p.beta), eps_vals, k, node, history, w)
 
 
 def _root_plan(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution) -> _SubtreePlan:
@@ -171,35 +151,32 @@ def _root_plan(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution) ->
     return base._plans[instance]
 
 
-def _responses(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k: int,
-               method: str) -> list:
+def _responses(m: MarketModel, p: HabitPreferences, eps_vals, base: Solution, k: int) -> list:
     """``(history, w, response)`` of every level-``k`` node, entered with its
     base wealth (the endowment at the root) after the base consumption of its
-    ancestors.  Computed once per method and level and kept on ``base``,
-    keyed by the instance (``_instance_key``), so a plan reused with another
-    instance never reads a stale table.
+    ancestors.  Computed once per level and kept on ``base``, keyed by the
+    instance (``_instance_key``), so a plan reused with another instance
+    never reads a stale table.
 
-    Under ``newton`` every non-leaf level is read from one polish of the
+    On every market, each non-leaf level is read from one polish of the
     instance's root plan (``_root_plan``), warm-started from ``base`` and
     kept on it per instance (``solvers._Optimum``); no node's continuation is
-    solved.  The leaves, and every node under ``closed``, take
-    ``_node_response``.
+    solved.  A leaf consumes its endowment plus its wealth: ``(eps + w, 1, 0, 0)``.
     """
     instance = _instance_key(m, p, eps_vals)
-    key = (*instance, method, k)
+    key = (*instance, k)
     if key not in base._responses:
         t, c = m.tree, base.c
         wealth = (eps_vals[0] if k == 0 else base.W.values(k)).tolist()
         hists = np.reshape([c.values(lev)[t.ancestor(k, lev)] for lev in range(k)],
                            (k, len(wealth))).T.tolist()
-        if method == "newton" and k < t.T:
+        if k == t.T:
+            responses = [(e + w, 1.0, 0.0, 0.0) for e, w in zip(eps_vals[k].tolist(), wealth)]
+        else:
             if instance not in base._optima:
                 plan = _root_plan(m, p, eps_vals, base)
                 base._optima[instance] = _Optimum(plan, _base_holdings(base, plan.atoms), _GTOL)
             responses = base._optima[instance].level_responses(k)
-        else:
-            responses = [_node_response(m, p, eps_vals, k, a, hist, w)
-                         for a, (hist, w) in enumerate(zip(hists, wealth))]
         base._responses[key] = list(zip(hists, wealth, responses))
     return base._responses[key]
 
@@ -210,15 +187,15 @@ def _policy_derivatives(m: MarketModel, p: HabitPreferences, eps, k: int, method
 
     Both are read from the base plan's table (``_responses``), for every
     family: a custom one differences its ``d2u`` for the ``d3u`` of the
-    curvature.  Returns the estimates, the method and the base consumption
-    at level ``k``.
+    curvature.  ``method`` only chooses how a missing ``base`` is solved
+    (``solve_auto``).  Returns the estimates and the base consumption at
+    level ``k``.
     """
     eps_vals = _as_level_values(m.tree, eps)
-    method = _resolve_method(m, p, method)
     if base is None:
-        base = solve_auto(m, p, eps_vals)
-    table = _responses(m, p, eps_vals, base, k, method)
-    return (np.array([response[3 if curvature else 1] for _, _, response in table]), method,
+        base = solve_auto(m, p, eps_vals, method)
+    table = _responses(m, p, eps_vals, base, k)
+    return (np.array([response[3 if curvature else 1] for _, _, response in table]),
             base.c.values(k))
 
 
@@ -226,9 +203,10 @@ def _policy_derivatives(m: MarketModel, p: HabitPreferences, eps, k: int, method
 class PolicyProbe:
     """Slope or curvature of a consumption policy in wealth, per probed node.
 
-    The estimates are implicit derivatives at each node's base wealth: of
-    its continuation optimum with ``details["method"] == "newton"``, or of
-    the budget root of the closed form with ``"closed"`` (complete markets).
+    The estimates are implicit derivatives of each node's continuation
+    optimum at its base wealth, read from one factor of the instance's root
+    plan on every market.  ``details["method"]`` echoes the probe's
+    ``method``, which chose how a missing base plan was solved.
     """
 
     kind: str
@@ -250,8 +228,7 @@ def monotonicity_probe(m: MarketModel, p: HabitPreferences, eps, k: int,
     is compared to the deflator-ratio bound plus ``1e-4``.
     """
     scope, kind = _scope_label(m, witness)
-    estimates, method, cbase = _policy_derivatives(m, p, eps, k, method, base,
-                                                   curvature=False)
+    estimates, cbase = _policy_derivatives(m, p, eps, k, method, base, curvature=False)
     bound = policy_bound(spd_bundle(m, p.beta))[k]
     within = bool(np.all(estimates > 0) and np.all(estimates <= bound + 1e-4))
     return PolicyProbe(
@@ -281,8 +258,7 @@ def concavity_probe(m: MarketModel, p: HabitPreferences, eps, k: int,
             WrongUtilityFamily,
         )
         scope = "out_of_scope"
-    estimates, method, cbase = _policy_derivatives(m, p, eps, k, method, base,
-                                                   curvature=True)
+    estimates, cbase = _policy_derivatives(m, p, eps, k, method, base, curvature=True)
     scales = np.maximum(1.0, np.abs(cbase))
     within = bool(np.all(estimates <= tol * scales))
     return PolicyProbe(
@@ -332,8 +308,7 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
 
     The sensitivity is the implicit derivative of that link at the base
     plan.  The children's responses to their wealth and to ``c_k`` come from
-    level ``k+1`` of the base plan's table (``_responses``: the closed form
-    on complete markets with an inverse marginal, else Newton); the link,
+    level ``k+1`` of the base plan's table (``_responses``); the link,
     projected on the children's payoff space (``market.payoff_space_basis``),
     then gives one rank-by-rank linear system per atom, solved in one batch
     per group of atoms with equal child count and rank.  NonConvergence,
@@ -351,7 +326,7 @@ def eta_bound_check(m: MarketModel, p: HabitPreferences, eps, k: int,
     fam = p.family
     if base is None:
         base = solve_auto(m, p, eps_vals)
-    table = _responses(m, p, eps_vals, base, k + 1, _resolve_method(m, p, "auto"))
+    table = _responses(m, p, eps_vals, base, k + 1)
     # per level-(k+1) node: the derivatives of its consumption in its wealth and in c_k
     dc_dw, dc_dc = np.array([response[1:3] for _, _, response in table]).T
     chat_here, chat_next = base.chat.values(k), base.chat.values(k + 1)

@@ -11,9 +11,9 @@ with no future endowments (homogeneity), and exponential utilities in
 bond-only markets (explicit backward coefficient recursions).  The complete
 market paths share one forward map from the adjusted consumption entered at a
 node and one bracketed root-find of the budget, which also serves continuation
-problems and, differentiated, their responses to wealth and past consumption.
-A derivative-free oracle (Powell's method in budget-whitened portfolio
-coordinates) provides an independent cross-check on small instances.
+problems.  Newton and a derivative-free oracle (Powell's method, an
+independent cross-check on small instances) share the plan's variables:
+per node, holdings in the basis of its children's orthonormal payoffs.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .market import (
     _state_price_vertices,
     classify_market,
     deterministic_interest,
+    payoff_space_basis,
     spd_bundle,
 )
 from .preferences import (
@@ -146,6 +147,34 @@ def _subtree_atoms(t, k0: int, node: int) -> list:
     return atoms
 
 
+def _holding_basis(m: MarketModel, l: int) -> tuple:
+    """Per level-``l`` atom (``l < T``), the basis ``T_a`` in which the plan
+    holds its portfolio, ``x = T_a y``, and which of its columns are live.
+
+    The live columns are the atom's kept ``payoff_space_basis(m, l + 1)``
+    directions, ``pinv^T`` times the square root of the atom's probability:
+    a unit of each pays its children an orthonormal claim under their
+    conditional probabilities, so a unit step moves consumption alike at
+    every node, however collinear its gains.  On a rank-deficient atom, a complete QR of those columns adds an
+    orthonormal basis of the holdings that pay nothing (``_SubtreePlan``
+    gives them a unit Hessian diagonal).
+    """
+    nA = m.n_risky + 1
+    t = m.tree
+    basis, live = np.zeros((t.n_atoms(l), nA, nA)), np.zeros((t.n_atoms(l), nA), bool)
+    scale = np.sqrt(t.atom_probs[l])
+    for (parents, _), b in zip(t.child_blocks[l], payoff_space_basis(m, l + 1).blocks):
+        r = b.keep.shape[1]
+        cols = np.zeros((len(parents), nA, nA))
+        cols[..., :r] = np.swapaxes(b.pinv, 1, 2) * scale[parents][:, None, None]
+        on = np.zeros((len(parents), nA), bool)
+        on[:, :r] = b.keep
+        if not on.all():
+            cols = np.where(on[:, None, :], cols, np.linalg.qr(cols, mode="complete")[0])
+        basis[parents], live[parents] = cols, on
+    return basis, live
+
+
 class _SubtreePlan:
     """Affine map from portfolio variables to habit-adjusted consumption.
 
@@ -156,7 +185,10 @@ class _SubtreePlan:
     level, already validated (``preferences._as_level_values``).
 
     Rows are ordered by level, then by atom, and the holdings of row ``q``
-    (a row above level ``T``) are the columns ``nA q .. nA q + nA - 1``.  The
+    (a row above level ``T``) are the columns ``nA q .. nA q + nA - 1``, in
+    the row's basis ``T_q`` (``basis``, from ``_holding_basis``): asset
+    holdings ``x_q = T_q y_q``.  Only ``coordinates`` and ``holdings`` map
+    between the two, at the boundary of the solvers.  The
     plan keeps per-row blocks only, never a matrix over all rows and columns:
     each row's own ``prices`` and its gains ``w_gain`` on its parent's
     holdings ``w_index`` give consumption, ``c = b0 - S x_own + g x_parent``;
@@ -178,7 +210,8 @@ class _SubtreePlan:
     ``du_d2u_rows`` are the family's whole-plan evaluation over the rows
     (``family.on_rows``), built once per plan, so each evaluation point
     costs one vectorized ``u`` or one ``(u', u'')`` pair; ``utility`` still
-    sums one level at a time.
+    sums one level at a time.  Columns that pay nothing (rank-deficient
+    nodes) have zero prices and gains and a unit diagonal in ``band``.
     """
 
     def __init__(self, m: MarketModel, p: HabitPreferences, eps_vals, k0: int = 0,
@@ -203,8 +236,18 @@ class _SubtreePlan:
         # at the plan's root) and the own prices (zero at the leaves)
         parent_row = np.concatenate([[0], *(c_off[l - 1 - k0] + p.habit.positions(atoms, l, l - 1)
                                             for l in levels[1:])])
-        gains = np.concatenate([np.zeros((1, nA)), *(m.gain(l)[atoms[l]] for l in levels[1:])])
+        # per row above level T, its holdings' basis and live columns
+        # (_holding_basis); prices and gains are read in those coordinates
+        bases = [_holding_basis(m, l) for l in levels[:-1]]
+        basis = np.concatenate([np.zeros((0, nA, nA)), *(b[atoms[l]] for l, (b, _) in
+                                                         zip(levels, bases))])
+        live = np.concatenate([np.zeros((0, nA), bool), *(on[atoms[l]] for l, (_, on) in
+                                                          zip(levels, bases))])
+        to_basis = np.swapaxes(basis, 1, 2)
         prices = np.concatenate([np.zeros((0, nA)), *(m.S[l][atoms[l]] for l in levels[:-1])])
+        prices = (to_basis @ prices[..., None])[..., 0] * live
+        gains = np.concatenate([np.zeros((1, nA)), *(m.gain(l)[atoms[l]] for l in levels[1:])])
+        gains[1:] = (to_basis[parent_row[1:]] @ gains[1:, :, None])[..., 0] * live[parent_row[1:]]
         depths = _depths(p.beta)
         anc = np.empty((c_off[-1], depths), dtype=int)     # the plan's root is its own parent
         anc[:, 0] = np.arange(c_off[-1])
@@ -229,7 +272,9 @@ class _SubtreePlan:
                          jvals[r, i] * jvals[r, j])
         self.m, self.p, self.t = m, p, t
         self.k0, self.node, self.history, self.atoms = k0, int(node), tuple(history), atoms
-        self.nA, self.anc = nA, anc
+        self.nA, self.anc, self.basis = nA, anc, basis
+        q, a = np.nonzero(~live)
+        self._unit = ((q * depths * nA + a) * nA + a)    # band[q, 0, a, a] of each dead column
         self.where = p.habit.lag_positions(atoms, k0)
         self.level_rows = [slice(a, b) for a, b in zip(c_off[:-1].tolist(), c_off[1:].tolist())]
         self.c_off = c_off = dict(zip(levels, c_off.tolist()))
@@ -273,6 +318,17 @@ class _SubtreePlan:
         ``history``, back in row order."""
         return np.concatenate(self.p.habit.apply(self.levels(c), self.atoms, history,
                                                  self.where)[self.k0:])
+
+    def coordinates(self, x: np.ndarray) -> np.ndarray:
+        """The plan's variables for holdings ``x`` in asset units: ``T_q^-1``
+        of each row's holdings."""
+        if not self.n_x:
+            return np.zeros(0)
+        return np.linalg.solve(self.basis, x.reshape(-1, self.nA, 1)).ravel()
+
+    def holdings(self, y: np.ndarray) -> np.ndarray:
+        """Holdings in asset units of the plan's variables ``y``: ``T_q y_q``."""
+        return (self.basis @ y.reshape(-1, self.nA, 1)).ravel()
 
     def jac(self, x: np.ndarray) -> np.ndarray:
         """``J x``, summed row by row over each row's stored columns."""
@@ -319,8 +375,9 @@ class _SubtreePlan:
         within the habit's lags.  ``band[q, 0]`` is the diagonal block; the
         entries above the diagonal of the full matrix are its transpose."""
         row, index, outer = self._h_scatter
-        return np.bincount(index, weights=hw[row] * outer,
-                           minlength=math.prod(self.band_shape)).reshape(self.band_shape)
+        band = np.bincount(index, weights=hw[row] * outer, minlength=math.prod(self.band_shape))
+        band[self._unit] = 1.0
+        return band.reshape(self.band_shape)
 
     @functools.cached_property
     def sweep(self) -> "_Sweep":
@@ -512,8 +569,8 @@ def _admissible(m: MarketModel, p: HabitPreferences, eps_vals) -> bool:
 
 
 def _interior_start(plan: _SubtreePlan) -> np.ndarray:
-    """Strictly admissible holdings: zero without an Inada condition, else the
-    superhedging plan at the largest margin (``_Superhedge``)."""
+    """Strictly admissible plan variables: zero without an Inada condition,
+    else the superhedging plan at the largest margin (``_Superhedge``)."""
     if not plan.p.family.inada:
         return np.zeros(plan.n_x)
     if plan.n_x == 0:
@@ -522,17 +579,19 @@ def _interior_start(plan: _SubtreePlan) -> np.ndarray:
             raise Infeasible("no admissible plan: adjusted consumption is forced non-positive")
         return np.zeros(0)
     hedge = _Superhedge.of(plan)
-    return np.concatenate([th.ravel() for th in hedge.holdings(hedge.margin())])
+    return plan.coordinates(np.concatenate([th.ravel() for th in hedge.holdings(hedge.margin())]))
 
 
 def _start(plan: _SubtreePlan, x0) -> tuple:
-    """``(x, utility at x)``: ``x0`` when strictly admissible, else ``_interior_start``."""
+    """``(x, utility at x)`` in the plan's variables: the holdings ``x0`` (in
+    asset units) when strictly admissible, else ``_interior_start``."""
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (plan.n_x,):
             raise PreconditionViolated(
                 f"warm start has shape {x0.shape}, expected n_x = {plan.n_x} holdings"
             )
+        x0 = plan.coordinates(x0)
         f0 = plan.utility(x0)
         if np.isfinite(f0):
             return x0, f0
@@ -652,26 +711,6 @@ class _BandCholesky:
         return x
 
 
-def _ridged_factor(plan: _SubtreePlan, band: np.ndarray, sweep: _Sweep | None = None):
-    """``_BandCholesky`` of ``band`` plus ``ridge`` on the diagonal, with the
-    first ridge that factors, and the ridge.  The factor follows ``sweep``,
-    by default the plan's own (``plan.sweep``).
-
-    The ridges tried are 0, then ``1e-12 max(1, max|band|)`` growing tenfold;
-    the factor is None once the ridge passes ``1e40``.
-    """
-    ridge, work, sweep = 0.0, band, sweep or plan.sweep
-    while True:
-        try:
-            return _BandCholesky(sweep, work), ridge
-        except np.linalg.LinAlgError:
-            ridge = max(ridge * 10.0, 1e-12 * max(1.0, float(np.max(np.abs(band)))))
-            if ridge > 1e40:
-                return None, ridge
-            work = band.copy()
-            work[:, 0] += ridge * np.eye(plan.nA)
-
-
 _MAX_ITER = 300
 _DECREMENT_TOL = 4.0 * np.finfo(float).eps   # of max(1, |U|)
 
@@ -679,7 +718,11 @@ _DECREMENT_TOL = 4.0 * np.finfo(float).eps   # of max(1, |U|)
 def _newton_maximize(plan: _SubtreePlan, x0, gtol: float):
     """Damped Newton ascent of the concave plan utility from ``_start(plan, x0)``.
 
-    Returns the maximizer, the utility there and the iteration diagnostics.
+    Returns the maximizer in the plan's variables, the utility there and the
+    iteration diagnostics; a NonConvergence carries its best point as
+    holdings in asset units.  The plan's variables leave the Hessian
+    positive definite (``_holding_basis``), so one that fails to factor
+    raises NonConvergence.
     Each point is evaluated once and differentiated at most once.  The ascent
     stops at ``max|g| <= gtol`` or, where the full step no longer halves the
     gradient, once half the squared Newton decrement ``g.step`` (the
@@ -695,10 +738,14 @@ def _newton_maximize(plan: _SubtreePlan, x0, gtol: float):
     if plan.n_x == 0:
         if not np.isfinite(fx):
             raise Infeasible("degenerate plan is outside the utility domain")
-        return x, fx, {"iterations": 0, "grad_norm": 0.0, "ridge": 0.0}
+        return x, fx, {"iterations": 0, "grad_norm": 0.0}
     if not np.isfinite(fx):
         raise DomainViolation("starting point is not strictly admissible")
-    info = {"iterations": 0, "grad_norm": np.inf, "ridge": 0.0}
+    info = {"iterations": 0, "grad_norm": np.inf}
+
+    def failure(message: str) -> NonConvergence:
+        return NonConvergence(message, best=plan.holdings(x), diagnostics=dict(info))
+
     g, hw = _derivatives(plan, x)
     for it in range(1, _MAX_ITER + 1):
         gn = float(np.abs(g).max())
@@ -707,14 +754,11 @@ def _newton_maximize(plan: _SubtreePlan, x0, gtol: float):
         if gn <= gtol:
             return x, fx, info
         if not np.isfinite(hw).all():
-            raise NonConvergence("curvature weights are not finite",
-                                 best=x, diagnostics=dict(info))
-        cf, ridge = _ridged_factor(plan, plan.band(hw))
-        if cf is None:
-            raise NonConvergence("curvature matrix is irreparably singular",
-                                 diagnostics=dict(info))
-        step = cf.solve(g)
-        info["ridge"] = max(info["ridge"], ridge)
+            raise failure("curvature weights are not finite")
+        try:
+            step = _BandCholesky(plan.sweep, plan.band(hw)).solve(g)
+        except np.linalg.LinAlgError:
+            raise failure("curvature matrix is not positive definite") from None
         gs = lam2 = float(np.dot(g, step))      # lam2: the squared Newton decrement
         if gs <= 0:
             step = g
@@ -739,18 +783,12 @@ def _newton_maximize(plan: _SubtreePlan, x0, gtol: float):
         while not cand >= fx + 1e-4 * tstep * gs:
             tstep *= 0.5
             if tstep < 1e-15:
-                raise NonConvergence(
-                    f"line search stalled with gradient norm {gn:.3e}",
-                    best=x, diagnostics=dict(info),
-                )
+                raise failure(f"line search stalled with gradient norm {gn:.3e}")
             cand = plan.utility(x + tstep * step)
         x, fx = x + tstep * step, cand
         g, hw = full if tstep == 1.0 else _derivatives(plan, x)
-    gn = float(np.abs(g).max())
-    raise NonConvergence(
-        f"no convergence after {_MAX_ITER} iterations (gradient norm {gn:.3e})",
-        best=x, diagnostics=dict(info),
-    )
+    raise failure(f"no convergence after {_MAX_ITER} iterations "
+                  f"(gradient norm {float(np.abs(g).max()):.3e})")
 
 
 def _assemble_solution(plan: _SubtreePlan, x: np.ndarray, method: str,
@@ -760,14 +798,14 @@ def _assemble_solution(plan: _SubtreePlan, x: np.ndarray, method: str,
         raise PreconditionViolated("full solutions exist only for root plans")
     T = t.T
     c = plan.levels(plan.consumption(x))
-    pi = plan.levels(x.reshape(-1, plan.nA))[:T]
+    pi = plan.levels(plan.holdings(x).reshape(-1, plan.nA))[:T]
     W = plan.levels(np.concatenate([np.zeros(1), plan.entering_wealth(x)]))
     I = [_row_dots(pi[l], m.S[l]) for l in range(T)] + [np.zeros(t.n_atoms(T))]
     return _solution(p, c, W, I, pi, method, info)
 
 
 def _solution_utility(plan: _SubtreePlan, x: np.ndarray) -> float:
-    """The utility that ``_solution`` reports for a root plan's holdings ``x``:
+    """The utility that ``_solution`` reports for a root plan's variables ``x``:
     ``_utility_of`` its habit-adjusted consumption, which sums and rounds
     unlike ``plan.utility``."""
     cp = AdaptedProcess(plan.t, plan.levels(plan.consumption(x)))
@@ -794,10 +832,11 @@ def solve_general(m: MarketModel, p: HabitPreferences, eps, x0=None,
     Works on any no-arbitrage market and any concave family.  When Newton
     stops on ``gtol``, the returned gradient norm bounds the
     probability-weighted pricing residuals of the habit-adjusted marginal
-    deflator.  When it stops on its decrement (``diagnostics["stop"] ==
+    deflator on each node's orthonormal one-period payoffs.  When it stops on its decrement (``diagnostics["stop"] ==
     "decrement"``, see ``_newton_maximize``), the gradient norm is only what
     the rounding of the utility allowed and certifies nothing.  ``x0``
-    warm-starts Newton as in ``solve_subproblem``.  The solution keeps its
+    warm-starts Newton from holdings in asset units, as in
+    ``solve_subproblem``.  The solution keeps its
     plan per instance, for the analysis to reuse.
     """
     eps_vals = _as_level_values(m.tree, eps)
@@ -817,10 +856,11 @@ def solve_subproblem(m: MarketModel, p: HabitPreferences, eps, k: int, node: int
     in for the time-0 endowment, so ``w`` equal to that endowment reproduces
     the full problem.
 
-    ``x0`` warm-starts Newton from portfolio holdings in the plan's variable
-    order: levels ``k..T-1``, the subtree's atoms in index order at each
-    level, one row of bond and risky holdings per atom -- for instance a
-    nearby optimum restricted to this subtree.  When ``x0`` is missing or not
+    ``x0`` warm-starts Newton from portfolio holdings in asset units, in the
+    plan's row order: levels ``k..T-1``, the subtree's atoms in index order
+    at each level, one row of bond and risky holdings per atom -- for
+    instance a nearby optimum restricted to this subtree.  The plan maps
+    them into its own variables (``_SubtreePlan.coordinates``).  When ``x0`` is missing or not
     strictly admissible (its utility is not finite), Newton starts from the
     superhedging plan at the largest common margin of adjusted consumption
     (``_interior_start``) instead.  Stopping rules and errors are the same
@@ -855,10 +895,11 @@ class _Optimum:
     def __init__(self, plan: _SubtreePlan, x0, gtol: float):
         x, _, info = _newton_maximize(plan, x0, gtol)
         _, hw = plan.grad_hess_weights(x)
-        cf, ridge = _ridged_factor(plan, plan.band(hw), _Sweep(plan, dense_top=0))
-        if cf is None:
-            raise NonConvergence("curvature matrix is irreparably singular at the optimum",
-                                 best=x, diagnostics=dict(info, ridge=ridge))
+        try:
+            cf = _BandCholesky(_Sweep(plan, dense_top=0), plan.band(hw))
+        except np.linalg.LinAlgError:
+            raise NonConvergence("curvature matrix is not positive definite at the optimum",
+                                 best=plan.holdings(x), diagnostics=info) from None
         self.plan, self.x, self.hw, self.cf = plan, x, hw, cf
 
     def level_responses(self, k: int) -> list:
@@ -909,15 +950,11 @@ _ORACLE_MAX_RUNS = 20
 def solve_primal_oracle(m: MarketModel, p: HabitPreferences, eps) -> Solution:
     """Derivative-free reference solver for small instances.
 
-    Powell's conjugate-direction method (scipy) over the portfolio variables
-    in budget-whitened coordinates ``x = x_start + V y``: the columns of ``V``
-    are the right singular vectors of the probability-weighted budget map
-    scaled by the inverse singular values, so unit steps in ``y`` move
-    consumption by comparable amounts at every node, and directions that do
-    not move consumption (redundant assets) are dropped.  Each of three
-    jittered admissible starts is re-run from its result while the utility
-    improves, and the best start wins.  Adjusted consumption is affine in
-    ``y``, so each start evaluates ``chat = (J V) y + chat(x_start)``.
+    Powell's conjugate-direction method (scipy) over the plan's own
+    variables (``_holding_basis``), in which a unit step moves each node's
+    children's consumption by an orthonormal claim, so that steps are scaled
+    alike at every node.  Each of three jittered admissible starts is re-run
+    from its result while the utility improves, and the best start wins.
     Independent of the Newton path; refuses instances with more than six
     portfolio variables.
     """
@@ -927,31 +964,20 @@ def solve_primal_oracle(m: MarketModel, p: HabitPreferences, eps) -> Solution:
             f"oracle handles at most {_ORACLE_MAX_DIM} portfolio variables, got {plan.n_x}"
         )
     base = _interior_start(plan)
-    # the budget map dc/dx, scattered from the row blocks
-    A = np.zeros((plan.n_c, plan.n_x))
-    inner = np.arange(len(plan.prices))[:, None]
-    A[inner, plan.nA * inner + np.arange(plan.nA)] = -plan.prices
-    A[np.arange(1, plan.n_c)[:, None], plan.w_index] = plan.w_gain
-    _, sv, vt = np.linalg.svd(np.sqrt(plan.wts)[:, None] * A, full_matrices=False)
-    keep = sv > 1e-12 * sv[0]
-    V = vt[keep].T / sv[keep]
-    JV = np.column_stack([plan.jac(v) for v in V.T])
 
-    best_x, best_f = base, -np.inf
+    def fneg(y):
+        ch = plan.chat(y)
+        if not plan.feasible(ch):
+            return 1e300
+        val = float(plan.wts @ plan.u_rows(ch))
+        return -val if np.isfinite(val) else 1e300
+
+    best_y, best_f = base, -np.inf
     for seed in _ORACLE_SEEDS:
-        x_start = base + 0.05 * np.random.default_rng(seed).standard_normal(plan.n_x)
-        if not np.isfinite(plan.utility(x_start)):
-            x_start = base
-        c_start = plan.chat(x_start)
-
-        def fneg(y, c_start=c_start):
-            ch = JV @ y + c_start
-            if not plan.feasible(ch):
-                return 1e300
-            val = float(plan.wts @ plan.u_rows(ch))
-            return -val if np.isfinite(val) else 1e300
-
-        y, fy = np.zeros(V.shape[1]), -fneg(np.zeros(V.shape[1]))
+        y = base + 0.05 * np.random.default_rng(seed).standard_normal(plan.n_x)
+        if not np.isfinite(plan.utility(y)):
+            y = base
+        fy = -fneg(y)
         for _ in range(_ORACLE_MAX_RUNS):
             res = minimize(fneg, y, method="Powell",
                            options={"xtol": 1e-12, "ftol": 1e-15})
@@ -959,8 +985,8 @@ def solve_primal_oracle(m: MarketModel, p: HabitPreferences, eps) -> Solution:
                 break
             y, fy = res.x, -res.fun
         if fy > best_f:
-            best_x, best_f = x_start + V @ y, fy
-    return _assemble_solution(plan, best_x, "oracle", {"utility": best_f})
+            best_y, best_f = y, fy
+    return _assemble_solution(plan, best_y, "oracle", {"utility": best_f})
 
 
 # ---------------------------------------------------------------------------
@@ -1082,46 +1108,6 @@ class _CompleteContinuation:
 
         z, resid = _budget_root(gap, p.family.inada, wealth)
         return _forward_consumption(p, spd, atoms, history, z, where), resid, z
-
-
-def _complete_response(p: HabitPreferences, spd: SPDBundle, eps_vals, k: int, node: int,
-                       history, w: float) -> tuple:
-    """``(c, dc/dw, dc/dhistory[-1], d2c/dw2)`` of ``_CompleteContinuation`` at
-    ``node``: one root-find for ``z``, then the budget gap ``g(z, w, h)`` is
-    differentiated (Fiacco, 1983).  ``u'_l(chat_l) = u'_k(z) r_l`` (``r_l`` the
-    perturbed-deflator ratios) gives ``dchat_l/dz = u''_k(z) r_l / u''_l(chat_l)``
-    and ``d2chat_l/dz2 = (u'''_k(z) r_l - u'''_l(chat_l) (dchat_l/dz)^2) / u''_l(chat_l)``,
-    which ``habit.solve`` (zero floors and history) carries into consumption
-    and ``pi M`` prices into ``g'`` and ``g''``.  So ``dc/dw = dz/dw = pi M / g'``
-    at the node and ``d2c/dw2 = -g'' (dz/dw)^2 / g'``; a unit last history
-    entry moves consumption at fixed ``z`` (``habit.solve`` of zero inputs),
-    and ``z`` by minus the price of that move over ``g'``.
-    """
-    t, fam = p.tree, p.family
-    cont = _CompleteContinuation(p, spd, eps_vals, k, node, history)
-    c, _, z = cont.solve(w)
-    atoms, where = cont.atoms, cont.where
-    zero = [None if al is None else np.zeros(len(al)) for al in atoms]
-    r = [None if al is None else spd.Mtilde[l].values[al] / spd.Mtilde[k].values[node]
-         for l, al in enumerate(atoms)]
-    levels = range(k, t.T + 1)
-    chat = [None] * k + [fam.du_inv(l, fam.du(k, z) * r[l]) for l in levels]
-    u2 = [None] * k + [fam.d2u(l, chat[l]) for l in levels]
-    d1 = [None] * k + [fam.d2u(k, z) * r[l] / u2[l] for l in levels]
-
-    def price(dchat, hist=(0.0,) * k):
-        dc = p.habit.solve(dchat, atoms, hist, where)
-        return _budget_gap(t, spd, dc, zero, atoms), dc[k][0]
-
-    g1, dh = price(d1)[0], 0.0
-    dz = t.atom_probs[k][node] * spd.M[k].values[node] / g1
-    if k:
-        gh, ch = price(zero, (0.0,) * (k - 1) + (1.0,))
-        dh = ch - gh / g1
-    d2 = [None] * k + [(fam.d3u(k, z) * r[l] - fam.d3u(l, chat[l]) * d1[l] ** 2) / u2[l]
-                       for l in levels]
-    d2z = -price(d2)[0] * dz * dz / g1
-    return float(c[k][0]), float(dz), float(dh), float(d2z)
 
 
 def _replicate_portfolio(m: MarketModel, W):

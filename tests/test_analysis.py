@@ -9,7 +9,7 @@ import habitopt.market
 import habitopt.preferences
 import habitopt.solvers
 from habitopt.analysis import _base_holdings
-from habitopt.solvers import _CompleteContinuation, _complete_response, _subtree_atoms
+from habitopt.solvers import _CompleteContinuation, _subtree_atoms
 from habitopt import (
     CustomUtility,
     GenerationExhausted,
@@ -282,7 +282,7 @@ def test_probes_run_no_lps_and_at_most_three_solves_per_point(monkeypatch, solve
         for k in range(sc.tree.T + 1):
             solves.clear()
             result = probe(sc.market, sc.prefs, sc.eps, k, base=base)
-            assert result.details["method"] == "newton"
+            assert result.details["method"] == "auto"
             # one response per point serves both probes; leaves take none
             points = 0 if k == sc.tree.T else sc.tree.n_atoms(k)
             assert len(solves) <= points
@@ -311,6 +311,8 @@ def _closed_instances():
 @pytest.mark.parametrize("case", range(5), ids=["power", "exp", "floors", "power_hetero",
                                                 "custom"])
 def test_closed_responses_match_differences_of_the_closed_form(case):
+    # the one-factor table's responses on complete markets, against
+    # differences of the closed form's continuation
     sc = _closed_instances()[case]
     m, p, t = sc.market, sc.prefs, sc.tree
     eps_vals = [np.asarray(e, dtype=float) for e in sc.eps]
@@ -320,6 +322,7 @@ def test_closed_responses_match_differences_of_the_closed_form(case):
         slope = monotonicity_probe(m, p, sc.eps, k, method="closed", base=base)
         curv = concavity_probe(m, p, sc.eps, k, method="closed", base=base)
         assert slope.details["method"] == curv.details["method"] == "closed"
+        table = habitopt.analysis._responses(m, p, eps_vals, base, k)
         for a in range(t.n_atoms(k)):
             hist = [float(base.c.values(lev)[t.ancestor(k, lev)[a]]) for lev in range(k)]
             w = float(sc.eps[0][0]) if k == 0 else float(base.W.values(k)[a])
@@ -328,7 +331,7 @@ def test_closed_responses_match_differences_of_the_closed_form(case):
                 cont = _CompleteContinuation(p, spd, eps_vals, k, a, history)
                 return cont.solve(wealth)[0][k][0]
 
-            c, dc_dw, dc_dh, d2c = _complete_response(p, spd, eps_vals, k, a, hist, w)
+            c, dc_dw, dc_dh, d2c = table[a][2]
             assert d2c is not None
             d = max(1e-4, 1e-4 * abs(w))
             assert dc_dw == slope.estimates[a]
@@ -345,16 +348,18 @@ def test_closed_responses_match_differences_of_the_closed_form(case):
 
 
 @pytest.mark.parametrize("case", range(4), ids=["power", "exp", "floors", "power_hetero"])
-def test_eta_on_complete_markets_reads_the_closed_table(monkeypatch, case):
+def test_eta_on_complete_markets_reads_the_closed_table(case):
+    # the table is read from the polished root plan, whether the base plan is
+    # the closed form's or Newton's, and is kept per level
     sc = _closed_instances()[case]
-    base = solve_auto(sc.market, sc.prefs, sc.eps)
     T = sc.tree.T
-    closed = [eta_bound_check(sc.market, sc.prefs, sc.eps, k, base=base) for k in range(T)]
-    assert {key[3] for key in base._responses} == {"closed"}
-    monkeypatch.setattr(habitopt.analysis, "has_inverse_marginal", lambda family: False)
-    newton = [eta_bound_check(sc.market, sc.prefs, sc.eps, k, base=base) for k in range(T)]
-    assert {key[3] for key in base._responses} == {"closed", "newton"}
-    for rep_closed, rep_newton in zip(closed, newton):
+    reports = []
+    for base in (solve_auto(sc.market, sc.prefs, sc.eps),
+                 solve_general(sc.market, sc.prefs, sc.eps)):
+        reports.append([eta_bound_check(sc.market, sc.prefs, sc.eps, k, base=base)
+                        for k in range(T)])
+        assert sorted(key[3] for key in base._responses) == list(range(1, T + 1))
+    for rep_closed, rep_newton in zip(*reports):
         assert rep_closed.estimates.keys() == rep_newton.estimates.keys()
         assert rep_closed.satisfied == rep_newton.satisfied
         for key, est in rep_closed.estimates.items():
@@ -483,13 +488,12 @@ def test_eta_singular_link_system_raises_with_diagnostics(monkeypatch):
     # a wealth direction to solve for
     sc = generate_scenario(56, "complete", utility="power", habit="one_lag",
                            floors=False)
-    real = habitopt.analysis._node_response
+    real = habitopt.solvers._Optimum.level_responses
 
-    def wealth_blind(*args, **kwargs):
-        c, _, dc_dc, d2c = real(*args, **kwargs)
-        return c, 0.0, dc_dc, d2c
+    def wealth_blind(self, k):
+        return [(c, 0.0, dc_dc, d2c) for c, _, dc_dc, d2c in real(self, k)]
 
-    monkeypatch.setattr(habitopt.analysis, "_node_response", wealth_blind)
+    monkeypatch.setattr(habitopt.solvers._Optimum, "level_responses", wealth_blind)
     with pytest.raises(NonConvergence) as exc:
         eta_bound_check(sc.market, sc.prefs, sc.eps, k=0)
     diag = exc.value.diagnostics
@@ -507,8 +511,7 @@ def _eta_per_atom(m, p, eps, k, base):
     eps_vals = [np.asarray(e, dtype=float) for e in eps]
     spd = spd_bundle(m, p.beta)
     fam = p.family
-    table = habitopt.analysis._responses(
-        m, p, eps_vals, base, k + 1, habitopt.analysis._resolve_method(m, p, "auto"))
+    table = habitopt.analysis._responses(m, p, eps_vals, base, k + 1)
     chat_here, chat_next = base.chat.values(k), base.chat.values(k + 1)
     wts = t.atom_probs[k + 1]
     links = {int(a): (blk.children[g], blk.rows[g][blk.keep[g]].T)

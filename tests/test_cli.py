@@ -570,9 +570,10 @@ def test_verify_runs_one_newton_solve_for_its_responses(tmp_path, capsys, monkey
     assert len(solves) == 1 + 1 + 2
 
 
-def test_verify_takes_one_root_find_per_closed_form_response(tmp_path, capsys, monkeypatch):
-    # one root-find for the solve and one for each of the 7 non-leaf responses;
-    # the probes and eta read the responses and root-find nothing more
+def test_verify_takes_one_root_find_on_a_complete_market(tmp_path, capsys, monkeypatch):
+    # the closed form's one root-find for the solve; the 7 non-leaf responses
+    # come from one factor of the polished root plan, so the probes and eta
+    # root-find nothing more
     files = _generate(tmp_path, capsys, "--seed", "5001", "--family", "complete", "--T", "3",
                       "--utility", "power", "--habit", "one_lag")
     calls = []
@@ -586,7 +587,7 @@ def test_verify_takes_one_root_find_per_closed_form_response(tmp_path, capsys, m
     code, _, _ = run(capsys, "verify", *files,
                      "--checks", "monotonicity,eta,concavity,envelope,foc")
     assert code == 0
-    assert len(calls) == 1 + 7
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,13 @@ from habitopt.analysis import _base_holdings, _priced_market
 from habitopt.errors import ArbitrageDetected, Infeasible
 from habitopt.solvers import (
     _DENSE_TOP,
+    _BandCholesky,
     _CompletePower,
     _derivatives,
     _interior_start,
     _newton_maximize,
     _Optimum,
     _replicate_portfolio,
-    _ridged_factor,
     _Superhedge,
     _SubtreePlan,
     _Sweep,
@@ -332,6 +332,14 @@ def _per_row_plan_arrays(m, p, eps_vals, k0, node, w):
             "hist_coef": hist_coef, "w_index": w_index}
 
 
+def _dense_basis(plan):
+    """The plan's holding bases ``T_q`` as one block-diagonal matrix."""
+    B = np.zeros((plan.n_x, plan.n_x))
+    for q, block in enumerate(plan.basis):
+        B[plan.nA * q:plan.nA * (q + 1), plan.nA * q:plan.nA * (q + 1)] = block
+    return B
+
+
 def _dense_plan(plan):
     """The plan's row blocks as the dense arrays ``A`` (``c = A x + b0``),
     ``L`` and ``hist_coef`` (``chat = L c - floors - hist_coef @ history``) and
@@ -380,7 +388,14 @@ def test_plan_arrays_equal_the_per_row_ancestor_walk(shuffled_prefs):
                 for name, value in ref.items():
                     got = dense[name] if name in dense else getattr(plan, name)
                     assert got.shape == value.shape and got.dtype == value.dtype, name
-                    assert np.array_equal(got, value), (name, k0, node)
+                    if name == "A":
+                        # the walk's holdings are in asset units, the plan's in its
+                        # basis: one nA-term dot product per entry apart
+                        basis = _dense_basis(plan)
+                        bound = 2 * plan.nA * np.finfo(float).eps * np.abs(value) @ np.abs(basis)
+                        assert np.all(np.abs(got - value @ basis) <= bound), (k0, node)
+                    else:
+                        assert np.array_equal(got, value), (name, k0, node)
 
 
 def test_plan_habit_map_is_the_habit_operator(shuffled_prefs):
@@ -460,7 +475,7 @@ def _own_plan_response(sc, base, k, node):
     plan = _SubtreePlan(sc.market, sc.prefs, sc.eps, k, node, hist, w)
     x, _, _ = _newton_maximize(plan, _base_holdings(base, plan.atoms), 1e-12)
     _, hw = plan.grad_hess_weights(x)
-    cf, _ = _ridged_factor(plan, plan.band(hw))
+    cf = _BandCholesky(plan.sweep, plan.band(hw))
     unit = np.zeros(plan.n_c)
     unit[0] = 1.0
     dlb_dw = plan.habit_map(unit, (0.0,) * k)
@@ -545,8 +560,7 @@ def test_band_sweep_solves_the_dense_system():
         g, hw = _derivatives(plan, _interior_start(plan))
         H = _dense_hessian(plan, hw)
         dense = _scipy.cho_factor(H, lower=True)
-        cf, ridge = _ridged_factor(plan, plan.band(hw))
-        assert ridge == 0.0
+        cf = _BandCholesky(plan.sweep, plan.band(hw))
         # the right-hand sides of a response at the plan's root: a unit of
         # wealth there, and of the last history entry where there is one
         unit = np.zeros(plan.n_c)
@@ -574,7 +588,7 @@ def test_full_sweep_matches_the_dense_step_on_a_well_conditioned_band(monkeypatc
     assert len(plan.sweep.levels) == sc.tree.T - 1 and plan.sweep.n_top == plan.nA
     g, hw = _derivatives(plan, _interior_start(plan))
     b = np.column_stack([g, np.random.default_rng(4).standard_normal((g.size, 2))])
-    step = _ridged_factor(plan, plan.band(hw))[0].solve(b)
+    step = _BandCholesky(plan.sweep, plan.band(hw)).solve(b)
     ref = _scipy.cho_solve(_scipy.cho_factor(_dense_hessian(plan, hw), lower=True), b)
     assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -590,8 +604,8 @@ def test_a_solve_below_a_level_solves_each_subtree_block():
         assert bool(plan.sweep.levels) == (family == "complete")
         g, hw = _derivatives(plan, _interior_start(plan))
         H = _dense_hessian(plan, hw)
-        cf, ridge = _ridged_factor(plan, plan.band(hw), _Sweep(plan, dense_top=0))
-        assert ridge == 0.0 and len(cf.levels) == T - 1 and cf.sweep.n_top == plan.nA
+        cf = _BandCholesky(_Sweep(plan, dense_top=0), plan.band(hw))
+        assert len(cf.levels) == T - 1 and cf.sweep.n_top == plan.nA
         b = np.column_stack([g, rng.standard_normal(g.size)])
         for k in range(1, T):
             step = cf.solve(b, below=k)
@@ -627,7 +641,7 @@ def test_plans_within_the_cut_take_the_dense_factor_bit_for_bit():
         assert not plan.sweep.levels and plan.sweep.n_top == plan.n_x <= _DENSE_TOP
         g, hw = _derivatives(plan, _interior_start(plan))
         dense = _scipy.cho_factor(_scattered_hessian(plan, hw), lower=True, check_finite=False)
-        cf, _ = _ridged_factor(plan, plan.band(hw))
+        cf = _BandCholesky(plan.sweep, plan.band(hw))
         b = np.column_stack([g, -g])
         assert np.array_equal(cf.solve(g), _scipy.cho_solve(dense, g, check_finite=False))
         assert np.array_equal(cf.solve(b), _scipy.cho_solve(dense, b, check_finite=False))
@@ -647,14 +661,15 @@ def test_dense_top_is_factored_in_place(monkeypatch):
         sc = generate_scenario(1, "complete", T=T, utility="power", habit="one_lag")
         plan = _SubtreePlan(sc.market, sc.prefs, sc.eps)
         _, hw = _derivatives(plan, _interior_start(plan))
-        _ridged_factor(plan, plan.band(hw))
+        _BandCholesky(plan.sweep, plan.band(hw))
     assert len(pairs) == 2
     assert all(np.shares_memory(a, c) for a, c in pairs)
 
 
-def test_singular_swept_blocks_take_a_ridge():
-    # a duplicated risky asset makes every diagonal block singular; the
-    # deepest level is swept, so its batched Cholesky is what fails
+def test_duplicated_assets_solve_without_a_ridge():
+    # a duplicated risky asset leaves every node one holding direction that
+    # pays nothing; the plan's basis gives it a unit Hessian diagonal, so the
+    # deepest level's batched Cholesky factors and Newton needs no ridge
     sc = generate_scenario(1, "complete", T=8, utility="log", habit="one_lag")
     m, T = sc.market, sc.tree.T
     dup = MarketModel(sc.tree, [m.r[k] for k in range(1, T + 1)],
@@ -664,14 +679,15 @@ def test_singular_swept_blocks_take_a_ridge():
     _, hw = _derivatives(plan, _interior_start(plan))
     band = plan.band(hw)
     rows = plan.sweep.levels[0][0]
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(band[rows, 0])
-    assert _ridged_factor(plan, band)[1] > 0.0
+    np.linalg.cholesky(band[rows, 0])
+    # the holdings that pay nothing are each node's last column
+    assert np.all(band[:, 0, 2, 2] == 1.0) and not band[:, 0, 2, :2].any()
+    assert not band[:, 1:, 2].any() and not band[:, 1:, :, 2].any()
     fast = solve_general(dup, sc.prefs, sc.eps)
-    assert fast.converged and fast.diagnostics["ridge"] > 0.0
+    assert fast.converged and "ridge" not in fast.diagnostics
     closed = solve_auto(m, sc.prefs, sc.eps, method="closed")
     for k in range(T + 1):
-        assert np.allclose(cvals(fast, k), cvals(closed, k), rtol=1e-5, atol=0)
+        assert np.allclose(cvals(fast, k), cvals(closed, k), rtol=1e-9, atol=0)
 
 
 def test_continuation_response_at_the_root():
@@ -763,7 +779,7 @@ def test_plan_felicity_equals_per_level_evaluation(name):
     shifted_cont = _SubtreePlan(sc.market, prefs, sc.eps, k0=k, node=node,
                                 history=[hist[0] - 0.01], w=w + 0.05)
     for plan in (root, shifted_root, cont, shifted_cont):
-        x = _base_holdings(base, plan.atoms)
+        x = plan.coordinates(_base_holdings(base, plan.atoms))
         for pt in [x] + [x + 1e-3 * rng.standard_normal(x.size) for _ in range(4)]:
             assert np.isfinite(plan.utility(pt))
             u, total, gw, hw = _per_level_reference(plan, pt)
@@ -781,13 +797,17 @@ def test_entering_wealth_equals_per_atom_dots():
         # holdings and gains alone set the entering wealth; wealth and history do not
         plan = _SubtreePlan(m, sc.prefs, sc.eps, k0=k, node=node, history=[1.0] * k, w=1.0)
         x = _base_holdings(base, plan.atoms)
-        ref = []
+        ref, scale = [], []
         for l in range(k + 1, t.T + 1):
             for a in plan.atoms[l]:
                 j = int(np.searchsorted(plan.atoms[l - 1], t.parent[l][a]))
                 pi = x[plan.x_off[l - 1] + j * plan.nA:plan.x_off[l - 1] + (j + 1) * plan.nA]
                 ref.append(float(np.dot(pi, m.gain(l)[a])))
-        assert np.array_equal(plan.entering_wealth(x), np.array(ref))
+                scale.append(float(np.dot(np.abs(pi), np.abs(m.gain(l)[a]))))
+        # the plan reads the holdings in its own variables, so the two sides
+        # differ by the rounding of the change of basis
+        got = plan.entering_wealth(plan.coordinates(x))
+        assert np.all(np.abs(got - np.array(ref)) <= 1e-13 * np.array(scale))
 
 
 def test_no_accepted_point_is_differentiated_twice(monkeypatch):
@@ -813,11 +833,12 @@ def test_no_accepted_point_is_differentiated_twice(monkeypatch):
 
 @pytest.mark.parametrize("seed, T", [(36201, 7), (306502, 8)])
 def test_newton_stops_once_the_decrement_is_below_the_rounding_of_the_utility(seed, T):
-    # on both the gradient's rounding floor (~1e-8) lies above gtol: Newton used to
-    # stall there for 300 iterations and raise NonConvergence
+    # with gtol = 0 only the decrement can stop Newton; in raw asset units the
+    # gradient's rounding floor (~1e-8) lay above the default gtol on both, and
+    # Newton used to stall there for 300 iterations and raise NonConvergence
     sc = generate_scenario(seed, "complete", T=T, utility="power", habit="one_lag",
                            max_tries=1000)
-    sol = solve_general(sc.market, sc.prefs, sc.eps)
+    sol = solve_general(sc.market, sc.prefs, sc.eps, gtol=0.0)
     assert sol.diagnostics["stop"] == "decrement"
     assert sol.diagnostics["iterations"] <= 20
     foc = foc_residual(sc.market, sc.prefs, sol.c, spd_bundle(sc.market, sc.prefs.beta))
@@ -825,6 +846,21 @@ def test_newton_stops_once_the_decrement_is_below_the_rounding_of_the_utility(se
     closed = solve_auto(sc.market, sc.prefs, sc.eps, method="closed")
     for k in range(T + 1):
         assert np.max(np.abs(sol.c.values(k) - closed.c.values(k))) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [1101, 36201])
+def test_newton_meets_the_closed_form_on_complete_t7(seed):
+    # 1101 has a node whose two gains are 3e-8 from collinear: in raw asset
+    # units Newton stopped there with full FOC residuals of 4e-7
+    sc = generate_scenario(seed, "complete", T=7, utility="power", habit="one_lag",
+                           max_tries=1000)
+    sol = solve_general(sc.market, sc.prefs, sc.eps)
+    foc = foc_residual(sc.market, sc.prefs, sol.c, spd_bundle(sc.market, sc.prefs.beta))
+    assert max(float(np.max(np.abs(r))) for r in foc) <= 1e-9
+    closed = solve_auto(sc.market, sc.prefs, sc.eps, method="closed")
+    for k in range(sc.tree.T + 1):
+        assert np.all(np.abs(sol.c.values(k) - closed.c.values(k))
+                      <= 1e-9 * np.abs(closed.c.values(k)))
 
 
 def test_non_finite_curvature_is_a_non_convergence(monkeypatch):
