@@ -99,8 +99,8 @@ class Solution:
     converged: bool
     diagnostics: dict = field(default_factory=dict)
     # per instance (_instance_key): the root plan that solve_general solved or
-    # the analysis built, its polish that Newton's node responses are read
-    # from, and the node responses per method and level (analysis._responses)
+    # the analysis built, its polish that the node responses are read from,
+    # and the node responses per level (analysis._responses)
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _optima: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _responses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -155,9 +155,9 @@ def _holding_basis(m: MarketModel, l: int) -> tuple:
     directions, ``pinv^T`` times the square root of the atom's probability:
     a unit of each pays its children an orthonormal claim under their
     conditional probabilities, so a unit step moves consumption alike at
-    every node, however collinear its gains.  On a rank-deficient atom, a complete QR of those columns adds an
-    orthonormal basis of the holdings that pay nothing (``_SubtreePlan``
-    gives them a unit Hessian diagonal).
+    every node, however collinear its gains.  On a rank-deficient atom, a
+    complete QR of those columns adds an orthonormal basis of the holdings
+    that pay nothing (``_SubtreePlan`` gives them a unit Hessian diagonal).
     """
     nA = m.n_risky + 1
     t = m.tree
@@ -272,7 +272,7 @@ class _SubtreePlan:
                          jvals[r, i] * jvals[r, j])
         self.m, self.p, self.t = m, p, t
         self.k0, self.node, self.history, self.atoms = k0, int(node), tuple(history), atoms
-        self.nA, self.anc, self.basis = nA, anc, basis
+        self.nA, self.anc, self.basis, self.live = nA, anc, basis, live.ravel()
         q, a = np.nonzero(~live)
         self._unit = ((q * depths * nA + a) * nA + a)    # band[q, 0, a, a] of each dead column
         self.where = p.habit.lag_positions(atoms, k0)
@@ -321,10 +321,11 @@ class _SubtreePlan:
 
     def coordinates(self, x: np.ndarray) -> np.ndarray:
         """The plan's variables for holdings ``x`` in asset units: ``T_q^-1``
-        of each row's holdings."""
+        of each row's holdings, with the dead columns (``live`` false) zeroed,
+        since the plan neither prices nor pays them."""
         if not self.n_x:
             return np.zeros(0)
-        return np.linalg.solve(self.basis, x.reshape(-1, self.nA, 1)).ravel()
+        return np.linalg.solve(self.basis, x.reshape(-1, self.nA, 1)).ravel() * self.live
 
     def holdings(self, y: np.ndarray) -> np.ndarray:
         """Holdings in asset units of the plan's variables ``y``: ``T_q y_q``."""
@@ -950,11 +951,12 @@ _ORACLE_MAX_RUNS = 20
 def solve_primal_oracle(m: MarketModel, p: HabitPreferences, eps) -> Solution:
     """Derivative-free reference solver for small instances.
 
-    Powell's conjugate-direction method (scipy) over the plan's own
+    Powell's conjugate-direction method (scipy) over the plan's own live
     variables (``_holding_basis``), in which a unit step moves each node's
     children's consumption by an orthonormal claim, so that steps are scaled
-    alike at every node.  Each of three jittered admissible starts is re-run
-    from its result while the utility improves, and the best start wins.
+    alike at every node; the dead ones pay nothing and stay at zero.  Each
+    of three jittered admissible starts is re-run from its result while the
+    utility improves, and the best start wins.
     Independent of the Newton path; refuses instances with more than six
     portfolio variables.
     """
@@ -963,10 +965,15 @@ def solve_primal_oracle(m: MarketModel, p: HabitPreferences, eps) -> Solution:
         raise InstanceTooLarge(
             f"oracle handles at most {_ORACLE_MAX_DIM} portfolio variables, got {plan.n_x}"
         )
-    base = _interior_start(plan)
+    base = _interior_start(plan)[plan.live]
 
-    def fneg(y):
-        ch = plan.chat(y)
+    def full(z):
+        y = np.zeros(plan.n_x)
+        y[plan.live] = z
+        return y
+
+    def fneg(z):
+        ch = plan.chat(full(z))
         if not plan.feasible(ch):
             return 1e300
         val = float(plan.wts @ plan.u_rows(ch))
@@ -974,8 +981,8 @@ def solve_primal_oracle(m: MarketModel, p: HabitPreferences, eps) -> Solution:
 
     best_y, best_f = base, -np.inf
     for seed in _ORACLE_SEEDS:
-        y = base + 0.05 * np.random.default_rng(seed).standard_normal(plan.n_x)
-        if not np.isfinite(plan.utility(y)):
+        y = base + 0.05 * np.random.default_rng(seed).standard_normal(len(base))
+        if not np.isfinite(plan.utility(full(y))):
             y = base
         fy = -fneg(y)
         for _ in range(_ORACLE_MAX_RUNS):
@@ -986,7 +993,7 @@ def solve_primal_oracle(m: MarketModel, p: HabitPreferences, eps) -> Solution:
             y, fy = res.x, -res.fun
         if fy > best_f:
             best_y, best_f = y, fy
-    return _assemble_solution(plan, best_y, "oracle", {"utility": best_f})
+    return _assemble_solution(plan, full(best_y), "oracle", {"utility": best_f})
 
 
 # ---------------------------------------------------------------------------

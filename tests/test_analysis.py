@@ -349,8 +349,9 @@ def test_closed_responses_match_differences_of_the_closed_form(case):
 
 @pytest.mark.parametrize("case", range(4), ids=["power", "exp", "floors", "power_hetero"])
 def test_eta_on_complete_markets_reads_the_closed_table(case):
-    # the table is read from the polished root plan, whether the base plan is
-    # the closed form's or Newton's, and is kept per level
+    # there is no closed-form table: eta reads one table per level from the
+    # polished root plan, and is the same whether the base plan is the closed
+    # form's or Newton's
     sc = _closed_instances()[case]
     T = sc.tree.T
     reports = []

@@ -690,6 +690,34 @@ def test_duplicated_assets_solve_without_a_ridge():
         assert np.allclose(cvals(fast, k), cvals(closed, k), rtol=1e-9, atol=0)
 
 
+def test_holdings_that_pay_almost_nothing_are_not_held():
+    # a duplicated asset whose copy pays 1e-12 more at one leaf: the direction
+    # that sells one copy for the other pays below the rank tolerance, so the
+    # plan neither prices nor pays it; a warm start holding 1e6 of it must not
+    # carry it into pi, or c and the budget would disagree with pi
+    sc = generate_scenario(1, "complete", T=3, utility="log", habit="one_lag")
+    m, t, T = sc.market, sc.tree, sc.tree.T
+    d = [np.concatenate([m.d[k][:, 1:], m.d[k][:, 1:2]], axis=1) for k in range(1, T + 1)]
+    d[-1][0, -1] += 1e-12
+    near = MarketModel(t, [m.r[k] for k in range(1, T + 1)],
+                       [np.concatenate([m.S[k][:, 1:], m.S[k][:, 1:2]], axis=1)
+                        for k in range(T)], d)
+    plan = _SubtreePlan(near, sc.prefs, sc.eps)
+    assert np.flatnonzero(~plan.live).tolist() == list(range(2, plan.n_x, 3))
+    base = solve_general(near, sc.prefs, sc.eps)
+    x0 = np.concatenate([pi.ravel() for pi in base.pi])
+    x0[3 * 3 + 1:3 * 3 + 3] += [1e6, -1e6]      # row 3 is the leaf's grandparent
+    warm = solve_general(near, sc.prefs, sc.eps, x0=x0)
+    assert max(np.abs(pi).max() for pi in warm.pi) < 10.0
+    for sol in (base, warm):
+        for k in range(1, T + 1):
+            paid = np.einsum("ij,ij->i", sol.pi[k - 1][t.ancestor(k, k - 1)], near.gain(k))
+            assert np.allclose(cvals(sol, k) + sol.I.values(k), sc.eps[k] + paid,
+                               rtol=0, atol=1e-12)
+        for k in range(T + 1):
+            assert np.allclose(cvals(warm, k), cvals(base, k), rtol=1e-9, atol=0)
+
+
 def test_continuation_response_at_the_root():
     # the root has no history entry to differentiate in, so dc/dhistory[-1] is 0
     sc = generate_scenario(1, "general", T=3, utility="power", habit="one_lag")
