@@ -9,15 +9,11 @@ the scipy modules it uses, and tests and tracing can rebind them there.
 ``brentq`` is Brent's method written out as scipy's C routine takes it, so it
 returns scipy's root bit for bit: it is the only ``scipy.optimize`` call of the
 closed forms, and importing any part of ``scipy.optimize`` runs the whole
-package ``__init__`` (about 45 MiB and 0.3 s per process).  ``cho_factor``
-and ``cho_solve`` call LAPACK's ``dpotrf``/``dpotrs`` themselves: scipy's
-wrappers return the same bits but cost several times the small
-factorizations Newton makes.
+package ``__init__`` (about 45 MiB and 0.3 s per process).
 """
 
 from __future__ import annotations
 
-import functools
 import importlib
 import math
 import operator
@@ -42,6 +38,8 @@ def _on_first_call(module: str, name: str):
     return call
 
 
+cho_factor = _on_first_call("scipy.linalg", "cho_factor")
+cho_solve = _on_first_call("scipy.linalg", "cho_solve")
 linprog = _on_first_call("scipy.optimize", "linprog")
 minimize = _on_first_call("scipy.optimize", "minimize")
 
@@ -115,35 +113,3 @@ def brentq(f, a, b, xtol=2e-12, rtol=_RTOL, maxiter=100):
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = value(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
-@functools.cache
-def _lapack(name: str):
-    """The LAPACK routine ``name`` of ``scipy.linalg.lapack``, imported on first use."""
-    return getattr(importlib.import_module("scipy.linalg.lapack"), name)
-
-
-def cho_factor(a, lower=False, overwrite_a=False, check_finite=True):
-    """``scipy.linalg.cho_factor`` for float64 matrices, calling LAPACK ``dpotrf``
-    directly: the same ``(c, lower)``, with ``c`` holding the factor in the
-    ``lower`` or upper triangle and ``a``'s entries in the other.  Raises
-    ``np.linalg.LinAlgError`` where LAPACK reports failure."""
-    a = np.asarray_chkfinite(a, dtype=float) if check_finite else np.asarray(a, dtype=float)
-    c, info = _lapack("dpotrf")(a, lower=lower, overwrite_a=overwrite_a, clean=False)
-    if info:
-        raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite"
-                                    if info > 0 else f"illegal argument {-info} to dpotrf")
-    return c, lower
-
-
-def cho_solve(c_and_lower, b, overwrite_b=False, check_finite=True):
-    """``scipy.linalg.cho_solve`` for a float64 factor from ``cho_factor``,
-    calling LAPACK ``dpotrs`` directly.  Raises ``np.linalg.LinAlgError``
-    where LAPACK reports failure."""
-    c, lower = c_and_lower
-    b = np.asarray_chkfinite(b, dtype=float) if check_finite else np.asarray(b, dtype=float)
-    x, info = _lapack("dpotrs")(c, b, lower=lower, overwrite_b=overwrite_b)
-    if info:
-        raise np.linalg.LinAlgError(f"illegal argument {-info} to dpotrs")
-    return x
-

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._scipy import brentq, cho_factor, cho_solve, minimize
+from ._scipy import brentq, minimize
+from ._scipy import cho_factor, cho_solve  # noqa: F401 (perfbench/spans.py wraps them here)
 from ._scipy import linprog  # noqa: F401 (perfbench/spans.py wraps it here)
 from .errors import (
     BracketFailure,
@@ -606,7 +607,17 @@ def _derivatives(plan: _SubtreePlan, x: np.ndarray):
     return plan.jac_t(gw), hw
 
 
-_DENSE_TOP = 256     # holdings columns left to the dense factor
+# Holdings columns left to the dense top.  numpy's factor and inverse there
+# grow as n^3 (n = 26: 0.05 ms, 63: 0.13 ms, 255: 4.5 ms with one solve),
+# while a swept level costs about 0.05 ms.  Factor plus one solve, summed over
+# the Newton factors of one benchmark pass at seeds 1-3 (verify_small: 137
+# factors of 10-80 columns, ladder: 225 of 63-728), in ms on a 2-core Xeon
+# with one BLAS thread:
+#   cut              16     24     32     40     48     64
+#   verify_small    8.4    8.0    6.1    6.1    6.0    6.0
+#   ladder         76.6   76.9   69.0   70.0   69.9   79.8
+# (LAPACK's dpotrf/dpotrs at a cut of 256: 3.3 and 69.3.)
+_DENSE_TOP = 32
 
 
 class _Sweep:
@@ -614,17 +625,19 @@ class _Sweep:
 
     Levels are swept from the deepest up while more than ``dense_top``
     holdings columns lie at or above them, never the plan's root level:
-    Newton's factor leaves ``_DENSE_TOP`` columns to LAPACK, and
-    ``dense_top = 0`` sweeps every level below the root.  Per swept level it
-    keeps the level's rows, their ancestors ``up`` at depths ``1..D`` within
-    the plan, the pairs ``i <= j`` of those depths and, per pair, the flat
-    ``band`` index of ``band[up[:, i], j - i]``, which the pair's Schur update
-    lands on.  ``top`` is the highest swept level.  The rows above it make the
-    dense top, ``n_top`` columns: ``put`` places every ``band`` entry of its
-    rows in the transposed top, so that they fill the lower triangle of the
-    top itself.  Ancestors above the plan's root repeat the root, so the
-    blocks of those depths land on entries of blocks at other depths; they
-    are zero, and adding them leaves those entries as they are.
+    Newton's factor leaves at most ``_DENSE_TOP`` columns (or the root row's
+    ``nA``) to the dense factor, and ``dense_top = 0`` sweeps every level
+    below the root.  Per swept level it keeps the level's rows, their
+    ancestors ``up`` at depths ``1..D`` within the plan, the pairs ``i <= j``
+    of those depths and, per pair, the flat ``band`` index of
+    ``band[up[:, i], j - i]``, which the pair's Schur update lands on.
+    ``top`` is the highest swept level.  The rows above it make the dense
+    top, ``n_top`` columns: ``put`` places every ``band`` entry of its rows in
+    the transposed top, so that they fill the lower triangle of the top
+    itself, the one its Cholesky factor reads.  Ancestors above the plan's
+    root repeat the root, so the blocks of those depths land on entries of
+    blocks at other depths; they are zero, and adding them leaves those
+    entries as they are.
     """
 
     def __init__(self, plan: _SubtreePlan, dense_top: int):
@@ -660,7 +673,8 @@ class _BandCholesky:
     ``L L^T`` of its diagonal blocks, its blocks ``W_d = L^-1 band[q, d]`` on
     its ancestors and one ``bincount`` of the updates ``W_i^T W_j`` onto
     ``band[q_i, j - i]``.  The columns above the swept levels are factored
-    dense by LAPACK, in place.  Raises ``np.linalg.LinAlgError`` where a
+    dense in the same form, ``L^-1`` of their Cholesky factor, so the top's
+    solve is two matrix products.  Raises ``np.linalg.LinAlgError`` where a
     diagonal block or the top is not positive definite.
     """
 
@@ -676,8 +690,7 @@ class _BandCholesky:
             self.levels.append((rows, up, Linv, W))
         top = np.bincount(sweep.put, weights=band[:sweep.n_top // sweep.nA].ravel(),
                           minlength=sweep.n_top ** 2).reshape(sweep.n_top, sweep.n_top)
-        # top holds the transpose, so top.T is Fortran-ordered and LAPACK factors it in place
-        self.top = cho_factor(top.T, lower=True, overwrite_a=True, check_finite=False)
+        self.top = np.linalg.inv(np.linalg.cholesky(top.T))
 
     def solve(self, b: np.ndarray, below: int | None = None) -> np.ndarray:
         """``H^-1 b`` for one right-hand side or one per column: forward over
@@ -690,8 +703,6 @@ class _BandCholesky:
         pass stops after level ``k``, and the back pass starts there with
         zero above.
         """
-        if not self.levels:
-            return cho_solve(self.top, b, check_finite=False)
         sweep, levels = self.sweep, self.levels
         if below is not None:
             levels = levels[:len(levels) - (below - sweep.top)]
@@ -704,7 +715,7 @@ class _BandCholesky:
             xr -= np.bincount((up[..., None] * flat.size + flat).ravel(), weights=flow.ravel(),
                               minlength=xr.size).reshape(xr.shape)
         if below is None:
-            x[:sweep.n_top] = cho_solve(self.top, x[:sweep.n_top], check_finite=False)
+            x[:sweep.n_top] = self.top.T @ (self.top @ x[:sweep.n_top])
         else:
             x[:sweep.nA * levels[-1][0].start] = 0.0
         for rows, up, Linv, W in reversed(levels):
@@ -966,6 +977,8 @@ def solve_primal_oracle(m: MarketModel, p: HabitPreferences, eps) -> Solution:
             f"oracle handles at most {_ORACLE_MAX_DIM} portfolio variables, got {plan.n_x}"
         )
     base = _interior_start(plan)[plan.live]
+    # adjusted consumption is affine in the live variables: A z + Lb
+    A = np.array([plan.jac(e) for e in np.eye(plan.n_x)[plan.live]]).T
 
     def full(z):
         y = np.zeros(plan.n_x)
@@ -973,7 +986,7 @@ def solve_primal_oracle(m: MarketModel, p: HabitPreferences, eps) -> Solution:
         return y
 
     def fneg(z):
-        ch = plan.chat(full(z))
+        ch = A @ z + plan.Lb
         if not plan.feasible(ch):
             return 1e300
         val = float(plan.wts @ plan.u_rows(ch))

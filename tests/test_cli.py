@@ -515,7 +515,8 @@ def test_verify_builds_one_root_plan_for_its_responses(tmp_path, capsys, monkeyp
     # the deflator repro: the base solve builds the only plan; the 40
     # responses come from one factor of it, which sweeps every level below
     # the root, so that the root row's two holdings are its dense top, and
-    # the envelope check re-solves it at two shifted endowments
+    # the envelope check re-solves it at two shifted endowments; Newton's
+    # factors sweep level 3 and leave the 26 columns above it dense
     files = _generate(tmp_path, capsys, "--seed", "3", "--family", "general", "--T", "4",
                       "--utility", "power", "--habit", "one_lag")
     builds, solves, tops = [], [], []
@@ -544,7 +545,7 @@ def test_verify_builds_one_root_plan_for_its_responses(tmp_path, capsys, monkeyp
     assert code == 0
     assert len(solves) == 1
     assert builds == [0]
-    assert tops.count(2) == 1 and set(tops) == {2, 80}
+    assert tops.count(2) == 1 and set(tops) == {2, 26}
 
 
 def test_verify_runs_one_newton_solve_for_its_responses(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.optimize
 
 import habitopt
@@ -53,27 +52,25 @@ def test_validate_loads_no_scipy_solver(tmp_path, capsys):
     assert not [m for m in loaded if m.startswith(HEAVY)]
 
 
-def _newton_modules(tmp_path, capsys, family: str, utility: str) -> list[str]:
-    """The scipy modules of a fresh ``solve --method newton`` on a generated T=2 instance."""
-    files = _generate(tmp_path, capsys, "--seed", "1", "--family", family, "--T", "2",
+def _newton_modules(tmp_path, capsys, family: str, utility: str, T: int) -> list[str]:
+    """The scipy modules of a fresh ``solve --method newton`` on a generated instance."""
+    files = _generate(tmp_path, capsys, "--seed", "1", "--family", family, "--T", str(T),
                       "--utility", utility, "--habit", "one_lag")
-    loaded = _fresh_modules("from habitopt import cli; "
-                            "assert cli.main(['solve', *sys.argv[2:], "
-                            "'--method', 'newton']) == 0", *files)
-    assert "scipy.linalg" in loaded
-    return loaded
+    return _fresh_modules("from habitopt import cli; "
+                          "assert cli.main(['solve', *sys.argv[2:], "
+                          "'--method', 'newton']) == 0", *files)
 
 
-def test_newton_without_a_start_lp_loads_only_scipy_linalg(tmp_path, capsys):
+def test_newton_without_a_start_lp_loads_no_scipy(tmp_path, capsys):
     # exponential utility has no Inada condition, so Newton starts from zero holdings
-    loaded = _newton_modules(tmp_path, capsys, "bond_only", "exp")
-    assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.sparse"))]
+    assert _newton_modules(tmp_path, capsys, "bond_only", "exp", 2) == []
 
 
-def test_power_newton_loads_scipy_linalg_only(tmp_path, capsys):
-    # the Inada start superhedges node by node: no start LP, so no scipy.optimize
-    loaded = _newton_modules(tmp_path, capsys, "general", "power")
-    assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.sparse"))]
+def test_power_newton_loads_no_scipy(tmp_path, capsys):
+    # the Inada start superhedges node by node with no LP, and Newton factors by
+    # numpy's Cholesky, on a dense top alone (T=2) and below the cut (T=6)
+    for T in (2, 6):
+        assert _newton_modules(tmp_path / str(T), capsys, "general", "power", T) == []
 
 
 def _closed_modules(tmp_path, capsys, utility: str, *command: str) -> list[str]:
@@ -94,17 +91,11 @@ def test_closed_sweep_on_the_continuation_form_loads_no_scipy(tmp_path, capsys):
     assert _closed_modules(tmp_path, capsys, "exp", "sweep", "--range", "0.5:4:5") == []
 
 
-def test_closed_verify_loads_scipy_linalg_only(tmp_path, capsys):
-    # the envelope check's Newton run factors with LAPACK; nothing else loads scipy
-    loaded = _closed_modules(tmp_path, capsys, "power", "verify", "--checks",
-                             "monotonicity,eta,concavity,envelope,foc")
-    assert "scipy.linalg" in loaded
-    assert not [m for m in loaded if m.startswith(("scipy.optimize", "scipy.sparse"))]
-
-
-def test_cholesky_of_an_indefinite_matrix_raises_linalg_error():
-    with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
-        _scipy.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]), lower=True)
+def test_closed_verify_loads_no_scipy(tmp_path, capsys):
+    # the responses' factor and the envelope check's Newton runs factor by numpy's
+    # Cholesky; nothing else loads scipy
+    assert _closed_modules(tmp_path, capsys, "power", "verify", "--checks",
+                           "monotonicity,eta,concavity,envelope,foc") == []
 
 
 def test_lazy_entry_points_return_what_scipy_returns():
@@ -124,14 +115,6 @@ def test_lazy_entry_points_return_what_scipy_returns():
     mine = _scipy.minimize(bowl, np.zeros(2), method="Powell")
     assert np.array_equal(mine.x, scipy.optimize.minimize(bowl, np.zeros(2),
                                                           method="Powell").x)
-    H = np.array([[4.0, 1.0], [1.0, 3.0]])
-    cf = _scipy.cho_factor(H, lower=True)
-    ref = scipy.linalg.cho_factor(H, lower=True)
-    assert np.array_equal(cf[0], ref[0]) and cf[1] == ref[1]
-    g = np.array([1.0, -2.0])
-    assert np.array_equal(_scipy.cho_solve(cf, g), scipy.linalg.cho_solve(ref, g))
-    G = np.array([[1.0, 0.5], [-2.0, 3.0]])
-    assert np.array_equal(_scipy.cho_solve(cf, G), scipy.linalg.cho_solve(ref, G))
 
 
 def _evaluations(root_finder, f, *args, **kwargs):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import habitopt.solvers
-from habitopt import _scipy
 from habitopt import (
     AdaptedProcess,
     ExponentialUtility,
@@ -559,7 +559,7 @@ def test_band_sweep_solves_the_dense_system():
         assert plan.sweep.levels and plan.sweep.n_top <= _DENSE_TOP < plan.n_x
         g, hw = _derivatives(plan, _interior_start(plan))
         H = _dense_hessian(plan, hw)
-        dense = _scipy.cho_factor(H, lower=True)
+        dense = scipy.linalg.cho_factor(H, lower=True)
         cf = _BandCholesky(plan.sweep, plan.band(hw))
         # the right-hand sides of a response at the plan's root: a unit of
         # wealth there, and of the last history entry where there is one
@@ -571,7 +571,7 @@ def test_band_sweep_solves_the_dense_system():
             dlb.append(plan.habit_map(np.zeros(plan.n_c), (0.0,) * (k0 - 1) + (1.0,)))
         sides = [-plan.jac_t(hw * d) for d in dlb]
         for b in (g, np.column_stack([g, *sides])):
-            step, ref = cf.solve(b), _scipy.cho_solve(dense, b)
+            step, ref = cf.solve(b), scipy.linalg.cho_solve(dense, b)
             assert step.shape == b.shape
             resid = np.abs(H @ step - b).max(axis=0)
             assert np.all(resid <= 1e-15 * np.abs(H).sum(axis=1).max() * np.abs(step).max(axis=0))
@@ -589,7 +589,7 @@ def test_full_sweep_matches_the_dense_step_on_a_well_conditioned_band(monkeypatc
     g, hw = _derivatives(plan, _interior_start(plan))
     b = np.column_stack([g, np.random.default_rng(4).standard_normal((g.size, 2))])
     step = _BandCholesky(plan.sweep, plan.band(hw)).solve(b)
-    ref = _scipy.cho_solve(_scipy.cho_factor(_dense_hessian(plan, hw), lower=True), b)
+    ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(_dense_hessian(plan, hw), lower=True), b)
     assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -622,8 +622,8 @@ def test_a_solve_below_a_level_solves_each_subtree_block():
 
 
 def _scattered_hessian(plan, hw):
-    """Reference: ``J^T diag(hw) J`` scattered into the full matrix, each row's
-    outer product in row order, as the dense factor was fed."""
+    """Reference: ``J^T diag(hw) J`` scattered into the full matrix from the
+    Jacobian's entries, each row's outer product in row order, without ``band``."""
     row, col, val = plan._jac
     i, j = np.nonzero(row[:, None] == row[None, :])
     n = plan.n_x
@@ -631,39 +631,51 @@ def _scattered_hessian(plan, hw):
                        minlength=n * n).reshape(n, n)
 
 
-def test_plans_within_the_cut_take_the_dense_factor_bit_for_bit():
-    # complete T=7 at 1101 has 254 columns and bond-only T=8 255: nothing is swept
-    for seed, family, T, habit in ((1101, "complete", 7, "one_lag"),
-                                   (1, "bond_only", 8, "two_lag"),
+def test_plans_within_the_cut_take_the_dense_factor():
+    # complete T=4 has 30 columns, bond-only T=5 31 and general T=3 26: nothing
+    # is swept, and numpy's dense factor is held to LAPACK's backward error and,
+    # cond(H) being below 1e3 here, to the dense reference step within 1e-12
+    for seed, family, T, habit in ((1101, "complete", 4, "one_lag"),
+                                   (1, "bond_only", 5, "two_lag"),
                                    (1, "general", 3, "one_lag")):
         sc = generate_scenario(seed, family, T=T, utility="power", habit=habit)
         plan = _SubtreePlan(sc.market, sc.prefs, sc.eps)
         assert not plan.sweep.levels and plan.sweep.n_top == plan.n_x <= _DENSE_TOP
         g, hw = _derivatives(plan, _interior_start(plan))
-        dense = _scipy.cho_factor(_scattered_hessian(plan, hw), lower=True, check_finite=False)
+        H = _scattered_hessian(plan, hw)
+        dense = scipy.linalg.cho_factor(H, lower=True)
         cf = _BandCholesky(plan.sweep, plan.band(hw))
-        b = np.column_stack([g, -g])
-        assert np.array_equal(cf.solve(g), _scipy.cho_solve(dense, g, check_finite=False))
-        assert np.array_equal(cf.solve(b), _scipy.cho_solve(dense, b, check_finite=False))
+        for b in (g, np.column_stack([g, -g])):
+            step, ref = cf.solve(b), scipy.linalg.cho_solve(dense, b)
+            assert step.shape == b.shape
+            resid = np.abs(H @ step - b).max(axis=0)
+            assert np.all(resid <= 1e-15 * np.abs(H).sum(axis=1).max() * np.abs(step).max(axis=0))
+            err = np.linalg.norm((step - ref).reshape(g.size, -1), axis=0)
+            assert np.all(err <= 1e-12 * np.linalg.norm(ref.reshape(g.size, -1), axis=0))
 
 
-def test_dense_top_is_factored_in_place(monkeypatch):
-    pairs = []
-    real = habitopt.solvers.cho_factor
+def test_an_indefinite_dense_top_raises_non_convergence():
+    # complete T=6 sweeps its deepest levels and leaves the rest to the dense
+    # top; with the top's blocks negated, the swept levels still factor and the
+    # top does not, so Newton stops at its first iteration with its diagnostics
+    sc = generate_scenario(1, "complete", T=6, utility="power", habit="one_lag")
+    plan = _SubtreePlan(sc.market, sc.prefs, sc.eps)
+    sweep = plan.sweep
+    assert sweep.levels and sweep.n_top < plan.n_x
+    real_band = plan.band
 
-    def recorded(a, *args, **kwargs):
-        c = real(a, *args, **kwargs)
-        pairs.append((a, c[0]))
-        return c
+    def negated_top(hw):
+        band = real_band(hw)
+        band[:sweep.n_top // plan.nA] *= -1.0
+        return band
 
-    monkeypatch.setattr(habitopt.solvers, "cho_factor", recorded)
-    for T in (4, 8):
-        sc = generate_scenario(1, "complete", T=T, utility="power", habit="one_lag")
-        plan = _SubtreePlan(sc.market, sc.prefs, sc.eps)
-        _, hw = _derivatives(plan, _interior_start(plan))
-        _BandCholesky(plan.sweep, plan.band(hw))
-    assert len(pairs) == 2
-    assert all(np.shares_memory(a, c) for a, c in pairs)
+    plan.band = negated_top
+    x0 = _interior_start(plan)
+    with pytest.raises(NonConvergence, match="curvature matrix is not positive definite") as err:
+        _newton_maximize(plan, None, 1e-11)
+    assert err.value.diagnostics["iterations"] == 1
+    assert err.value.diagnostics["grad_norm"] == float(np.abs(_derivatives(plan, x0)[0]).max())
+    assert np.array_equal(err.value.best, plan.holdings(x0))
 
 
 def test_duplicated_assets_solve_without_a_ridge():
